@@ -257,19 +257,22 @@ def tool_get_schema(
     aborting, leaving the controller room to correct itself next turn.
     """
     sections: list[str] = []
-    for table in tables:
-        try:
-            ddl = engine.get_create_table(table)
-        except TableNotFoundError:
-            sections.append(f"table not found: {table}")
-            continue
-        part = ddl
-        if sample_rows > 0:
-            result, _, _ = engine.execute_timed(
-                f'SELECT * FROM "{table}" LIMIT {int(sample_rows)}'
-            )
-            part += "\nsample rows:\n" + _render_grid(result)
-        sections.append(part)
+    try:
+        for table in tables:
+            try:
+                ddl = engine.get_create_table(table)
+            except TableNotFoundError:
+                sections.append(f"table not found: {table}")
+                continue
+            part = ddl
+            if sample_rows > 0:
+                result, _, _ = engine.execute_timed(
+                    f'SELECT * FROM "{table}" LIMIT {int(sample_rows)}'
+                )
+                part += "\nsample rows:\n" + _render_grid(result)
+            sections.append(part)
+    except EngineError as exc:
+        raise ToolError(f"get_schema failed: {exc}") from exc
     return "\n\n".join(sections)
 
 
@@ -391,9 +394,22 @@ def _sql_argument(args: dict[str, Any]) -> str:
 def _tables_argument(args: dict[str, Any]) -> list[str]:
     tables = args.get("tables")
     if tables is None:
-        raw = str(args.get("raw") or "")
-        tables = [t for t in re.split(r"[,\s]+", raw) if t]
+        tables = str(args.get("raw") or "")
+    if isinstance(tables, str):
+        tables = [t for t in re.split(r"[,\s]+", tables) if t]
+    if not isinstance(tables, list):
+        raise ToolError(f"get_schema: tables is not a list: {tables!r}")
     return [str(t) for t in tables]
+
+
+def _sample_rows_argument(args: dict[str, Any], default: int) -> int:
+    value = args.get("sample_rows", default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ToolError(
+            f"get_schema: sample_rows is not an integer: {value!r}"
+        ) from exc
 
 
 # --- the loop ----------------------------------------------------------------
@@ -510,8 +526,8 @@ def run_agent(
                 engine_seconds = time.perf_counter() - t0
             elif action == "get_schema":
                 tables = _tables_argument(step.action_input)
-                sample_rows = int(
-                    step.action_input.get("sample_rows", config.sample_rows)
+                sample_rows = _sample_rows_argument(
+                    step.action_input, config.sample_rows
                 )
                 t0 = time.perf_counter()
                 observation = tool_get_schema(engine, tables, sample_rows)

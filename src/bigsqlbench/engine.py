@@ -1,15 +1,24 @@
 """Query-engine adapter: catalog introspection, timed execution, result capture.
 
 The desk-scale implementation embeds sqlite3 in-process and registers suite
-tables from CSV files with sidecar schemas.  Cluster engines would sit behind
-the same adapter surface; only the embedded engine ships here.
+tables from CSV files with sidecar schemas.  Each data directory is
+registered once per process into a sqlite snapshot file in a temporary
+directory; every session over it opens that file read-only.  Cluster engines
+would sit behind the same adapter surface; only the embedded engine ships
+here.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
+import functools
+import itertools
 import sqlite3
+import tempfile
+import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -54,11 +63,9 @@ class SessionClosedError(EngineError):
 class EngineConfig:
     """Where the engine finds its data and how much it may materialize."""
 
-    kind: str = "embedded"
     data_dir: str | Path | None = None
     database: str = "main"
     row_cap: int = DEFAULT_ROW_CAP
-    connection_string: str | None = None
 
 
 @dataclass(frozen=True)
@@ -92,16 +99,27 @@ class EngineAdapter:
 
 
 class EmbeddedEngine(EngineAdapter):
-    """In-process sqlite-backed session over a CSV + sidecar-schema data dir."""
+    """In-process sqlite-backed session over a CSV + sidecar-schema data dir.
+
+    Sessions over a data dir are read-only; without one the session is a
+    writable, empty in-memory database.
+    """
 
     def __init__(self, config: EngineConfig):
         self.config = config
         self.database = config.database
-        self._conn: sqlite3.Connection | None = sqlite3.connect(
-            ":memory:", check_same_thread=False
-        )
-        if config.data_dir is not None:
-            self._register_data_dir(Path(config.data_dir))
+        self._conn: sqlite3.Connection | None = None
+        if config.data_dir is None:
+            self._conn = sqlite3.connect(":memory:", check_same_thread=False)
+        else:
+            snapshot = self._snapshot(Path(config.data_dir))
+            self._conn = sqlite3.connect(
+                snapshot.as_uri() + "?mode=ro&immutable=1",
+                uri=True,
+                check_same_thread=False,
+            )
+            # Load the schema now, so the first timed query does not pay it.
+            self._conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
 
     def __enter__(self) -> "EmbeddedEngine":
         return self
@@ -120,9 +138,29 @@ class EmbeddedEngine(EngineAdapter):
             raise SessionClosedError("engine session is closed")
         return self._conn
 
+    def _snapshot(self, data_dir: Path) -> Path:
+        """The directory's snapshot file, registering it on the first open.
+
+        Registration runs in a scratch in-memory session that is then backed
+        up to the file.  A failed registration is not cached, so every open
+        raises again.
+        """
+        key = _snapshot_key(data_dir)
+        with _snapshot_lock:
+            snapshot = _snapshots.get(key)
+            if snapshot is None:
+                snapshot = _snapshot_dir() / f"{next(_snapshot_ids)}.sqlite"
+                self._conn = sqlite3.connect(":memory:")
+                try:
+                    self._register_data_dir(data_dir)
+                    with closing(sqlite3.connect(snapshot)) as target:
+                        self._conn.backup(target)
+                finally:
+                    self.close()
+                _snapshots[key] = snapshot
+        return snapshot
+
     def _register_data_dir(self, data_dir: Path) -> None:
-        if not data_dir.is_dir():
-            raise RegistrationError(f"data directory not found: {data_dir}")
         for schema_path in sorted(data_dir.glob("*.schema")):
             table = schema_path.stem
             csv_path = data_dir / f"{table}.csv"
@@ -265,13 +303,34 @@ def _parse_bool(cell: str) -> int | None:
     raise ValueError(f"not a boolean literal: {cell!r}")
 
 
+# Snapshot cache: one sqlite file per data-directory state, per process.
+# Module-level because sessions are opened from many call sites that share
+# no owner object, and each must find the one registration.
+_snapshots: dict[tuple, Path] = {}
+_snapshot_lock = threading.Lock()
+_snapshot_ids = itertools.count()
+
+
+@functools.cache
+def _snapshot_dir() -> Path:
+    """Holds the snapshot files; removed when the process exits."""
+    holder = tempfile.TemporaryDirectory(prefix="bigsqlbench-")
+    atexit.register(holder.cleanup)
+    return Path(holder.name)
+
+
+def _snapshot_key(data_dir: Path) -> tuple:
+    """Resolved path plus (name, size, mtime_ns) of every data file."""
+    if not data_dir.is_dir():
+        raise RegistrationError(f"data directory not found: {data_dir}")
+    files = []
+    for path in sorted(data_dir.iterdir()):
+        if path.suffix in (".schema", ".csv"):
+            stat = path.stat()
+            files.append((path.name, stat.st_size, stat.st_mtime_ns))
+    return (str(data_dir.resolve()), tuple(files))
+
+
 def open_session(config: EngineConfig) -> EngineAdapter:
     """Open an engine session with all suite tables registered."""
-    if config.kind == "embedded":
-        return EmbeddedEngine(config)
-    if config.kind == "external":
-        raise EngineError(
-            "external engines are reachable only through a connection plugin; "
-            "this build ships the embedded engine"
-        )
-    raise EngineError(f"unknown engine kind: {config.kind!r}")
+    return EmbeddedEngine(config)

@@ -9,6 +9,8 @@ APIs gets expensive fast.
 from __future__ import annotations
 
 import json
+import logging
+import math
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -40,6 +42,8 @@ from .suite import (
     load_suite,
     materialize_golden,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class PlanValidationError(ValueError):
@@ -375,7 +379,8 @@ def execute_plan(plan: RunPlan) -> RunOutput:
                 "episodes": [e.to_json_dict() for e in episodes],
                 "skipped": skipped,
                 "unusable_cases": unusable,
-                "total_spend_usd": spent,
+                # fsum: the running `spent` depends on completion order
+                "total_spend_usd": math.fsum(e.record.c_e2e for e in episodes),
             },
             indent=2,
         )
@@ -471,19 +476,19 @@ def _episode_result(
     stage_cost = {name: entry.total for name, entry in ledger.stages.items()}
 
     trace_path = None
+    trace_file = (
+        plan.output_dir
+        / "traces"
+        / spec.backend.name
+        / f"sf{format_sf(spec.scale_factor)}"
+        / f"{case.case_id}_r{spec.repetition}.jsonl"
+    )
     try:
-        traces_dir = (
-            plan.output_dir
-            / "traces"
-            / spec.backend.name
-            / f"sf{format_sf(spec.scale_factor)}"
-        )
-        traces_dir.mkdir(parents=True, exist_ok=True)
-        trace_file = traces_dir / f"{case.case_id}_r{spec.repetition}.jsonl"
+        trace_file.parent.mkdir(parents=True, exist_ok=True)
         trace_file.write_text(trace_to_jsonl(trace))
         trace_path = str(trace_file)
-    except OSError:
-        pass
+    except OSError as exc:
+        logger.warning("could not write episode trace %s: %s", trace_file, exc)
 
     return EpisodeResult(
         model=spec.backend.name,

@@ -237,6 +237,37 @@ def test_run_query_error_terminates_episode(shop_engine):
     assert trace.final_result is None
 
 
+@pytest.mark.parametrize("sample_rows", ["abc", None, float("inf")])
+def test_non_integer_sample_rows_is_tool_error(shop_engine, sample_rows):
+    args = {"tables": ["orders"], "sample_rows": sample_rows}
+    script = [entry(action_text("get_schema", args))]
+    trace = run_agent("bad args", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.outcome == "tool-error"
+    assert "sample_rows" in trace.error
+
+
+def test_tables_argument_string_or_non_list(shop_engine):
+    script = [entry(action_text("get_schema", {"tables": "orders", "sample_rows": 0}))]
+    config = AgentConfig(max_iterations=1)
+    trace = run_agent("string", config, ReplayBackend(script), shop_engine)
+    assert trace.iterations[0].observation.startswith('CREATE TABLE "orders"')
+    script = [entry(action_text("get_schema", {"tables": 5}))]
+    trace = run_agent("number", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.outcome == "tool-error"
+    assert "tables is not a list" in trace.error
+
+
+def test_engine_error_while_sampling_is_tool_error(mini_suite_dir):
+    # three sample rows overflow a one-row cap inside get_schema
+    config = EngineConfig(data_dir=mini_suite_dir / "databases" / "shop", row_cap=1)
+    args = {"tables": ["orders"], "sample_rows": 3}
+    script = [entry(action_text("get_schema", args))]
+    with EmbeddedEngine(config) as engine:
+        trace = run_agent("overflow", AgentConfig(), ReplayBackend(script), engine)
+    assert trace.outcome == "tool-error"
+    assert "get_schema failed" in trace.error
+
+
 def test_replay_exhaustion_is_llm_error(shop_engine):
     trace = run_agent("empty", AgentConfig(), ReplayBackend([]), shop_engine)
     assert trace.outcome == "llm-error"

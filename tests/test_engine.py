@@ -1,9 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from bigsqlbench import engine as engine_module
+from bigsqlbench.agent import ToolError, tool_run_query
 from bigsqlbench.engine import (
     ColumnSchema,
     EmbeddedEngine,
@@ -186,10 +194,95 @@ def test_schema_file_round_trip(tmp_path):
     assert read_schema_file(path) == schema
 
 
-def test_open_session_factory_and_external_stub(tmp_path):
-    engine = open_session(EngineConfig(kind="embedded", data_dir=tmp_path))
-    engine.close()
-    with pytest.raises(EngineError):
-        open_session(EngineConfig(kind="external"))
-    with pytest.raises(EngineError):
-        open_session(EngineConfig(kind="mystery"))
+def test_open_session_returns_embedded_engine(tmp_path):
+    with open_session(EngineConfig(data_dir=tmp_path)) as engine:
+        assert isinstance(engine, EmbeddedEngine)
+        assert engine.list_tables() == []
+
+
+# --- per-process snapshots ---
+
+
+def count_registrations(monkeypatch, delay: float = 0.0) -> list:
+    """Empty the snapshot cache; record every CSV _create_and_load parses."""
+    monkeypatch.setattr(engine_module, "_snapshots", {})
+    loaded = []
+    original = EmbeddedEngine._create_and_load
+
+    def counting(self, schema, csv_path):
+        loaded.append(csv_path)
+        time.sleep(delay)
+        original(self, schema, csv_path)
+
+    monkeypatch.setattr(EmbeddedEngine, "_create_and_load", counting)
+    return loaded
+
+
+def rows_of(data_dir, sql):
+    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
+        return engine.execute_timed(sql)[0].rows
+
+
+def test_rewritten_csv_is_seen_by_next_session(tmp_path):
+    (tmp_path / "t.schema").write_text("x integer\n")
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("x\n1\n2\n")
+    assert rows_of(tmp_path, "SELECT x FROM t ORDER BY x") == ((1,), (2,))
+    csv_path.write_text("x\n7\n8\n9\n")
+    assert rows_of(tmp_path, "SELECT x FROM t ORDER BY x") == ((7,), (8,), (9,))
+    # same size, later mtime
+    mtime_ns = csv_path.stat().st_mtime_ns
+    csv_path.write_text("x\n4\n5\n6\n")
+    os.utime(csv_path, ns=(mtime_ns + 10**9, mtime_ns + 10**9))
+    assert rows_of(tmp_path, "SELECT x FROM t ORDER BY x") == ((4,), (5,), (6,))
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.schema"]
+
+
+def test_broken_csv_fails_every_open(tmp_path):
+    (tmp_path / "t.schema").write_text("a integer\n")
+    (tmp_path / "t.csv").write_text("a\nnot_a_number\n")
+    for _ in range(3):
+        with pytest.raises(RegistrationError, match="t.csv"):
+            EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+
+
+def test_concurrent_first_opens_register_once(tmp_path, monkeypatch):
+    (tmp_path / "t.schema").write_text("x integer\n")
+    (tmp_path / "t.csv").write_text("x\n1\n")
+    loaded = count_registrations(monkeypatch, delay=0.05)
+    workers = 8
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def open_and_list():
+        barrier.wait()
+        with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
+            return engine.list_tables()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(open_and_list) for _ in range(workers)]
+            tables = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables == [["t"]] * workers
+    assert len(loaded) == 1
+
+
+def test_agent_sql_cannot_write_shared_data(mini_suite_dir, tmp_path):
+    data_dir = tmp_path / "shop"
+    shutil.copytree(mini_suite_dir / "databases" / "shop", data_dir)
+    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
+        with pytest.raises(ToolError, match="readonly"):
+            tool_run_query(engine, "DROP TABLE orders")
+    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
+        assert engine.list_tables() == ["orders", "products"]
+
+
+def test_empty_data_dir_reopens_as_empty_catalog(tmp_path, monkeypatch):
+    loaded = count_registrations(monkeypatch)
+    for _ in range(2):
+        with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
+            assert engine.list_tables() == []
+    assert loaded == []

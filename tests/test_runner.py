@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,21 @@ from bigsqlbench.runner import (
     load_records,
     validate_plan,
 )
+from tests.test_engine import count_registrations
+
+
+PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
+TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds", "stage_percentages")
+
+
+def untimed_records_text(output_dir: Path) -> str:
+    """records.json minus clock-derived fields, trace paths made relative."""
+    records = json.loads((output_dir / "records.json").read_text())
+    for ep in records["episodes"]:
+        for name in TIMING_FIELDS:
+            del ep[name]
+        ep["trace_path"] = Path(ep["trace_path"]).relative_to(output_dir).as_posix()
+    return json.dumps(records, indent=2) + "\n"
 
 
 @pytest.fixture
@@ -79,6 +95,18 @@ def test_full_mini_matrix_offline(mini_plan):
     assert all(e.record.indicator == 0 for e in beta_by_case["category_quantity"])
     assert all(e.record.indicator == 0 for e in beta_by_case["top_customer"])
     assert all(e.record.indicator == 1 for e in beta_by_case["pricey_products"])
+
+
+def test_mini_records_match_pinned_untimed_copy(mini_plan):
+    mini_plan.max_spend_usd = None
+    execute_plan(mini_plan)
+    assert untimed_records_text(mini_plan.output_dir) == PINNED_RECORDS.read_text()
+
+
+def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
+    loaded = count_registrations(monkeypatch)
+    execute_plan(mini_plan)
+    assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
 
 
 def test_episode_costs_match_token_stubs(mini_plan):
@@ -163,6 +191,16 @@ def test_rate_limiter_blocks_beyond_capacity():
         limiter.acquire()
     # capacity 2 burst, then 2 more at 2/s: at least ~0.9s of waiting
     assert time.perf_counter() - started >= 0.8
+
+
+def test_trace_write_failure_is_logged(mini_plan, caplog):
+    mini_plan.output_dir.mkdir(parents=True)
+    (mini_plan.output_dir / "traces").write_text("not a directory")
+    output = execute_plan(mini_plan)
+    assert all(ep.trace_path is None for ep in output.episodes)
+    warnings = [r for r in caplog.records if r.name == "bigsqlbench.runner"]
+    assert len(warnings) == len(output.episodes)
+    assert "could not write episode trace" in warnings[0].getMessage()
 
 
 def test_trace_files_written(mini_plan):
