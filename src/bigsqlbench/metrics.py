@@ -8,9 +8,6 @@ under a retry-until-success model.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import re
 from dataclasses import dataclass, asdict
 from statistics import fmean
@@ -222,47 +219,3 @@ def normalize_to_best(
     if best == 0:
         raise NormalizationError("best value is zero; normalization undefined")
     return {model: value / best for model, value in values.items()}
-
-
-def records_to_csv(records: list[MetricRecord]) -> str:
-    """One CSV row per record, header included."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "case_id",
-            "run_id",
-            "indicator",
-            "exact",
-            "precision",
-            "t_gold",
-            "t_gen",
-            "t_e2e",
-            "c_e2e",
-            "ves",
-            "ves_star",
-            "vces",
-        ]
-    )
-    for r in records:
-        writer.writerow(
-            [
-                r.case_id,
-                r.run_id,
-                r.indicator,
-                int(r.exact),
-                f"{r.precision:.6f}",
-                f"{r.t_gold:.6f}",
-                f"{r.t_gen:.6f}",
-                f"{r.t_e2e:.6f}",
-                f"{r.c_e2e:.8f}",
-                f"{ves_per_query(r):.4f}",
-                f"{ves_star_per_query(r):.4f}",
-                f"{vces_per_query(r):.4f}",
-            ]
-        )
-    return buf.getvalue()
-
-
-def records_to_json(records: list[MetricRecord]) -> str:
-    return json.dumps([asdict(r) for r in records], indent=2)

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
@@ -203,14 +207,55 @@ def _sort_key(row: tuple[Any, ...]) -> tuple:
     return tuple(key)
 
 
+_NUMBER_TYPES = frozenset({bool, int, float})
+_PLAIN_TYPES = _NUMBER_TYPES | {type(None), str}
+
+
+def _plain_cells(rows: Sequence[tuple[Any, ...]]) -> bool:
+    """True when every cell is None, text, or a number with a non-NaN float value.
+
+    For such cells `a == b` implies `values_equal(a, b)`, so rows that are
+    exactly equal are equal under every tolerance.  NaN (never equal to
+    anything), bytes and other types fail the check, as do ints too large
+    for a float, on which `values_equal` raises.
+    """
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if not kinds <= _PLAIN_TYPES:
+        return False
+    if kinds.isdisjoint(_NUMBER_TYPES):
+        return True
+    numbers = chain.from_iterable(rows)
+    if not kinds <= _NUMBER_TYPES:
+        kind_of_each = map(type, chain.from_iterable(rows))
+        numbers = compress(numbers, map(_NUMBER_TYPES.__contains__, kind_of_each))
+    try:
+        # NaN when any term is NaN (or +inf meets -inf, a false alarm that
+        # only costs the tolerant path); raises on an int too large for a float
+        return not math.isnan(sum(numbers, 0.0))
+    except OverflowError:
+        return False
+
+
 def rows_equal_multiset(
     left: Sequence[tuple[Any, ...]],
     right: Sequence[tuple[Any, ...]],
     tolerance: FloatTolerance = DEFAULT_TOLERANCE,
 ) -> bool:
-    """Multiset equality of row collections under cell tolerance."""
+    """Multiset equality of row collections under cell tolerance.
+
+    Exactly equal multisets of plain cells are decided by hashing; anything
+    else goes through the tolerant sort-and-scan.
+    """
     if len(left) != len(right):
         return False
+    # Counter's own == walks every key in Python; counts built from rows are
+    # all positive, so dict equality is multiset equality.
+    if (
+        _plain_cells(left)
+        and _plain_cells(right)
+        and dict.__eq__(Counter(left), Counter(right))
+    ):
+        return True
     left_sorted = sorted(left, key=_sort_key)
     right_sorted = sorted(right, key=_sort_key)
     return _rows_pairwise_equal(left_sorted, right_sorted, tolerance)
@@ -224,6 +269,8 @@ def rows_equal_ordered(
     """Positional equality of row collections under cell tolerance."""
     if len(left) != len(right):
         return False
+    if _plain_cells(left) and _plain_cells(right) and list(left) == list(right):
+        return True
     return _rows_pairwise_equal(left, right, tolerance)
 
 
@@ -297,6 +344,20 @@ def column_precision(truth: ResultTable, generated: ResultTable) -> float:
     return len(mapping) / len(generated.columns)
 
 
+def _project(
+    rows: Sequence[tuple[Any, ...]], order: list[int], width: int
+) -> Sequence[tuple[Any, ...]]:
+    """Rows reduced to the columns at `order`, always as tuples."""
+    if order == list(range(width)):
+        return rows
+    if not order:
+        return [()] * len(rows)
+    if len(order) == 1:
+        # itemgetter of one index returns the bare cell
+        return list(zip(map(itemgetter(order[0]), rows)))
+    return list(map(itemgetter(*order), rows))
+
+
 def containment_indicator(
     truth: ResultTable,
     generated: ResultTable,
@@ -308,21 +369,19 @@ def containment_indicator(
     Every truth column must be matched in the generated table, and the
     generated rows projected onto those columns must equal the truth rows as
     a multiset (or positionally when ordered=True).  Superfluous generated
-    columns are tolerated.  Never raises: malformed comparisons yield 0.
+    columns are tolerated.  Raises only where a cell comparison does, such
+    as an int too large for a float.
     """
-    try:
-        mapping, unmatched = match_columns(truth, generated)
-        if unmatched:
-            return 0
-        order = [mapping[i] for i in range(len(truth.columns))]
-        projected = [tuple(row[j] for j in order) for row in generated.rows]
-        if ordered:
-            equal = rows_equal_ordered(list(truth.rows), projected, tolerance)
-        else:
-            equal = rows_equal_multiset(list(truth.rows), projected, tolerance)
-        return 1 if equal else 0
-    except Exception:
+    mapping, unmatched = match_columns(truth, generated)
+    if unmatched:
         return 0
+    order = [mapping[i] for i in range(len(truth.columns))]
+    projected = _project(generated.rows, order, len(generated.columns))
+    if ordered:
+        equal = rows_equal_ordered(truth.rows, projected, tolerance)
+    else:
+        equal = rows_equal_multiset(truth.rows, projected, tolerance)
+    return 1 if equal else 0
 
 
 def tables_equal_exact(
@@ -340,7 +399,7 @@ def tables_equal_exact(
         return False
     y_index = {name: j for j, name in enumerate(y.column_names)}
     order = [y_index[name] for name in x.column_names]
-    projected = [tuple(row[j] for j in order) for row in y.rows]
+    projected = _project(y.rows, order, len(y.columns))
     if ordered:
-        return rows_equal_ordered(list(x.rows), projected, tolerance)
-    return rows_equal_multiset(list(x.rows), projected, tolerance)
+        return rows_equal_ordered(x.rows, projected, tolerance)
+    return rows_equal_multiset(x.rows, projected, tolerance)

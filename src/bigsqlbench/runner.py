@@ -275,6 +275,13 @@ def validate_plan(plan: RunPlan) -> list[str]:
             problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
         if spec.kind not in ("replay", "http-api"):
             problems.append(f"backend {spec.name!r}: unknown kind {spec.kind!r}")
+    if plan.pricing.engine.mode == "per-byte-scanned":
+        # the embedded engine never reports bytes scanned, so this mode would
+        # bill every query $0
+        problems.append(
+            "engine pricing 'per-byte-scanned' needs an engine that reports "
+            "bytes scanned; the embedded engine reports none"
+        )
     try:
         cases = load_suite(plan.suite, scale_factor=plan.scale_factors[0])
         if not any(c.usable for c in cases):
@@ -452,12 +459,20 @@ def _episode_result(
     precision = 0.0
     exact = False
     if golden is not None and generated is not None:
-        indicator = containment_indicator(golden, generated, ordered=case.ordered)
         try:
-            precision = column_precision(golden, generated)
-        except UndefinedPrecisionError:
-            precision = 0.0
-        exact = tables_equal_exact(golden, generated, ordered=case.ordered)
+            indicator = containment_indicator(golden, generated, ordered=case.ordered)
+            try:
+                precision = column_precision(golden, generated)
+            except UndefinedPrecisionError:
+                precision = 0.0
+            exact = tables_equal_exact(golden, generated, ordered=case.ordered)
+        except Exception as exc:  # harness fault: blame this cell, keep the run going
+            logger.warning(
+                "result comparison failed for %s/%s rep %d",
+                spec.backend.name, case.case_id, spec.repetition, exc_info=True,
+            )
+            indicator, precision, exact = 0, 0.0, False
+            error = error or f"harness error: {exc}"
 
     t_gen = trace.generated_runtime
     t_e2e = max(trace.e2e_seconds, t_gen)

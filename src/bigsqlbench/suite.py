@@ -26,7 +26,7 @@ from .engine import (
     TableSchema,
     write_schema_file,
 )
-from .resultset import ResultTable, tables_equal_exact
+from .resultset import ResultTable
 
 MIN_SCALE_FACTOR = 0.001
 MAX_SCALE_FACTOR = 1.0
@@ -207,14 +207,6 @@ def materialize_golden(
             json.dumps({"t_gold": t_gold, "result": result.to_json_dict()})
         )
     return result, t_gold
-
-
-def verify_golden_cache(case: QueryCase, engine: EmbeddedEngine) -> bool:
-    """True iff the cached golden result equals a fresh execution."""
-    if case.golden_result is None:
-        return False
-    fresh, _, _ = engine.execute_timed(case.golden_sql)
-    return tables_equal_exact(case.golden_result, fresh)
 
 
 # --- synthetic scaled data -----------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from bigsqlbench.resultset import ResultTable
+from bigsqlbench.resultset import DEFAULT_TOLERANCE, ResultTable, values_equal
 
 PRICING_SUMMARY_CUTOFF = "1998-09-02"
 
@@ -75,3 +75,37 @@ def pricing_summary_oracle(data_dir: Path) -> ResultTable:
 def csv_row_count(path: Path) -> int:
     with open(path) as handle:
         return sum(1 for _ in handle) - 1
+
+
+def _tolerant_sort_key(row: tuple) -> tuple:
+    key = []
+    for v in row:
+        if v is None:
+            key.append((0, ""))
+        elif isinstance(v, (int, float)):
+            key.append((1, float(v)))
+        else:
+            key.append((2, str(v).rstrip()))
+    return tuple(key)
+
+
+def tolerant_rows_equal(
+    left, right, ordered=False, tolerance=DEFAULT_TOLERANCE
+) -> bool:
+    """Row comparison by a canonical sort (unless ordered) and a cell-by-cell scan.
+
+    A copy of the comparison the package ran before it decided exactly equal
+    tables by hashing; its verdicts are the reference for the fast path.
+    """
+    if len(left) != len(right):
+        return False
+    if not ordered:
+        left = sorted(left, key=_tolerant_sort_key)
+        right = sorted(right, key=_tolerant_sort_key)
+    for lrow, rrow in zip(left, right):
+        if len(lrow) != len(rrow):
+            return False
+        for a, b in zip(lrow, rrow):
+            if not values_equal(a, b, tolerance):
+                return False
+    return True

@@ -18,7 +18,6 @@ from bigsqlbench.metrics import (
     cvq,
     exact_match,
     normalize_to_best,
-    records_to_csv,
     ves_per_query,
     ves_star_per_query,
     vces_per_query,
@@ -279,11 +278,6 @@ def test_record_rejects_t_e2e_below_t_gen():
 def test_record_valid_property():
     assert record().valid
     assert not record(indicator=0, exact=False, t_gen=0.0, t_e2e=0.0).valid
-
-
-def test_records_csv_has_row_per_record():
-    text = records_to_csv([record(run_id=i) for i in range(3)])
-    assert len(text.strip().splitlines()) == 4
 
 
 # --- property tests ---

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bigsqlbench import resultset
 from bigsqlbench.resultset import (
     Column,
     FloatTolerance,
@@ -14,9 +17,13 @@ from bigsqlbench.resultset import (
     is_expression_name,
     match_columns,
     normalize_column_name,
+    rows_equal_multiset,
+    rows_equal_ordered,
     tables_equal_exact,
     values_equal,
 )
+
+from .oracles import tolerant_rows_equal
 
 
 def table(cols, rows=()):
@@ -334,3 +341,123 @@ def test_prop_restoring_missing_column_never_decreases_precision(t):
 def test_prop_containment_with_exact_columns_implies_equality(t):
     if containment_indicator(t, t) == 1:
         assert tables_equal_exact(t, t)
+
+
+# --- exact-hash fast path vs the tolerant sort-and-scan ---
+
+NAN = float("nan")
+
+_cells = st.one_of(
+    st.none(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.sampled_from([True, False, 0, 1, -0.0, 0.0, 1.0, 1.5, NAN, b"x", b"x ",
+                     "a", "a ", "a  ", "", " ", "1"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    # a fresh NaN object per draw, unlike the shared NAN above
+    st.builds(float, st.just("nan")),
+    st.text(alphabet="ab ", max_size=3),
+)
+
+
+def _perturb(value, draw):
+    """A cell near `value`: within or beyond tolerance, re-padded, or fresh."""
+    kind = draw(st.sampled_from(["near", "far", "pad", "fresh"]))
+    if kind == "fresh":
+        return draw(_cells)
+    if isinstance(value, str) and kind == "pad":
+        return value.rstrip() + " " * draw(st.integers(0, 2))
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        scale = 0.5e-6 if kind == "near" else 2e-6
+        sign = draw(st.sampled_from([-1, 1]))
+        return value * (1 + sign * scale) if value else sign * scale * 1e-3
+    return value
+
+
+@st.composite
+def row_pairs(draw):
+    """Left rows and a possibly perturbed permutation of them as right rows."""
+    width = draw(st.integers(1, 3))
+    left = draw(
+        st.lists(st.tuples(*[_cells] * width), max_size=6)
+    )
+    right = list(left)
+    draw(st.randoms(use_true_random=False)).shuffle(right)
+    for i, row in enumerate(right):
+        if draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, width - 1))
+            right[i] = row[:j] + (_perturb(row[j], draw),) + row[j + 1:]
+    if draw(st.integers(0, 5)) == 0:
+        right.append(draw(st.tuples(*[_cells] * width)))
+    return left, right
+
+
+@settings(max_examples=500)
+@given(row_pairs())
+def test_prop_row_comparisons_match_tolerant_oracle(pair):
+    left, right = pair
+    assert rows_equal_multiset(left, right) == tolerant_rows_equal(left, right)
+    assert rows_equal_ordered(left, right) == tolerant_rows_equal(
+        left, right, ordered=True
+    )
+
+
+def test_tolerant_equal_rows_left_after_exact_pairs_are_not_dropped():
+    # Tolerance is not transitive: {x, x-0.9e} and {x, x+0.9e} are equal, but
+    # the leftovers after removing the exact pair x are not.
+    x, eps = 1.0, 1e-6
+    left = [(x,), (x - 0.9 * eps,)]
+    right = [(x,), (x + 0.9 * eps,)]
+    assert rows_equal_multiset(left, right)
+    assert not values_equal(x - 0.9 * eps, x + 0.9 * eps)
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    calls = []
+    scan = resultset._rows_pairwise_equal
+
+    def spy(left, right, tolerance):
+        calls.append(len(left))
+        return scan(left, right, tolerance)
+
+    monkeypatch.setattr(resultset, "_rows_pairwise_equal", spy)
+    return calls
+
+
+def _big_table(n=100_000):
+    rows = [(i, i % 7, i * 0.25 + 0.1, None if i % 11 == 0 else f"name{i % 97} ")
+            for i in range(n)]
+    return table([("k", "integer"), ("line", "integer"), ("price", "float"),
+                  ("name", "text")], rows)
+
+
+def test_large_exactly_equal_tables_skip_tolerant_fallback(fallback_calls):
+    t = _big_table()
+    rows = list(t.rows)
+    random.Random(3).shuffle(rows)
+    order = [2, 0, 3, 1]
+    reordered = ResultTable(
+        columns=tuple(t.columns[j] for j in order),
+        rows=tuple(tuple(row[j] for j in order) for row in rows),
+    )
+    widened = ResultTable(
+        columns=reordered.columns + (Column("extra", "integer"),),
+        rows=tuple(row + (0,) for row in reordered.rows),
+    )
+    assert containment_indicator(t, widened) == 1
+    assert tables_equal_exact(t, reordered)
+    assert containment_indicator(t, t, ordered=True) == 1
+    assert tables_equal_exact(t, t, ordered=True)
+    assert fallback_calls == []
+
+
+@pytest.mark.parametrize("odd_cell", [NAN, b"blob"])
+def test_nan_or_bytes_cell_takes_fallback_and_reads_unequal(fallback_calls, odd_cell):
+    t = _big_table(1_000)
+    rows = list(t.rows)
+    rows[500] = rows[500][:2] + (odd_cell, rows[500][3])
+    odd = ResultTable(columns=t.columns, rows=tuple(rows))
+    assert containment_indicator(odd, odd) == 0
+    assert not tables_equal_exact(odd, odd)
+    assert containment_indicator(odd, odd, ordered=True) == 0
+    assert fallback_calls

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
+from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig
+from bigsqlbench.costmodel import EnginePricing
 from bigsqlbench.metrics import MetricRecord
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import (
@@ -65,6 +68,14 @@ def test_zero_repetitions_rejected(mini_plan):
     assert any("repetitions" in p for p in validate_plan(mini_plan))
 
 
+def test_per_byte_engine_pricing_rejected_before_anything_runs(mini_plan):
+    mini_plan.pricing.engine = EnginePricing("per-byte-scanned", 5e-12)
+    assert any("per-byte-scanned" in p for p in validate_plan(mini_plan))
+    with pytest.raises(PlanValidationError):
+        execute_plan(mini_plan)
+    assert not mini_plan.output_dir.exists()
+
+
 # --- execution ---
 
 
@@ -107,6 +118,28 @@ def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     loaded = count_registrations(monkeypatch)
     execute_plan(mini_plan)
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
+
+
+def test_comparison_fault_is_harness_error_for_that_cell_only(mini_plan, monkeypatch):
+    containment_indicator = runner.containment_indicator
+    lock = threading.Lock()
+    raised = []
+
+    def containment_raising_once(*args, **kwargs):
+        with lock:
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("comparison blew up")
+        return containment_indicator(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "containment_indicator", containment_raising_once)
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 20
+    faulted = [ep for ep in output.episodes if ep.outcome == "harness-error"]
+    assert len(faulted) == 1
+    assert "comparison blew up" in faulted[0].error
+    assert faulted[0].record.indicator == 0 and not faulted[0].record.exact
+    assert all(ep.outcome == "completed" for ep in output.episodes if ep not in faulted)
 
 
 def test_episode_costs_match_token_stubs(mini_plan):

@@ -17,7 +17,6 @@ from bigsqlbench.suite import (
     generate_scaled_data,
     load_suite,
     materialize_golden,
-    verify_golden_cache,
     warehouse_schema,
 )
 
@@ -223,6 +222,14 @@ def test_format_sf():
 
 
 # --- golden materialization ---
+
+
+def verify_golden_cache(case, engine) -> bool:
+    """True iff the cached golden result equals a fresh execution."""
+    if case.golden_result is None:
+        return False
+    fresh, _, _ = engine.execute_timed(case.golden_sql)
+    return tables_equal_exact(case.golden_result, fresh)
 
 
 def _case_for(data_dir, sql, case_id="pricing_summary"):
