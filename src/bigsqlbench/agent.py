@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from typing import Any, Sequence
 
-from .engine import EngineAdapter, EngineError, SessionClosedError, TableNotFoundError
+from .engine import EmbeddedEngine, EngineError, SessionClosedError, TableNotFoundError
 from .llmclient import (
     ChatExchange,
     LlmBackend,
@@ -240,7 +240,7 @@ def truncate_observation(text: str, cap: int = DEFAULT_OBSERVATION_CAP) -> str:
 # --- tools -----------------------------------------------------------------
 
 
-def tool_list_tables(engine: EngineAdapter) -> str:
+def tool_list_tables(engine: EmbeddedEngine) -> str:
     """Newline-separated table names from the session catalog."""
     try:
         return "\n".join(engine.list_tables())
@@ -249,7 +249,7 @@ def tool_list_tables(engine: EngineAdapter) -> str:
 
 
 def tool_get_schema(
-    engine: EngineAdapter, tables: Sequence[str], sample_rows: int
+    engine: EmbeddedEngine, tables: Sequence[str], sample_rows: int
 ) -> str:
     """DDL per table plus up to sample_rows example rows as a text grid.
 
@@ -266,7 +266,7 @@ def tool_get_schema(
                 continue
             part = ddl
             if sample_rows > 0:
-                result, _, _ = engine.execute_timed(
+                result, _ = engine.execute_timed(
                     f'SELECT * FROM "{table}" LIMIT {int(sample_rows)}'
                 )
                 part += "\nsample rows:\n" + _render_grid(result)
@@ -290,12 +290,12 @@ def tool_check_query(llm: LlmBackend, sql: str, checker_prompt: str) -> ChatExch
         raise ToolError(f"checker llm failed: {exc}") from exc
 
 
-def tool_run_query(engine: EngineAdapter, sql: str) -> tuple[ResultTable, float]:
+def tool_run_query(engine: EmbeddedEngine, sql: str) -> tuple[ResultTable, float]:
     """Execute the query, returning the full result and its runtime."""
     if not sql.strip():
         raise ToolError("run_query requires a non-empty sql string")
     try:
-        result, seconds, _ = engine.execute_timed(sql)
+        result, seconds = engine.execute_timed(sql)
     except EngineError as exc:
         raise ToolError(f"run_query failed: {exc}") from exc
     return result, seconds
@@ -419,7 +419,7 @@ def run_agent(
     question: str,
     config: AgentConfig,
     llm: LlmBackend,
-    engine: EngineAdapter,
+    engine: EmbeddedEngine,
 ) -> AgentTrace:
     """Drive one episode: prompt, parse, dispatch, observe, repeat.
 
@@ -435,9 +435,36 @@ def run_agent(
 
     # Iterations tile the episode: each starts where the previous ended, so
     # stage seconds sum to e2e and breakdown percentages sum to 100.
-    cursor = time.perf_counter()
-    for index in range(config.max_iterations):
-        started = cursor
+    started = time.perf_counter()
+
+    def end_iteration(
+        thought: str,
+        action: str | None,
+        action_input: dict[str, Any],
+        observation: str,
+        engine_seconds: float = 0.0,
+    ) -> None:
+        """Append the current iteration, billed with its exchanges' tokens."""
+        nonlocal started
+        ended = time.perf_counter()
+        trace.iterations.append(
+            Iteration(
+                index=len(trace.iterations),
+                thought=thought,
+                action=action,
+                action_input=action_input,
+                observation=observation,
+                started_at=started,
+                ended_at=ended,
+                input_tokens=sum(ex["usage"]["input_tokens"] for ex in exchanges),
+                output_tokens=sum(ex["usage"]["output_tokens"] for ex in exchanges),
+                engine_seconds=engine_seconds,
+                exchanges=exchanges,
+            )
+        )
+        started = ended
+
+    for _ in range(config.max_iterations):
         try:
             exchange = llm.complete(messages, TOOL_SCHEMAS)
         except (LlmTransportError, ReplayMismatchError, ReplayExhaustedError) as exc:
@@ -446,47 +473,16 @@ def run_agent(
             return trace
 
         exchanges = [_exchange_record(exchange)]
-        input_tokens = exchange.input_tokens
-        output_tokens = exchange.output_tokens
-
         try:
             step = parse_controller_reply(exchange)
         except ActionParseError as exc:
-            cursor = time.perf_counter()
-            trace.iterations.append(
-                Iteration(
-                    index=index,
-                    thought="",
-                    action=None,
-                    action_input={},
-                    observation=f"unparseable reply: {exc}",
-                    started_at=started,
-                    ended_at=cursor,
-                    input_tokens=input_tokens,
-                    output_tokens=output_tokens,
-                    exchanges=exchanges,
-                )
-            )
+            end_iteration("", None, {}, f"unparseable reply: {exc}")
             trace.outcome = OUTCOME_LLM_ERROR
             trace.error = str(exc)
             return trace
 
         if step.final_answer is not None:
-            cursor = time.perf_counter()
-            trace.iterations.append(
-                Iteration(
-                    index=index,
-                    thought=step.thought,
-                    action=FINAL_ANSWER_ACTION,
-                    action_input={},
-                    observation="",
-                    started_at=started,
-                    ended_at=cursor,
-                    input_tokens=input_tokens,
-                    output_tokens=output_tokens,
-                    exchanges=exchanges,
-                )
-            )
+            end_iteration(step.thought, FINAL_ANSWER_ACTION, {}, "")
             trace.final_answer = step.final_answer
             trace.outcome = OUTCOME_COMPLETED
             return trace
@@ -495,23 +491,11 @@ def run_agent(
 
         action = step.action or ""
         if action not in _TOOL_STAGE:
-            cursor = time.perf_counter()
+            end_iteration(
+                step.thought, None, step.action_input, f"unknown tool: {action}"
+            )
             trace.outcome = OUTCOME_LLM_ERROR
             trace.error = f"unknown tool: {action!r}"
-            trace.iterations.append(
-                Iteration(
-                    index=index,
-                    thought=step.thought,
-                    action=None,
-                    action_input=step.action_input,
-                    observation=f"unknown tool: {action}",
-                    started_at=started,
-                    ended_at=cursor,
-                    input_tokens=input_tokens,
-                    output_tokens=output_tokens,
-                    exchanges=exchanges,
-                )
-            )
             return trace
 
         observation = ""
@@ -537,8 +521,6 @@ def run_agent(
                     llm, _sql_argument(step.action_input), config.checker_prompt
                 )
                 exchanges.append(_exchange_record(checker_exchange))
-                input_tokens += checker_exchange.input_tokens
-                output_tokens += checker_exchange.output_tokens
                 observation = checker_exchange.response_text
             elif action == "run_query":
                 run_sql = _sql_argument(step.action_input)
@@ -553,21 +535,8 @@ def run_agent(
 
         observation = truncate_observation(observation, config.observation_cap)
         messages.append({"role": "user", "content": f"Observation: {observation}"})
-        cursor = time.perf_counter()
-        trace.iterations.append(
-            Iteration(
-                index=index,
-                thought=step.thought,
-                action=action,
-                action_input=step.action_input,
-                observation=observation,
-                started_at=started,
-                ended_at=cursor,
-                input_tokens=input_tokens,
-                output_tokens=output_tokens,
-                engine_seconds=engine_seconds,
-                exchanges=exchanges,
-            )
+        end_iteration(
+            step.thought, action, step.action_input, observation, engine_seconds
         )
 
         if failed:

@@ -128,9 +128,7 @@ def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
             print(f"{case.case_id}: UNUSABLE ({case.error})")
             failures += 1
             continue
-        with EmbeddedEngine(
-            EngineConfig(data_dir=case.data_dir, database=case.database)
-        ) as engine:
+        with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
             result, t_gold = materialize_golden(
                 case, engine, cache_dir=args.cache_dir,
                 scale_factor=args.scale_factor,

@@ -123,30 +123,6 @@ class CostLedger:
     def total(self) -> float:
         return sum(s.total for s in self.stages.values())
 
-    @property
-    def total_llm_cost(self) -> float:
-        return sum(s.llm_cost for s in self.stages.values())
-
-    @property
-    def total_engine_cost(self) -> float:
-        return sum(s.engine_cost for s in self.stages.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stages": {
-                name: {
-                    "input_tokens": s.input_tokens,
-                    "output_tokens": s.output_tokens,
-                    "llm_cost": s.llm_cost,
-                    "engine_seconds": s.engine_seconds,
-                    "engine_bytes": s.engine_bytes,
-                    "engine_cost": s.engine_cost,
-                }
-                for name, s in sorted(self.stages.items())
-            },
-            "total": self.total,
-        }
-
 
 def llm_cost(entry: PricingEntry, input_tokens: int, output_tokens: int) -> float:
     """Token spend in dollars for one model at its per-million-token rates."""

@@ -1,11 +1,9 @@
-"""Query-engine adapter: catalog introspection, timed execution, result capture.
+"""Query engine: catalog introspection, timed execution, result capture.
 
-The desk-scale implementation embeds sqlite3 in-process and registers suite
-tables from CSV files with sidecar schemas.  Each data directory is
-registered once per process into a sqlite snapshot file in a temporary
-directory; every session over it opens that file read-only.  Cluster engines
-would sit behind the same adapter surface; only the embedded engine ships
-here.
+The engine embeds sqlite3 in-process and registers suite tables from CSV
+files with sidecar schemas.  Each data directory is registered once per
+process into a sqlite snapshot file in a temporary directory; every session
+over it opens that file read-only.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ class EngineConfig:
     """Where the engine finds its data and how much it may materialize."""
 
     data_dir: str | Path | None = None
-    database: str = "main"
     row_cap: int = DEFAULT_ROW_CAP
 
 
@@ -80,25 +77,7 @@ class TableSchema:
     columns: tuple[ColumnSchema, ...] = field(default_factory=tuple)
 
 
-class EngineAdapter:
-    """Interface every engine implementation provides to the agent tools."""
-
-    database: str = "main"
-
-    def list_tables(self) -> list[str]:
-        raise NotImplementedError
-
-    def get_create_table(self, table: str) -> str:
-        raise NotImplementedError
-
-    def execute_timed(self, sql: str) -> tuple[ResultTable, float, int | None]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class EmbeddedEngine(EngineAdapter):
+class EmbeddedEngine:
     """In-process sqlite-backed session over a CSV + sidecar-schema data dir.
 
     Sessions over a data dir are read-only; without one the session is a
@@ -107,7 +86,6 @@ class EmbeddedEngine(EngineAdapter):
 
     def __init__(self, config: EngineConfig):
         self.config = config
-        self.database = config.database
         self._conn: sqlite3.Connection | None = None
         if config.data_dir is None:
             self._conn = sqlite3.connect(":memory:", check_same_thread=False)
@@ -222,7 +200,7 @@ class EmbeddedEngine(EngineAdapter):
             raise TableNotFoundError(f"table not found: {table}")
         return row[0]
 
-    def execute_timed(self, sql: str) -> tuple[ResultTable, float, int | None]:
+    def execute_timed(self, sql: str) -> tuple[ResultTable, float]:
         """Run one statement, returning the full result and wall-clock seconds.
 
         Results above the row cap abort with an overflow error; metric
@@ -247,9 +225,9 @@ class EmbeddedEngine(EngineAdapter):
             raise EngineError(f"sql execution failed: {exc}") from exc
         elapsed = time.perf_counter() - started
         if cursor.description is None:
-            return ResultTable.build([]), elapsed, None
+            return ResultTable.build([]), elapsed
         names = [d[0] for d in cursor.description]
-        return ResultTable.from_query_result(names, rows), elapsed, None
+        return ResultTable.from_query_result(names, rows), elapsed
 
     def explain(self, sql: str) -> None:
         """Compile without executing; raises EngineError on invalid SQL."""
@@ -331,6 +309,6 @@ def _snapshot_key(data_dir: Path) -> tuple:
     return (str(data_dir.resolve()), tuple(files))
 
 
-def open_session(config: EngineConfig) -> EngineAdapter:
+def open_session(config: EngineConfig) -> EmbeddedEngine:
     """Open an engine session with all suite tables registered."""
     return EmbeddedEngine(config)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Sequence
 
-import requests
-
 _WS_RE = re.compile(r"\s+")
 
 DEFAULT_TEMPERATURE = 0.0
@@ -27,7 +25,7 @@ DEFAULT_MAX_TOKENS = 4096
 
 
 class LlmTransportError(RuntimeError):
-    """Provider unreachable or returned malformed output after retries."""
+    """Provider unreachable, refused the request, or sent a malformed body."""
 
 
 class ReplayMismatchError(RuntimeError):
@@ -96,7 +94,6 @@ def _estimate_input_tokens(messages: Sequence[dict[str, str]]) -> int:
 class LlmBackend:
     """Interface both transports implement."""
 
-    kind: str = "abstract"
     model_id: str = ""
 
     def complete(
@@ -106,10 +103,6 @@ class LlmBackend:
     ) -> ChatExchange:
         raise NotImplementedError
 
-    def fresh(self) -> "LlmBackend":
-        """A backend instance safe to hand to a new episode."""
-        return self
-
 
 class ReplayBackend(LlmBackend):
     """Deterministic backend that serves pre-recorded exchanges in order.
@@ -117,8 +110,6 @@ class ReplayBackend(LlmBackend):
     Entries carrying a fingerprint are verified against the live request;
     hand-authored scripts may omit fingerprints to skip verification.
     """
-
-    kind = "replay"
 
     def __init__(self, entries: list[dict[str, Any]], model_id: str = "replay"):
         self.entries = entries
@@ -140,13 +131,6 @@ class ReplayBackend(LlmBackend):
                 elif "response" in record:
                     entries.append(record)
         return cls(entries, model_id=model_id)
-
-    def fresh(self) -> "ReplayBackend":
-        return ReplayBackend(self.entries, model_id=self.model_id)
-
-    @property
-    def remaining(self) -> int:
-        return len(self.entries) - self._cursor
 
     def complete(
         self,
@@ -186,14 +170,25 @@ class ReplayBackend(LlmBackend):
         )
 
 
+# Besides 5xx, the statuses that may succeed when sent again.
+_RETRY_STATUSES = frozenset({408, 429})
+
+
+def _retry_after(value: str | None, default: float) -> float:
+    """A Retry-After header's delta-seconds; `default` when absent or a date."""
+    if value is not None and re.fullmatch(r"[0-9]+", value.strip()):
+        return float(value)
+    return default
+
+
 class HttpBackend(LlmBackend):
     """Chat-completions transport over an OpenAI-compatible HTTP endpoint.
 
-    Credentials come from the environment only; transient failures retry
-    with exponential backoff and the wait counts toward episode time.
+    Credentials come from the environment only.  Connection errors, timeouts,
+    408, 429 and 5xx retry with exponential backoff (a 429's Retry-After
+    delta-seconds when given); other statuses and malformed bodies fail at
+    once.  The wait counts toward episode time.
     """
-
-    kind = "http-api"
 
     def __init__(
         self,
@@ -239,26 +234,42 @@ class HttpBackend(LlmBackend):
         if self.supports_tools and tool_schemas:
             payload["tools"] = list(tool_schemas)
 
+        # Imported here: replay-only runs never load the HTTP stack.
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        try:
+            request = urllib.request.Request(
+                self.endpoint, json.dumps(payload).encode(), self._headers()
+            )
+        except ValueError as exc:
+            raise LlmTransportError(f"bad endpoint {self.endpoint!r}: {exc}") from exc
         last_error: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
+                time.sleep(wait)
+            wait = self.backoff_seconds * 2**attempt  # before the next attempt
             try:
-                response = requests.post(
-                    self.endpoint,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout_seconds,
-                )
-                if response.status_code >= 500:
-                    last_error = LlmTransportError(
-                        f"server error {response.status_code}"
-                    )
-                    continue
-                response.raise_for_status()
-                return self._parse(response.json(), messages)
-            except (requests.RequestException, ValueError, KeyError) as exc:
+                with urllib.request.urlopen(
+                    request, timeout=self.timeout_seconds
+                ) as response:
+                    body = response.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code < 500 and exc.code not in _RETRY_STATUSES:
+                    raise LlmTransportError(f"llm request rejected: {exc}") from exc
+                if exc.code == 429:
+                    wait = _retry_after(exc.headers.get("Retry-After"), wait)
                 last_error = exc
+                continue
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc  # connection error or timeout
+                continue
+            try:
+                return self._parse(json.loads(body), messages)
+            except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+                raise LlmTransportError(f"malformed llm response: {exc!r}") from exc
         raise LlmTransportError(
             f"llm request failed after {self.max_attempts} attempts: {last_error}"
         )
@@ -306,7 +317,6 @@ class RecordingBackend(LlmBackend):
     recorded: int = field(default=0)
 
     def __post_init__(self) -> None:
-        self.kind = self.inner.kind
         self.model_id = self.inner.model_id
 
     def complete(

@@ -8,7 +8,6 @@ precision (what fraction of generated columns is actually wanted?).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -156,18 +155,11 @@ class ResultTable:
             "rows": [list(row) for row in self.rows],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
-
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ResultTable":
         cols = tuple(Column(c["name"], c["type"]) for c in data["columns"])
         rows = tuple(tuple(r) for r in data["rows"])
         return cls(cols, rows)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        return cls.from_json_dict(json.loads(text))
 
 
 def _infer_tag(value: Any) -> str:

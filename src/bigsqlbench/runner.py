@@ -14,7 +14,7 @@ import math
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -130,7 +130,9 @@ class RunPlan:
             concurrency=int(data.get("concurrency", 4)),
             seed=int(data.get("seed", 0)),
             max_spend_usd=(
-                float(data["max_spend_usd"]) if data.get("max_spend_usd") else None
+                float(data["max_spend_usd"])
+                if data.get("max_spend_usd") is not None
+                else None
             ),
             agent=agent,
         )
@@ -138,13 +140,23 @@ class RunPlan:
 
 @dataclass
 class EpisodeResult:
-    """One matrix cell: its metric record plus everything reports need."""
+    """One matrix cell: its metric values plus everything reports need.
+
+    The init fields are the records.json entry, in this order; `record` is
+    the metric record built from them once.
+    """
 
     model: str
     case_id: str
     repetition: int
     scale_factor: float
-    record: MetricRecord
+    indicator: int
+    exact: bool
+    precision: float
+    t_gold: float
+    t_gen: float
+    t_e2e: float
+    c_e2e: float
     outcome: str
     golden_sql: str
     generated_sql: str
@@ -154,60 +166,28 @@ class EpisodeResult:
     trace_path: str | None = None
     error: str | None = None
     estimated_usage: bool = False
+    record: MetricRecord = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.record = MetricRecord(
+            case_id=self.case_id,
+            run_id=self.repetition,
+            indicator=self.indicator,
+            precision=self.precision,
+            t_gold=self.t_gold,
+            t_gen=self.t_gen,
+            t_e2e=self.t_e2e,
+            c_e2e=self.c_e2e,
+            exact=self.exact,
+        )
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "model": self.model,
-            "case_id": self.case_id,
-            "repetition": self.repetition,
-            "scale_factor": self.scale_factor,
-            "indicator": self.record.indicator,
-            "exact": self.record.exact,
-            "precision": self.record.precision,
-            "t_gold": self.record.t_gold,
-            "t_gen": self.record.t_gen,
-            "t_e2e": self.record.t_e2e,
-            "c_e2e": self.record.c_e2e,
-            "outcome": self.outcome,
-            "golden_sql": self.golden_sql,
-            "generated_sql": self.generated_sql,
-            "stage_seconds": self.stage_seconds,
-            "stage_percentages": self.stage_percentages,
-            "stage_cost": self.stage_cost,
-            "trace_path": self.trace_path,
-            "error": self.error,
-            "estimated_usage": self.estimated_usage,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "EpisodeResult":
-        record = MetricRecord(
-            case_id=data["case_id"],
-            run_id=data["repetition"],
-            indicator=data["indicator"],
-            precision=data["precision"],
-            t_gold=data["t_gold"],
-            t_gen=data["t_gen"],
-            t_e2e=data["t_e2e"],
-            c_e2e=data["c_e2e"],
-            exact=data["exact"],
-        )
-        return cls(
-            model=data["model"],
-            case_id=data["case_id"],
-            repetition=data["repetition"],
-            scale_factor=data["scale_factor"],
-            record=record,
-            outcome=data["outcome"],
-            golden_sql=data["golden_sql"],
-            generated_sql=data["generated_sql"],
-            stage_seconds=data["stage_seconds"],
-            stage_percentages=data["stage_percentages"],
-            stage_cost=data["stage_cost"],
-            trace_path=data.get("trace_path"),
-            error=data.get("error"),
-            estimated_usage=bool(data.get("estimated_usage", False)),
-        )
+        names = [f.name for f in fields(cls) if f.init]
+        return cls(**{name: data[name] for name in names if name in data})
 
 
 @dataclass
@@ -247,7 +227,6 @@ class _ThrottledBackend(LlmBackend):
     def __init__(self, inner: LlmBackend, limiter: _RateLimiter):
         self.inner = inner
         self.limiter = limiter
-        self.kind = inner.kind
         self.model_id = inner.model_id
 
     def complete(self, messages, tool_schemas=None):
@@ -320,9 +299,7 @@ def execute_plan(plan: RunPlan) -> RunOutput:
                      "error": case.error or ""}
                 )
                 continue
-            with EmbeddedEngine(
-                EngineConfig(data_dir=case.data_dir, database=case.database)
-            ) as engine:
+            with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
                 try:
                     _, t_gold = materialize_golden(
                         case, engine, cache_dir=goldens_dir, scale_factor=sf
@@ -434,9 +411,7 @@ def _run_episode(
     ledger = CostLedger()
     error: str | None = None
     try:
-        with EmbeddedEngine(
-            EngineConfig(data_dir=case.data_dir, database=case.database)
-        ) as engine:
+        with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
             trace = run_agent(case.nl_question, plan.agent, llm, engine)
         ledger = compose_ledger(trace, pricing_entry, plan.pricing.engine)
     except Exception as exc:  # harness fault: record it, never drop the cell
@@ -475,18 +450,6 @@ def _episode_result(
             error = error or f"harness error: {exc}"
 
     t_gen = trace.generated_runtime
-    t_e2e = max(trace.e2e_seconds, t_gen)
-    record = MetricRecord(
-        case_id=case.case_id,
-        run_id=spec.repetition,
-        indicator=indicator,
-        precision=precision,
-        t_gold=spec.golden_t,
-        t_gen=t_gen,
-        t_e2e=t_e2e,
-        c_e2e=ledger.total,
-        exact=exact,
-    )
     breakdown = stage_breakdown(trace)
     stage_cost = {name: entry.total for name, entry in ledger.stages.items()}
 
@@ -510,7 +473,13 @@ def _episode_result(
         case_id=case.case_id,
         repetition=spec.repetition,
         scale_factor=spec.scale_factor,
-        record=record,
+        indicator=indicator,
+        exact=exact,
+        precision=precision,
+        t_gold=spec.golden_t,
+        t_gen=t_gen,
+        t_e2e=max(trace.e2e_seconds, t_gen),
+        c_e2e=ledger.total,
         outcome=trace.outcome if error is None else "harness-error",
         golden_sql=case.golden_sql,
         generated_sql=trace.final_sql or "",

@@ -146,9 +146,7 @@ def _validate_case(case: QueryCase, sessions: dict[str, EmbeddedEngine | None]) 
     key = str(case.data_dir)
     if key not in sessions:
         try:
-            sessions[key] = EmbeddedEngine(
-                EngineConfig(data_dir=case.data_dir, database=case.database)
-            )
+            sessions[key] = EmbeddedEngine(EngineConfig(data_dir=case.data_dir))
         except EngineError as exc:
             sessions[key] = None
             case.error = f"database failed to load: {exc}"
@@ -190,7 +188,7 @@ def materialize_golden(
         timings = []
         result = None
         for _ in range(3):
-            result, seconds, _ = engine.execute_timed(case.golden_sql)
+            result, seconds = engine.execute_timed(case.golden_sql)
             timings.append(seconds)
     except EngineError as exc:
         case.error = f"golden sql failed: {exc}"

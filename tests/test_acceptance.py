@@ -259,7 +259,7 @@ def _shop_episode(mini_suite_dir):
         model_id="replay-alpha",
     )
     data_dir = mini_suite_dir / "databases" / "shop"
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir, database="shop")) as engine:
+    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
         return run_agent(
             "How many orders have been placed in total?",
             AgentConfig(sample_rows=2),
@@ -334,7 +334,7 @@ def test_acceptance_7_structural_checks(sf_tiny_dir, sf_small_dir):
 
     for data_dir in (sf_tiny_dir, sf_small_dir):
         with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-            result, _, _ = engine.execute_timed(PRICING_SUMMARY_SQL)
+            result, _ = engine.execute_timed(PRICING_SUMMARY_SQL)
         assert tables_equal_exact(pricing_summary_oracle(data_dir), result)
 
 

@@ -50,7 +50,7 @@ FOUR_TOOL_SCRIPT = [
 @pytest.fixture
 def shop_engine(mini_suite_dir):
     data_dir = mini_suite_dir / "databases" / "shop"
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir, database="shop")) as engine:
+    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
         yield engine
 
 

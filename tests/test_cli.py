@@ -1,8 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 from bigsqlbench.cli import main
+
+from tests.conftest import REPO_ROOT
+
+
+def test_cli_imports_without_requests_or_http_stack():
+    code = (
+        "import sys; sys.modules['requests'] = None; import bigsqlbench.cli; "
+        "assert 'urllib.request' not in sys.modules"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_plan_validate_ok(mini_suite_dir, capsys):

@@ -36,7 +36,7 @@ WAREHOUSE_TABLES = [
 
 @pytest.fixture
 def tiny_engine(sf_tiny_dir):
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir, database="wh")) as engine:
+    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
         yield engine
 
 
@@ -90,18 +90,18 @@ def test_ddl_round_trips_column_list(tiny_engine):
     ddl = tiny_engine.get_create_table("region")
     with EmbeddedEngine(EngineConfig()) as fresh:
         fresh.conn.execute(ddl)
-        result, _, _ = fresh.execute_timed("SELECT * FROM region")
-        original, _, _ = tiny_engine.execute_timed("SELECT * FROM region LIMIT 0")
+        result, _ = fresh.execute_timed("SELECT * FROM region")
+        original, _ = tiny_engine.execute_timed("SELECT * FROM region LIMIT 0")
         assert result.column_names == original.column_names
 
 
 def test_fixed_region_has_five_rows(tiny_engine):
-    result, _, _ = tiny_engine.execute_timed("SELECT COUNT(*) FROM region")
+    result, _ = tiny_engine.execute_timed("SELECT COUNT(*) FROM region")
     assert result.rows[0][0] == 5
 
 
 def test_select_one_has_positive_finite_runtime(tiny_engine):
-    result, seconds, _ = tiny_engine.execute_timed("SELECT 1")
+    result, seconds = tiny_engine.execute_timed("SELECT 1")
     assert result.rows == ((1,),)
     assert seconds > 0 and math.isfinite(seconds)
 
@@ -113,14 +113,9 @@ def test_invalid_sql_carries_engine_diagnostic(tiny_engine):
 
 def test_repeated_execution_is_deterministic(tiny_engine):
     sql = "SELECT n_regionkey, COUNT(*) AS c FROM nation GROUP BY n_regionkey"
-    first, _, _ = tiny_engine.execute_timed(sql)
-    second, _, _ = tiny_engine.execute_timed(sql)
+    first, _ = tiny_engine.execute_timed(sql)
+    second, _ = tiny_engine.execute_timed(sql)
     assert tables_equal_exact(first, second)
-
-
-def test_bytes_scanned_unreported_by_embedded_engine(tiny_engine):
-    _, _, bytes_scanned = tiny_engine.execute_timed("SELECT 1")
-    assert bytes_scanned is None
 
 
 def test_row_cap_overflow(tmp_path):
@@ -172,7 +167,7 @@ def test_empty_cells_become_nulls(tmp_path):
     (tmp_path / "t.schema").write_text("a integer\nb text\n")
     (tmp_path / "t.csv").write_text("a,b\n1,x\n,\n")
     with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        result, _, _ = engine.execute_timed("SELECT * FROM t ORDER BY a")
+        result, _ = engine.execute_timed("SELECT * FROM t ORDER BY a")
         assert result.rows == ((None, None), (1, "x"))
 
 
@@ -180,7 +175,7 @@ def test_bool_literals_load_as_ints(tmp_path):
     (tmp_path / "t.schema").write_text("flag bool\n")
     (tmp_path / "t.csv").write_text("flag\ntrue\nfalse\n1\n")
     with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        result, _, _ = engine.execute_timed("SELECT flag FROM t ORDER BY flag")
+        result, _ = engine.execute_timed("SELECT flag FROM t ORDER BY flag")
         assert [r[0] for r in result.rows] == [0, 1, 1]
 
 

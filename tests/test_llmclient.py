@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from bigsqlbench.agent import OUTCOME_LLM_ERROR, AgentConfig, run_agent
+from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import (
     ChatExchange,
     HttpBackend,
@@ -84,14 +88,6 @@ def test_replay_estimates_missing_usage():
     assert exchange.output_tokens == 10
 
 
-def test_replay_fresh_restarts_script():
-    backend = ReplayBackend([script_entry("a"), script_entry("b")])
-    backend.complete(MESSAGES)
-    clone = backend.fresh()
-    assert clone.complete(MESSAGES).response_text == "a"
-    assert backend.remaining == 1
-
-
 def test_estimate_tokens_quarter_length():
     assert estimate_tokens("abcd" * 25) == 25
     assert estimate_tokens("") == 0
@@ -150,12 +146,17 @@ def test_sampling_omits_unexposed_fields():
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted (status, body[, headers])."""
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         self.server.requests.append(json.loads(self.rfile.read(length)))
-        status, body = self.server.script.pop(0)
+        self.server.headers.append(self.headers)
+        status, body, *extra = self.server.script.pop(0)
         payload = json.dumps(body).encode()
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -170,10 +171,14 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.headers = []
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def _ok_body(text="hi", usage=True):
@@ -213,6 +218,65 @@ def test_http_gives_up_after_max_attempts(stub_server):
     stub_server.script.extend([(500, {})] * 3)
     with pytest.raises(LlmTransportError):
         _backend(stub_server).complete(MESSAGES)
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_http_client_error_is_not_retried(stub_server, status):
+    stub_server.script.extend([(status, {"error": "bad request"}), (200, _ok_body())])
+    with pytest.raises(LlmTransportError, match=str(status)):
+        _backend(stub_server).complete(MESSAGES)
+    assert len(stub_server.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "first",
+    [(408, {}), (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"})],
+)
+def test_http_retries_timeout_and_rate_limit_statuses(stub_server, first):
+    stub_server.script.extend([first, (200, _ok_body("ok"))])
+    assert _backend(stub_server).complete(MESSAGES).response_text == "ok"
+    assert len(stub_server.requests) == 2
+
+
+def test_http_429_waits_retry_after_not_backoff(stub_server):
+    stub_server.script.extend([(429, {}, {"Retry-After": "0"}), (200, _ok_body("ok"))])
+    started = time.perf_counter()
+    exchange = _backend(stub_server, backoff_seconds=60.0).complete(MESSAGES)
+    assert exchange.response_text == "ok"
+    assert len(stub_server.requests) == 2
+    assert time.perf_counter() - started < 30.0
+
+
+def test_http_connection_error_is_retried_then_fails():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    backend = HttpBackend(
+        endpoint=f"http://127.0.0.1:{port}/chat", model_id="m", backoff_seconds=0.01
+    )
+    with pytest.raises(LlmTransportError, match="after 3 attempts"):
+        backend.complete(MESSAGES)
+
+
+def test_http_endpoint_without_scheme_is_transport_error():
+    with pytest.raises(LlmTransportError, match="bad endpoint"):
+        HttpBackend(endpoint="127.0.0.1/chat", model_id="m").complete(MESSAGES)
+
+
+@pytest.mark.parametrize("body", [{"choices": []}, [1, 2], {"choices": [1]}])
+def test_http_malformed_body_is_transport_error(stub_server, body):
+    stub_server.script.append((200, body))
+    with pytest.raises(LlmTransportError, match="malformed"):
+        _backend(stub_server).complete(MESSAGES)
+    assert len(stub_server.requests) == 1
+
+
+def test_http_malformed_body_ends_episode_as_llm_error(stub_server):
+    stub_server.script.append((200, {"choices": []}))
+    with EmbeddedEngine(EngineConfig()) as engine:
+        trace = run_agent("q?", AgentConfig(), _backend(stub_server), engine)
+    assert trace.outcome == OUTCOME_LLM_ERROR
+    assert "malformed" in trace.error
 
 
 def test_http_estimates_missing_usage(stub_server):
@@ -263,8 +327,10 @@ def test_http_sends_bearer_token(stub_server, monkeypatch):
     monkeypatch.setenv("STUB_KEY", "sk-test")
     stub_server.script.append((200, _ok_body()))
     _backend(stub_server, api_key_env="STUB_KEY").complete(MESSAGES)
-    # header verified through a successful round-trip; requests recorded
     assert len(stub_server.requests) == 1
+    headers = stub_server.headers[0]
+    assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["Content-Type"] == "application/json"
 
 
 def test_chat_exchange_response_dict():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -252,7 +253,7 @@ def test_row_width_enforced():
 
 def test_json_round_trip():
     t = table([("a", "integer"), ("b", "text")], [(1, "x"), (None, "y ")])
-    assert ResultTable.from_json(t.to_json()) == t
+    assert ResultTable.from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
 
 
 def test_from_query_result_infers_tags():

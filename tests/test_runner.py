@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 from bigsqlbench import runner
-from bigsqlbench.agent import AgentConfig
+from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing
-from bigsqlbench.metrics import MetricRecord
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import (
     EpisodeResult,
@@ -23,6 +22,7 @@ from tests.test_engine import count_registrations
 
 
 PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
+PINNED_TRACES = Path(__file__).parent / "data" / "mini_traces_untimed.json"
 TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds", "stage_percentages")
 
 
@@ -34,6 +34,17 @@ def untimed_records_text(output_dir: Path) -> str:
             del ep[name]
         ep["trace_path"] = Path(ep["trace_path"]).relative_to(output_dir).as_posix()
     return json.dumps(records, indent=2) + "\n"
+
+
+def untimed_traces_text(output_dir: Path) -> str:
+    """Every episode trace without timing fields, keyed by relative path."""
+    traces = {
+        path.relative_to(output_dir).as_posix(): trace_to_jsonl(
+            trace_from_jsonl(path.read_text()), include_timing=False
+        )
+        for path in sorted((output_dir / "traces").rglob("*.jsonl"))
+    }
+    return json.dumps(traces, indent=2) + "\n"
 
 
 @pytest.fixture
@@ -114,6 +125,11 @@ def test_mini_records_match_pinned_untimed_copy(mini_plan):
     assert untimed_records_text(mini_plan.output_dir) == PINNED_RECORDS.read_text()
 
 
+def test_mini_traces_match_pinned_untimed_copy(mini_plan):
+    execute_plan(mini_plan)
+    assert untimed_traces_text(mini_plan.output_dir) == PINNED_TRACES.read_text()
+
+
 def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     loaded = count_registrations(monkeypatch)
     execute_plan(mini_plan)
@@ -189,8 +205,35 @@ def test_budget_guard_halts_new_episodes(mini_plan):
 def test_records_json_round_trip(mini_plan):
     output = execute_plan(mini_plan)
     loaded = load_records(output.records_path)
-    assert len(loaded) == len(output.episodes)
-    assert loaded[0].record.t_gold == output.episodes[0].record.t_gold
+    assert loaded == output.episodes
+    assert [ep.record for ep in loaded] == [ep.record for ep in output.episodes]
+    first = json.loads(output.records_path.read_text())["episodes"][0]
+    assert list(first) == [
+        "model", "case_id", "repetition", "scale_factor", "indicator", "exact",
+        "precision", "t_gold", "t_gen", "t_e2e", "c_e2e", "outcome", "golden_sql",
+        "generated_sql", "stage_seconds", "stage_percentages", "stage_cost",
+        "trace_path", "error", "estimated_usage",
+    ]
+
+
+def test_zero_budget_in_plan_file_runs_nothing(mini_suite_dir, tmp_path):
+    data = json.loads((mini_suite_dir / "plan.json").read_text())
+    for backend in data["backends"]:
+        backend["scripts_dir"] = str(mini_suite_dir / backend["scripts_dir"])
+    data.update(
+        suite=str(mini_suite_dir),
+        pricing=str(mini_suite_dir / data["pricing"]),
+        output_dir=str(tmp_path / "out"),
+        max_spend_usd=0,
+    )
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data))
+    plan = RunPlan.from_json_file(plan_path)
+    assert plan.max_spend_usd == 0.0
+    output = execute_plan(plan)
+    assert output.episodes == []
+    assert len(output.skipped) == 20
+    assert all(s["reason"] == "budget ceiling $0.0 reached" for s in output.skipped)
 
 
 def test_rate_limiter_spaces_out_calls():
@@ -251,17 +294,15 @@ def test_trace_files_written(mini_plan):
 def episode(model, case_id, rep=0, sf=1.0, indicator=1, precision=1.0,
             t_gold=0.002, t_gen=0.001, t_e2e=0.5, c_e2e=0.01, exact=True,
             stage_seconds=None, stage_cost=None, generated="SELECT 1"):
-    record = MetricRecord(
-        case_id=case_id, run_id=rep, indicator=indicator, precision=precision,
-        t_gold=t_gold, t_gen=t_gen, t_e2e=t_e2e, c_e2e=c_e2e, exact=exact,
-    )
     seconds = stage_seconds or {
         "list": 0.1, "schema": 0.1, "check": 0.2, "run": 0.1, "finalize": 0.0,
     }
     total = sum(seconds.values())
     return EpisodeResult(
         model=model, case_id=case_id, repetition=rep, scale_factor=sf,
-        record=record, outcome="completed", golden_sql="SELECT 1",
+        indicator=indicator, exact=exact, precision=precision, t_gold=t_gold,
+        t_gen=t_gen, t_e2e=t_e2e, c_e2e=c_e2e,
+        outcome="completed", golden_sql="SELECT 1",
         generated_sql=generated,
         stage_seconds=seconds,
         stage_percentages={k: 100.0 * v / total for k, v in seconds.items()},

@@ -192,7 +192,7 @@ def test_foreign_key_integrity(sf_tiny_dir):
     ]
     with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
         for fact, fk, dim, pk in joins:
-            result, _, _ = engine.execute_timed(
+            result, _ = engine.execute_timed(
                 f"SELECT COUNT(*) FROM {fact} f LEFT JOIN {dim} d "
                 f"ON f.{fk} = d.{pk} WHERE d.{pk} IS NULL"
             )
@@ -228,7 +228,7 @@ def verify_golden_cache(case, engine) -> bool:
     """True iff the cached golden result equals a fresh execution."""
     if case.golden_result is None:
         return False
-    fresh, _, _ = engine.execute_timed(case.golden_sql)
+    fresh, _ = engine.execute_timed(case.golden_sql)
     return tables_equal_exact(case.golden_result, fresh)
 
 
