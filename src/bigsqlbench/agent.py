@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
 from .engine import EmbeddedEngine, EngineError, SessionClosedError, TableNotFoundError
@@ -592,6 +592,13 @@ def stage_breakdown(trace: AgentTrace) -> StageBreakdown:
 
 # --- episode log serialization ------------------------------------------------
 
+_ITERATION_FIELDS = tuple(f.name for f in fields(Iteration))
+_UNTIMED_ITERATION_FIELDS = tuple(
+    name
+    for name in _ITERATION_FIELDS
+    if name not in ("started_at", "ended_at", "engine_seconds")
+)
+
 
 def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
     """Serialize an episode to JSON lines: meta, one line per iteration, outcome.
@@ -605,12 +612,13 @@ def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
             sort_keys=True,
         )
     ]
+    # json.dumps only reads the nested action_input/exchanges values, so they
+    # go in as they are, not deep-copied
+    names = _ITERATION_FIELDS if include_timing else _UNTIMED_ITERATION_FIELDS
     for it in trace.iterations:
-        record = asdict(it)
-        if not include_timing:
-            for key in ("started_at", "ended_at", "engine_seconds"):
-                record.pop(key, None)
-        lines.append(json.dumps({"type": "iteration", **record}, sort_keys=True))
+        record = {name: getattr(it, name) for name in names}
+        record["type"] = "iteration"
+        lines.append(json.dumps(record, sort_keys=True))
     outcome = {
         "type": "outcome",
         "outcome": trace.outcome,

@@ -12,6 +12,7 @@ import atexit
 import csv
 import functools
 import itertools
+import os
 import sqlite3
 import tempfile
 import threading
@@ -298,15 +299,23 @@ def _snapshot_dir() -> Path:
 
 
 def _snapshot_key(data_dir: Path) -> tuple:
-    """Resolved path plus (name, size, mtime_ns) of every data file."""
-    if not data_dir.is_dir():
-        raise RegistrationError(f"data directory not found: {data_dir}")
+    """Resolved path plus (name, size, mtime_ns) of every data file.
+
+    Runs on every session open, so it lists the directory with os.scandir
+    and builds no Path object per file.
+    """
+    try:
+        entries = os.scandir(data_dir)
+    except (FileNotFoundError, NotADirectoryError):
+        raise RegistrationError(f"data directory not found: {data_dir}") from None
     files = []
-    for path in sorted(data_dir.iterdir()):
-        if path.suffix in (".schema", ".csv"):
-            stat = path.stat()
-            files.append((path.name, stat.st_size, stat.st_mtime_ns))
-    return (str(data_dir.resolve()), tuple(files))
+    with entries:
+        for entry in entries:
+            if os.path.splitext(entry.name)[1] in (".schema", ".csv"):
+                stat = entry.stat()
+                files.append((entry.name, stat.st_size, stat.st_mtime_ns))
+    files.sort()
+    return (os.path.realpath(data_dir), tuple(files))
 
 
 def open_session(config: EngineConfig) -> EmbeddedEngine:

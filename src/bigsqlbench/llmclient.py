@@ -108,7 +108,9 @@ class ReplayBackend(LlmBackend):
     """Deterministic backend that serves pre-recorded exchanges in order.
 
     Entries carrying a fingerprint are verified against the live request;
-    hand-authored scripts may omit fingerprints to skip verification.
+    hand-authored scripts may omit fingerprints to skip verification.  The
+    entries are never modified, so backends replaying one script can share
+    its list, each with its own cursor.
     """
 
     def __init__(self, entries: list[dict[str, Any]], model_id: str = "replay"):

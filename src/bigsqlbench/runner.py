@@ -104,7 +104,11 @@ class RunPlan:
                     endpoint=raw.get("endpoint"),
                     api_key_env=raw.get("api_key_env"),
                     supports_tools=bool(raw.get("supports_tools", False)),
-                    rate_limit_per_sec=raw.get("rate_limit_per_sec"),
+                    rate_limit_per_sec=(
+                        float(raw["rate_limit_per_sec"])
+                        if raw.get("rate_limit_per_sec") is not None
+                        else None
+                    ),
                     sampling=SamplingConfig(
                         temperature=sampling_raw.get("temperature", 0.0),
                         top_p=sampling_raw.get("top_p", 1.0),
@@ -250,10 +254,22 @@ def validate_plan(plan: RunPlan) -> list[str]:
             spec.scripts_dir is None or not spec.scripts_dir.is_dir()
         ):
             problems.append(f"backend {spec.name!r}: replay scripts_dir missing")
-        if spec.kind == "http-api" and not spec.endpoint:
-            problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
+        if spec.kind == "http-api":
+            if not spec.endpoint:
+                problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
+            elif not spec.endpoint.lower().startswith(("http://", "https://")):
+                problems.append(
+                    f"backend {spec.name!r}: http-api endpoint {spec.endpoint!r} "
+                    "needs an http:// or https:// scheme"
+                )
         if spec.kind not in ("replay", "http-api"):
             problems.append(f"backend {spec.name!r}: unknown kind {spec.kind!r}")
+        # `not > 0` also rejects NaN; None means no limit
+        if spec.rate_limit_per_sec is not None and not spec.rate_limit_per_sec > 0:
+            problems.append(
+                f"backend {spec.name!r}: rate_limit_per_sec must be > 0, "
+                f"got {spec.rate_limit_per_sec}"
+            )
     if plan.pricing.engine.mode == "per-byte-scanned":
         # the embedded engine never reports bytes scanned, so this mode would
         # bill every query $0
@@ -263,11 +279,31 @@ def validate_plan(plan: RunPlan) -> list[str]:
         )
     try:
         cases = load_suite(plan.suite, scale_factor=plan.scale_factors[0])
-        if not any(c.usable for c in cases):
-            problems.append("suite has no usable cases")
     except Exception as exc:
         problems.append(f"suite failed to load: {exc}")
+        return problems
+    usable = [c for c in cases if c.usable]
+    if not usable:
+        problems.append("suite has no usable cases")
+    for spec in plan.backends:
+        if (
+            spec.kind != "replay"
+            or spec.scripts_dir is None
+            or not spec.scripts_dir.is_dir()
+        ):
+            continue  # a missing scripts_dir is reported above
+        for case in usable:
+            script = _script_path(spec.scripts_dir, case.case_id)
+            if not script.is_file():
+                problems.append(
+                    f"backend {spec.name!r}: no replay script for case "
+                    f"{case.case_id!r}: {script} not found"
+                )
     return problems
+
+
+def _script_path(scripts_dir: Path, case_id: str) -> Path:
+    return scripts_dir / f"{case_id}.jsonl"
 
 
 @dataclass(frozen=True)
@@ -277,6 +313,8 @@ class _EpisodeSpec:
     repetition: int
     scale_factor: float
     golden_t: float
+    # replay entries shared by every episode of this (backend, case); read-only
+    script: list[dict[str, Any]] | None
 
 
 def execute_plan(plan: RunPlan) -> RunOutput:
@@ -290,6 +328,8 @@ def execute_plan(plan: RunPlan) -> RunOutput:
 
     specs: list[_EpisodeSpec] = []
     unusable: list[dict[str, str]] = []
+    # Each replay script is read once per run, so an edit between runs is seen.
+    scripts: dict[Path, list[dict[str, Any]]] = {}
     for sf in plan.scale_factors:
         cases = load_suite(plan.suite, scale_factor=sf)
         for case in cases:
@@ -311,13 +351,16 @@ def execute_plan(plan: RunPlan) -> RunOutput:
                     )
                     continue
             for backend in plan.backends:
+                script = None
+                if backend.kind == "replay":
+                    script = _load_script(backend, case.case_id, scripts)
                 for rep in range(plan.repetitions):
-                    specs.append(_EpisodeSpec(backend, case, rep, sf, t_gold))
+                    specs.append(_EpisodeSpec(backend, case, rep, sf, t_gold, script))
 
     limiters = {
         spec.name: _RateLimiter(spec.rate_limit_per_sec)
         for spec in plan.backends
-        if spec.rate_limit_per_sec
+        if spec.rate_limit_per_sec is not None
     }
 
     episodes: list[EpisodeResult] = []
@@ -377,14 +420,30 @@ def execute_plan(plan: RunPlan) -> RunOutput:
     )
 
 
+def _load_script(
+    spec: BackendSpec, case_id: str, scripts: dict[Path, list[dict[str, Any]]]
+) -> list[dict[str, Any]]:
+    """The entries of a replay script, read on the first request for it."""
+    assert spec.scripts_dir is not None  # validate_plan requires it
+    path = _script_path(spec.scripts_dir, case_id)
+    if path not in scripts:
+        try:
+            loaded = ReplayBackend.from_path(path, model_id=spec.model_id)
+        except (OSError, ValueError) as exc:
+            raise PlanValidationError(
+                f"backend {spec.name!r}: replay script {path} failed to load: {exc}"
+            ) from exc
+        scripts[path] = loaded.entries
+    return scripts[path]
+
+
 def _make_backend(
-    spec: BackendSpec, case_id: str, limiters: dict[str, _RateLimiter]
+    episode: _EpisodeSpec, limiters: dict[str, _RateLimiter]
 ) -> LlmBackend:
-    if spec.kind == "replay":
-        assert spec.scripts_dir is not None
-        backend: LlmBackend = ReplayBackend.from_path(
-            spec.scripts_dir / f"{case_id}.jsonl", model_id=spec.model_id
-        )
+    spec = episode.backend
+    if episode.script is not None:
+        # a fresh cursor over the shared entries
+        backend: LlmBackend = ReplayBackend(episode.script, model_id=spec.model_id)
     else:
         backend = HttpBackend(
             endpoint=spec.endpoint or "",
@@ -405,12 +464,12 @@ def _run_episode(
     case = spec.case
     backend_spec = spec.backend
     pricing_entry = plan.pricing.lookup(backend_spec.model_id)
-    llm = _make_backend(backend_spec, case.case_id, limiters)
 
     trace = AgentTrace(question=case.nl_question, model_id=backend_spec.model_id)
     ledger = CostLedger()
     error: str | None = None
     try:
+        llm = _make_backend(spec, limiters)
         with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
             trace = run_agent(case.nl_question, plan.agent, llm, engine)
         ledger = compose_ledger(trace, pricing_entry, plan.pricing.engine)

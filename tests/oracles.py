@@ -8,6 +8,8 @@ cannot cancel itself out.
 from __future__ import annotations
 
 import csv
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 from bigsqlbench.resultset import DEFAULT_TOLERANCE, ResultTable, values_equal
@@ -109,3 +111,49 @@ def tolerant_rows_equal(
             if not values_equal(a, b, tolerance):
                 return False
     return True
+
+
+def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
+    """Episode log serialized through `dataclasses.asdict` of each iteration.
+
+    A copy of the serializer the package used before it stopped deep-copying
+    iterations; its bytes are the reference for `agent.trace_to_jsonl`.
+    """
+    lines = [
+        json.dumps(
+            {"type": "meta", "question": trace.question, "model_id": trace.model_id},
+            sort_keys=True,
+        )
+    ]
+    for it in trace.iterations:
+        record = asdict(it)
+        if not include_timing:
+            for key in ("started_at", "ended_at", "engine_seconds"):
+                record.pop(key, None)
+        lines.append(json.dumps({"type": "iteration", **record}, sort_keys=True))
+    outcome = {
+        "type": "outcome",
+        "outcome": trace.outcome,
+        "final_sql": trace.final_sql,
+        "final_answer": trace.final_answer,
+        "error": trace.error,
+        "final_result": (
+            trace.final_result.to_json_dict() if trace.final_result else None
+        ),
+    }
+    lines.append(json.dumps(outcome, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def snapshot_key_pathlib(data_dir: Path) -> tuple:
+    """A data directory's snapshot cache key, listed through pathlib.
+
+    A copy of the key the package computed before it listed directories with
+    `os.scandir`; the reference for `engine._snapshot_key`.
+    """
+    files = []
+    for path in sorted(data_dir.iterdir()):
+        if path.suffix in (".schema", ".csv"):
+            stat = path.stat()
+            files.append((path.name, stat.st_size, stat.st_mtime_ns))
+    return (str(data_dir.resolve()), tuple(files))

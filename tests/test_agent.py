@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigsqlbench.agent import (
     ActionParseError,
@@ -24,6 +25,8 @@ from bigsqlbench.agent import (
 )
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import ChatExchange, ReplayBackend
+from bigsqlbench.resultset import ResultTable
+from tests.oracles import trace_to_jsonl_asdict
 
 
 def entry(text, in_tok=100, out_tok=10):
@@ -429,3 +432,48 @@ def test_episode_log_replays_as_script(shop_engine, tmp_path, mini_suite_dir):
     assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
         trace, include_timing=False
     )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+json_objects = st.dictionaries(st.text(max_size=8), json_values, max_size=4)
+
+iterations = st.builds(
+    Iteration,
+    index=st.integers(0, 20),
+    thought=st.text(),
+    action=st.none() | st.sampled_from(["list_tables", "run_query", "final_answer"]),
+    action_input=json_objects,
+    observation=st.text(),
+    started_at=st.floats(),
+    ended_at=st.floats(),
+    input_tokens=st.integers(0, 10**6),
+    output_tokens=st.integers(0, 10**6),
+    engine_seconds=st.floats(),
+    engine_bytes=st.integers(0, 10**9),
+    exchanges=st.lists(json_objects, max_size=3),
+)
+
+traces = st.builds(
+    AgentTrace,
+    iterations=st.lists(iterations, max_size=4),
+    outcome=st.sampled_from(["completed", "exhausted", "tool-error", "llm-error"]),
+    final_sql=st.none() | st.text(),
+    final_result=st.none()
+    | st.just(ResultTable.build([("n", "integer"), ("s", "text")], [(1, "é"), (None, "x")])),
+    final_answer=st.none() | st.text(),
+    error=st.none() | st.text(),
+    question=st.text(),
+    model_id=st.text(),
+)
+
+
+@settings(deadline=None)
+@given(trace=traces, include_timing=st.booleans())
+def test_trace_jsonl_bytes_match_asdict_oracle(trace, include_timing):
+    expected = trace_to_jsonl_asdict(trace, include_timing)
+    assert trace_to_jsonl(trace, include_timing).encode() == expected.encode()

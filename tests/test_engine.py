@@ -27,6 +27,7 @@ from bigsqlbench.engine import (
     write_schema_file,
 )
 from bigsqlbench.resultset import tables_equal_exact
+from tests.oracles import snapshot_key_pathlib
 
 WAREHOUSE_TABLES = [
     "customer", "lineitem", "nation", "orders",
@@ -281,3 +282,19 @@ def test_empty_data_dir_reopens_as_empty_catalog(tmp_path, monkeypatch):
         with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
             assert engine.list_tables() == []
     assert loaded == []
+
+
+def test_snapshot_key_matches_pathlib_listing(tmp_path, monkeypatch):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name in ("b.csv", "a.schema", "a.csv", "x.b.csv", ".csv", "n.txt",
+                 "é.schema", "B.csv", "noext"):
+        (data_dir / name).write_text(name * 3)
+    (data_dir / "sub.csv").mkdir()
+    (tmp_path / "link").symlink_to(data_dir)
+    monkeypatch.chdir(tmp_path)
+    for path in (data_dir, tmp_path / "link", data_dir.relative_to(tmp_path)):
+        assert engine_module._snapshot_key(path) == snapshot_key_pathlib(path)
+    for missing in (tmp_path / "nope", data_dir / "a.csv"):
+        with pytest.raises(RegistrationError, match="data directory not found"):
+            engine_module._snapshot_key(missing)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
 import threading
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing
+from bigsqlbench.llmclient import ReplayBackend
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import (
     EpisodeResult,
@@ -18,6 +21,7 @@ from bigsqlbench.runner import (
     load_records,
     validate_plan,
 )
+from tests.oracles import trace_to_jsonl_asdict
 from tests.test_engine import count_registrations
 
 
@@ -87,6 +91,73 @@ def test_per_byte_engine_pricing_rejected_before_anything_runs(mini_plan):
     assert not mini_plan.output_dir.exists()
 
 
+def copy_scripts(plan, index, tmp_path) -> Path:
+    """Point backend `index` at a private copy of its replay scripts."""
+    scripts = tmp_path / f"scripts{index}"
+    shutil.copytree(plan.backends[index].scripts_dir, scripts)
+    plan.backends[index].scripts_dir = scripts
+    return scripts
+
+
+def test_missing_replay_script_is_preflight_error(mini_plan, tmp_path):
+    scripts = copy_scripts(mini_plan, 1, tmp_path)
+    for case_id in ("orders_count", "top_customer"):
+        (scripts / f"{case_id}.jsonl").unlink()
+    problems = validate_plan(mini_plan)
+    assert problems == [
+        f"backend 'replay-beta': no replay script for case {case_id!r}: "
+        f"{scripts / f'{case_id}.jsonl'} not found"
+        for case_id in ("orders_count", "top_customer")
+    ]
+    with pytest.raises(PlanValidationError, match="orders_count"):
+        execute_plan(mini_plan)
+    assert not (mini_plan.output_dir / "records.json").exists()
+
+
+def test_malformed_replay_script_fails_before_any_episode(mini_plan, tmp_path):
+    scripts = copy_scripts(mini_plan, 0, tmp_path)
+    (scripts / "pricey_products.jsonl").write_text("{not json\n")
+    with pytest.raises(PlanValidationError, match="pricey_products.jsonl"):
+        execute_plan(mini_plan)
+    assert not (mini_plan.output_dir / "traces").exists()
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["localhost:8080/v1/chat", "ftp://host/v1", "//host/v1"]
+)
+def test_http_endpoint_without_scheme_rejected(mini_plan, endpoint):
+    mini_plan.backends[0].kind = "http-api"
+    mini_plan.backends[0].endpoint = endpoint
+    assert validate_plan(mini_plan) == [
+        f"backend 'replay-alpha': http-api endpoint {endpoint!r} "
+        "needs an http:// or https:// scheme"
+    ]
+    for endpoint in ("http://localhost:8080/v1/chat", "HTTPS://api.example/v1"):
+        mini_plan.backends[0].endpoint = endpoint
+        assert validate_plan(mini_plan) == []
+
+
+@pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan])
+def test_non_positive_rate_limit_rejected(mini_plan, rate):
+    mini_plan.backends[1].rate_limit_per_sec = rate
+    assert validate_plan(mini_plan) == [
+        f"backend 'replay-beta': rate_limit_per_sec must be > 0, got {rate}"
+    ]
+    with pytest.raises(PlanValidationError):
+        execute_plan(mini_plan)
+
+
+def test_null_rate_limit_in_plan_file_means_no_limit(mini_suite_dir, tmp_path):
+    data = json.loads((mini_suite_dir / "plan.json").read_text())
+    data["backends"][0]["rate_limit_per_sec"] = None
+    data["backends"][1]["rate_limit_per_sec"] = 100
+    data["pricing"] = str(mini_suite_dir / data["pricing"])
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data))
+    plan = RunPlan.from_json_file(plan_path)
+    assert [b.rate_limit_per_sec for b in plan.backends] == [None, 100.0]
+
+
 # --- execution ---
 
 
@@ -134,6 +205,68 @@ def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     loaded = count_registrations(monkeypatch)
     execute_plan(mini_plan)
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
+
+
+def test_mini_run_traces_match_asdict_oracle(mini_plan, monkeypatch):
+    serialize = runner.trace_to_jsonl
+    pairs = []
+
+    def checked(trace, include_timing=True):
+        for timing in (True, False):
+            pairs.append(
+                (serialize(trace, timing), trace_to_jsonl_asdict(trace, timing))
+            )
+        return serialize(trace, include_timing)
+
+    monkeypatch.setattr(runner, "trace_to_jsonl", checked)
+    execute_plan(mini_plan)
+    assert len(pairs) == 2 * 20
+    for text, expected in pairs:
+        assert text.encode() == expected.encode()
+
+
+def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
+    loads = []
+    from_path = ReplayBackend.from_path.__func__
+
+    def counting(cls, path, model_id="replay"):
+        loads.append(Path(path))
+        return from_path(cls, path, model_id)
+
+    monkeypatch.setattr(ReplayBackend, "from_path", classmethod(counting))
+    mini_plan.repetitions = 3
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 2 * 5 * 3
+    assert len(loads) == len(set(loads)) == 10
+    cells: dict[tuple[str, str], set[str]] = {}
+    for ep in output.episodes:
+        assert ep.outcome == "completed"
+        untimed = trace_to_jsonl(
+            trace_from_jsonl(Path(ep.trace_path).read_text()), include_timing=False
+        )
+        cells.setdefault((ep.model, ep.case_id), set()).add(untimed)
+    assert len(cells) == 10
+    assert all(len(texts) == 1 for texts in cells.values())
+
+
+def test_script_edited_between_runs_is_seen(mini_plan, tmp_path):
+    scripts = copy_scripts(mini_plan, 0, tmp_path)
+
+    def generated(output, model):
+        return {
+            ep.generated_sql for ep in output.episodes
+            if ep.model == model and ep.case_id == "category_quantity"
+        }
+
+    first = execute_plan(mini_plan)
+    assert generated(first, "replay-alpha") != generated(first, "replay-beta")
+    shutil.copy(
+        mini_plan.backends[1].scripts_dir / "category_quantity.jsonl",
+        scripts / "category_quantity.jsonl",
+    )
+    mini_plan.output_dir = tmp_path / "out2"
+    second = execute_plan(mini_plan)
+    assert generated(second, "replay-alpha") == generated(first, "replay-beta")
 
 
 def test_comparison_fault_is_harness_error_for_that_cell_only(mini_plan, monkeypatch):
@@ -200,6 +333,25 @@ def test_budget_guard_halts_new_episodes(mini_plan):
     assert output.skipped
     assert len(output.episodes) + len(output.skipped) == 20
     assert all("budget" in s["reason"] for s in output.skipped)
+
+
+@pytest.mark.parametrize("concurrency", [2, 3])
+def test_budget_overshoot_is_at_most_concurrency_minus_one(mini_plan, concurrency):
+    # one backend, so every episode costs the same 0.01995
+    mini_plan.backends = mini_plan.backends[:1]
+    mini_plan.repetitions = 6
+    mini_plan.concurrency = concurrency
+    mini_plan.max_spend_usd = 0.1
+    output = execute_plan(mini_plan)
+    cost = output.episodes[0].record.c_e2e
+    assert all(ep.record.c_e2e == cost for ep in output.episodes)
+    # the episode that brings spend to the ceiling, counted in completion order
+    crossing = math.ceil(mini_plan.max_spend_usd / cost)
+    assert crossing == 6
+    # episodes still running when it finished are recorded, none start after
+    assert crossing <= len(output.episodes) <= crossing + concurrency - 1
+    assert len(output.episodes) + len(output.skipped) == 30
+    assert all(ep.outcome == "completed" for ep in output.episodes)
 
 
 def test_records_json_round_trip(mini_plan):
