@@ -34,7 +34,7 @@ from .costmodel import (
     llm_cost,
 )
 from .agent import AgentConfig, AgentTrace, run_agent, stage_breakdown
-from .engine import EngineConfig, EmbeddedEngine, open_session
+from .engine import EngineConfig, EmbeddedEngine
 from .llmclient import HttpBackend, ReplayBackend, record_session
 from .suite import (
     QueryCase,
@@ -80,7 +80,6 @@ __all__ = [
     "materialize_golden",
     "normalize_column_name",
     "normalize_to_best",
-    "open_session",
     "record_session",
     "render_report",
     "run_agent",

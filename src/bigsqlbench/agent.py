@@ -23,7 +23,7 @@ from .llmclient import (
     ReplayExhaustedError,
     ReplayMismatchError,
 )
-from .resultset import ResultTable
+from .resultset import ResultTable, json_cell
 
 STAGES = ("list", "schema", "check", "run", "finalize")
 
@@ -629,7 +629,7 @@ def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
             trace.final_result.to_json_dict() if trace.final_result else None
         ),
     }
-    lines.append(json.dumps(outcome, sort_keys=True))
+    lines.append(json.dumps(outcome, sort_keys=True, default=json_cell))
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ from .engine import EmbeddedEngine, EngineConfig
 from .report import REPORT_FORMATS, render_report
 from .runner import PlanValidationError, RunPlan, execute_plan, load_records, validate_plan
 from .suite import (
+    GoldenMaterializationError,
     format_sf,
     generate_scaled_data,
     load_suite,
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     goldens_cmd = sub.add_parser("goldens", help="golden-result operations")
     goldens_sub = goldens_cmd.add_subparsers(dest="goldens_command", required=True)
     goldens_mat = goldens_sub.add_parser(
-        "materialize", help="execute and cache golden results for a suite"
+        "materialize", help="execute, time and write golden results for a suite"
     )
     goldens_mat.add_argument("--suite", required=True, type=Path)
     goldens_mat.add_argument("--cache-dir", required=True, type=Path)
@@ -128,11 +129,16 @@ def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
             print(f"{case.case_id}: UNUSABLE ({case.error})")
             failures += 1
             continue
-        with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
-            result, t_gold = materialize_golden(
-                case, engine, cache_dir=args.cache_dir,
-                scale_factor=args.scale_factor,
-            )
+        try:
+            with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
+                result, t_gold = materialize_golden(
+                    case, engine, out_dir=args.cache_dir,
+                    scale_factor=args.scale_factor,
+                )
+        except GoldenMaterializationError as exc:
+            print(f"{case.case_id}: FAILED ({exc})")
+            failures += 1
+            continue
         print(
             f"{case.case_id}: {result.n_rows} row(s), t_gold {t_gold * 1e3:.3f} ms"
         )

@@ -316,8 +316,3 @@ def _snapshot_key(data_dir: Path) -> tuple:
                 files.append((entry.name, stat.st_size, stat.st_mtime_ns))
     files.sort()
     return (os.path.realpath(data_dir), tuple(files))
-
-
-def open_session(config: EngineConfig) -> EmbeddedEngine:
-    """Open an engine session with all suite tables registered."""
-    return EmbeddedEngine(config)

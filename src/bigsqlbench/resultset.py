@@ -173,7 +173,7 @@ def _infer_tag(value: Any) -> str:
 
 
 def values_equal(a: Any, b: Any, tolerance: FloatTolerance = DEFAULT_TOLERANCE) -> bool:
-    """Cell equality: null==null, tolerant numerics, trailing-trimmed text."""
+    """Cell equality: null==null, tolerant numerics, trimmed text, exact bytes."""
     if a is None or b is None:
         return a is None and b is None
     a_num = isinstance(a, (int, float))
@@ -182,7 +182,16 @@ def values_equal(a: Any, b: Any, tolerance: FloatTolerance = DEFAULT_TOLERANCE) 
         return tolerance.equal(float(a), float(b))
     if isinstance(a, str) and isinstance(b, str):
         return a.rstrip() == b.rstrip()
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        return a == b
     return False
+
+
+def json_cell(value: Any) -> str:
+    """`json.dumps` default for result cells: a BLOB is written as hex text."""
+    if isinstance(value, bytes):
+        return value.hex()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _sort_key(row: tuple[Any, ...]) -> tuple:
@@ -200,16 +209,17 @@ def _sort_key(row: tuple[Any, ...]) -> tuple:
 
 
 _NUMBER_TYPES = frozenset({bool, int, float})
-_PLAIN_TYPES = _NUMBER_TYPES | {type(None), str}
+_PLAIN_TYPES = _NUMBER_TYPES | {type(None), str, bytes}
 
 
 def _plain_cells(rows: Sequence[tuple[Any, ...]]) -> bool:
-    """True when every cell is None, text, or a number with a non-NaN float value.
+    """True when every cell is None, text, bytes, or a number with a non-NaN
+    float value.
 
     For such cells `a == b` implies `values_equal(a, b)`, so rows that are
     exactly equal are equal under every tolerance.  NaN (never equal to
-    anything), bytes and other types fail the check, as do ints too large
-    for a float, on which `values_equal` raises.
+    anything) and other types fail the check, as do ints too large for a
+    float, on which `values_equal` raises.
     """
     kinds = set(map(type, chain.from_iterable(rows)))
     if not kinds <= _PLAIN_TYPES:

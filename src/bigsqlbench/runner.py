@@ -30,6 +30,7 @@ from .engine import EmbeddedEngine, EngineConfig
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
 from .metrics import MetricRecord
 from .resultset import (
+    ResultTable,
     UndefinedPrecisionError,
     column_precision,
     containment_indicator,
@@ -312,6 +313,7 @@ class _EpisodeSpec:
     case: QueryCase
     repetition: int
     scale_factor: float
+    golden: ResultTable
     golden_t: float
     # replay entries shared by every episode of this (backend, case); read-only
     script: list[dict[str, Any]] | None
@@ -331,31 +333,30 @@ def execute_plan(plan: RunPlan) -> RunOutput:
     # Each replay script is read once per run, so an edit between runs is seen.
     scripts: dict[Path, list[dict[str, Any]]] = {}
     for sf in plan.scale_factors:
-        cases = load_suite(plan.suite, scale_factor=sf)
-        for case in cases:
-            if not case.usable:
+        for case in load_suite(plan.suite, scale_factor=sf):
+            error = case.error
+            if error is None:
+                with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
+                    try:
+                        golden, t_gold = materialize_golden(
+                            case, engine, out_dir=goldens_dir, scale_factor=sf
+                        )
+                    except GoldenMaterializationError as exc:
+                        error = str(exc)
+            if error is not None:
                 unusable.append(
                     {"case_id": case.case_id, "scale_factor": format_sf(sf),
-                     "error": case.error or ""}
+                     "error": error}
                 )
                 continue
-            with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
-                try:
-                    _, t_gold = materialize_golden(
-                        case, engine, cache_dir=goldens_dir, scale_factor=sf
-                    )
-                except GoldenMaterializationError as exc:
-                    unusable.append(
-                        {"case_id": case.case_id, "scale_factor": format_sf(sf),
-                         "error": str(exc)}
-                    )
-                    continue
             for backend in plan.backends:
                 script = None
                 if backend.kind == "replay":
                     script = _load_script(backend, case.case_id, scripts)
                 for rep in range(plan.repetitions):
-                    specs.append(_EpisodeSpec(backend, case, rep, sf, t_gold, script))
+                    specs.append(
+                        _EpisodeSpec(backend, case, rep, sf, golden, t_gold, script)
+                    )
 
     limiters = {
         spec.name: _RateLimiter(spec.rate_limit_per_sec)
@@ -408,8 +409,7 @@ def execute_plan(plan: RunPlan) -> RunOutput:
                 "unusable_cases": unusable,
                 # fsum: the running `spent` depends on completion order
                 "total_spend_usd": math.fsum(e.record.c_e2e for e in episodes),
-            },
-            indent=2,
+            }
         )
     )
     return RunOutput(
@@ -487,12 +487,12 @@ def _episode_result(
     error: str | None,
 ) -> EpisodeResult:
     case = spec.case
-    golden = case.golden_result
+    golden = spec.golden
     generated = trace.final_result
     indicator = 0
     precision = 0.0
     exact = False
-    if golden is not None and generated is not None:
+    if generated is not None:
         try:
             indicator = containment_indicator(golden, generated, ordered=case.ordered)
             try:

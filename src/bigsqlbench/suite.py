@@ -1,8 +1,8 @@
 """Benchmark-suite ingestion and desk-scale synthetic data generation.
 
 Suites are a JSON manifest of (question, golden SQL, database) triples plus
-per-database data directories.  Golden results are always materialized
-locally against the engine, never trusted from files.  The bundled data
+per-database data directories.  Golden results are executed against the
+engine on every call, never read back from files.  The bundled data
 generator emits warehouse-shaped tables whose cardinalities scale linearly
 with a scale factor, which is what timing and cost trends need; it makes no
 claim of matching any official benchmark's value distributions.
@@ -26,7 +26,7 @@ from .engine import (
     TableSchema,
     write_schema_file,
 )
-from .resultset import ResultTable
+from .resultset import ResultTable, json_cell
 
 MIN_SCALE_FACTOR = 0.001
 MAX_SCALE_FACTOR = 1.0
@@ -54,7 +54,7 @@ def format_sf(scale_factor: float) -> str:
 
 @dataclass
 class QueryCase:
-    """One benchmark triple: question, golden SQL, and its ground truth."""
+    """One benchmark triple: question, golden SQL, and the database it runs on."""
 
     case_id: str
     nl_question: str
@@ -62,7 +62,6 @@ class QueryCase:
     database: str
     data_dir: Path | None = None
     ordered: bool = False
-    golden_result: ResultTable | None = None
     error: str | None = None
 
     @property
@@ -164,25 +163,15 @@ def _validate_case(case: QueryCase, sessions: dict[str, EmbeddedEngine | None]) 
 def materialize_golden(
     case: QueryCase,
     engine: EmbeddedEngine,
-    cache_dir: str | Path | None = None,
+    out_dir: str | Path | None = None,
     scale_factor: float = 1.0,
 ) -> tuple[ResultTable, float]:
     """Execute the golden query and time it: one warm-up, then median of 3.
 
-    Results cache per (case, scale factor) as canonical table JSON; the
-    cached copy is reused on later calls.
+    Every call executes the query; nothing is read back from disk.  With an
+    out_dir the result is also written there as `<case>@sf<sf>.json`
+    (t_gold plus canonical table JSON, BLOB cells as hex) for inspection.
     """
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = (
-            Path(cache_dir) / f"{case.case_id}@sf{format_sf(scale_factor)}.json"
-        )
-        if cache_path.exists():
-            data = json.loads(cache_path.read_text())
-            result = ResultTable.from_json_dict(data["result"])
-            case.golden_result = result
-            return result, float(data["t_gold"])
-
     try:
         engine.execute_timed(case.golden_sql)  # cold-cache warm-up, discarded
         timings = []
@@ -191,19 +180,17 @@ def materialize_golden(
             result, seconds = engine.execute_timed(case.golden_sql)
             timings.append(seconds)
     except EngineError as exc:
-        case.error = f"golden sql failed: {exc}"
         raise GoldenMaterializationError(
             f"case {case.case_id}: golden query failed: {exc}"
         ) from exc
 
     t_gold = statistics.median(timings)
     assert result is not None
-    case.golden_result = result
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(
-            json.dumps({"t_gold": t_gold, "result": result.to_json_dict()})
-        )
+    if out_dir is not None:
+        path = Path(out_dir) / f"{case.case_id}@sf{format_sf(scale_factor)}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        record = {"t_gold": t_gold, "result": result.to_json_dict()}
+        path.write_text(json.dumps(record, default=json_cell))
     return result, t_gold
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -80,3 +81,28 @@ def test_goldens_materialize_cli(tmp_path, mini_suite_dir, capsys):
     )
     assert code == 0
     assert len(list((tmp_path / "goldens").glob("*.json"))) == 5
+
+
+def test_goldens_materialize_reports_failed_golden_and_goes_on(
+    tmp_path, mini_suite_dir, capsys
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    # compiles, so the suite loads it as usable, but overflows when run
+    manifest["cases"][0]["SQL"] = "SELECT abs(-9223372036854775807 - 1) AS x FROM orders"
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    code = main(
+        ["goldens", "materialize", "--suite", str(suite),
+         "--cache-dir", str(tmp_path / "goldens")]
+    )
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "orders_count: FAILED (case orders_count: golden query failed: "
+        "sql execution failed: integer overflow)"
+    )
+    assert len(lines) == 5
+    assert sorted(p.name for p in (tmp_path / "goldens").glob("*.json")) == sorted(
+        f"{case['case_id']}@sf1.json" for case in manifest["cases"][1:]
+    )

@@ -22,7 +22,6 @@ from bigsqlbench.engine import (
     SessionClosedError,
     TableNotFoundError,
     TableSchema,
-    open_session,
     read_schema_file,
     write_schema_file,
 )
@@ -188,12 +187,6 @@ def test_schema_file_round_trip(tmp_path):
     path = tmp_path / "orders_like.schema"
     write_schema_file(path, schema)
     assert read_schema_file(path) == schema
-
-
-def test_open_session_returns_embedded_engine(tmp_path):
-    with open_session(EngineConfig(data_dir=tmp_path)) as engine:
-        assert isinstance(engine, EmbeddedEngine)
-        assert engine.list_tables() == []
 
 
 # --- per-process snapshots ---

@@ -452,13 +452,29 @@ def test_large_exactly_equal_tables_skip_tolerant_fallback(fallback_calls):
     assert fallback_calls == []
 
 
-@pytest.mark.parametrize("odd_cell", [NAN, b"blob"])
-def test_nan_or_bytes_cell_takes_fallback_and_reads_unequal(fallback_calls, odd_cell):
-    t = _big_table(1_000)
+def _with_cell(t, row, cell):
     rows = list(t.rows)
-    rows[500] = rows[500][:2] + (odd_cell, rows[500][3])
-    odd = ResultTable(columns=t.columns, rows=tuple(rows))
+    rows[row] = rows[row][:2] + (cell, rows[row][3])
+    return ResultTable(columns=t.columns, rows=tuple(rows))
+
+
+def test_nan_cell_takes_fallback_and_reads_unequal(fallback_calls):
+    odd = _with_cell(_big_table(1_000), 500, NAN)
     assert containment_indicator(odd, odd) == 0
     assert not tables_equal_exact(odd, odd)
     assert containment_indicator(odd, odd, ordered=True) == 0
     assert fallback_calls
+
+
+def test_bytes_cells_compare_by_value_without_fallback(fallback_calls):
+    t = _big_table(1_000)
+    blob = _with_cell(t, 500, b"\x00\xffblob")
+    assert containment_indicator(blob, blob) == 1
+    assert tables_equal_exact(blob, blob)
+    assert containment_indicator(blob, blob, ordered=True) == 1
+    assert fallback_calls == []
+    # a different BLOB, or the same bytes as text, is another value
+    for other in (b"\x00\xffblob ", "\x00\xffblob", "00ff626c6f62"):
+        assert containment_indicator(blob, _with_cell(t, 500, other)) == 0
+    assert values_equal(b"\x00", b"\x00") and not values_equal(b"\x00", b"\x01")
+    assert not values_equal(b"1", 1) and not values_equal(b"a", "a")

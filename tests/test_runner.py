@@ -269,6 +269,117 @@ def test_script_edited_between_runs_is_seen(mini_plan, tmp_path):
     assert generated(second, "replay-alpha") == generated(first, "replay-beta")
 
 
+@pytest.fixture
+def mini_copy(mini_suite_dir, tmp_path):
+    """A plan over a private copy of the mini suite, free to edit."""
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    plan = RunPlan.from_json_file(suite / "plan.json")
+    plan.output_dir = tmp_path / "out"
+    return plan
+
+
+def set_golden(plan, case_id, sql):
+    manifest = plan.suite / "manifest.json"
+    data = json.loads(manifest.read_text())
+    for case in data["cases"]:
+        if case["case_id"] == case_id:
+            case["SQL"] = sql
+    manifest.write_text(json.dumps(data))
+
+
+def replace_script_sql(plan, index, case_id, old, new):
+    script = plan.backends[index].scripts_dir / f"{case_id}.jsonl"
+    text = script.read_text()
+    assert old in text
+    script.write_text(text.replace(old, new))
+
+
+def by_cell(output):
+    return {(ep.model, ep.case_id, ep.repetition): ep for ep in output.episodes}
+
+
+def test_golden_changed_between_runs_into_one_dir_is_seen(mini_copy):
+    golden_file = mini_copy.output_dir / "goldens" / "pricey_products@sf1.json"
+    first = by_cell(execute_plan(mini_copy))
+    assert first["replay-alpha", "pricey_products", 0].record.indicator == 1
+    set_golden(mini_copy, "pricey_products",
+               "SELECT name FROM products WHERE price > 1000")
+    second = execute_plan(mini_copy)
+    written = json.loads(golden_file.read_text())
+    assert written["result"]["rows"] == []
+    for ep in second.episodes:
+        if ep.case_id == "pricey_products":
+            assert ep.golden_sql.endswith("price > 1000")
+            assert (ep.record.indicator, ep.record.exact) == (0, False)
+            assert ep.t_gold == written["t_gold"]
+    records = json.loads((mini_copy.output_dir / "records.json").read_text())
+    assert {ep["indicator"] for ep in records["episodes"]
+            if ep["case_id"] == "pricey_products"} == {0}
+
+
+def test_golden_failing_at_run_time_is_unusable_and_cases_stay_untouched(
+    mini_copy, monkeypatch
+):
+    set_golden(mini_copy, "orders_count",
+               "SELECT abs(-9223372036854775807 - 1) AS x FROM orders")
+    assert validate_plan(mini_copy) == []  # EXPLAIN compiles it
+    loaded = []
+    real_load_suite = runner.load_suite
+
+    def recording_load_suite(*args, **kwargs):
+        cases = real_load_suite(*args, **kwargs)
+        loaded.extend(cases)
+        return cases
+
+    monkeypatch.setattr(runner, "load_suite", recording_load_suite)
+    output = execute_plan(mini_copy)
+    assert output.unusable_cases == [
+        {"case_id": "orders_count", "scale_factor": "1",
+         "error": "case orders_count: golden query failed: "
+                  "sql execution failed: integer overflow"}
+    ]
+    assert len(output.episodes) == 4 * 2 * 2
+    assert "orders_count" not in {ep.case_id for ep in output.episodes}
+    assert all(ep.outcome == "completed" for ep in output.episodes)
+    # the runner reads the failure from the exception, not from the case
+    assert loaded and all(case.error is None for case in loaded)
+    records = json.loads(output.records_path.read_text())
+    assert records["unusable_cases"] == output.unusable_cases
+
+
+def test_blob_results_are_compared_and_logged(mini_copy):
+    blob_sql = "select name, x'00ff' as b from products where price > 10"
+    set_golden(mini_copy, "pricey_products", blob_sql)
+    replace_script_sql(mini_copy, 0, "pricey_products",
+                       "select name from products where price > 10", blob_sql)
+    # beta answers orders_count with a BLOB where the golden has a count
+    replace_script_sql(mini_copy, 1, "orders_count",
+                       "SELECT COUNT(*) AS n, 42 AS extra FROM orders",
+                       "SELECT x'00' AS n FROM orders")
+    output = execute_plan(mini_copy)
+    assert len(output.episodes) == 20
+    assert output.unusable_cases == []
+    cells = by_cell(output)
+    for rep in range(2):
+        verbatim = cells["replay-alpha", "pricey_products", rep]
+        assert verbatim.outcome == "completed"
+        assert (verbatim.record.indicator, verbatim.record.exact) == (1, True)
+        blob = cells["replay-beta", "orders_count", rep]
+        assert blob.outcome == "completed"
+        assert (blob.record.indicator, blob.record.exact) == (0, False)
+    assert cells["replay-beta", "pricey_products", 0].record.indicator == 0
+    trace = Path(cells["replay-alpha", "pricey_products", 0].trace_path).read_text()
+    outcome = json.loads(trace.splitlines()[-1])
+    assert {row[1] for row in outcome["final_result"]["rows"]} == {"00ff"}
+    golden = json.loads(
+        (mini_copy.output_dir / "goldens" / "pricey_products@sf1.json").read_text()
+    )
+    assert golden["result"]["rows"] == outcome["final_result"]["rows"]
+    records = json.loads(output.records_path.read_text())
+    assert len(records["episodes"]) == 20
+
+
 def test_comparison_fault_is_harness_error_for_that_cell_only(mini_plan, monkeypatch):
     containment_indicator = runner.containment_indicator
     lock = threading.Lock()

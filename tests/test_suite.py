@@ -224,14 +224,6 @@ def test_format_sf():
 # --- golden materialization ---
 
 
-def verify_golden_cache(case, engine) -> bool:
-    """True iff the cached golden result equals a fresh execution."""
-    if case.golden_result is None:
-        return False
-    fresh, _ = engine.execute_timed(case.golden_sql)
-    return tables_equal_exact(case.golden_result, fresh)
-
-
 def _case_for(data_dir, sql, case_id="pricing_summary"):
     from bigsqlbench.suite import QueryCase
 
@@ -253,19 +245,51 @@ def test_golden_aggregate_matches_brute_force_oracle(sf_tiny_dir):
     assert t_gold > 0
 
 
-def test_golden_cache_round_trip(sf_tiny_dir, tmp_path):
+def test_golden_rerun_into_same_dir_executes_again(
+    sf_tiny_dir, tmp_path, monkeypatch
+):
     case = _case_for(sf_tiny_dir, "SELECT COUNT(*) AS n FROM region")
+    path = tmp_path / "pricing_summary@sf0.001.json"
+    calls = []
     with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
+        execute_timed = engine.execute_timed
+
+        def counting(sql):
+            calls.append(sql)
+            return execute_timed(sql)
+
+        monkeypatch.setattr(engine, "execute_timed", counting)
         first, t1 = materialize_golden(
-            case, engine, cache_dir=tmp_path, scale_factor=0.001
+            case, engine, out_dir=tmp_path, scale_factor=0.001
         )
-        assert (tmp_path / "pricing_summary@sf0.001.json").exists()
+        assert json.loads(path.read_text()) == {
+            "t_gold": t1,
+            "result": {"columns": [{"name": "n", "type": "integer"}], "rows": [[5]]},
+        }
+        path.write_text('{"t_gold": 99.0, "result": {"columns": [], "rows": []}}')
+        case.golden_sql = "SELECT COUNT(*) AS n FROM nation"
         second, t2 = materialize_golden(
-            case, engine, cache_dir=tmp_path, scale_factor=0.001
+            case, engine, out_dir=tmp_path, scale_factor=0.001
         )
-        assert tables_equal_exact(first, second)
-        assert t1 == t2
-        assert verify_golden_cache(case, engine)
+    # warm-up plus three timed runs on each call
+    assert calls == ["SELECT COUNT(*) AS n FROM region"] * 4 + [case.golden_sql] * 4
+    assert first.rows == ((5,),) and second.rows == ((25,),)
+    assert t2 != 99.0
+    assert json.loads(path.read_text()) == {
+        "t_gold": t2,
+        "result": {"columns": [{"name": "n", "type": "integer"}], "rows": [[25]]},
+    }
+
+
+def test_blob_golden_is_written_as_hex(sf_tiny_dir, tmp_path):
+    case = _case_for(sf_tiny_dir, "SELECT x'00ff' AS b, COUNT(*) AS n FROM region")
+    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
+        result, _ = materialize_golden(
+            case, engine, out_dir=tmp_path, scale_factor=0.001
+        )
+    assert result.rows == ((b"\x00\xff", 5),)
+    written = json.loads((tmp_path / "pricing_summary@sf0.001.json").read_text())
+    assert written["result"]["rows"] == [["00ff", 5]]
 
 
 def test_broken_golden_marks_case_unusable(sf_tiny_dir):
@@ -273,4 +297,3 @@ def test_broken_golden_marks_case_unusable(sf_tiny_dir):
     with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
         with pytest.raises(GoldenMaterializationError):
             materialize_golden(case, engine)
-    assert not case.usable
