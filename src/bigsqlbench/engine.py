@@ -3,7 +3,8 @@
 The engine embeds sqlite3 in-process and registers suite tables from CSV
 files with sidecar schemas.  Each data directory is registered once per
 process into a sqlite snapshot file in a temporary directory; every session
-over it opens that file read-only.
+over it opens that file read-only, under an authorizer that allows reading
+and nothing else, so a session keeps no state from one statement to the next.
 """
 
 from __future__ import annotations
@@ -36,6 +37,20 @@ _SQLITE_TYPES = {
 
 _TRUE_LITERALS = {"1", "true", "t", "yes"}
 _FALSE_LITERALS = {"0", "false", "f", "no"}
+
+# The only actions a session over suite data may take; sqlite asks when it
+# prepares each statement (https://www.sqlite.org/c3ref/set_authorizer.html).
+_READ_ACTIONS = frozenset({
+    sqlite3.SQLITE_SELECT,
+    sqlite3.SQLITE_READ,
+    sqlite3.SQLITE_FUNCTION,
+    sqlite3.SQLITE_RECURSIVE,
+})
+# Pragmas that only describe the catalog, whatever their argument.
+_INTROSPECTION_PRAGMAS = frozenset({
+    "table_info", "table_xinfo", "index_list", "index_info", "index_xinfo",
+    "foreign_key_list",
+})
 
 
 class EngineError(RuntimeError):
@@ -81,8 +96,11 @@ class TableSchema:
 class EmbeddedEngine:
     """In-process sqlite-backed session over a CSV + sidecar-schema data dir.
 
-    Sessions over a data dir are read-only; without one the session is a
-    writable, empty in-memory database.
+    Sessions over a data dir can only read: an authorizer denies writes,
+    ATTACH/DETACH, TEMP objects, VACUUM, transactions, savepoints and every
+    pragma that sets a value, so one session can serve any number of
+    queries without one changing what the next sees.  Without a data dir
+    the session is a writable, empty in-memory database.
     """
 
     def __init__(self, config: EngineConfig):
@@ -99,6 +117,7 @@ class EmbeddedEngine:
             )
             # Load the schema now, so the first timed query does not pay it.
             self._conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
+            self._conn.set_authorizer(_read_only)
 
     def __enter__(self) -> "EmbeddedEngine":
         return self
@@ -219,6 +238,7 @@ class EmbeddedEngine:
                     break
                 rows.extend(chunk)
                 if len(rows) > self.config.row_cap:
+                    cursor.close()  # reset the statement now, not when collected
                     raise ResultOverflowError(
                         f"result exceeded the {self.config.row_cap}-row cap"
                     )
@@ -236,6 +256,15 @@ class EmbeddedEngine:
             self.conn.execute(f"EXPLAIN {sql}").fetchall()
         except sqlite3.Error as exc:
             raise EngineError(f"sql does not compile: {exc}") from exc
+
+
+def _read_only(action: int, arg1: str | None, *_: Any) -> int:
+    """Authorizer of sessions over suite data: reading and introspection only."""
+    if action in _READ_ACTIONS or (
+        action == sqlite3.SQLITE_PRAGMA and arg1.lower() in _INTROSPECTION_PRAGMAS
+    ):
+        return sqlite3.SQLITE_OK
+    return sqlite3.SQLITE_DENY
 
 
 def read_schema_file(path: str | Path) -> TableSchema:

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
-TYPE_TAGS = ("integer", "float", "text", "bool", "date", "null")
+TYPE_TAGS = ("integer", "float", "text", "bool", "date", "blob", "null")
 
 _IDENTIFIER_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -157,8 +157,19 @@ class ResultTable:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ResultTable":
+        """Inverse of to_json_dict; a blob column's hex text cells (see
+        `json_cell`) are read back as bytes."""
         cols = tuple(Column(c["name"], c["type"]) for c in data["columns"])
         rows = tuple(tuple(r) for r in data["rows"])
+        blob = [c.type_tag == "blob" for c in cols]
+        if any(blob):
+            rows = tuple(
+                tuple(
+                    bytes.fromhex(v) if is_blob and isinstance(v, str) else v
+                    for is_blob, v in zip(blob, row)
+                )
+                for row in rows
+            )
         return cls(cols, rows)
 
 
@@ -169,6 +180,8 @@ def _infer_tag(value: Any) -> str:
         return "integer"
     if isinstance(value, float):
         return "float"
+    if isinstance(value, bytes):
+        return "blob"
     return "text"
 
 

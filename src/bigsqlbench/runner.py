@@ -317,6 +317,45 @@ class _EpisodeSpec:
     golden_t: float
     # replay entries shared by every episode of this (backend, case); read-only
     script: list[dict[str, Any]] | None
+    trace_dir: Path
+
+
+class _Sessions:
+    """The engine sessions of one run: one per (thread, data directory).
+
+    A thread opens its session over a directory on first use and keeps it
+    for the rest of the run.  Sessions over suite data hold no state between
+    statements (the engine denies everything but reading), so reuse cannot
+    carry one episode into the next.
+    """
+
+    def __init__(self) -> None:
+        # each thread reads and writes only its own keys
+        self._sessions: dict[tuple[int, Path], EmbeddedEngine] = {}
+
+    def get(self, data_dir: Path) -> EmbeddedEngine:
+        key = (threading.get_ident(), data_dir)
+        session = self._sessions.get(key)
+        if session is None:
+            session = EmbeddedEngine(EngineConfig(data_dir=data_dir))
+            self._sessions[key] = session
+        return session
+
+    def close(self) -> None:
+        """Close every session opened, from any thread; call once none is in use."""
+        for session in self._sessions.values():
+            session.close()
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What every episode of one run shares."""
+
+    plan: RunPlan
+    limiters: dict[str, _RateLimiter]
+    sessions: _Sessions
+    # trace directories that could not be created, with the error
+    trace_dir_errors: dict[Path, OSError]
 
 
 def execute_plan(plan: RunPlan) -> RunOutput:
@@ -327,76 +366,33 @@ def execute_plan(plan: RunPlan) -> RunOutput:
 
     plan.output_dir.mkdir(parents=True, exist_ok=True)
     goldens_dir = plan.output_dir / "goldens"
-
-    specs: list[_EpisodeSpec] = []
-    unusable: list[dict[str, str]] = []
-    # Each replay script is read once per run, so an edit between runs is seen.
-    scripts: dict[Path, list[dict[str, Any]]] = {}
-    for sf in plan.scale_factors:
-        for case in load_suite(plan.suite, scale_factor=sf):
-            error = case.error
-            if error is None:
-                with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
-                    try:
-                        golden, t_gold = materialize_golden(
-                            case, engine, out_dir=goldens_dir, scale_factor=sf
-                        )
-                    except GoldenMaterializationError as exc:
-                        error = str(exc)
-            if error is not None:
-                unusable.append(
-                    {"case_id": case.case_id, "scale_factor": format_sf(sf),
-                     "error": error}
-                )
-                continue
-            for backend in plan.backends:
-                script = None
-                if backend.kind == "replay":
-                    script = _load_script(backend, case.case_id, scripts)
-                for rep in range(plan.repetitions):
-                    specs.append(
-                        _EpisodeSpec(backend, case, rep, sf, golden, t_gold, script)
-                    )
-
-    limiters = {
-        spec.name: _RateLimiter(spec.rate_limit_per_sec)
-        for spec in plan.backends
-        if spec.rate_limit_per_sec is not None
-    }
-
-    episodes: list[EpisodeResult] = []
-    skipped: list[dict[str, Any]] = []
-    spent = 0.0
-    idx = 0
-    pending: dict[Any, _EpisodeSpec] = {}
-    with ThreadPoolExecutor(max_workers=max(1, plan.concurrency)) as executor:
-        while idx < len(specs) or pending:
-            while (
-                idx < len(specs)
-                and len(pending) < max(1, plan.concurrency)
-                and (plan.max_spend_usd is None or spent < plan.max_spend_usd)
-            ):
-                future = executor.submit(_run_episode, plan, specs[idx], limiters)
-                pending[future] = specs[idx]
-                idx += 1
-            if not pending:
-                break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                result = future.result()
-                spent += result.record.c_e2e
-                episodes.append(result)
-                del pending[future]
-    for spec in specs[idx:]:
-        skipped.append(
-            {
-                "model": spec.backend.name,
-                "case_id": spec.case.case_id,
-                "repetition": spec.repetition,
-                "scale_factor": spec.scale_factor,
-                "reason": f"budget ceiling ${plan.max_spend_usd} reached",
-            }
+    sessions = _Sessions()
+    try:
+        specs, unusable = _plan_episodes(plan, goldens_dir, sessions)
+        run = _Run(
+            plan=plan,
+            limiters={
+                spec.name: _RateLimiter(spec.rate_limit_per_sec)
+                for spec in plan.backends
+                if spec.rate_limit_per_sec is not None
+            },
+            sessions=sessions,
+            trace_dir_errors=_make_trace_dirs(specs),
         )
+        episodes, not_started = _run_episodes(run, specs)
+    finally:
+        sessions.close()
+
+    skipped = [
+        {
+            "model": spec.backend.name,
+            "case_id": spec.case.case_id,
+            "repetition": spec.repetition,
+            "scale_factor": spec.scale_factor,
+            "reason": f"budget ceiling ${plan.max_spend_usd} reached",
+        }
+        for spec in not_started
+    ]
 
     episodes.sort(key=lambda e: (e.model, e.scale_factor, e.case_id, e.repetition))
     records_path = plan.output_dir / "records.json"
@@ -418,6 +414,94 @@ def execute_plan(plan: RunPlan) -> RunOutput:
         unusable_cases=unusable,
         records_path=records_path,
     )
+
+
+def _plan_episodes(
+    plan: RunPlan, goldens_dir: Path, sessions: _Sessions
+) -> tuple[list[_EpisodeSpec], list[dict[str, str]]]:
+    """Every cell of the matrix, each with its golden; and the unusable cases.
+
+    The goldens run on this thread's sessions, one per data directory.
+    """
+    specs: list[_EpisodeSpec] = []
+    unusable: list[dict[str, str]] = []
+    # Each replay script is read once per run, so an edit between runs is seen.
+    scripts: dict[Path, list[dict[str, Any]]] = {}
+    for sf in plan.scale_factors:
+        for case in load_suite(plan.suite, scale_factor=sf):
+            error = case.error
+            if error is None:
+                try:
+                    golden, t_gold = materialize_golden(
+                        case, sessions.get(case.data_dir), out_dir=goldens_dir,
+                        scale_factor=sf,
+                    )
+                except GoldenMaterializationError as exc:
+                    error = str(exc)
+            if error is not None:
+                unusable.append(
+                    {"case_id": case.case_id, "scale_factor": format_sf(sf),
+                     "error": error}
+                )
+                continue
+            for backend in plan.backends:
+                script = None
+                if backend.kind == "replay":
+                    script = _load_script(backend, case.case_id, scripts)
+                trace_dir = (
+                    plan.output_dir / "traces" / backend.name / f"sf{format_sf(sf)}"
+                )
+                for rep in range(plan.repetitions):
+                    specs.append(
+                        _EpisodeSpec(backend, case, rep, sf, golden, t_gold,
+                                     script, trace_dir)
+                    )
+    return specs, unusable
+
+
+def _make_trace_dirs(specs: list[_EpisodeSpec]) -> dict[Path, OSError]:
+    """Create each trace directory once; return those that failed."""
+    errors: dict[Path, OSError] = {}
+    for trace_dir in dict.fromkeys(spec.trace_dir for spec in specs):
+        try:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            errors[trace_dir] = exc
+    return errors
+
+
+def _run_episodes(
+    run: _Run, specs: list[_EpisodeSpec]
+) -> tuple[list[EpisodeResult], list[_EpisodeSpec]]:
+    """Run specs in order on the worker pool until done or the spend ceiling.
+
+    Returns the finished episodes and the specs never started.
+    """
+    plan = run.plan
+    workers = max(1, plan.concurrency)
+    episodes: list[EpisodeResult] = []
+    spent = 0.0
+    idx = 0
+    pending: dict[Any, _EpisodeSpec] = {}
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        while idx < len(specs) or pending:
+            while (
+                idx < len(specs)
+                and len(pending) < workers
+                and (plan.max_spend_usd is None or spent < plan.max_spend_usd)
+            ):
+                future = executor.submit(_run_episode, run, specs[idx])
+                pending[future] = specs[idx]
+                idx += 1
+            if not pending:
+                break
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                result = future.result()
+                spent += result.record.c_e2e
+                episodes.append(result)
+                del pending[future]
+    return episodes, specs[idx:]
 
 
 def _load_script(
@@ -458,29 +542,27 @@ def _make_backend(
     return backend
 
 
-def _run_episode(
-    plan: RunPlan, spec: _EpisodeSpec, limiters: dict[str, _RateLimiter]
-) -> EpisodeResult:
+def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
     case = spec.case
     backend_spec = spec.backend
-    pricing_entry = plan.pricing.lookup(backend_spec.model_id)
+    pricing_entry = run.plan.pricing.lookup(backend_spec.model_id)
 
     trace = AgentTrace(question=case.nl_question, model_id=backend_spec.model_id)
     ledger = CostLedger()
     error: str | None = None
     try:
-        llm = _make_backend(spec, limiters)
-        with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
-            trace = run_agent(case.nl_question, plan.agent, llm, engine)
-        ledger = compose_ledger(trace, pricing_entry, plan.pricing.engine)
+        llm = _make_backend(spec, run.limiters)
+        engine = run.sessions.get(case.data_dir)
+        trace = run_agent(case.nl_question, run.plan.agent, llm, engine)
+        ledger = compose_ledger(trace, pricing_entry, run.plan.pricing.engine)
     except Exception as exc:  # harness fault: record it, never drop the cell
         error = f"harness error: {exc}"
 
-    return _episode_result(plan, spec, trace, ledger, error)
+    return _episode_result(run, spec, trace, ledger, error)
 
 
 def _episode_result(
-    plan: RunPlan,
+    run: _Run,
     spec: _EpisodeSpec,
     trace: AgentTrace,
     ledger: CostLedger,
@@ -513,19 +595,16 @@ def _episode_result(
     stage_cost = {name: entry.total for name, entry in ledger.stages.items()}
 
     trace_path = None
-    trace_file = (
-        plan.output_dir
-        / "traces"
-        / spec.backend.name
-        / f"sf{format_sf(spec.scale_factor)}"
-        / f"{case.case_id}_r{spec.repetition}.jsonl"
-    )
-    try:
-        trace_file.parent.mkdir(parents=True, exist_ok=True)
-        trace_file.write_text(trace_to_jsonl(trace))
-        trace_path = str(trace_file)
-    except OSError as exc:
-        logger.warning("could not write episode trace %s: %s", trace_file, exc)
+    trace_file = spec.trace_dir / f"{case.case_id}_r{spec.repetition}.jsonl"
+    problem = run.trace_dir_errors.get(spec.trace_dir)
+    if problem is None:
+        try:
+            trace_file.write_text(trace_to_jsonl(trace))
+            trace_path = str(trace_file)
+        except OSError as exc:
+            problem = exc
+    if problem is not None:
+        logger.warning("could not write episode trace %s: %s", trace_file, problem)
 
     return EpisodeResult(
         model=spec.backend.name,

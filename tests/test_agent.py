@@ -420,6 +420,15 @@ def test_trace_jsonl_round_trip(shop_engine):
     assert restored.final_result == trace.final_result
 
 
+def test_blob_result_survives_the_trace_round_trip(shop_engine):
+    sql = "SELECT x'00ff' AS b, 1 AS n"
+    script = [entry(action_text("run_query", {"sql": sql}))]
+    trace = run_agent("a blob", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.final_result.rows == ((b"\x00\xff", 1),)
+    restored = trace_from_jsonl(trace_to_jsonl(trace))
+    assert restored.final_result == trace.final_result
+
+
 def test_episode_log_replays_as_script(shop_engine, tmp_path, mini_suite_dir):
     trace = run_scripted(shop_engine)
     log_path = tmp_path / "episode.jsonl"

@@ -106,3 +106,31 @@ def test_goldens_materialize_reports_failed_golden_and_goes_on(
     assert sorted(p.name for p in (tmp_path / "goldens").glob("*.json")) == sorted(
         f"{case['case_id']}@sf1.json" for case in manifest["cases"][1:]
     )
+
+
+def test_goldens_materialize_reports_denied_goldens_and_goes_on(
+    tmp_path, mini_suite_dir, capsys
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    escape = tmp_path / "escape.db"
+    # denied when the suite compiles it, and when it runs
+    manifest["cases"][0]["SQL"] = f"ATTACH '{escape}' AS m"
+    manifest["cases"][1]["SQL"] = f"VACUUM INTO '{escape}'"
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    code = main(
+        ["goldens", "materialize", "--suite", str(suite),
+         "--cache-dir", str(tmp_path / "goldens")]
+    )
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "orders_count: UNUSABLE (golden sql does not compile: "
+        "sql does not compile: not authorized)",
+        "category_quantity: FAILED (case category_quantity: golden query failed: "
+        "sql execution failed: authorization denied)",
+    ]
+    assert len(lines) == 5
+    assert len(list((tmp_path / "goldens").glob("*.json"))) == 3
+    assert not escape.exists()

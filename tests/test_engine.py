@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import shutil
@@ -11,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from bigsqlbench import engine as engine_module
-from bigsqlbench.agent import ToolError, tool_run_query
+from bigsqlbench.agent import ToolError, tool_get_schema, tool_list_tables, tool_run_query
 from bigsqlbench.engine import (
     ColumnSchema,
     EmbeddedEngine,
@@ -263,10 +264,78 @@ def test_agent_sql_cannot_write_shared_data(mini_suite_dir, tmp_path):
     data_dir = tmp_path / "shop"
     shutil.copytree(mini_suite_dir / "databases" / "shop", data_dir)
     with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        with pytest.raises(ToolError, match="readonly"):
+        with pytest.raises(ToolError, match="not authorized"):
             tool_run_query(engine, "DROP TABLE orders")
     with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
         assert engine.list_tables() == ["orders", "products"]
+
+
+# --- read-only authorizer ---
+
+
+@pytest.fixture
+def shop_copy(mini_suite_dir, tmp_path):
+    data_dir = tmp_path / "shop"
+    shutil.copytree(mini_suite_dir / "databases" / "shop", data_dir)
+    return data_dir
+
+
+def files_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "statements",
+    [
+        ["ATTACH '{out}/m.db' AS m", "CREATE TABLE m.z AS SELECT * FROM orders"],
+        ["ATTACH '{out}/m.db' AS m; CREATE TABLE m.z AS SELECT * FROM orders"],
+        ["VACUUM INTO '{out}/v.db'"],
+        ["VACUUM"],
+        ["CREATE TEMP TABLE t AS SELECT 1 AS x"],
+        ["CREATE TEMP VIEW orders AS SELECT 1 AS x"],
+        ["PRAGMA writable_schema=1"],
+        ["PRAGMA case_sensitive_like=1"],
+        ["BEGIN", "SAVEPOINT s"],
+    ],
+    ids=["attach", "attach-create", "vacuum-into", "vacuum", "temp-table",
+         "temp-view", "writable-schema", "case-sensitive-like", "transaction"],
+)
+def test_sql_that_writes_or_sets_state_is_a_tool_error(shop_copy, tmp_path, statements):
+    before = files_under(tmp_path)
+    denied, *after = (sql.format(out=tmp_path) for sql in statements)
+    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
+        with pytest.raises(ToolError, match="not authorized|authorization denied"):
+            tool_run_query(engine, denied)
+        for sql in after:  # e.g. "unknown database m" once ATTACH was denied
+            with pytest.raises(ToolError):
+                tool_run_query(engine, sql)
+        # the same session still reads the suite data, with default settings
+        rows, _ = tool_run_query(
+            engine, "SELECT count(*) AS n, 'A' LIKE 'a' AS ci FROM orders"
+        )
+        assert rows.rows == ((20, 1),)
+        assert engine.list_tables() == ["orders", "products"]
+    assert files_under(tmp_path) == before
+
+
+def test_reading_and_introspection_still_work(mini_suite_dir, shop_copy):
+    manifest = json.loads((mini_suite_dir / "manifest.json").read_text())
+    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
+        assert tool_list_tables(engine) == "orders\nproducts"
+        schema = tool_get_schema(engine, ["orders", "products"], sample_rows=2)
+        assert schema.count("sample rows:") == 2
+        for case in manifest["cases"]:
+            engine.explain(case["SQL"])
+        counted, _ = tool_run_query(
+            engine,
+            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+            "WHERE x < 5) SELECT sum(x) AS s FROM c",
+        )
+        assert counted.rows == ((15,),)
+        plan, _ = tool_run_query(engine, "EXPLAIN QUERY PLAN SELECT * FROM orders")
+        assert plan.n_rows >= 1
+        info, _ = tool_run_query(engine, "PRAGMA table_info(orders)")
+        assert [row[1] for row in info.rows][:2] == ["order_id", "product_id"]
 
 
 def test_empty_data_dir_reopens_as_empty_catalog(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from bigsqlbench.resultset import (
     column_precision,
     containment_indicator,
     is_expression_name,
+    json_cell,
     match_columns,
     normalize_column_name,
     rows_equal_multiset,
@@ -259,6 +260,14 @@ def test_json_round_trip():
 def test_from_query_result_infers_tags():
     t = ResultTable.from_query_result(["n", "v", "s"], [(1, 2.5, "x")])
     assert [c.type_tag for c in t.columns] == ["integer", "float", "text"]
+
+
+def test_blob_column_is_tagged_and_read_back_from_hex():
+    t = ResultTable.from_query_result(["b", "n"], [(None, 1), (b"\x00\xff", 2)])
+    assert [c.type_tag for c in t.columns] == ["blob", "integer"]
+    text = json.dumps(t.to_json_dict(), default=json_cell)
+    assert json.loads(text)["rows"] == [[None, 1], ["00ff", 2]]
+    assert ResultTable.from_json_dict(json.loads(text)) == t
 
 
 def test_match_columns_positional_only_for_expressions():

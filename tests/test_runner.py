@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import shutil
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing
+from bigsqlbench.engine import EmbeddedEngine, EngineConfig, SessionClosedError
 from bigsqlbench.llmclient import ReplayBackend
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import (
@@ -549,6 +552,188 @@ def test_trace_files_written(mini_plan):
         assert json.loads(
             open(ep.trace_path).readline()
         )["type"] == "meta"
+
+
+def test_each_trace_directory_created_once_per_run(mini_plan, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def recording(self, *args, **kwargs):
+        if kwargs.get("parents"):  # not pathlib's own calls for the parents
+            made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", recording)
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 20
+    traces = mini_plan.output_dir / "traces"
+    assert sorted(p for p in made if p.parent.parent == traces) == [
+        traces / "replay-alpha" / "sf1", traces / "replay-beta" / "sf1",
+    ]
+    assert all(Path(ep.trace_path).is_file() for ep in output.episodes)
+
+
+# --- engine sessions ---
+
+
+def track_sessions(monkeypatch) -> list[tuple[EmbeddedEngine, threading.Thread]]:
+    """Record every engine session opened, with the thread that opened it."""
+    opened = []
+    init = EmbeddedEngine.__init__
+
+    def tracking(self, config):
+        init(self, config)
+        opened.append((self, threading.current_thread()))
+
+    monkeypatch.setattr(EmbeddedEngine, "__init__", tracking)
+    return opened
+
+
+def all_closed(opened) -> bool:
+    for session, _ in opened:
+        try:
+            session.conn
+        except SessionClosedError:
+            continue
+        return False
+    return True
+
+
+def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch):
+    opened = track_sessions(monkeypatch)
+    run_agent = runner.run_agent
+
+    def slow_run_agent(*args):
+        time.sleep(0.005)  # long enough that both workers take episodes
+        return run_agent(*args)
+
+    monkeypatch.setattr(runner, "run_agent", slow_run_agent)
+    mini_plan.concurrency = 2
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 20
+    main = threading.current_thread()
+    # validate_plan's and execute_plan's suite loads, then the goldens
+    assert [thread for _, thread in opened[:3]] == [main] * 3
+    workers = [thread for _, thread in opened[3:]]
+    assert len(workers) == len(set(workers)) == 2 and main not in workers
+    assert all_closed(opened)
+
+
+def test_sessions_closed_after_harness_error(mini_plan, monkeypatch):
+    opened = track_sessions(monkeypatch)
+    run_agent = runner.run_agent
+    lock = threading.Lock()
+    raised = []
+
+    def failing_once(*args):
+        with lock:
+            if not raised:
+                raised.append(True)
+                raise RuntimeError("agent blew up")
+        return run_agent(*args)
+
+    monkeypatch.setattr(runner, "run_agent", failing_once)
+    output = execute_plan(mini_plan)
+    assert [ep.outcome for ep in output.episodes].count("harness-error") == 1
+    assert len(opened) >= 4 and all_closed(opened)
+
+
+def test_sessions_closed_after_budget_stop(mini_plan, monkeypatch):
+    opened = track_sessions(monkeypatch)
+    mini_plan.max_spend_usd = 0.004
+    output = execute_plan(mini_plan)
+    assert output.skipped and output.episodes
+    assert len(opened) >= 4 and all_closed(opened)
+
+
+def test_sessions_closed_when_planning_fails(mini_plan, tmp_path, monkeypatch):
+    opened = track_sessions(monkeypatch)
+    scripts = copy_scripts(mini_plan, 0, tmp_path)
+    (scripts / "top_customer.jsonl").write_text("{not json\n")
+    with pytest.raises(PlanValidationError):
+        execute_plan(mini_plan)
+    # the goldens before the bad script ran on a session, now closed
+    assert len(opened) == 3 and all_closed(opened)
+
+
+def poison_script(sql: str) -> list[dict]:
+    text = f"Thought: try it.\nAction: run_query\nAction Input: {json.dumps({'sql': sql})}"
+    return [{"fingerprint": None, "response": {"text": text, "tool_call": None},
+             "usage": {"input_tokens": 10, "output_tokens": 5}}]
+
+
+def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeypatch):
+    # a small row cap, so that a recursive CTE overflows in its first fetch
+    monkeypatch.setattr(runner, "EngineConfig", functools.partial(EngineConfig, row_cap=100))
+    case = next(c for c in runner.load_suite(mini_plan.suite)
+                if c.case_id == "pricey_products")
+    with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
+        golden, t_gold = engine.execute_timed(case.golden_sql)
+    backend = mini_plan.backends[0]
+    script = ReplayBackend.from_path(
+        backend.scripts_dir / "pricey_products.jsonl"
+    ).entries
+
+    def spec(script, trace_dir):
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        return runner._EpisodeSpec(backend, case, 0, 1.0, golden, t_gold,
+                                   script, trace_dir)
+
+    def run_on(sessions):
+        return runner._Run(mini_plan, {}, sessions, {})
+
+    shared = runner._Sessions()
+    poisons = [
+        "PRAGMA case_sensitive_like=1",
+        "CREATE TEMP VIEW products AS SELECT 'ghost' AS name, 99.0 AS price",
+        "ATTACH ':memory:' AS products",
+        "BEGIN",
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+        "LIMIT 50000) SELECT x FROM c",
+    ]
+    try:
+        for i, sql in enumerate(poisons):
+            poisoned = runner._run_episode(
+                run_on(shared), spec(poison_script(sql), tmp_path / f"p{i}")
+            )
+            assert poisoned.outcome == "tool-error"
+        assert "row cap" in poisoned.error
+        reused = runner._run_episode(run_on(shared), spec(script, tmp_path / "reused"))
+        assert len(shared._sessions) == 1
+    finally:
+        shared.close()
+    fresh_sessions = runner._Sessions()
+    try:
+        fresh = runner._run_episode(
+            run_on(fresh_sessions), spec(script, tmp_path / "fresh")
+        )
+    finally:
+        fresh_sessions.close()
+
+    def verdict(ep):
+        untimed = trace_to_jsonl(
+            trace_from_jsonl(Path(ep.trace_path).read_text()), include_timing=False
+        )
+        return (ep.outcome, ep.indicator, ep.exact, ep.precision,
+                ep.generated_sql, untimed)
+
+    assert fresh.outcome == "completed" and fresh.indicator == 1
+    assert verdict(reused) == verdict(fresh)
+
+
+def test_denied_goldens_become_unusable_cases(mini_copy, tmp_path):
+    # denied when the suite compiles it
+    set_golden(mini_copy, "orders_count", "PRAGMA case_sensitive_like=1")
+    # compiles, and is denied when run
+    set_golden(mini_copy, "top_customer", f"VACUUM INTO '{tmp_path}/v.db'")
+    output = execute_plan(mini_copy)
+    errors = {u["case_id"]: u["error"] for u in output.unusable_cases}
+    assert sorted(errors) == ["orders_count", "top_customer"]
+    assert errors["orders_count"].endswith("not authorized")
+    assert errors["top_customer"].endswith("authorization denied")
+    assert len(output.episodes) == 3 * 2 * 2
+    assert all(ep.outcome == "completed" for ep in output.episodes)
+    assert not (tmp_path / "v.db").exists()
 
 
 # --- report assembly ---

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -84,6 +85,30 @@ def test_partial_failure_leaves_other_cases_usable(tmp_path, mini_suite_dir):
     )
     cases = load_suite(tmp_path)
     assert [c.usable for c in cases] == [True, False, False]
+
+
+def test_golden_denied_by_read_only_session_is_unusable(tmp_path, mini_suite_dir):
+    shutil.copytree(mini_suite_dir / "databases", tmp_path / "databases")
+    escape = tmp_path / "escape.db"
+    (tmp_path / "manifest.json").write_text(
+        json.dumps(
+            [
+                {"question": "attach", "SQL": f"ATTACH '{escape}' AS m",
+                 "db_id": "shop"},
+                {"question": "temp", "SQL": "CREATE TEMP TABLE t AS SELECT 1",
+                 "db_id": "shop"},
+                {"question": "ok", "SQL": "SELECT COUNT(*) FROM orders",
+                 "db_id": "shop"},
+            ]
+        )
+    )
+    cases = load_suite(tmp_path)
+    assert [c.usable for c in cases] == [False, False, True]
+    for case in cases[:2]:
+        assert case.error == (
+            "golden sql does not compile: sql does not compile: not authorized"
+        )
+    assert not escape.exists()
 
 
 def test_four_case_warehouse_manifest(tmp_path, sf_tiny_dir):
