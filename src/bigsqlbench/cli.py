@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import EmbeddedEngine, EngineConfig
+from .engine import Sessions
 from .report import REPORT_FORMATS, render_report
 from .runner import PlanValidationError, RunPlan, execute_plan, load_records, validate_plan
 from .suite import (
@@ -124,24 +124,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
     cases = load_suite(args.suite, scale_factor=args.scale_factor)
     failures = 0
-    for case in cases:
-        if not case.usable:
-            print(f"{case.case_id}: UNUSABLE ({case.error})")
-            failures += 1
-            continue
-        try:
-            with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
+    sessions = Sessions()
+    try:
+        for case in cases:
+            if not case.usable:
+                print(f"{case.case_id}: UNUSABLE ({case.error})")
+                failures += 1
+                continue
+            try:
                 result, t_gold = materialize_golden(
-                    case, engine, out_dir=args.cache_dir,
+                    case, sessions.get(case.data_dir), out_dir=args.cache_dir,
                     scale_factor=args.scale_factor,
                 )
-        except GoldenMaterializationError as exc:
-            print(f"{case.case_id}: FAILED ({exc})")
-            failures += 1
-            continue
-        print(
-            f"{case.case_id}: {result.n_rows} row(s), t_gold {t_gold * 1e3:.3f} ms"
-        )
+            except GoldenMaterializationError as exc:
+                print(f"{case.case_id}: FAILED ({exc})")
+                failures += 1
+                continue
+            print(
+                f"{case.case_id}: {result.n_rows} row(s), t_gold {t_gold * 1e3:.3f} ms"
+            )
+    finally:
+        sessions.close()
     return 0 if failures == 0 else 1
 
 

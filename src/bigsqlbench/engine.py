@@ -251,17 +251,51 @@ class EmbeddedEngine:
         return ResultTable.from_query_result(names, rows), elapsed
 
     def explain(self, sql: str) -> None:
-        """Compile without executing; raises EngineError on invalid SQL."""
+        """Compile without executing; raises EngineError on invalid or denied SQL."""
         try:
             self.conn.execute(f"EXPLAIN {sql}").fetchall()
         except sqlite3.Error as exc:
-            raise EngineError(f"sql does not compile: {exc}") from exc
+            # sqlite's fixed message when the authorizer denies a statement
+            problem = "is denied" if str(exc) == "not authorized" else "does not compile"
+            raise EngineError(f"sql {problem}: {exc}") from exc
+
+
+class Sessions:
+    """Engine sessions over suite data, one per data directory.
+
+    Each is opened on first use and kept until close().  Sessions over suite
+    data hold no state between statements (the authorizer denies everything
+    but reading), so one session can serve any number of queries in turn
+    without one changing what the next sees.
+    """
+
+    def __init__(self) -> None:
+        self._sessions: dict[Path, EmbeddedEngine] = {}
+
+    def get(self, data_dir: Path) -> EmbeddedEngine:
+        session = self._sessions.get(data_dir)
+        if session is None:
+            session = EmbeddedEngine(EngineConfig(data_dir=data_dir))
+            self._sessions[data_dir] = session
+        return session
+
+    def close(self) -> None:
+        """Close every session opened; a later get() opens a new one."""
+        for session in self._sessions.values():
+            session.close()
+        self._sessions.clear()
 
 
 def _read_only(action: int, arg1: str | None, *_: Any) -> int:
     """Authorizer of sessions over suite data: reading and introspection only."""
-    if action in _READ_ACTIONS or (
-        action == sqlite3.SQLITE_PRAGMA and arg1.lower() in _INTROSPECTION_PRAGMAS
+    if (
+        action in _READ_ACTIONS
+        or (action == sqlite3.SQLITE_PRAGMA and arg1.lower() in _INTROSPECTION_PRAGMAS)
+        # A table-valued pragma such as pragma_table_info('t') reports an
+        # update of sqlite_master's columns when it is prepared.  No statement
+        # can really change that table: sqlite refuses it ("may not be
+        # modified") before asking, and the session is opened read-only.
+        or (action == sqlite3.SQLITE_UPDATE and arg1 == "sqlite_master")
     ):
         return sqlite3.SQLITE_OK
     return sqlite3.SQLITE_DENY

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import traceback
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -26,7 +25,7 @@ from .agent import (
     trace_to_jsonl,
 )
 from .costmodel import CostLedger, PricingConfig, compose_ledger
-from .engine import EmbeddedEngine, EngineConfig
+from .engine import Sessions
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
 from .metrics import MetricRecord
 from .resultset import (
@@ -204,27 +203,37 @@ class RunOutput:
 
 
 class _RateLimiter:
-    """Token bucket; acquire() blocks until a call credit is available."""
+    """Token bucket; acquire() blocks until a call credit is available.
+
+    The bucket is in shared memory, so every worker process forked after it
+    is made draws on the same credits.
+    """
 
     def __init__(self, rate_per_sec: float):
+        import multiprocessing  # here, so that commands that never run pay nothing
+
+        ctx = multiprocessing.get_context("fork")
         self.rate = rate_per_sec
         self.capacity = max(1.0, rate_per_sec)
-        self.tokens = self.capacity
-        self.updated = time.monotonic()
-        self.lock = threading.Lock()
+        self.lock = ctx.Lock()
+        self.tokens = ctx.RawValue("d", self.capacity)
+        # time.monotonic() is one clock for every process on the host
+        self.updated = ctx.RawValue("d", time.monotonic())
 
     def acquire(self) -> None:
         while True:
             with self.lock:
                 now = time.monotonic()
-                self.tokens = min(
-                    self.capacity, self.tokens + (now - self.updated) * self.rate
+                tokens = min(
+                    self.capacity,
+                    self.tokens.value + (now - self.updated.value) * self.rate,
                 )
-                self.updated = now
-                if self.tokens >= 1.0:
-                    self.tokens -= 1.0
+                self.updated.value = now
+                if tokens >= 1.0:
+                    self.tokens.value = tokens - 1.0
                     return
-                needed = (1.0 - self.tokens) / self.rate
+                self.tokens.value = tokens
+                needed = (1.0 - tokens) / self.rate
             time.sleep(needed)
 
 
@@ -320,40 +329,14 @@ class _EpisodeSpec:
     trace_dir: Path
 
 
-class _Sessions:
-    """The engine sessions of one run: one per (thread, data directory).
-
-    A thread opens its session over a directory on first use and keeps it
-    for the rest of the run.  Sessions over suite data hold no state between
-    statements (the engine denies everything but reading), so reuse cannot
-    carry one episode into the next.
-    """
-
-    def __init__(self) -> None:
-        # each thread reads and writes only its own keys
-        self._sessions: dict[tuple[int, Path], EmbeddedEngine] = {}
-
-    def get(self, data_dir: Path) -> EmbeddedEngine:
-        key = (threading.get_ident(), data_dir)
-        session = self._sessions.get(key)
-        if session is None:
-            session = EmbeddedEngine(EngineConfig(data_dir=data_dir))
-            self._sessions[key] = session
-        return session
-
-    def close(self) -> None:
-        """Close every session opened, from any thread; call once none is in use."""
-        for session in self._sessions.values():
-            session.close()
-
-
 @dataclass(frozen=True)
 class _Run:
     """What every episode of one run shares."""
 
     plan: RunPlan
     limiters: dict[str, _RateLimiter]
-    sessions: _Sessions
+    # this process's sessions: each worker process opens its own
+    sessions: Sessions
     # trace directories that could not be created, with the error
     trace_dir_errors: dict[Path, OSError]
 
@@ -366,22 +349,23 @@ def execute_plan(plan: RunPlan) -> RunOutput:
 
     plan.output_dir.mkdir(parents=True, exist_ok=True)
     goldens_dir = plan.output_dir / "goldens"
-    sessions = _Sessions()
+    sessions = Sessions()
     try:
         specs, unusable = _plan_episodes(plan, goldens_dir, sessions)
-        run = _Run(
-            plan=plan,
-            limiters={
-                spec.name: _RateLimiter(spec.rate_limit_per_sec)
-                for spec in plan.backends
-                if spec.rate_limit_per_sec is not None
-            },
-            sessions=sessions,
-            trace_dir_errors=_make_trace_dirs(specs),
-        )
-        episodes, not_started = _run_episodes(run, specs)
     finally:
+        # before the workers fork: sqlite connections must not cross a fork
         sessions.close()
+    run = _Run(
+        plan=plan,
+        limiters={
+            spec.name: _RateLimiter(spec.rate_limit_per_sec)
+            for spec in plan.backends
+            if spec.rate_limit_per_sec is not None
+        },
+        sessions=sessions,
+        trace_dir_errors=_make_trace_dirs(specs),
+    )
+    episodes, not_started = _run_episodes(run, specs)
 
     skipped = [
         {
@@ -417,11 +401,11 @@ def execute_plan(plan: RunPlan) -> RunOutput:
 
 
 def _plan_episodes(
-    plan: RunPlan, goldens_dir: Path, sessions: _Sessions
+    plan: RunPlan, goldens_dir: Path, sessions: Sessions
 ) -> tuple[list[_EpisodeSpec], list[dict[str, str]]]:
     """Every cell of the matrix, each with its golden; and the unusable cases.
 
-    The goldens run on this thread's sessions, one per data directory.
+    The goldens run on `sessions`, one per data directory.
     """
     specs: list[_EpisodeSpec] = []
     unusable: list[dict[str, str]] = []
@@ -473,35 +457,139 @@ def _make_trace_dirs(specs: list[_EpisodeSpec]) -> dict[Path, OSError]:
 def _run_episodes(
     run: _Run, specs: list[_EpisodeSpec]
 ) -> tuple[list[EpisodeResult], list[_EpisodeSpec]]:
-    """Run specs in order on the worker pool until done or the spend ceiling.
+    """Run specs in order on `concurrency` worker processes, until done or the
+    spend ceiling.
 
-    Returns the finished episodes and the specs never started.
+    The workers are forked, so they inherit the specs with their goldens and
+    replay scripts, and the engine's snapshots, without copying or
+    registering anything again.  Returns the finished episodes and the specs
+    never started; raises RuntimeError if a worker fails or dies.
     """
-    plan = run.plan
-    workers = max(1, plan.concurrency)
-    episodes: list[EpisodeResult] = []
-    spent = 0.0
-    idx = 0
-    pending: dict[Any, _EpisodeSpec] = {}
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        while idx < len(specs) or pending:
-            while (
-                idx < len(specs)
-                and len(pending) < workers
-                and (plan.max_spend_usd is None or spent < plan.max_spend_usd)
+    import multiprocessing  # here, so that commands that never run pay nothing
+
+    ctx = multiprocessing.get_context("fork")
+    claims = _Claims(
+        lock=ctx.Lock(),
+        next_index=ctx.RawValue("q", 0),
+        spent=ctx.RawValue("d", 0.0),
+        ceiling=run.plan.max_spend_usd,
+    )
+    workers: dict[Any, Any] = {}  # result pipe -> its worker process
+    try:
+        for _ in range(min(max(1, run.plan.concurrency), len(specs))):
+            reader, writer = ctx.Pipe(duplex=False)
+            process = ctx.Process(
+                target=_worker, args=(run, specs, claims, writer), daemon=True
+            )
+            process.start()
+            writer.close()  # so that the pipe reads EOF once the worker is gone
+            workers[reader] = process
+        episodes = _collect(workers)
+    finally:
+        for reader, process in workers.items():
+            process.terminate()  # no-op once joined; stops the rest after a failure
+            process.join()
+            reader.close()
+    return episodes, specs[claims.next_index.value:]
+
+
+@dataclass(frozen=True)
+class _Claims:
+    """The shared state of a run's workers: the next spec and spend so far.
+
+    Both change under one lock, so no spec starts once recorded spend has
+    reached the ceiling, and at most `concurrency - 1` run past the episode
+    whose cost crossed it.
+    """
+
+    lock: Any
+    next_index: Any  # c_longlong in shared memory
+    spent: Any  # c_double in shared memory
+    ceiling: float | None
+
+    def claim(self, count: int) -> int | None:
+        """The index of the next spec to run, or None if none may start."""
+        with self.lock:
+            index = self.next_index.value
+            if index >= count or (
+                self.ceiling is not None and self.spent.value >= self.ceiling
             ):
-                future = executor.submit(_run_episode, run, specs[idx])
-                pending[future] = specs[idx]
-                idx += 1
-            if not pending:
-                break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                result = future.result()
-                spent += result.record.c_e2e
+                return None
+            self.next_index.value = index + 1
+            return index
+
+    def spend(self, cost: float) -> None:
+        with self.lock:
+            self.spent.value += cost
+
+
+def _worker(run: _Run, specs: list[_EpisodeSpec], claims: _Claims, conn) -> None:
+    """One worker process: run claimed specs, then send back their results.
+
+    Sends ("log", record) for each record logged here, then ("done",
+    episodes) or ("error", traceback).
+    """
+    logging.root.handlers = [_ToParent(conn)]
+    episodes: list[EpisodeResult] = []
+    try:
+        try:
+            while (index := claims.claim(len(specs))) is not None:
+                result = _run_episode(run, specs[index])
+                claims.spend(result.record.c_e2e)
                 episodes.append(result)
-                del pending[future]
-    return episodes, specs[idx:]
+        finally:
+            run.sessions.close()
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
+    else:
+        conn.send(("done", episodes))
+
+
+class _ToParent(logging.Handler):
+    """Sends a worker's log records to the parent, whose handlers emit them."""
+
+    def __init__(self, conn) -> None:
+        super().__init__()
+        self.conn = conn
+
+    def emit(self, record: logging.LogRecord) -> None:
+        # as logging.handlers.QueueHandler.prepare: fold the arguments and
+        # traceback into the message, so that the record pickles
+        try:
+            record.msg = self.format(record)
+            record.args = None
+            record.exc_info = record.exc_text = record.stack_info = None
+            self.conn.send(("log", record))
+        except Exception:
+            self.handleError(record)
+
+
+def _collect(workers: dict[Any, Any]) -> list[EpisodeResult]:
+    """Read every worker's messages until each has sent its episodes."""
+    from multiprocessing.connection import wait
+
+    episodes: list[EpisodeResult] = []
+    running = dict(workers)
+    while running:
+        for reader in wait(list(running)):
+            process = running[reader]
+            try:
+                kind, payload = reader.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"runner worker {process.pid} exited with code "
+                    f"{process.exitcode} before it sent its episodes"
+                ) from None
+            if kind == "log":
+                logging.getLogger(payload.name).handle(payload)
+            elif kind == "error":
+                raise RuntimeError(f"runner worker {process.pid} failed:\n{payload}")
+            else:
+                episodes.extend(payload)
+                del running[reader]
+                process.join()  # it exits once it has sent them
+    return episodes
 
 
 def _load_script(

@@ -75,8 +75,8 @@ def load_suite(path: str | Path, scale_factor: float | None = None) -> list[Quer
     Accepts either a bare JSON array of {question, SQL, db_id} objects or a
     {"cases": [...]} wrapper.  A db_id may carry an "{sf}" placeholder that
     resolves against scale_factor, letting one manifest cover a scale sweep.
-    Per-case failures (missing database, SQL that does not compile) are
-    recorded on the case, never raised.
+    Per-case failures (missing database, SQL that does not compile or that
+    the read-only session denies) are recorded on the case, never raised.
     """
     root = Path(path)
     manifest_path = root / "manifest.json" if root.is_dir() else root
@@ -157,7 +157,7 @@ def _validate_case(case: QueryCase, sessions: dict[str, EmbeddedEngine | None]) 
     try:
         session.explain(case.golden_sql)
     except EngineError as exc:
-        case.error = f"golden sql does not compile: {exc}"
+        case.error = f"golden {exc}"  # "golden sql does not compile: ..."
 
 
 def materialize_golden(

@@ -6,7 +6,11 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
+from bigsqlbench import cli
 from bigsqlbench.cli import main
+from bigsqlbench.engine import SessionClosedError
 
 from tests.conftest import REPO_ROOT
 
@@ -14,7 +18,9 @@ from tests.conftest import REPO_ROOT
 def test_cli_imports_without_requests_or_http_stack():
     code = (
         "import sys; sys.modules['requests'] = None; import bigsqlbench.cli; "
-        "assert 'urllib.request' not in sys.modules"
+        "assert 'urllib.request' not in sys.modules; "
+        # imported by a run when it starts its workers
+        "assert 'multiprocessing' not in sys.modules"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     completed = subprocess.run(
@@ -83,6 +89,30 @@ def test_goldens_materialize_cli(tmp_path, mini_suite_dir, capsys):
     assert len(list((tmp_path / "goldens").glob("*.json"))) == 5
 
 
+def test_goldens_materialize_shares_one_session_per_data_directory(
+    tmp_path, mini_suite_dir, monkeypatch
+):
+    used = []
+    materialize_golden = cli.materialize_golden
+
+    def recording(case, engine, **kwargs):
+        used.append((case.data_dir, engine))
+        return materialize_golden(case, engine, **kwargs)
+
+    monkeypatch.setattr(cli, "materialize_golden", recording)
+    code = main(
+        ["goldens", "materialize", "--suite", str(mini_suite_dir),
+         "--cache-dir", str(tmp_path / "goldens")]
+    )
+    assert code == 0
+    assert len(used) == 5
+    sessions = {id(engine): data_dir for data_dir, engine in used}
+    assert sorted(sessions.values()) == [mini_suite_dir / "databases" / "shop"]
+    for _, engine in used:
+        with pytest.raises(SessionClosedError):
+            engine.conn
+
+
 def test_goldens_materialize_reports_failed_golden_and_goes_on(
     tmp_path, mini_suite_dir, capsys
 ):
@@ -126,8 +156,7 @@ def test_goldens_materialize_reports_denied_goldens_and_goes_on(
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [
-        "orders_count: UNUSABLE (golden sql does not compile: "
-        "sql does not compile: not authorized)",
+        "orders_count: UNUSABLE (golden sql is denied: not authorized)",
         "category_quantity: FAILED (case category_quantity: golden query failed: "
         "sql execution failed: authorization denied)",
     ]

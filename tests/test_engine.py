@@ -160,7 +160,7 @@ def test_runtime_nondecreasing_in_data_size():
 
 def test_explain_validates_without_running(tiny_engine):
     tiny_engine.explain("SELECT COUNT(*) FROM region")
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="^sql does not compile: no such table"):
         tiny_engine.explain("SELECT * FROM missing_table")
 
 
@@ -336,6 +336,39 @@ def test_reading_and_introspection_still_work(mini_suite_dir, shop_copy):
         assert plan.n_rows >= 1
         info, _ = tool_run_query(engine, "PRAGMA table_info(orders)")
         assert [row[1] for row in info.rows][:2] == ["order_id", "product_id"]
+
+
+@pytest.mark.parametrize(
+    "pragma, argument",
+    [("table_info", "orders"), ("table_xinfo", "orders"), ("index_list", "orders"),
+     ("index_info", "no_index"), ("index_xinfo", "no_index"),
+     ("foreign_key_list", "orders")],
+)
+def test_table_valued_introspection_pragmas_work(shop_copy, pragma, argument):
+    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
+        statement, _ = tool_run_query(engine, f"PRAGMA {pragma}({argument})")
+        function, _ = tool_run_query(
+            engine, f"SELECT * FROM pragma_{pragma}('{argument}')"
+        )
+        assert function.rows == statement.rows
+    assert pragma not in ("table_info", "table_xinfo") or function.n_rows == 5
+
+
+@pytest.mark.parametrize(
+    "sql",
+    ["UPDATE sqlite_master SET sql = 'x'", "UPDATE sqlite_schema SET sql = 'x'",
+     "UPDATE main.sqlite_master SET name = 'x' WHERE name = 'orders'",
+     "DELETE FROM sqlite_master"],
+)
+def test_schema_table_cannot_be_modified(shop_copy, sql):
+    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
+        schema = engine.get_create_table("orders")
+        with pytest.raises(ToolError, match="table sqlite_master may not be modified"):
+            tool_run_query(engine, sql)
+        assert engine.list_tables() == ["orders", "products"]
+        assert engine.get_create_table("orders") == schema
+        rows, _ = tool_run_query(engine, "SELECT count(*) AS n FROM orders")
+        assert rows.rows == ((20,),)
 
 
 def test_empty_data_dir_reopens_as_empty_catalog(tmp_path, monkeypatch):

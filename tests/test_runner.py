@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
 import math
+import multiprocessing
+import os
 import shutil
-import threading
+import signal
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bigsqlbench import engine as engine_module
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing
-from bigsqlbench.engine import EmbeddedEngine, EngineConfig, SessionClosedError
+from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
 from bigsqlbench.llmclient import ReplayBackend
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import (
@@ -52,6 +58,33 @@ def untimed_traces_text(output_dir: Path) -> str:
         for path in sorted((output_dir / "traces").rglob("*.jsonl"))
     }
     return json.dumps(traces, indent=2) + "\n"
+
+
+def log_in_process(log_dir: Path, entry) -> None:
+    """Append a JSON entry to this process's file under log_dir.
+
+    Episodes run in forked worker processes, so a test sees what they did
+    through files, not through its own memory.
+    """
+    with open(log_dir / f"{os.getpid()}.jsonl", "a") as handle:
+        handle.write(json.dumps(entry) + "\n")
+
+
+def read_process_logs(log_dir: Path) -> list:
+    return [
+        json.loads(line)
+        for path in sorted(log_dir.glob("*.jsonl"))
+        for line in path.read_text().splitlines()
+    ]
+
+
+def first_call(flag: Path) -> bool:
+    """True for exactly one call, across every process, per flag file."""
+    try:
+        os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return False
+    return True
 
 
 @pytest.fixture
@@ -210,19 +243,21 @@ def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
 
 
-def test_mini_run_traces_match_asdict_oracle(mini_plan, monkeypatch):
+def test_mini_run_traces_match_asdict_oracle(mini_plan, monkeypatch, tmp_path):
     serialize = runner.trace_to_jsonl
-    pairs = []
+    log_dir = tmp_path / "pairs"
+    log_dir.mkdir()
 
     def checked(trace, include_timing=True):
         for timing in (True, False):
-            pairs.append(
-                (serialize(trace, timing), trace_to_jsonl_asdict(trace, timing))
+            log_in_process(
+                log_dir, [serialize(trace, timing), trace_to_jsonl_asdict(trace, timing)]
             )
         return serialize(trace, include_timing)
 
     monkeypatch.setattr(runner, "trace_to_jsonl", checked)
     execute_plan(mini_plan)
+    pairs = read_process_logs(log_dir)
     assert len(pairs) == 2 * 20
     for text, expected in pairs:
         assert text.encode() == expected.encode()
@@ -383,16 +418,14 @@ def test_blob_results_are_compared_and_logged(mini_copy):
     assert len(records["episodes"]) == 20
 
 
-def test_comparison_fault_is_harness_error_for_that_cell_only(mini_plan, monkeypatch):
+def test_comparison_fault_is_harness_error_for_that_cell_only(
+    mini_plan, monkeypatch, tmp_path
+):
     containment_indicator = runner.containment_indicator
-    lock = threading.Lock()
-    raised = []
 
     def containment_raising_once(*args, **kwargs):
-        with lock:
-            if not raised:
-                raised.append(True)
-                raise RuntimeError("comparison blew up")
+        if first_call(tmp_path / "raised"):
+            raise RuntimeError("comparison blew up")
         return containment_indicator(*args, **kwargs)
 
     monkeypatch.setattr(runner, "containment_indicator", containment_raising_once)
@@ -535,6 +568,69 @@ def test_rate_limiter_blocks_beyond_capacity():
     assert time.perf_counter() - started >= 0.8
 
 
+def test_rate_limit_is_shared_by_worker_processes():
+    from bigsqlbench.runner import _RateLimiter, _ThrottledBackend
+
+    rate, calls_per_worker = 40.0, 32
+    limiter = _RateLimiter(rate)
+    entries = [
+        {"response": {"text": "ok", "tool_call": None},
+         "usage": {"input_tokens": 1, "output_tokens": 1}}
+    ] * calls_per_worker
+
+    def worker():
+        backend = _ThrottledBackend(ReplayBackend(entries), limiter)
+        for _ in range(calls_per_worker):
+            backend.complete([{"role": "user", "content": "x"}])
+
+    ctx = multiprocessing.get_context("fork")
+    workers = [ctx.Process(target=worker) for _ in range(2)]
+    started = time.perf_counter()
+    for process in workers:
+        process.start()
+    for process in workers:
+        process.join(timeout=30)
+    elapsed = time.perf_counter() - started
+    assert [process.exitcode for process in workers] == [0, 0]
+    # one bucket for both: 64 calls, 40 of them from the full bucket.  With a
+    # bucket each, every call would come from a full bucket at once.
+    assert elapsed >= (2 * calls_per_worker - limiter.capacity) / rate
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_that_raises_fails_the_run(mini_plan, monkeypatch):
+    def raising(run, spec):
+        raise RuntimeError(f"episode {spec.case.case_id} blew up")
+
+    monkeypatch.setattr(runner, "_run_episode", raising)
+    with time_limit(30), pytest.raises(RuntimeError, match="failed") as failure:
+        execute_plan(mini_plan)
+    assert "RuntimeError: episode orders_count blew up" in str(failure.value)
+    assert not (mini_plan.output_dir / "records.json").exists()
+
+
+def test_worker_that_dies_fails_the_run(mini_plan, monkeypatch):
+    monkeypatch.setattr(runner, "_run_episode", lambda run, spec: os._exit(1))
+    with time_limit(30), pytest.raises(
+        RuntimeError, match=r"runner worker \d+ exited with code 1 before it sent"
+    ):
+        execute_plan(mini_plan)
+    assert not (mini_plan.output_dir / "records.json").exists()
+
+
 def test_trace_write_failure_is_logged(mini_plan, caplog):
     mini_plan.output_dir.mkdir(parents=True)
     (mini_plan.output_dir / "traces").write_text("not a directory")
@@ -576,31 +672,44 @@ def test_each_trace_directory_created_once_per_run(mini_plan, monkeypatch):
 # --- engine sessions ---
 
 
-def track_sessions(monkeypatch) -> list[tuple[EmbeddedEngine, threading.Thread]]:
-    """Record every engine session opened, with the thread that opened it."""
-    opened = []
-    init = EmbeddedEngine.__init__
+def track_sessions(monkeypatch, log_dir: Path):
+    """Log every engine session opened and closed, in any process.
 
-    def tracking(self, config):
+    Returns a function that reads the log: ["open", pid, serial, data_dir]
+    and ["close", pid, serial] entries.
+    """
+    log_dir.mkdir()
+    init, close = EmbeddedEngine.__init__, EmbeddedEngine.close
+    serials = itertools.count()
+
+    def tracking_init(self, config):
         init(self, config)
-        opened.append((self, threading.current_thread()))
+        self.tracked = [os.getpid(), next(serials)]
+        log_in_process(log_dir, ["open", *self.tracked, str(config.data_dir)])
 
-    monkeypatch.setattr(EmbeddedEngine, "__init__", tracking)
-    return opened
+    def tracking_close(self):
+        # __init__ also closes its scratch registration session, untracked
+        if self._conn is not None and hasattr(self, "tracked"):
+            log_in_process(log_dir, ["close", *self.tracked])
+        close(self)
 
-
-def all_closed(opened) -> bool:
-    for session, _ in opened:
-        try:
-            session.conn
-        except SessionClosedError:
-            continue
-        return False
-    return True
+    monkeypatch.setattr(EmbeddedEngine, "__init__", tracking_init)
+    monkeypatch.setattr(EmbeddedEngine, "close", tracking_close)
+    return lambda: read_process_logs(log_dir)
 
 
-def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch):
-    opened = track_sessions(monkeypatch)
+def opens(events) -> list[list]:
+    return [event[1:] for event in events if event[0] == "open"]
+
+
+def all_closed(events) -> bool:
+    opened = [tuple(event[1:3]) for event in events if event[0] == "open"]
+    closed = [tuple(event[1:3]) for event in events if event[0] == "close"]
+    return sorted(opened) == sorted(closed)
+
+
+def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch, tmp_path):
+    events = track_sessions(monkeypatch, tmp_path / "sessions")
     run_agent = runner.run_agent
 
     def slow_run_agent(*args):
@@ -611,49 +720,50 @@ def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch):
     mini_plan.concurrency = 2
     output = execute_plan(mini_plan)
     assert len(output.episodes) == 20
-    main = threading.current_thread()
+    main = os.getpid()
+    opened = opens(events())
     # validate_plan's and execute_plan's suite loads, then the goldens
-    assert [thread for _, thread in opened[:3]] == [main] * 3
-    workers = [thread for _, thread in opened[3:]]
-    assert len(workers) == len(set(workers)) == 2 and main not in workers
-    assert all_closed(opened)
+    assert [pid for pid, _, _ in opened].count(main) == 3
+    workers = Counter((pid, data_dir) for pid, _, data_dir in opened if pid != main)
+    assert len({pid for pid, _ in workers}) == 2
+    assert set(workers.values()) == {1}
+    assert {data_dir for _, data_dir in workers} == {
+        str(mini_plan.suite / "databases" / "shop")
+    }
+    assert all_closed(events())
 
 
-def test_sessions_closed_after_harness_error(mini_plan, monkeypatch):
-    opened = track_sessions(monkeypatch)
+def test_sessions_closed_after_harness_error(mini_plan, monkeypatch, tmp_path):
+    events = track_sessions(monkeypatch, tmp_path / "sessions")
     run_agent = runner.run_agent
-    lock = threading.Lock()
-    raised = []
 
     def failing_once(*args):
-        with lock:
-            if not raised:
-                raised.append(True)
-                raise RuntimeError("agent blew up")
+        if first_call(tmp_path / "raised"):
+            raise RuntimeError("agent blew up")
         return run_agent(*args)
 
     monkeypatch.setattr(runner, "run_agent", failing_once)
     output = execute_plan(mini_plan)
     assert [ep.outcome for ep in output.episodes].count("harness-error") == 1
-    assert len(opened) >= 4 and all_closed(opened)
+    assert len(opens(events())) >= 4 and all_closed(events())
 
 
-def test_sessions_closed_after_budget_stop(mini_plan, monkeypatch):
-    opened = track_sessions(monkeypatch)
+def test_sessions_closed_after_budget_stop(mini_plan, monkeypatch, tmp_path):
+    events = track_sessions(monkeypatch, tmp_path / "sessions")
     mini_plan.max_spend_usd = 0.004
     output = execute_plan(mini_plan)
     assert output.skipped and output.episodes
-    assert len(opened) >= 4 and all_closed(opened)
+    assert len(opens(events())) >= 4 and all_closed(events())
 
 
 def test_sessions_closed_when_planning_fails(mini_plan, tmp_path, monkeypatch):
-    opened = track_sessions(monkeypatch)
+    events = track_sessions(monkeypatch, tmp_path / "sessions")
     scripts = copy_scripts(mini_plan, 0, tmp_path)
     (scripts / "top_customer.jsonl").write_text("{not json\n")
     with pytest.raises(PlanValidationError):
         execute_plan(mini_plan)
     # the goldens before the bad script ran on a session, now closed
-    assert len(opened) == 3 and all_closed(opened)
+    assert len(opens(events())) == 3 and all_closed(events())
 
 
 def poison_script(sql: str) -> list[dict]:
@@ -664,7 +774,9 @@ def poison_script(sql: str) -> list[dict]:
 
 def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeypatch):
     # a small row cap, so that a recursive CTE overflows in its first fetch
-    monkeypatch.setattr(runner, "EngineConfig", functools.partial(EngineConfig, row_cap=100))
+    monkeypatch.setattr(
+        engine_module, "EngineConfig", functools.partial(EngineConfig, row_cap=100)
+    )
     case = next(c for c in runner.load_suite(mini_plan.suite)
                 if c.case_id == "pricey_products")
     with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
@@ -682,7 +794,7 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
     def run_on(sessions):
         return runner._Run(mini_plan, {}, sessions, {})
 
-    shared = runner._Sessions()
+    shared = Sessions()
     poisons = [
         "PRAGMA case_sensitive_like=1",
         "CREATE TEMP VIEW products AS SELECT 'ghost' AS name, 99.0 AS price",
@@ -702,7 +814,7 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
         assert len(shared._sessions) == 1
     finally:
         shared.close()
-    fresh_sessions = runner._Sessions()
+    fresh_sessions = Sessions()
     try:
         fresh = runner._run_episode(
             run_on(fresh_sessions), spec(script, tmp_path / "fresh")

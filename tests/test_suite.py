@@ -105,9 +105,7 @@ def test_golden_denied_by_read_only_session_is_unusable(tmp_path, mini_suite_dir
     cases = load_suite(tmp_path)
     assert [c.usable for c in cases] == [False, False, True]
     for case in cases[:2]:
-        assert case.error == (
-            "golden sql does not compile: sql does not compile: not authorized"
-        )
+        assert case.error == "golden sql is denied: not authorized"
     assert not escape.exists()
 
 
