@@ -34,7 +34,7 @@ from .costmodel import (
     llm_cost,
 )
 from .agent import AgentConfig, AgentTrace, run_agent, stage_breakdown
-from .engine import EngineConfig, EmbeddedEngine
+from .engine import EngineConfig, EmbeddedEngine, Sessions
 from .llmclient import HttpBackend, ReplayBackend, record_session
 from .suite import (
     QueryCase,
@@ -64,6 +64,7 @@ __all__ = [
     "ReplayBackend",
     "ResultTable",
     "RunPlan",
+    "Sessions",
     "SuiteMetrics",
     "aggregate",
     "build_report",

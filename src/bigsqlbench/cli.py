@@ -69,8 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_plan_validate(args: argparse.Namespace) -> int:
-    plan = RunPlan.from_json_file(args.plan)
-    problems = validate_plan(plan)
+    try:
+        problems = validate_plan(RunPlan.from_json_file(args.plan))
+    except PlanValidationError as exc:
+        problems = [str(exc)]
     if problems:
         for problem in problems:
             print(f"INVALID: {problem}")
@@ -80,18 +82,18 @@ def _cmd_plan_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    plan = RunPlan.from_json_file(args.plan)
-    if args.output_dir is not None:
-        plan.output_dir = args.output_dir
-    if args.repetitions is not None:
-        plan.repetitions = args.repetitions
-    if args.concurrency is not None:
-        plan.concurrency = args.concurrency
-    if args.seed is not None:
-        plan.seed = args.seed
-    if args.max_spend is not None:
-        plan.max_spend_usd = args.max_spend
     try:
+        plan = RunPlan.from_json_file(args.plan)
+        if args.output_dir is not None:
+            plan.output_dir = args.output_dir
+        if args.repetitions is not None:
+            plan.repetitions = args.repetitions
+        if args.concurrency is not None:
+            plan.concurrency = args.concurrency
+        if args.seed is not None:
+            plan.seed = args.seed
+        if args.max_spend is not None:
+            plan.max_spend_usd = args.max_spend
         output = execute_plan(plan)
     except PlanValidationError as exc:
         print(f"plan invalid: {exc}")
@@ -122,11 +124,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
-    cases = load_suite(args.suite, scale_factor=args.scale_factor)
     failures = 0
-    sessions = Sessions()
-    try:
-        for case in cases:
+    with Sessions() as sessions:
+        for case in load_suite(args.suite, args.scale_factor, sessions):
             if not case.usable:
                 print(f"{case.case_id}: UNUSABLE ({case.error})")
                 failures += 1
@@ -143,8 +143,6 @@ def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
             print(
                 f"{case.case_id}: {result.n_rows} row(s), t_gold {t_gold * 1e3:.3f} ms"
             )
-    finally:
-        sessions.close()
     return 0 if failures == 0 else 1
 
 

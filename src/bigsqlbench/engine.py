@@ -1,10 +1,11 @@
 """Query engine: catalog introspection, timed execution, result capture.
 
 The engine embeds sqlite3 in-process and registers suite tables from CSV
-files with sidecar schemas.  Each data directory is registered once per
-process into a sqlite snapshot file in a temporary directory; every session
-over it opens that file read-only, under an authorizer that allows reading
-and nothing else, so a session keeps no state from one statement to the next.
+files with sidecar schemas.  A data directory is registered into a sqlite
+snapshot file owned by whoever registered it (a `Sessions`, or a lone
+session); every session over it opens that file read-only, under an
+authorizer that allows reading and nothing else, so a session keeps no state
+from one statement to the next.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ from __future__ import annotations
 import atexit
 import csv
 import functools
-import itertools
-import os
 import sqlite3
 import tempfile
-import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -103,21 +101,25 @@ class EmbeddedEngine:
     the session is a writable, empty in-memory database.
     """
 
-    def __init__(self, config: EngineConfig):
+    def __init__(self, config: EngineConfig, snapshot: Path | None = None):
+        """With a data dir, open over `snapshot`, which its owner keeps; or
+        else register the data dir here and remove that snapshot in close()."""
         self.config = config
         self._conn: sqlite3.Connection | None = None
+        self._own_snapshot: Path | None = None
         if config.data_dir is None:
             self._conn = sqlite3.connect(":memory:", check_same_thread=False)
-        else:
-            snapshot = self._snapshot(Path(config.data_dir))
-            self._conn = sqlite3.connect(
-                snapshot.as_uri() + "?mode=ro&immutable=1",
-                uri=True,
-                check_same_thread=False,
-            )
-            # Load the schema now, so the first timed query does not pay it.
-            self._conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
-            self._conn.set_authorizer(_read_only)
+            return
+        if snapshot is None:
+            snapshot = self._own_snapshot = register_snapshot(Path(config.data_dir))
+        self._conn = sqlite3.connect(
+            snapshot.as_uri() + "?mode=ro&immutable=1",
+            uri=True,
+            check_same_thread=False,
+        )
+        # Load the schema now, so the first timed query does not pay it.
+        self._conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
+        self._conn.set_authorizer(_read_only)
 
     def __enter__(self) -> "EmbeddedEngine":
         return self
@@ -129,80 +131,15 @@ class EmbeddedEngine:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+        if self._own_snapshot is not None:
+            self._own_snapshot.unlink(missing_ok=True)
+            self._own_snapshot = None
 
     @property
     def conn(self) -> sqlite3.Connection:
         if self._conn is None:
             raise SessionClosedError("engine session is closed")
         return self._conn
-
-    def _snapshot(self, data_dir: Path) -> Path:
-        """The directory's snapshot file, registering it on the first open.
-
-        Registration runs in a scratch in-memory session that is then backed
-        up to the file.  A failed registration is not cached, so every open
-        raises again.
-        """
-        key = _snapshot_key(data_dir)
-        with _snapshot_lock:
-            snapshot = _snapshots.get(key)
-            if snapshot is None:
-                snapshot = _snapshot_dir() / f"{next(_snapshot_ids)}.sqlite"
-                self._conn = sqlite3.connect(":memory:")
-                try:
-                    self._register_data_dir(data_dir)
-                    with closing(sqlite3.connect(snapshot)) as target:
-                        self._conn.backup(target)
-                finally:
-                    self.close()
-                _snapshots[key] = snapshot
-        return snapshot
-
-    def _register_data_dir(self, data_dir: Path) -> None:
-        for schema_path in sorted(data_dir.glob("*.schema")):
-            table = schema_path.stem
-            csv_path = data_dir / f"{table}.csv"
-            if not csv_path.exists():
-                raise RegistrationError(f"missing data file: {csv_path}")
-            schema = read_schema_file(schema_path)
-            try:
-                self._create_and_load(schema, csv_path)
-            except (sqlite3.Error, ValueError) as exc:
-                raise RegistrationError(
-                    f"failed to register {csv_path}: {exc}"
-                ) from exc
-
-    def _create_and_load(self, schema: TableSchema, csv_path: Path) -> None:
-        columns_sql = ", ".join(
-            f'"{c.name}" {_SQLITE_TYPES[c.type_tag]}' for c in schema.columns
-        )
-        self.conn.execute(f'CREATE TABLE "{schema.name}" ({columns_sql})')
-        converters = [_converter(c.type_tag) for c in schema.columns]
-        placeholders = ", ".join("?" for _ in schema.columns)
-        insert_sql = f'INSERT INTO "{schema.name}" VALUES ({placeholders})'
-        with open(csv_path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                return
-            expected = [c.name for c in schema.columns]
-            if [h.strip().lower() for h in header] != expected:
-                raise RegistrationError(
-                    f"{csv_path}: header {header} does not match schema {expected}"
-                )
-            batch = []
-            for row in reader:
-                if len(row) != len(converters):
-                    raise RegistrationError(
-                        f"{csv_path}: row width {len(row)} != {len(converters)}"
-                    )
-                batch.append(tuple(conv(cell) for conv, cell in zip(converters, row)))
-                if len(batch) >= 10_000:
-                    self.conn.executemany(insert_sql, batch)
-                    batch.clear()
-            if batch:
-                self.conn.executemany(insert_sql, batch)
-        self.conn.commit()
 
     def list_tables(self) -> list[str]:
         cursor = self.conn.execute(
@@ -261,26 +198,49 @@ class EmbeddedEngine:
 
 
 class Sessions:
-    """Engine sessions over suite data, one per data directory.
+    """The registrations and sessions of one run, one each per data directory.
 
-    Each is opened on first use and kept until close().  Sessions over suite
-    data hold no state between statements (the authorizer denies everything
-    but reading), so one session can serve any number of queries in turn
-    without one changing what the next sees.
+    get() registers a directory on first use and keeps its snapshot until
+    the `with` block ends, so every session over it reads the same data,
+    even one reopened after close() in a forked worker process, and even if
+    the directory's files change meanwhile.  A directory that fails to
+    register fails every later get() with the same error, without reading
+    it again.  Sessions over suite data hold no state between statements
+    (the authorizer denies everything but reading), so one session can serve
+    any number of queries in turn without one changing what the next sees.
     """
 
     def __init__(self) -> None:
+        self._snapshots: dict[Path, Path | RegistrationError] = {}
         self._sessions: dict[Path, EmbeddedEngine] = {}
 
+    def __enter__(self) -> "Sessions":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Close every session and remove the snapshots."""
+        self.close()
+        for snapshot in self._snapshots.values():
+            if isinstance(snapshot, Path):
+                snapshot.unlink(missing_ok=True)
+        self._snapshots.clear()
+
     def get(self, data_dir: Path) -> EmbeddedEngine:
-        session = self._sessions.get(data_dir)
-        if session is None:
-            session = EmbeddedEngine(EngineConfig(data_dir=data_dir))
-            self._sessions[data_dir] = session
-        return session
+        if data_dir not in self._sessions:
+            if data_dir not in self._snapshots:
+                try:
+                    self._snapshots[data_dir] = register_snapshot(data_dir)
+                except RegistrationError as exc:
+                    self._snapshots[data_dir] = exc
+            snapshot = self._snapshots[data_dir]
+            if isinstance(snapshot, RegistrationError):
+                raise snapshot
+            config = EngineConfig(data_dir=data_dir)
+            self._sessions[data_dir] = EmbeddedEngine(config, snapshot)
+        return self._sessions[data_dir]
 
     def close(self) -> None:
-        """Close every session opened; a later get() opens a new one."""
+        """Close every session opened; a later get() reopens the same snapshot."""
         for session in self._sessions.values():
             session.close()
         self._sessions.clear()
@@ -345,14 +305,6 @@ def _parse_bool(cell: str) -> int | None:
     raise ValueError(f"not a boolean literal: {cell!r}")
 
 
-# Snapshot cache: one sqlite file per data-directory state, per process.
-# Module-level because sessions are opened from many call sites that share
-# no owner object, and each must find the one registration.
-_snapshots: dict[tuple, Path] = {}
-_snapshot_lock = threading.Lock()
-_snapshot_ids = itertools.count()
-
-
 @functools.cache
 def _snapshot_dir() -> Path:
     """Holds the snapshot files; removed when the process exits."""
@@ -361,21 +313,73 @@ def _snapshot_dir() -> Path:
     return Path(holder.name)
 
 
-def _snapshot_key(data_dir: Path) -> tuple:
-    """Resolved path plus (name, size, mtime_ns) of every data file.
+def register_snapshot(data_dir: Path) -> Path:
+    """Parse a data directory into a new snapshot file; returns its path.
 
-    Runs on every session open, so it lists the directory with os.scandir
-    and builds no Path object per file.
+    Registration runs in a scratch in-memory database that is then backed up
+    to the file.  The caller owns the file and removes it; a registration
+    that fails leaves none.
     """
-    try:
-        entries = os.scandir(data_dir)
-    except (FileNotFoundError, NotADirectoryError):
-        raise RegistrationError(f"data directory not found: {data_dir}") from None
-    files = []
-    with entries:
-        for entry in entries:
-            if os.path.splitext(entry.name)[1] in (".schema", ".csv"):
-                stat = entry.stat()
-                files.append((entry.name, stat.st_size, stat.st_mtime_ns))
-    files.sort()
-    return (os.path.realpath(data_dir), tuple(files))
+    if not data_dir.is_dir():
+        raise RegistrationError(f"data directory not found: {data_dir}")
+    with closing(sqlite3.connect(":memory:")) as scratch:
+        _register_data_dir(scratch, data_dir)
+        with tempfile.NamedTemporaryFile(
+            suffix=".sqlite", dir=_snapshot_dir(), delete=False
+        ) as handle:
+            snapshot = Path(handle.name)
+        try:
+            with closing(sqlite3.connect(snapshot)) as target:
+                scratch.backup(target)
+        except BaseException:
+            snapshot.unlink()
+            raise
+    return snapshot
+
+
+def _register_data_dir(conn: sqlite3.Connection, data_dir: Path) -> None:
+    for schema_path in sorted(data_dir.glob("*.schema")):
+        table = schema_path.stem
+        csv_path = data_dir / f"{table}.csv"
+        if not csv_path.exists():
+            raise RegistrationError(f"missing data file: {csv_path}")
+        schema = read_schema_file(schema_path)
+        try:
+            _create_and_load(conn, schema, csv_path)
+        except (sqlite3.Error, ValueError) as exc:
+            raise RegistrationError(f"failed to register {csv_path}: {exc}") from exc
+
+
+def _create_and_load(
+    conn: sqlite3.Connection, schema: TableSchema, csv_path: Path
+) -> None:
+    columns_sql = ", ".join(
+        f'"{c.name}" {_SQLITE_TYPES[c.type_tag]}' for c in schema.columns
+    )
+    conn.execute(f'CREATE TABLE "{schema.name}" ({columns_sql})')
+    converters = [_converter(c.type_tag) for c in schema.columns]
+    placeholders = ", ".join("?" for _ in schema.columns)
+    insert_sql = f'INSERT INTO "{schema.name}" VALUES ({placeholders})'
+    with open(csv_path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            return
+        expected = [c.name for c in schema.columns]
+        if [h.strip().lower() for h in header] != expected:
+            raise RegistrationError(
+                f"{csv_path}: header {header} does not match schema {expected}"
+            )
+        batch = []
+        for row in reader:
+            if len(row) != len(converters):
+                raise RegistrationError(
+                    f"{csv_path}: row width {len(row)} != {len(converters)}"
+                )
+            batch.append(tuple(conv(cell) for conv, cell in zip(converters, row)))
+            if len(batch) >= 10_000:
+                conn.executemany(insert_sql, batch)
+                batch.clear()
+        if batch:
+            conn.executemany(insert_sql, batch)
+    conn.commit()

@@ -16,10 +16,12 @@ from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Any, Iterable
 
+from .agent import STAGES
 from .metrics import (
     NormalizationError,
     SuiteMetrics,
     aggregate,
+    cvq,
     normalize_to_best,
     vces_per_query,
     ves_per_query,
@@ -28,7 +30,6 @@ from .metrics import (
 from .runner import EpisodeResult
 
 FOUR_STAGES = ("list", "schema", "check", "run")
-ALL_STAGES = ("list", "schema", "check", "run", "finalize")
 
 REPORT_FORMATS = ("json", "csv", "markdown", "plotdata")
 
@@ -67,16 +68,16 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
     stage_pct = {
         m: {
             s: fmean(ep.stage_percentages.get(s, 0.0) for ep in eps)
-            for s in ALL_STAGES
+            for s in STAGES
         }
         for m, eps in grouped.items()
     }
     stage_secs = {
-        m: {s: fmean(ep.stage_seconds.get(s, 0.0) for ep in eps) for s in ALL_STAGES}
+        m: {s: fmean(ep.stage_seconds.get(s, 0.0) for ep in eps) for s in STAGES}
         for m, eps in grouped.items()
     }
     stage_cost = {
-        m: {s: fmean(ep.stage_cost.get(s, 0.0) for ep in eps) for s in ALL_STAGES}
+        m: {s: fmean(ep.stage_cost.get(s, 0.0) for ep in eps) for s in STAGES}
         for m, eps in grouped.items()
     }
 
@@ -87,7 +88,7 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
             "ea": suite[m].ea,
             "e2e_mean": e2e_mean[m],
             "e2e_std": e2e_std[m],
-            "pct": {s: stage_pct[m][s] for s in ALL_STAGES},
+            "pct": {s: stage_pct[m][s] for s in STAGES},
         }
         for m in grouped
     ]
@@ -156,7 +157,6 @@ def _per_query_rows(episodes: list[EpisodeResult]) -> list[dict[str, Any]]:
         ves_star = [ves_star_per_query(r) for r in records]
         vces = [vces_per_query(r) for r in records]
         p_hat = fmean(ex)
-        mean_cost = fmean(r.c_e2e for r in records)
         rows.append(
             {
                 "case_id": case_id,
@@ -170,7 +170,7 @@ def _per_query_rows(episodes: list[EpisodeResult]) -> list[dict[str, Any]]:
                 "ves_star_std": pstdev(ves_star),
                 "vces_mean": fmean(vces),
                 "vces_std": pstdev(vces),
-                "cvq": (mean_cost / p_hat) if p_hat > 0 else None,
+                "cvq": cvq(fmean(r.c_e2e for r in records), p_hat),
             }
         )
     return rows
@@ -189,7 +189,7 @@ def _plot_series(
                 "model": model,
                 "scale_factor": sf,
                 **{s: fmean(ep.stage_seconds.get(s, 0.0) for ep in eps)
-                   for s in ALL_STAGES},
+                   for s in STAGES},
             }
         )
         cost_rows.append(
@@ -197,7 +197,7 @@ def _plot_series(
                 "model": model,
                 "scale_factor": sf,
                 **{s: fmean(ep.stage_cost.get(s, 0.0) for ep in eps)
-                   for s in ALL_STAGES},
+                   for s in STAGES},
             }
         )
     return time_rows, cost_rows
@@ -323,11 +323,11 @@ def render_records_csv(episodes: list[EpisodeResult]) -> str:
 def _render_plot_csv(rows: list[dict[str, Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["model", "scale_factor", *ALL_STAGES])
+    writer.writerow(["model", "scale_factor", *STAGES])
     for row in rows:
         writer.writerow(
             [row["model"], row["scale_factor"]]
-            + [f"{row[s]:.6f}" for s in ALL_STAGES]
+            + [f"{row[s]:.6f}" for s in STAGES]
         )
     return buf.getvalue()
 

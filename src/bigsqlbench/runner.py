@@ -82,7 +82,17 @@ class RunPlan:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "RunPlan":
-        plan_path = Path(path)
+        """Read a plan; a plan or pricing file that cannot be read, parsed
+        or understood raises PlanValidationError("plan <path>: <cause>")."""
+        try:
+            return cls._from_json(Path(path))
+        except KeyError as exc:
+            raise PlanValidationError(f"plan {path}: missing key {exc}") from exc
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise PlanValidationError(f"plan {path}: {exc}") from exc
+
+    @classmethod
+    def _from_json(cls, plan_path: Path) -> "RunPlan":
         base = plan_path.parent
         data = json.loads(plan_path.read_text())
 
@@ -248,7 +258,7 @@ class _ThrottledBackend(LlmBackend):
         return self.inner.complete(messages, tool_schemas)
 
 
-def validate_plan(plan: RunPlan) -> list[str]:
+def validate_plan(plan: RunPlan, sessions: Sessions | None = None) -> list[str]:
     """Pre-flight checks; returns human-readable problems (empty == valid)."""
     problems: list[str] = []
     if plan.repetitions < 1:
@@ -288,7 +298,7 @@ def validate_plan(plan: RunPlan) -> list[str]:
             "bytes scanned; the embedded engine reports none"
         )
     try:
-        cases = load_suite(plan.suite, scale_factor=plan.scale_factors[0])
+        cases = load_suite(plan.suite, plan.scale_factors[0], sessions)
     except Exception as exc:
         problems.append(f"suite failed to load: {exc}")
         return problems
@@ -335,37 +345,41 @@ class _Run:
 
     plan: RunPlan
     limiters: dict[str, _RateLimiter]
-    # this process's sessions: each worker process opens its own
+    # the run's registrations; each worker process opens its own sessions
     sessions: Sessions
     # trace directories that could not be created, with the error
     trace_dir_errors: dict[Path, OSError]
 
 
 def execute_plan(plan: RunPlan) -> RunOutput:
-    """Run the full matrix and write episode logs plus records.json."""
-    problems = validate_plan(plan)
-    if problems:
-        raise PlanValidationError("; ".join(problems))
+    """Run the full matrix and write episode logs plus records.json.
 
-    plan.output_dir.mkdir(parents=True, exist_ok=True)
-    goldens_dir = plan.output_dir / "goldens"
-    sessions = Sessions()
-    try:
-        specs, unusable = _plan_episodes(plan, goldens_dir, sessions)
-    finally:
-        # before the workers fork: sqlite connections must not cross a fork
-        sessions.close()
-    run = _Run(
-        plan=plan,
-        limiters={
-            spec.name: _RateLimiter(spec.rate_limit_per_sec)
-            for spec in plan.backends
-            if spec.rate_limit_per_sec is not None
-        },
-        sessions=sessions,
-        trace_dir_errors=_make_trace_dirs(specs),
-    )
-    episodes, not_started = _run_episodes(run, specs)
+    Validation, the goldens and every worker read one snapshot of each data
+    directory, which the run's Sessions removes once the episodes are done.
+    """
+    with Sessions() as sessions:
+        problems = validate_plan(plan, sessions)
+        if problems:
+            raise PlanValidationError("; ".join(problems))
+
+        plan.output_dir.mkdir(parents=True, exist_ok=True)
+        goldens_dir = plan.output_dir / "goldens"
+        try:
+            specs, unusable = _plan_episodes(plan, goldens_dir, sessions)
+        finally:
+            # before the workers fork: sqlite connections must not cross a fork
+            sessions.close()
+        run = _Run(
+            plan=plan,
+            limiters={
+                spec.name: _RateLimiter(spec.rate_limit_per_sec)
+                for spec in plan.backends
+                if spec.rate_limit_per_sec is not None
+            },
+            sessions=sessions,
+            trace_dir_errors=_make_trace_dirs(specs),
+        )
+        episodes, not_started = _run_episodes(run, specs)
 
     skipped = [
         {
@@ -405,14 +419,14 @@ def _plan_episodes(
 ) -> tuple[list[_EpisodeSpec], list[dict[str, str]]]:
     """Every cell of the matrix, each with its golden; and the unusable cases.
 
-    The goldens run on `sessions`, one per data directory.
+    The suite loads and the goldens run on `sessions`, one per data directory.
     """
     specs: list[_EpisodeSpec] = []
     unusable: list[dict[str, str]] = []
     # Each replay script is read once per run, so an edit between runs is seen.
     scripts: dict[Path, list[dict[str, Any]]] = {}
     for sf in plan.scale_factors:
-        for case in load_suite(plan.suite, scale_factor=sf):
+        for case in load_suite(plan.suite, sf, sessions):
             error = case.error
             if error is None:
                 try:

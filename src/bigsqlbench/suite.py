@@ -21,8 +21,8 @@ from typing import Callable, Iterator
 from .engine import (
     ColumnSchema,
     EmbeddedEngine,
-    EngineConfig,
     EngineError,
+    Sessions,
     TableSchema,
     write_schema_file,
 )
@@ -69,15 +69,23 @@ class QueryCase:
         return self.error is None
 
 
-def load_suite(path: str | Path, scale_factor: float | None = None) -> list[QueryCase]:
+def load_suite(
+    path: str | Path, scale_factor: float | None = None, sessions: Sessions | None = None
+) -> list[QueryCase]:
     """Parse a suite manifest and validate each golden query against the engine.
 
     Accepts either a bare JSON array of {question, SQL, db_id} objects or a
     {"cases": [...]} wrapper.  A db_id may carry an "{sf}" placeholder that
     resolves against scale_factor, letting one manifest cover a scale sweep.
-    Per-case failures (missing database, SQL that does not compile or that
-    the read-only session denies) are recorded on the case, never raised.
+    The goldens compile on `sessions`, which keeps each database registered
+    for the caller; without it, on sessions of the load's own.  Per-case
+    failures (missing database, data that fails to register, SQL that does
+    not compile or that the read-only session denies) are recorded on the
+    case, never raised.
     """
+    if sessions is None:
+        with Sessions() as own:
+            return load_suite(path, scale_factor, own)
     root = Path(path)
     manifest_path = root / "manifest.json" if root.is_dir() else root
     suite_dir = manifest_path.parent
@@ -100,17 +108,11 @@ def load_suite(path: str | Path, scale_factor: float | None = None) -> list[Quer
         )
 
     cases: list[QueryCase] = []
-    sessions: dict[str, EmbeddedEngine | None] = {}
-    try:
-        for i, raw in enumerate(raw_cases):
-            case = _parse_case(raw, i, databases_dir, scale_factor)
-            if case.error is None:
-                _validate_case(case, sessions)
-            cases.append(case)
-    finally:
-        for session in sessions.values():
-            if session is not None:
-                session.close()
+    for i, raw in enumerate(raw_cases):
+        case = _parse_case(raw, i, databases_dir, scale_factor)
+        if case.error is None:
+            _validate_case(case, sessions)
+        cases.append(case)
     return cases
 
 
@@ -141,18 +143,11 @@ def _parse_case(
     return case
 
 
-def _validate_case(case: QueryCase, sessions: dict[str, EmbeddedEngine | None]) -> None:
-    key = str(case.data_dir)
-    if key not in sessions:
-        try:
-            sessions[key] = EmbeddedEngine(EngineConfig(data_dir=case.data_dir))
-        except EngineError as exc:
-            sessions[key] = None
-            case.error = f"database failed to load: {exc}"
-            return
-    session = sessions[key]
-    if session is None:
-        case.error = "database failed to load"
+def _validate_case(case: QueryCase, sessions: Sessions) -> None:
+    try:
+        session = sessions.get(case.data_dir)
+    except EngineError as exc:
+        case.error = f"database failed to load: {exc}"
         return
     try:
         session.explain(case.golden_sql)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bigsqlbench.engine import Sessions
 from bigsqlbench.suite import generate_scaled_data, warehouse_schema
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -28,3 +29,10 @@ def sf_small_dir(tmp_path_factory) -> Path:
 def mini_suite_dir() -> Path:
     assert MINI_SUITE.is_dir(), f"bundled mini suite missing: {MINI_SUITE}"
     return MINI_SUITE
+
+
+@pytest.fixture(scope="session")
+def sessions() -> Sessions:
+    """One owner for the test session: each generated directory registers once."""
+    with Sessions() as shared:
+        yield shared

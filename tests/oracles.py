@@ -143,17 +143,3 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
     }
     lines.append(json.dumps(outcome, sort_keys=True))
     return "\n".join(lines) + "\n"
-
-
-def snapshot_key_pathlib(data_dir: Path) -> tuple:
-    """A data directory's snapshot cache key, listed through pathlib.
-
-    A copy of the key the package computed before it listed directories with
-    `os.scandir`; the reference for `engine._snapshot_key`.
-    """
-    files = []
-    for path in sorted(data_dir.iterdir()):
-        if path.suffix in (".schema", ".csv"):
-            stat = path.stat()
-            files.append((path.name, stat.st_size, stat.st_mtime_ns))
-    return (str(data_dir.resolve()), tuple(files))

@@ -320,7 +320,7 @@ def test_acceptance_6_cost_accounting(mini_suite_dir):
 
 
 @criterion(7, "synthetic data: fixed/scaled cardinalities and golden oracle")
-def test_acceptance_7_structural_checks(sf_tiny_dir, sf_small_dir):
+def test_acceptance_7_structural_checks(sessions, sf_tiny_dir, sf_small_dir):
     for data_dir in (sf_tiny_dir, sf_small_dir):
         assert csv_row_count(data_dir / "region.csv") == 5
 
@@ -333,8 +333,7 @@ def test_acceptance_7_structural_checks(sf_tiny_dir, sf_small_dir):
             assert abs(actual - expected) <= 1, (table.name, sf)
 
     for data_dir in (sf_tiny_dir, sf_small_dir):
-        with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-            result, _ = engine.execute_timed(PRICING_SUMMARY_SQL)
+        result, _ = sessions.get(data_dir).execute_timed(PRICING_SUMMARY_SQL)
         assert tables_equal_exact(pricing_summary_oracle(data_dir), result)
 
 
@@ -361,10 +360,9 @@ _SCALE_SCRIPT = [
 ]
 
 
-def _scale_episode(data_dir):
+def _scale_episode(engine):
     llm = ReplayBackend(_SCALE_SCRIPT, model_id="fixed-agent")
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        trace = run_agent("pricing summary", AgentConfig(), llm, engine)
+    trace = run_agent("pricing summary", AgentConfig(), llm, engine)
     assert trace.outcome == "completed"
     share = stage_breakdown(trace).percentages["run"]
     pricing = PricingEntry("fixed-agent", 2.5, 10.0)
@@ -373,9 +371,9 @@ def _scale_episode(data_dir):
 
 
 @criterion(8, "larger scale grows the run-stage share and the expected cost")
-def test_acceptance_8_scale_trend(sf_tiny_dir, sf_small_dir):
-    tiny = sorted(_scale_episode(sf_tiny_dir) for _ in range(3))[1]
-    small = sorted(_scale_episode(sf_small_dir) for _ in range(3))[1]
+def test_acceptance_8_scale_trend(sessions, sf_tiny_dir, sf_small_dir):
+    tiny = sorted(_scale_episode(sessions.get(sf_tiny_dir)) for _ in range(3))[1]
+    small = sorted(_scale_episode(sessions.get(sf_small_dir)) for _ in range(3))[1]
     share_tiny, cost_tiny = tiny
     share_small, cost_small = small
     assert share_small > share_tiny

@@ -13,6 +13,7 @@ from bigsqlbench.cli import main
 from bigsqlbench.engine import SessionClosedError
 
 from tests.conftest import REPO_ROOT
+from tests.test_engine import count_registrations
 
 
 def test_cli_imports_without_requests_or_http_stack():
@@ -47,6 +48,40 @@ def test_plan_validate_reports_problems(tmp_path, mini_suite_dir, capsys):
     code = main(["plan", "validate", "--plan", str(plan_path)])
     assert code == 1
     assert "INVALID" in capsys.readouterr().out
+
+
+def bad_plan_files(tmp_path, mini_suite_dir) -> list[tuple]:
+    """(plan path, expected cause) for plans that cannot be read or understood."""
+    plan = json.loads((mini_suite_dir / "plan.json").read_text())
+    plan.update(suite=str(mini_suite_dir), pricing=str(mini_suite_dir / "pricing.json"))
+    cases = [(tmp_path / "absent.json", "No such file or directory")]
+    for name, text, cause in [
+        ("not_json.json", "{not json", "Expecting property name"),
+        ("no_suite.json", json.dumps({k: v for k, v in plan.items() if k != "suite"}),
+         "missing key 'suite'"),
+        ("bad_value.json", json.dumps({**plan, "repetitions": "two"}),
+         "invalid literal for int()"),
+        ("no_pricing_file.json", json.dumps({**plan, "pricing": "nowhere.json"}),
+         "No such file or directory: '" + str(tmp_path / "nowhere.json")),
+        ("list.json", "[]", "'list' object has no attribute 'get'"),
+    ]:
+        (tmp_path / name).write_text(text)
+        cases.append((tmp_path / name, cause))
+    return cases
+
+
+def test_plan_validate_reports_unreadable_plan_files(tmp_path, mini_suite_dir, capsys):
+    for path, cause in bad_plan_files(tmp_path, mini_suite_dir):
+        assert main(["plan", "validate", "--plan", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"INVALID: plan {path}: ") and cause in out, out
+
+
+def test_run_reports_unreadable_plan_files(tmp_path, mini_suite_dir, capsys):
+    for path, cause in bad_plan_files(tmp_path, mini_suite_dir):
+        assert main(["run", "--plan", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"plan invalid: plan {path}: ") and cause in out, out
 
 
 def test_report_rejects_unknown_format(tmp_path, capsys):
@@ -92,6 +127,7 @@ def test_goldens_materialize_cli(tmp_path, mini_suite_dir, capsys):
 def test_goldens_materialize_shares_one_session_per_data_directory(
     tmp_path, mini_suite_dir, monkeypatch
 ):
+    loaded = count_registrations(monkeypatch)
     used = []
     materialize_golden = cli.materialize_golden
 
@@ -111,6 +147,7 @@ def test_goldens_materialize_shares_one_session_per_data_directory(
     for _, engine in used:
         with pytest.raises(SessionClosedError):
             engine.conn
+    assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
 
 
 def test_goldens_materialize_reports_failed_golden_and_goes_on(

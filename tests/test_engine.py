@@ -4,10 +4,6 @@ import json
 import math
 import os
 import shutil
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,13 +17,13 @@ from bigsqlbench.engine import (
     RegistrationError,
     ResultOverflowError,
     SessionClosedError,
+    Sessions,
     TableNotFoundError,
     TableSchema,
     read_schema_file,
     write_schema_file,
 )
 from bigsqlbench.resultset import tables_equal_exact
-from tests.oracles import snapshot_key_pathlib
 
 WAREHOUSE_TABLES = [
     "customer", "lineitem", "nation", "orders",
@@ -36,9 +32,8 @@ WAREHOUSE_TABLES = [
 
 
 @pytest.fixture
-def tiny_engine(sf_tiny_dir):
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
-        yield engine
+def tiny_engine(sessions, sf_tiny_dir):
+    return sessions.get(sf_tiny_dir)
 
 
 def test_open_session_registers_all_tables(tiny_engine):
@@ -190,22 +185,24 @@ def test_schema_file_round_trip(tmp_path):
     assert read_schema_file(path) == schema
 
 
-# --- per-process snapshots ---
+# --- snapshots and their owners ---
 
 
-def count_registrations(monkeypatch, delay: float = 0.0) -> list:
-    """Empty the snapshot cache; record every CSV _create_and_load parses."""
-    monkeypatch.setattr(engine_module, "_snapshots", {})
+def count_registrations(monkeypatch) -> list:
+    """Record every CSV that registration parses."""
     loaded = []
-    original = EmbeddedEngine._create_and_load
+    original = engine_module._create_and_load
 
-    def counting(self, schema, csv_path):
+    def counting(conn, schema, csv_path):
         loaded.append(csv_path)
-        time.sleep(delay)
-        original(self, schema, csv_path)
+        original(conn, schema, csv_path)
 
-    monkeypatch.setattr(EmbeddedEngine, "_create_and_load", counting)
+    monkeypatch.setattr(engine_module, "_create_and_load", counting)
     return loaded
+
+
+def snapshot_files() -> set:
+    return set(engine_module._snapshot_dir().iterdir())
 
 
 def rows_of(data_dir, sql):
@@ -231,33 +228,66 @@ def test_rewritten_csv_is_seen_by_next_session(tmp_path):
 def test_broken_csv_fails_every_open(tmp_path):
     (tmp_path / "t.schema").write_text("a integer\n")
     (tmp_path / "t.csv").write_text("a\nnot_a_number\n")
+    before = snapshot_files()
     for _ in range(3):
         with pytest.raises(RegistrationError, match="t.csv"):
             EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+    assert snapshot_files() == before
 
 
-def test_concurrent_first_opens_register_once(tmp_path, monkeypatch):
+def test_closed_direct_session_removes_its_snapshot(tmp_path):
     (tmp_path / "t.schema").write_text("x integer\n")
     (tmp_path / "t.csv").write_text("x\n1\n")
-    loaded = count_registrations(monkeypatch, delay=0.05)
-    workers = 8
-    barrier = threading.Barrier(workers, timeout=10)
+    before = snapshot_files()
+    engine = EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+    assert len(snapshot_files() - before) == 1
+    engine.close()
+    assert snapshot_files() == before
+    engine.close()  # a second close is a no-op
 
-    def open_and_list():
-        barrier.wait()
-        with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-            return engine.list_tables()
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(open_and_list) for _ in range(workers)]
-            tables = [f.result(timeout=30) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert tables == [["t"]] * workers
+def test_sessions_pin_the_data_until_the_owner_exits(tmp_path, monkeypatch):
+    (tmp_path / "t.schema").write_text("x integer\n")
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_text("x\n1\n2\n")
+    loaded = count_registrations(monkeypatch)
+    before = snapshot_files()
+    with Sessions() as sessions:
+        first = sessions.get(tmp_path)
+        assert sessions.get(tmp_path) is first
+        csv_path.write_text("x\n7\n")
+        sessions.close()
+        with pytest.raises(SessionClosedError):
+            first.list_tables()
+        # reopened after close(), as in a forked worker: the same snapshot
+        reopened = sessions.get(tmp_path)
+        assert reopened is not first
+        assert reopened.execute_timed("SELECT x FROM t ORDER BY x")[0].rows == (
+            (1,), (2,),
+        )
+        assert len(snapshot_files() - before) == 1
+    assert snapshot_files() == before
     assert len(loaded) == 1
+    with pytest.raises(SessionClosedError):
+        reopened.list_tables()
+
+
+def test_sessions_fail_a_broken_directory_without_rereading_it(tmp_path, monkeypatch):
+    (tmp_path / "t.schema").write_text("a integer\n")
+    (tmp_path / "t.csv").write_text("a\nnot_a_number\n")
+    loaded = count_registrations(monkeypatch)
+    before = snapshot_files()
+    with Sessions() as sessions:
+        errors = []
+        for _ in range(2):
+            with pytest.raises(RegistrationError, match="t.csv") as caught:
+                sessions.get(tmp_path)
+            errors.append(str(caught.value))
+        with pytest.raises(RegistrationError, match="data directory not found"):
+            sessions.get(tmp_path / "nope")
+    assert errors[0] == errors[1]
+    assert len(loaded) == 1
+    assert snapshot_files() == before
 
 
 def test_agent_sql_cannot_write_shared_data(mini_suite_dir, tmp_path):
@@ -377,19 +407,3 @@ def test_empty_data_dir_reopens_as_empty_catalog(tmp_path, monkeypatch):
         with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
             assert engine.list_tables() == []
     assert loaded == []
-
-
-def test_snapshot_key_matches_pathlib_listing(tmp_path, monkeypatch):
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    for name in ("b.csv", "a.schema", "a.csv", "x.b.csv", ".csv", "n.txt",
-                 "é.schema", "B.csv", "noext"):
-        (data_dir / name).write_text(name * 3)
-    (data_dir / "sub.csv").mkdir()
-    (tmp_path / "link").symlink_to(data_dir)
-    monkeypatch.chdir(tmp_path)
-    for path in (data_dir, tmp_path / "link", data_dir.relative_to(tmp_path)):
-        assert engine_module._snapshot_key(path) == snapshot_key_pathlib(path)
-    for missing in (tmp_path / "nope", data_dir / "a.csv"):
-        with pytest.raises(RegistrationError, match="data directory not found"):
-            engine_module._snapshot_key(missing)

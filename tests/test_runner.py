@@ -31,7 +31,7 @@ from bigsqlbench.runner import (
     validate_plan,
 )
 from tests.oracles import trace_to_jsonl_asdict
-from tests.test_engine import count_registrations
+from tests.test_engine import count_registrations, snapshot_files
 
 
 PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
@@ -241,6 +241,52 @@ def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     loaded = count_registrations(monkeypatch)
     execute_plan(mini_plan)
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
+
+
+def test_workers_read_the_data_the_goldens_ran_on(mini_copy, monkeypatch):
+    orders = mini_copy.suite / "databases" / "shop" / "orders.csv"
+    run_episodes = runner._run_episodes
+
+    def rewrite_then_run(run, specs):
+        # after the goldens ran, before the workers start: drop five orders
+        lines = orders.read_text().splitlines(keepends=True)
+        orders.write_text("".join(lines[:-5]))
+        return run_episodes(run, specs)
+
+    monkeypatch.setattr(runner, "_run_episodes", rewrite_then_run)
+    output = execute_plan(mini_copy)
+    alpha = [ep for ep in output.episodes if ep.model == "replay-alpha"]
+    assert len(alpha) == 10
+    assert all(ep.indicator == 1 for ep in alpha)
+    assert untimed_records_text(mini_copy.output_dir) == PINNED_RECORDS.read_text()
+
+
+def test_no_snapshot_outlives_its_run(mini_plan, tmp_path, monkeypatch):
+    before = snapshot_files()
+    during = []
+    run_episodes = runner._run_episodes
+
+    def recording(run, specs):
+        during.append(snapshot_files() - before)
+        return run_episodes(run, specs)
+
+    monkeypatch.setattr(runner, "_run_episodes", recording)
+    execute_plan(mini_plan)
+    assert len(during) == 1 and len(during[0]) == 1
+    assert snapshot_files() == before
+    # raised by validation, after the suite load registered the data
+    mini_plan.backends[0].model_id = "unknown-model"
+    with pytest.raises(PlanValidationError, match="pricing"):
+        execute_plan(mini_plan)
+    assert snapshot_files() == before
+    # raised while planning, after some goldens ran
+    mini_plan.backends[0].model_id = "replay-alpha"
+    scripts = copy_scripts(mini_plan, 0, tmp_path)
+    (scripts / "top_customer.jsonl").write_text("{not json\n")
+    with pytest.raises(PlanValidationError, match="failed to load"):
+        execute_plan(mini_plan)
+    assert snapshot_files() == before
+    assert len(during) == 1
 
 
 def test_mini_run_traces_match_asdict_oracle(mini_plan, monkeypatch, tmp_path):
@@ -645,9 +691,8 @@ def test_trace_files_written(mini_plan):
     output = execute_plan(mini_plan)
     for ep in output.episodes:
         assert ep.trace_path is not None
-        assert json.loads(
-            open(ep.trace_path).readline()
-        )["type"] == "meta"
+        first_line = Path(ep.trace_path).read_text().splitlines()[0]
+        assert json.loads(first_line)["type"] == "meta"
 
 
 def test_each_trace_directory_created_once_per_run(mini_plan, monkeypatch):
@@ -682,14 +727,13 @@ def track_sessions(monkeypatch, log_dir: Path):
     init, close = EmbeddedEngine.__init__, EmbeddedEngine.close
     serials = itertools.count()
 
-    def tracking_init(self, config):
-        init(self, config)
+    def tracking_init(self, config, snapshot=None):
+        init(self, config, snapshot)
         self.tracked = [os.getpid(), next(serials)]
         log_in_process(log_dir, ["open", *self.tracked, str(config.data_dir)])
 
     def tracking_close(self):
-        # __init__ also closes its scratch registration session, untracked
-        if self._conn is not None and hasattr(self, "tracked"):
+        if self._conn is not None:  # not again for a second close()
             log_in_process(log_dir, ["close", *self.tracked])
         close(self)
 
@@ -722,8 +766,8 @@ def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch, tmp_path)
     assert len(output.episodes) == 20
     main = os.getpid()
     opened = opens(events())
-    # validate_plan's and execute_plan's suite loads, then the goldens
-    assert [pid for pid, _, _ in opened].count(main) == 3
+    # one session for validation, the suite load and the goldens
+    assert [pid for pid, _, _ in opened].count(main) == 1
     workers = Counter((pid, data_dir) for pid, _, data_dir in opened if pid != main)
     assert len({pid for pid, _ in workers}) == 2
     assert set(workers.values()) == {1}
@@ -745,7 +789,7 @@ def test_sessions_closed_after_harness_error(mini_plan, monkeypatch, tmp_path):
     monkeypatch.setattr(runner, "run_agent", failing_once)
     output = execute_plan(mini_plan)
     assert [ep.outcome for ep in output.episodes].count("harness-error") == 1
-    assert len(opens(events())) >= 4 and all_closed(events())
+    assert len(opens(events())) >= 2 and all_closed(events())
 
 
 def test_sessions_closed_after_budget_stop(mini_plan, monkeypatch, tmp_path):
@@ -753,7 +797,7 @@ def test_sessions_closed_after_budget_stop(mini_plan, monkeypatch, tmp_path):
     mini_plan.max_spend_usd = 0.004
     output = execute_plan(mini_plan)
     assert output.skipped and output.episodes
-    assert len(opens(events())) >= 4 and all_closed(events())
+    assert len(opens(events())) >= 2 and all_closed(events())
 
 
 def test_sessions_closed_when_planning_fails(mini_plan, tmp_path, monkeypatch):
@@ -763,7 +807,7 @@ def test_sessions_closed_when_planning_fails(mini_plan, tmp_path, monkeypatch):
     with pytest.raises(PlanValidationError):
         execute_plan(mini_plan)
     # the goldens before the bad script ran on a session, now closed
-    assert len(opens(events())) == 3 and all_closed(events())
+    assert len(opens(events())) == 1 and all_closed(events())
 
 
 def poison_script(sql: str) -> list[dict]:
@@ -794,7 +838,6 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
     def run_on(sessions):
         return runner._Run(mini_plan, {}, sessions, {})
 
-    shared = Sessions()
     poisons = [
         "PRAGMA case_sensitive_like=1",
         "CREATE TEMP VIEW products AS SELECT 'ghost' AS name, 99.0 AS price",
@@ -803,7 +846,7 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
         "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
         "LIMIT 50000) SELECT x FROM c",
     ]
-    try:
+    with Sessions() as shared:
         for i, sql in enumerate(poisons):
             poisoned = runner._run_episode(
                 run_on(shared), spec(poison_script(sql), tmp_path / f"p{i}")
@@ -812,15 +855,10 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
         assert "row cap" in poisoned.error
         reused = runner._run_episode(run_on(shared), spec(script, tmp_path / "reused"))
         assert len(shared._sessions) == 1
-    finally:
-        shared.close()
-    fresh_sessions = Sessions()
-    try:
+    with Sessions() as fresh_sessions:
         fresh = runner._run_episode(
             run_on(fresh_sessions), spec(script, tmp_path / "fresh")
         )
-    finally:
-        fresh_sessions.close()
 
     def verdict(ep):
         untimed = trace_to_jsonl(

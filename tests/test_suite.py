@@ -5,7 +5,6 @@ import shutil
 
 import pytest
 
-from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.resultset import tables_equal_exact
 from bigsqlbench.suite import (
     GoldenMaterializationError,
@@ -22,6 +21,7 @@ from bigsqlbench.suite import (
 )
 
 from .oracles import PRICING_SUMMARY_SQL, csv_row_count, pricing_summary_oracle
+from .test_engine import count_registrations
 
 
 # --- manifest loading ---
@@ -66,6 +66,33 @@ def test_missing_database_fails_per_case(tmp_path):
     assert len(cases) == 1
     assert not cases[0].usable
     assert "missing_db" in cases[0].error
+
+
+def test_database_that_fails_to_register_makes_each_case_unusable(
+    tmp_path, monkeypatch
+):
+    db_dir = tmp_path / "databases" / "broken"
+    db_dir.mkdir(parents=True)
+    (db_dir / "t.schema").write_text("a integer\n")
+    (db_dir / "t.csv").write_text("a\nnot_a_number\n")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps(
+            [
+                {"question": "how many?", "SQL": "SELECT COUNT(*) FROM t",
+                 "db_id": "broken"},
+                {"question": "which?", "SQL": "SELECT a FROM t", "db_id": "broken"},
+            ]
+        )
+    )
+    loaded = count_registrations(monkeypatch)
+    cases = load_suite(tmp_path)
+    assert [case.usable for case in cases] == [False, False]
+    for case in cases:
+        assert case.error == (
+            f"database failed to load: failed to register {db_dir / 't.csv'}: "
+            "invalid literal for int() with base 10: 'not_a_number'"
+        )
+    assert loaded == [db_dir / "t.csv"]
 
 
 def test_partial_failure_leaves_other_cases_usable(tmp_path, mini_suite_dir):
@@ -201,7 +228,7 @@ def test_different_seeds_differ(tmp_path):
     assert (a / "lineitem.csv").read_bytes() != (b / "lineitem.csv").read_bytes()
 
 
-def test_foreign_key_integrity(sf_tiny_dir):
+def test_foreign_key_integrity(sessions, sf_tiny_dir):
     joins = [
         ("lineitem", "l_orderkey", "orders", "o_orderkey"),
         ("lineitem", "l_partkey", "part", "p_partkey"),
@@ -213,13 +240,13 @@ def test_foreign_key_integrity(sf_tiny_dir):
         ("partsupp", "ps_partkey", "part", "p_partkey"),
         ("partsupp", "ps_suppkey", "supplier", "s_suppkey"),
     ]
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
-        for fact, fk, dim, pk in joins:
-            result, _ = engine.execute_timed(
-                f"SELECT COUNT(*) FROM {fact} f LEFT JOIN {dim} d "
-                f"ON f.{fk} = d.{pk} WHERE d.{pk} IS NULL"
-            )
-            assert result.rows[0][0] == 0, f"{fact}.{fk} dangles"
+    engine = sessions.get(sf_tiny_dir)
+    for fact, fk, dim, pk in joins:
+        result, _ = engine.execute_timed(
+            f"SELECT COUNT(*) FROM {fact} f LEFT JOIN {dim} d "
+            f"ON f.{fk} = d.{pk} WHERE d.{pk} IS NULL"
+        )
+        assert result.rows[0][0] == 0, f"{fact}.{fk} dangles"
 
 
 def test_unsupported_scale_factor(tmp_path):
@@ -259,41 +286,41 @@ def _case_for(data_dir, sql, case_id="pricing_summary"):
     )
 
 
-def test_golden_aggregate_matches_brute_force_oracle(sf_tiny_dir):
+def test_golden_aggregate_matches_brute_force_oracle(sessions, sf_tiny_dir):
     case = _case_for(sf_tiny_dir, PRICING_SUMMARY_SQL)
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
-        result, t_gold = materialize_golden(case, engine)
+    engine = sessions.get(sf_tiny_dir)
+    result, t_gold = materialize_golden(case, engine)
     expected = pricing_summary_oracle(sf_tiny_dir)
     assert tables_equal_exact(expected, result)
     assert t_gold > 0
 
 
 def test_golden_rerun_into_same_dir_executes_again(
-    sf_tiny_dir, tmp_path, monkeypatch
+    sessions, sf_tiny_dir, tmp_path, monkeypatch
 ):
     case = _case_for(sf_tiny_dir, "SELECT COUNT(*) AS n FROM region")
     path = tmp_path / "pricing_summary@sf0.001.json"
     calls = []
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
-        execute_timed = engine.execute_timed
+    engine = sessions.get(sf_tiny_dir)
+    execute_timed = engine.execute_timed
 
-        def counting(sql):
-            calls.append(sql)
-            return execute_timed(sql)
+    def counting(sql):
+        calls.append(sql)
+        return execute_timed(sql)
 
-        monkeypatch.setattr(engine, "execute_timed", counting)
-        first, t1 = materialize_golden(
-            case, engine, out_dir=tmp_path, scale_factor=0.001
-        )
-        assert json.loads(path.read_text()) == {
-            "t_gold": t1,
-            "result": {"columns": [{"name": "n", "type": "integer"}], "rows": [[5]]},
-        }
-        path.write_text('{"t_gold": 99.0, "result": {"columns": [], "rows": []}}')
-        case.golden_sql = "SELECT COUNT(*) AS n FROM nation"
-        second, t2 = materialize_golden(
-            case, engine, out_dir=tmp_path, scale_factor=0.001
-        )
+    monkeypatch.setattr(engine, "execute_timed", counting)
+    first, t1 = materialize_golden(
+        case, engine, out_dir=tmp_path, scale_factor=0.001
+    )
+    assert json.loads(path.read_text()) == {
+        "t_gold": t1,
+        "result": {"columns": [{"name": "n", "type": "integer"}], "rows": [[5]]},
+    }
+    path.write_text('{"t_gold": 99.0, "result": {"columns": [], "rows": []}}')
+    case.golden_sql = "SELECT COUNT(*) AS n FROM nation"
+    second, t2 = materialize_golden(
+        case, engine, out_dir=tmp_path, scale_factor=0.001
+    )
     # warm-up plus three timed runs on each call
     assert calls == ["SELECT COUNT(*) AS n FROM region"] * 4 + [case.golden_sql] * 4
     assert first.rows == ((5,),) and second.rows == ((25,),)
@@ -304,19 +331,19 @@ def test_golden_rerun_into_same_dir_executes_again(
     }
 
 
-def test_blob_golden_is_written_as_hex(sf_tiny_dir, tmp_path):
+def test_blob_golden_is_written_as_hex(sessions, sf_tiny_dir, tmp_path):
     case = _case_for(sf_tiny_dir, "SELECT x'00ff' AS b, COUNT(*) AS n FROM region")
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
-        result, _ = materialize_golden(
-            case, engine, out_dir=tmp_path, scale_factor=0.001
-        )
+    engine = sessions.get(sf_tiny_dir)
+    result, _ = materialize_golden(
+        case, engine, out_dir=tmp_path, scale_factor=0.001
+    )
     assert result.rows == ((b"\x00\xff", 5),)
     written = json.loads((tmp_path / "pricing_summary@sf0.001.json").read_text())
     assert written["result"]["rows"] == [["00ff", 5]]
 
 
-def test_broken_golden_marks_case_unusable(sf_tiny_dir):
+def test_broken_golden_marks_case_unusable(sessions, sf_tiny_dir):
     case = _case_for(sf_tiny_dir, "SELECT missing FROM region")
-    with EmbeddedEngine(EngineConfig(data_dir=sf_tiny_dir)) as engine:
-        with pytest.raises(GoldenMaterializationError):
-            materialize_golden(case, engine)
+    engine = sessions.get(sf_tiny_dir)
+    with pytest.raises(GoldenMaterializationError):
+        materialize_golden(case, engine)
