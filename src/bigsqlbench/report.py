@@ -47,6 +47,13 @@ def _suite_metrics(episodes: list[EpisodeResult]) -> SuiteMetrics:
     return aggregate(records, pairs)
 
 
+def _stage_means(eps: list[EpisodeResult], attribute: str) -> dict[str, float]:
+    """Mean of one per-stage field (seconds, percentages or cost) over eps."""
+    return {
+        s: fmean(getattr(ep, attribute).get(s, 0.0) for ep in eps) for s in STAGES
+    }
+
+
 def _safe_normalize(
     values: dict[str, float], higher_is_better: bool
 ) -> dict[str, float]:
@@ -65,21 +72,8 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
 
     e2e_mean = {m: fmean(ep.record.t_e2e for ep in eps) for m, eps in grouped.items()}
     e2e_std = {m: pstdev([ep.record.t_e2e for ep in eps]) for m, eps in grouped.items()}
-    stage_pct = {
-        m: {
-            s: fmean(ep.stage_percentages.get(s, 0.0) for ep in eps)
-            for s in STAGES
-        }
-        for m, eps in grouped.items()
-    }
-    stage_secs = {
-        m: {s: fmean(ep.stage_seconds.get(s, 0.0) for ep in eps) for s in STAGES}
-        for m, eps in grouped.items()
-    }
-    stage_cost = {
-        m: {s: fmean(ep.stage_cost.get(s, 0.0) for ep in eps) for s in STAGES}
-        for m, eps in grouped.items()
-    }
+    stage_secs = {m: _stage_means(eps, "stage_seconds") for m, eps in grouped.items()}
+    stage_cost = {m: _stage_means(eps, "stage_cost") for m, eps in grouped.items()}
 
     table1 = [
         {
@@ -88,9 +82,9 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
             "ea": suite[m].ea,
             "e2e_mean": e2e_mean[m],
             "e2e_std": e2e_std[m],
-            "pct": {s: stage_pct[m][s] for s in STAGES},
+            "pct": _stage_means(eps, "stage_percentages"),
         }
-        for m in grouped
+        for m, eps in grouped.items()
     ]
     table1.sort(key=lambda row: (-row["e2e_mean"], row["model"]))
 
@@ -184,132 +178,89 @@ def _plot_series(
         grouped.setdefault((ep.model, ep.scale_factor), []).append(ep)
     time_rows, cost_rows = [], []
     for (model, sf), eps in sorted(grouped.items()):
-        time_rows.append(
-            {
-                "model": model,
-                "scale_factor": sf,
-                **{s: fmean(ep.stage_seconds.get(s, 0.0) for ep in eps)
-                   for s in STAGES},
-            }
-        )
-        cost_rows.append(
-            {
-                "model": model,
-                "scale_factor": sf,
-                **{s: fmean(ep.stage_cost.get(s, 0.0) for ep in eps)
-                   for s in STAGES},
-            }
-        )
+        key = {"model": model, "scale_factor": sf}
+        time_rows.append({**key, **_stage_means(eps, "stage_seconds")})
+        cost_rows.append({**key, **_stage_means(eps, "stage_cost")})
     return time_rows, cost_rows
 
 
 # --- rendering -----------------------------------------------------------------
 
 
-def _fmt4(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+def _fmt(value: float | None, template: str = "{:.2f}") -> str:
+    """A table cell; an undefined value (None or NaN) renders as `--`."""
+    if value is None or math.isnan(value):
         return "--"
-    return f"{value:.4f}"
+    return template.format(value)
 
 
-def _fmt2(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "--"
-    return f"{value:.2f}"
-
-
-def _fmt_x(value: float | None) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "--"
-    return f"{value:.2f}x"
-
-
-def _fmt_seconds(value: float) -> str:
-    # 4 significant digits so sub-second replay episodes stay readable
-    return f"{value:.4g}"
+def _table(title: str, header: list[str], rows: Iterable[list[str]]) -> list[str]:
+    """A markdown section: title, header, one line per row, blank line."""
+    return [
+        f"## {title}", "",
+        "| " + " | ".join(header) + " |", "|---" * len(header) + "|",
+        *("| " + " | ".join(row) + " |" for row in rows), "",
+    ]
 
 
 def render_markdown(report: dict[str, Any]) -> str:
-    lines = ["# Evaluation report", ""]
+    fine, times = "{:.4f}", "{:.2f}x"
+    # 4 significant digits so sub-second replay episodes stay readable
+    seconds = "{:.4g}"
 
-    lines.append("## Accuracy and end-to-end time breakdown")
-    lines.append("")
-    lines.append(
-        "| Model | EX | EA | E2E mean (s) | E2E std | % list | % schema "
-        "| % check | % run | % finalize |"
-    )
-    lines.append("|---|---|---|---|---|---|---|---|---|---|")
-    for row in report["table1"]:
-        pct = row["pct"]
-        lines.append(
-            f"| {row['model']} | {_fmt2(row['ex'])} | {_fmt2(row['ea'])} "
-            f"| {_fmt_seconds(row['e2e_mean'])} | {_fmt_seconds(row['e2e_std'])} "
-            f"| {_fmt2(pct['list'])} | {_fmt2(pct['schema'])} "
-            f"| {_fmt2(pct['check'])} | {_fmt2(pct['run'])} "
-            f"| {_fmt2(pct['finalize'])} |"
-        )
-    lines.append("")
+    def mean_std(row: dict[str, Any], name: str, template: str = fine) -> str:
+        mean, std = row[f"{name}_mean"], row[f"{name}_std"]
+        return f"{_fmt(mean, template)} +/- {_fmt(std, template)}"
 
-    lines.append("## Efficiency normalized to the best model")
-    lines.append("")
-    lines.append(
-        "| Model | VES (norm) | VES* (norm) | list | schema | check | run |"
-    )
-    lines.append("|---|---|---|---|---|---|---|")
-    for row in report["table2"]:
-        tv = row["time_variation"]
-        lines.append(
-            f"| {row['model']} | {_fmt2(row['ves_norm'])} "
-            f"| {_fmt2(row['ves_star_norm'])} "
-            f"| {_fmt_x(tv['list'])} | {_fmt_x(tv['schema'])} "
-            f"| {_fmt_x(tv['check'])} | {_fmt_x(tv['run'])} |"
-        )
-    lines.append("")
+    return "\n".join([
+        "# Evaluation report", "",
+        *_table(
+            "Accuracy and end-to-end time breakdown",
+            ["Model", "EX", "EA", "E2E mean (s)", "E2E std",
+             *(f"% {s}" for s in STAGES)],
+            ([row["model"], _fmt(row["ex"]), _fmt(row["ea"]),
+              _fmt(row["e2e_mean"], seconds), _fmt(row["e2e_std"], seconds),
+              *(_fmt(row["pct"][s]) for s in STAGES)]
+             for row in report["table1"]),
+        ),
+        *_table(
+            "Efficiency normalized to the best model",
+            ["Model", "VES (norm)", "VES* (norm)", *FOUR_STAGES],
+            ([row["model"], _fmt(row["ves_norm"]), _fmt(row["ves_star_norm"]),
+              *(_fmt(row["time_variation"][s], times) for s in FOUR_STAGES)]
+             for row in report["table2"]),
+        ),
+        *_table(
+            "Cost efficiency",
+            ["Model", "VCES (norm, $^-1)", "CVQ ($)", *FOUR_STAGES],
+            ([row["model"], _fmt(row["vces_norm"]), _fmt(row["cvq"], fine),
+              *(_fmt(row["cost_variation"][s], times) for s in FOUR_STAGES)]
+             for row in report["table3"]),
+        ),
+        *_table(
+            "Per-query detail (mean +/- std)",
+            ["Case", "Model", "EX", "VES", "VES*", "VCES", "CVQ ($)"],
+            ([row["case_id"], row["model"], mean_std(row, "ex", "{:.2f}"),
+              mean_std(row, "ves"), mean_std(row, "ves_star"),
+              mean_std(row, "vces"), _fmt(row["cvq"], fine)]
+             for row in report["per_query"]),
+        ),
+    ])
 
-    lines.append("## Cost efficiency")
-    lines.append("")
-    lines.append(
-        "| Model | VCES (norm, $^-1) | CVQ ($) | list | schema | check | run |"
-    )
-    lines.append("|---|---|---|---|---|---|---|")
-    for row in report["table3"]:
-        cv = row["cost_variation"]
-        lines.append(
-            f"| {row['model']} | {_fmt2(row['vces_norm'])} | {_fmt4(row['cvq'])} "
-            f"| {_fmt_x(cv['list'])} | {_fmt_x(cv['schema'])} "
-            f"| {_fmt_x(cv['check'])} | {_fmt_x(cv['run'])} |"
-        )
-    lines.append("")
 
-    lines.append("## Per-query detail (mean +/- std)")
-    lines.append("")
-    lines.append("| Case | Model | EX | VES | VES* | VCES | CVQ ($) |")
-    lines.append("|---|---|---|---|---|---|---|")
-    for row in report["per_query"]:
-        lines.append(
-            f"| {row['case_id']} | {row['model']} "
-            f"| {_fmt2(row['ex_mean'])} +/- {_fmt2(row['ex_std'])} "
-            f"| {_fmt4(row['ves_mean'])} +/- {_fmt4(row['ves_std'])} "
-            f"| {_fmt4(row['ves_star_mean'])} +/- {_fmt4(row['ves_star_std'])} "
-            f"| {_fmt4(row['vces_mean'])} +/- {_fmt4(row['vces_std'])} "
-            f"| {_fmt4(row['cvq'])} |"
-        )
-    lines.append("")
-    return "\n".join(lines)
+def _csv(header: list[str], rows: Iterable[list[Any]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def render_records_csv(episodes: list[EpisodeResult]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "model", "case_id", "repetition", "scale_factor", "indicator",
-            "exact", "precision", "t_gold", "t_gen", "t_e2e", "c_e2e", "outcome",
-        ]
-    )
+    rows = []
     for ep in episodes:
         r = ep.record
-        writer.writerow(
+        rows.append(
             [
                 ep.model, ep.case_id, ep.repetition, ep.scale_factor,
                 r.indicator, int(r.exact), f"{r.precision:.6f}",
@@ -317,19 +268,19 @@ def render_records_csv(episodes: list[EpisodeResult]) -> str:
                 f"{r.c_e2e:.8f}", ep.outcome,
             ]
         )
-    return buf.getvalue()
+    header = [
+        "model", "case_id", "repetition", "scale_factor", "indicator",
+        "exact", "precision", "t_gold", "t_gen", "t_e2e", "c_e2e", "outcome",
+    ]
+    return _csv(header, rows)
 
 
 def _render_plot_csv(rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["model", "scale_factor", *STAGES])
-    for row in rows:
-        writer.writerow(
-            [row["model"], row["scale_factor"]]
-            + [f"{row[s]:.6f}" for s in STAGES]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["model", "scale_factor", *STAGES],
+        ([row["model"], row["scale_factor"], *(f"{row[s]:.6f}" for s in STAGES)]
+         for row in rows),
+    )
 
 
 def render_report(
@@ -341,26 +292,22 @@ def render_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = build_report(episodes)
+    # each format's files, rendered only if the format is asked for
+    renderers = {
+        "json": lambda: {"report.json": json.dumps(report, indent=2)},
+        "csv": lambda: {"records.csv": render_records_csv(episodes)},
+        "markdown": lambda: {"report.md": render_markdown(report)},
+        "plotdata": lambda: {
+            "plotdata_time.csv": _render_plot_csv(report["plotdata_time"]),
+            "plotdata_cost.csv": _render_plot_csv(report["plotdata_cost"]),
+        },
+    }
     written: list[Path] = []
     for fmt in formats:
-        if fmt == "json":
-            path = out / "report.json"
-            path.write_text(json.dumps(report, indent=2))
-            written.append(path)
-        elif fmt == "csv":
-            path = out / "records.csv"
-            path.write_text(render_records_csv(episodes))
-            written.append(path)
-        elif fmt == "markdown":
-            path = out / "report.md"
-            path.write_text(render_markdown(report))
-            written.append(path)
-        elif fmt == "plotdata":
-            time_path = out / "plotdata_time.csv"
-            time_path.write_text(_render_plot_csv(report["plotdata_time"]))
-            cost_path = out / "plotdata_cost.csv"
-            cost_path.write_text(_render_plot_csv(report["plotdata_cost"]))
-            written.extend([time_path, cost_path])
-        else:
+        if fmt not in renderers:
             raise ValueError(f"unknown report format: {fmt!r}")
+        for name, text in renderers[fmt]().items():
+            path = out / name
+            path.write_text(text)
+            written.append(path)
     return written

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -101,8 +103,12 @@ class RunPlan:
             return candidate if candidate.is_absolute() else (base / candidate)
 
         backends = []
-        for raw in data.get("backends", []):
+        for i, raw in enumerate(data.get("backends", [])):
             sampling_raw = raw.get("sampling", {})
+            _reject_unknown_keys(raw, _BACKEND_KEYS, f" in backends[{i}]")
+            _reject_unknown_keys(
+                sampling_raw, _SAMPLING_KEYS, f" in backends[{i}].sampling"
+            )
             backends.append(
                 BackendSpec(
                     name=raw.get("name") or raw["model_id"],
@@ -134,6 +140,8 @@ class RunPlan:
                 agent_raw.get("terminate_after_first_run", True)
             ),
         )
+        _reject_unknown_keys(agent_raw, _AGENT_KEYS, " in agent")
+        _reject_unknown_keys(data, _PLAN_KEYS, "")
         return cls(
             suite=resolve(data["suite"]),
             backends=backends,
@@ -150,6 +158,28 @@ class RunPlan:
             ),
             agent=agent,
         )
+
+
+# the keys RunPlan._from_json reads; any other key is a plan error, so that a
+# misspelt one (say "max_spend") is not silently ignored
+_PLAN_KEYS = (
+    "suite", "backends", "pricing", "output_dir", "repetitions", "scale_factors",
+    "concurrency", "seed", "max_spend_usd", "agent",
+)
+_BACKEND_KEYS = (
+    "name", "kind", "model_id", "scripts_dir", "endpoint", "api_key_env",
+    "supports_tools", "rate_limit_per_sec", "sampling",
+)
+_SAMPLING_KEYS = ("temperature", "top_p", "max_tokens")
+_AGENT_KEYS = ("max_iterations", "sample_rows", "terminate_after_first_run")
+
+
+def _reject_unknown_keys(
+    raw: dict[str, Any], known: tuple[str, ...], where: str
+) -> None:
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}{where}")
 
 
 @dataclass
@@ -258,38 +288,42 @@ class _ThrottledBackend(LlmBackend):
         return self.inner.complete(messages, tool_schemas)
 
 
-def validate_plan(plan: RunPlan, sessions: Sessions | None = None) -> list[str]:
-    """Pre-flight checks; returns human-readable problems (empty == valid)."""
+def validate_plan(plan: RunPlan) -> list[str]:
+    """Pre-flight checks; returns human-readable problems (empty == valid).
+
+    These are exactly the checks `execute_plan` makes before it writes or
+    runs anything, so a plan that validates is a plan that runs.
+    """
+    with Sessions() as sessions:
+        return _preflight(plan, sessions).problems
+
+
+@dataclass(frozen=True)
+class _Preflight:
+    problems: list[str]
+    # the suite as loaded for each scale factor, in plan order
+    cases: dict[float, list[QueryCase]]
+    # (backend name, case id) -> the entries of that replay script
+    scripts: dict[tuple[str, str], list[dict[str, Any]]]
+
+
+def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
+    """Check a plan, load its suite once per scale factor on `sessions`, and
+    parse the replay script of every backend and usable case."""
     problems: list[str] = []
     if plan.repetitions < 1:
         problems.append("repetitions must be >= 1")
     if not plan.scale_factors:
         problems.append("scale_factors must be non-empty")
+    # a scale factor and a backend name each name a directory of traces
+    for sf, count in Counter(map(format_sf, plan.scale_factors)).items():
+        if count > 1:
+            problems.append(f"scale factor {sf} is listed {count} times")
     if not plan.backends:
         problems.append("plan declares no backends")
-    for spec in plan.backends:
-        if spec.model_id not in plan.pricing.models:
-            problems.append(f"backend {spec.name!r} has no pricing entry")
-        if spec.kind == "replay" and (
-            spec.scripts_dir is None or not spec.scripts_dir.is_dir()
-        ):
-            problems.append(f"backend {spec.name!r}: replay scripts_dir missing")
-        if spec.kind == "http-api":
-            if not spec.endpoint:
-                problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
-            elif not spec.endpoint.lower().startswith(("http://", "https://")):
-                problems.append(
-                    f"backend {spec.name!r}: http-api endpoint {spec.endpoint!r} "
-                    "needs an http:// or https:// scheme"
-                )
-        if spec.kind not in ("replay", "http-api"):
-            problems.append(f"backend {spec.name!r}: unknown kind {spec.kind!r}")
-        # `not > 0` also rejects NaN; None means no limit
-        if spec.rate_limit_per_sec is not None and not spec.rate_limit_per_sec > 0:
-            problems.append(
-                f"backend {spec.name!r}: rate_limit_per_sec must be > 0, "
-                f"got {spec.rate_limit_per_sec}"
-            )
+    for name, count in Counter(spec.name for spec in plan.backends).items():
+        if count > 1:
+            problems.append(f"backend name {name!r} is used by {count} backends")
     if plan.pricing.engine.mode == "per-byte-scanned":
         # the embedded engine never reports bytes scanned, so this mode would
         # bill every query $0
@@ -297,33 +331,69 @@ def validate_plan(plan: RunPlan, sessions: Sessions | None = None) -> list[str]:
             "engine pricing 'per-byte-scanned' needs an engine that reports "
             "bytes scanned; the embedded engine reports none"
         )
+
+    cases: dict[float, list[QueryCase]] = {}
     try:
-        cases = load_suite(plan.suite, plan.scale_factors[0], sessions)
+        for sf in dict.fromkeys(plan.scale_factors):
+            cases[sf] = load_suite(plan.suite, sf, sessions)
     except Exception as exc:
         problems.append(f"suite failed to load: {exc}")
-        return problems
-    usable = [c for c in cases if c.usable]
-    if not usable:
+    # a case usable at any scale factor needs its scripts
+    usable = dict.fromkeys(
+        case.case_id for loaded in cases.values() for case in loaded if case.usable
+    )
+    if cases and not usable:
         problems.append("suite has no usable cases")
+
+    # Each script is read once per run, so an edit between runs is seen.
+    scripts: dict[tuple[str, str], list[dict[str, Any]]] = {}
     for spec in plan.backends:
-        if (
-            spec.kind != "replay"
-            or spec.scripts_dir is None
-            or not spec.scripts_dir.is_dir()
-        ):
-            continue  # a missing scripts_dir is reported above
-        for case in usable:
-            script = _script_path(spec.scripts_dir, case.case_id)
-            if not script.is_file():
+        if spec.model_id not in plan.pricing.models:
+            problems.append(f"backend {spec.name!r} has no pricing entry")
+        # `not > 0` also rejects NaN; None means no limit
+        if spec.rate_limit_per_sec is not None and not spec.rate_limit_per_sec > 0:
+            problems.append(
+                f"backend {spec.name!r}: rate_limit_per_sec must be > 0, "
+                f"got {spec.rate_limit_per_sec}"
+            )
+        if spec.kind == "replay":
+            if spec.scripts_dir is None or not spec.scripts_dir.is_dir():
+                problems.append(f"backend {spec.name!r}: replay scripts_dir missing")
+                continue
+            for case_id in usable:
+                path = spec.scripts_dir / f"{case_id}.jsonl"
+                try:
+                    loaded = ReplayBackend.from_path(path, model_id=spec.model_id)
+                except FileNotFoundError:
+                    problems.append(
+                        f"backend {spec.name!r}: no replay script for case "
+                        f"{case_id!r}: {path} not found"
+                    )
+                except Exception as exc:  # any script that cannot be parsed
+                    problems.append(
+                        f"backend {spec.name!r}: replay script {path} failed to "
+                        f"load: {exc}"
+                    )
+                else:
+                    scripts[spec.name, case_id] = loaded.entries
+        elif spec.kind == "http-api":
+            if not spec.endpoint:
+                problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
+            elif not spec.endpoint.lower().startswith(("http://", "https://")):
                 problems.append(
-                    f"backend {spec.name!r}: no replay script for case "
-                    f"{case.case_id!r}: {script} not found"
+                    f"backend {spec.name!r}: http-api endpoint {spec.endpoint!r} "
+                    "needs an http:// or https:// scheme"
                 )
-    return problems
-
-
-def _script_path(scripts_dir: Path, case_id: str) -> Path:
-    return scripts_dir / f"{case_id}.jsonl"
+            # every request would fail: an operator fault, which would
+            # otherwise be recorded as the model's llm-error at $0
+            if spec.api_key_env and not os.environ.get(spec.api_key_env):
+                problems.append(
+                    f"backend {spec.name!r}: api_key_env {spec.api_key_env!r} "
+                    "is unset or empty"
+                )
+        else:
+            problems.append(f"backend {spec.name!r}: unknown kind {spec.kind!r}")
+    return _Preflight(problems, cases, scripts)
 
 
 @dataclass(frozen=True)
@@ -358,14 +428,13 @@ def execute_plan(plan: RunPlan) -> RunOutput:
     directory, which the run's Sessions removes once the episodes are done.
     """
     with Sessions() as sessions:
-        problems = validate_plan(plan, sessions)
-        if problems:
-            raise PlanValidationError("; ".join(problems))
+        checked = _preflight(plan, sessions)
+        if checked.problems:
+            raise PlanValidationError("; ".join(checked.problems))
 
         plan.output_dir.mkdir(parents=True, exist_ok=True)
-        goldens_dir = plan.output_dir / "goldens"
         try:
-            specs, unusable = _plan_episodes(plan, goldens_dir, sessions)
+            specs, unusable = _plan_episodes(plan, checked, sessions)
         finally:
             # before the workers fork: sqlite connections must not cross a fork
             sessions.close()
@@ -415,24 +484,23 @@ def execute_plan(plan: RunPlan) -> RunOutput:
 
 
 def _plan_episodes(
-    plan: RunPlan, goldens_dir: Path, sessions: Sessions
+    plan: RunPlan, checked: _Preflight, sessions: Sessions
 ) -> tuple[list[_EpisodeSpec], list[dict[str, str]]]:
     """Every cell of the matrix, each with its golden; and the unusable cases.
 
-    The suite loads and the goldens run on `sessions`, one per data directory.
+    The cells come from the pre-flight's cases and scripts; the goldens run
+    on `sessions`, one per data directory.
     """
     specs: list[_EpisodeSpec] = []
     unusable: list[dict[str, str]] = []
-    # Each replay script is read once per run, so an edit between runs is seen.
-    scripts: dict[Path, list[dict[str, Any]]] = {}
-    for sf in plan.scale_factors:
-        for case in load_suite(plan.suite, sf, sessions):
+    for sf, cases in checked.cases.items():
+        for case in cases:
             error = case.error
             if error is None:
                 try:
                     golden, t_gold = materialize_golden(
-                        case, sessions.get(case.data_dir), out_dir=goldens_dir,
-                        scale_factor=sf,
+                        case, sessions.get(case.data_dir),
+                        out_dir=plan.output_dir / "goldens", scale_factor=sf,
                     )
                 except GoldenMaterializationError as exc:
                     error = str(exc)
@@ -443,9 +511,7 @@ def _plan_episodes(
                 )
                 continue
             for backend in plan.backends:
-                script = None
-                if backend.kind == "replay":
-                    script = _load_script(backend, case.case_id, scripts)
+                script = checked.scripts.get((backend.name, case.case_id))
                 trace_dir = (
                     plan.output_dir / "traces" / backend.name / f"sf{format_sf(sf)}"
                 )
@@ -604,23 +670,6 @@ def _collect(workers: dict[Any, Any]) -> list[EpisodeResult]:
                 del running[reader]
                 process.join()  # it exits once it has sent them
     return episodes
-
-
-def _load_script(
-    spec: BackendSpec, case_id: str, scripts: dict[Path, list[dict[str, Any]]]
-) -> list[dict[str, Any]]:
-    """The entries of a replay script, read on the first request for it."""
-    assert spec.scripts_dir is not None  # validate_plan requires it
-    path = _script_path(spec.scripts_dir, case_id)
-    if path not in scripts:
-        try:
-            loaded = ReplayBackend.from_path(path, model_id=spec.model_id)
-        except (OSError, ValueError) as exc:
-            raise PlanValidationError(
-                f"backend {spec.name!r}: replay script {path} failed to load: {exc}"
-            ) from exc
-        scripts[path] = loaded.entries
-    return scripts[path]
 
 
 def _make_backend(

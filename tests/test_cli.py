@@ -84,6 +84,91 @@ def test_run_reports_unreadable_plan_files(tmp_path, mini_suite_dir, capsys):
         assert out.startswith(f"plan invalid: plan {path}: ") and cause in out, out
 
 
+KEY_ENV = "BIGSQLBENCH_TEST_API_KEY"
+
+
+def _unset_key(plan, suite, monkeypatch):
+    plan["backends"][0].update(
+        kind="http-api", endpoint="http://localhost:9/v1", api_key_env=KEY_ENV
+    )
+    monkeypatch.delenv(KEY_ENV, raising=False)
+    return f"backend 'replay-alpha': api_key_env '{KEY_ENV}' is unset or empty"
+
+
+def _empty_key(plan, suite, monkeypatch):
+    expected = _unset_key(plan, suite, monkeypatch)
+    monkeypatch.setenv(KEY_ENV, "")
+    return expected
+
+
+def _missing_script(plan, suite, monkeypatch):
+    path = suite / "replays" / "beta" / "orders_count.jsonl"
+    path.unlink()
+    return (
+        f"backend 'replay-beta': no replay script for case 'orders_count': "
+        f"{path} not found"
+    )
+
+
+def _malformed_script(plan, suite, monkeypatch):
+    path = suite / "replays" / "alpha" / "pricey_products.jsonl"
+    path.write_text("{not json\n")
+    return f"backend 'replay-alpha': replay script {path} failed to load: Expecting"
+
+
+def _missing_scripts_dir(plan, suite, monkeypatch):
+    plan["backends"][0]["scripts_dir"] = "replays/nowhere"
+    return "backend 'replay-alpha': replay scripts_dir missing"
+
+
+def _unpriced_model(plan, suite, monkeypatch):
+    plan["backends"][0]["model_id"] = "not-priced"
+    return "backend 'replay-alpha' has no pricing entry"
+
+
+def _unknown_key(plan, suite, monkeypatch):
+    plan["max_spend"] = 0.0001  # the CLI flag's spelling, not the plan key
+    return f"plan {suite / 'plan.json'}: unknown key 'max_spend'"
+
+
+def _repeated_backend_name(plan, suite, monkeypatch):
+    plan["backends"][1]["name"] = "replay-alpha"
+    return "backend name 'replay-alpha' is used by 2 backends"
+
+
+def _repeated_scale_factor(plan, suite, monkeypatch):
+    plan["scale_factors"] = [1.0, 1.0]
+    return "scale factor 1 is listed 2 times"
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
+     _unknown_key, _repeated_backend_name, _repeated_scale_factor, _unset_key,
+     _empty_key],
+    ids=lambda defect: defect.__name__.lstrip("_"),
+)
+def test_plan_validate_and_run_agree(
+    defect, tmp_path, mini_suite_dir, monkeypatch, capsys
+):
+    """Whatever `plan validate` reports, `run` refuses before it writes anything."""
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    plan = json.loads((suite / "plan.json").read_text())
+    plan["output_dir"] = str(tmp_path / "out")
+    expected = defect(plan, suite, monkeypatch)
+    (suite / "plan.json").write_text(json.dumps(plan))
+    plan_path = str(suite / "plan.json")
+
+    assert main(["plan", "validate", "--plan", plan_path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: ") and expected in out, out
+    assert main(["run", "--plan", plan_path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("plan invalid: ") and expected in out, out
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_rejects_unknown_format(tmp_path, capsys):
     records = tmp_path / "records.json"
     records.write_text(json.dumps({"episodes": []}))

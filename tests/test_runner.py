@@ -21,7 +21,12 @@ from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
 from bigsqlbench.llmclient import ReplayBackend
-from bigsqlbench.report import build_report, render_markdown, render_report
+from bigsqlbench.report import (
+    REPORT_FORMATS,
+    build_report,
+    render_markdown,
+    render_report,
+)
 from bigsqlbench.runner import (
     EpisodeResult,
     PlanValidationError,
@@ -36,6 +41,8 @@ from tests.test_engine import count_registrations, snapshot_files
 
 PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
 PINNED_TRACES = Path(__file__).parent / "data" / "mini_traces_untimed.json"
+# every report format rendered from two_model_episodes()
+PINNED_REPORT = Path(__file__).parent / "data" / "report_two_models"
 TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds", "stage_percentages")
 
 
@@ -183,6 +190,71 @@ def test_non_positive_rate_limit_rejected(mini_plan, rate):
         execute_plan(mini_plan)
 
 
+def test_api_key_env_must_name_a_set_variable(mini_plan, monkeypatch):
+    key_env = "BIGSQLBENCH_TEST_API_KEY"
+    mini_plan.backends[0].kind = "http-api"
+    mini_plan.backends[0].endpoint = "http://localhost:9/v1"
+    mini_plan.backends[0].api_key_env = key_env
+    expected = [f"backend 'replay-alpha': api_key_env '{key_env}' is unset or empty"]
+    monkeypatch.delenv(key_env, raising=False)
+    assert validate_plan(mini_plan) == expected
+    monkeypatch.setenv(key_env, "")
+    assert validate_plan(mini_plan) == expected
+    monkeypatch.setenv(key_env, "sk-test")
+    assert validate_plan(mini_plan) == []
+
+
+def write_plan(mini_suite_dir, tmp_path, edit) -> Path:
+    """A copy of the mini plan file, changed by edit(data), that reads the
+    bundled suite."""
+    data = json.loads((mini_suite_dir / "plan.json").read_text())
+    data["suite"] = str(mini_suite_dir)
+    data["pricing"] = str(mini_suite_dir / data["pricing"])
+    for backend in data["backends"]:
+        backend["scripts_dir"] = str(mini_suite_dir / backend["scripts_dir"])
+    edit(data)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(data))
+    return plan_path
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(max_spend=0.0001), "unknown key 'max_spend'"),
+        (lambda d: d.update(retries=1, max_spend=1),
+         "unknown key 'retries', 'max_spend'"),
+        (lambda d: d["backends"][1].update(api_key="k"),
+         "unknown key 'api_key' in backends[1]"),
+        (lambda d: d["backends"][0].update(sampling={"temprature": 0.5}),
+         "unknown key 'temprature' in backends[0].sampling"),
+        (lambda d: d["agent"].update(max_iteration=3),
+         "unknown key 'max_iteration' in agent"),
+    ],
+    ids=["top-level", "two-top-level", "backend", "sampling", "agent"],
+)
+def test_unknown_plan_key_rejected(mini_suite_dir, tmp_path, edit, message):
+    plan_path = write_plan(mini_suite_dir, tmp_path, edit)
+    with pytest.raises(PlanValidationError) as raised:
+        RunPlan.from_json_file(plan_path)
+    assert str(raised.value) == f"plan {plan_path}: {message}"
+
+
+def test_every_plan_key_read_is_accepted(mini_suite_dir, tmp_path):
+    def every_key(data):
+        data.update(max_spend_usd=None)
+        data["agent"]["terminate_after_first_run"] = False
+        data["backends"][0].update(
+            endpoint=None, api_key_env=None, supports_tools=False,
+            rate_limit_per_sec=None,
+            sampling={"temperature": 0.5, "top_p": 0.9, "max_tokens": 64},
+        )
+
+    plan = RunPlan.from_json_file(write_plan(mini_suite_dir, tmp_path, every_key))
+    assert plan.backends[0].sampling.max_tokens == 64
+    assert plan.agent.terminate_after_first_run is False
+
+
 def test_null_rate_limit_in_plan_file_means_no_limit(mini_suite_dir, tmp_path):
     data = json.loads((mini_suite_dir / "plan.json").read_text())
     data["backends"][0]["rate_limit_per_sec"] = None
@@ -279,7 +351,7 @@ def test_no_snapshot_outlives_its_run(mini_plan, tmp_path, monkeypatch):
     with pytest.raises(PlanValidationError, match="pricing"):
         execute_plan(mini_plan)
     assert snapshot_files() == before
-    # raised while planning, after some goldens ran
+    # raised by validation, which parses every script
     mini_plan.backends[0].model_id = "replay-alpha"
     scripts = copy_scripts(mini_plan, 0, tmp_path)
     (scripts / "top_customer.jsonl").write_text("{not json\n")
@@ -307,6 +379,29 @@ def test_mini_run_traces_match_asdict_oracle(mini_plan, monkeypatch, tmp_path):
     assert len(pairs) == 2 * 20
     for text, expected in pairs:
         assert text.encode() == expected.encode()
+
+
+def test_suite_loaded_once_per_scale_factor(mini_plan, monkeypatch):
+    loaded_at = []
+    explains = []
+    real_load_suite = runner.load_suite
+    real_explain = EmbeddedEngine.explain
+
+    def recording_load_suite(path, scale_factor=None, sessions=None):
+        loaded_at.append(scale_factor)
+        return real_load_suite(path, scale_factor, sessions)
+
+    def counting_explain(self, sql):
+        explains.append(sql)
+        return real_explain(self, sql)
+
+    monkeypatch.setattr(runner, "load_suite", recording_load_suite)
+    monkeypatch.setattr(EmbeddedEngine, "explain", counting_explain)
+    mini_plan.scale_factors = [1.0, 2.0]
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 5 * 2 * 2 * 2
+    assert loaded_at == [1.0, 2.0]
+    assert len(explains) == 5 * 2  # each golden compiles once per scale factor
 
 
 def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
@@ -806,7 +901,7 @@ def test_sessions_closed_when_planning_fails(mini_plan, tmp_path, monkeypatch):
     (scripts / "top_customer.jsonl").write_text("{not json\n")
     with pytest.raises(PlanValidationError):
         execute_plan(mini_plan)
-    # the goldens before the bad script ran on a session, now closed
+    # the suite load compiled the goldens on a session, now closed
     assert len(opens(events())) == 1 and all_closed(events())
 
 
@@ -1020,6 +1115,15 @@ def test_render_report_writes_all_formats(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert {"table1", "table2", "table3", "per_query"} <= set(report)
     assert len((tmp_path / "records.csv").read_text().splitlines()) == 9
+
+
+def test_render_report_matches_pinned_files(tmp_path):
+    written = render_report(two_model_episodes(), REPORT_FORMATS, tmp_path)
+    assert sorted(p.name for p in written) == sorted(
+        p.name for p in PINNED_REPORT.iterdir()
+    )
+    for path in written:
+        assert path.read_bytes() == (PINNED_REPORT / path.name).read_bytes(), path.name
 
 
 def test_render_report_rejects_unknown_format(tmp_path):
