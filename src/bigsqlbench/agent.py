@@ -626,15 +626,47 @@ def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
         "final_answer": trace.final_answer,
         "error": trace.error,
         "final_result": (
-            trace.final_result.to_json_dict() if trace.final_result else None
+            _logged_result(trace.final_result) if trace.final_result else None
         ),
     }
     lines.append(json.dumps(outcome, sort_keys=True, default=json_cell))
     return "\n".join(lines) + "\n"
 
 
+# sizes result rows one at a time as json.dumps(rows, default=json_cell) would
+_ROW_ENCODER = json.JSONEncoder(default=json_cell)
+
+
+def _logged_result(table: ResultTable) -> dict[str, Any]:
+    """`final_result` as an outcome line logs it.
+
+    A result whose rows' JSON array fits the observation budget is logged
+    whole.  A larger one is cut to the longest prefix of rows that fits,
+    plus its `row_count`: the data and `final_sql` rebuild the rest, and
+    sizing stops at the first row past the budget, so the cost of a cut
+    does not grow with the result.
+    """
+    size = 1  # "["
+    kept = 0
+    for row in table.rows:
+        size += len(_ROW_ENCODER.encode(row)) + (2 if kept else 0)  # ", "
+        if size + 1 > DEFAULT_OBSERVATION_CAP:  # "]"
+            break
+        kept += 1
+    else:
+        return table.to_json_dict()
+    cut = ResultTable(table.columns, table.rows[:kept]).to_json_dict()
+    cut["row_count"] = table.n_rows
+    return cut
+
+
 def trace_from_jsonl(text: str) -> AgentTrace:
-    """Rebuild an AgentTrace from its episode log."""
+    """Rebuild an AgentTrace from its episode log.
+
+    A trace holds the whole result only when its rows fit the observation
+    budget; an outcome line cut to a prefix (it carries `row_count`) reads
+    back with `final_result` None, never as the prefix.
+    """
     trace = AgentTrace()
     for line in text.splitlines():
         line = line.strip()
@@ -656,6 +688,6 @@ def trace_from_jsonl(text: str) -> AgentTrace:
             trace.final_answer = record.get("final_answer")
             trace.error = record.get("error")
             table = record.get("final_result")
-            if table is not None:
+            if table is not None and "row_count" not in table:
                 trace.final_result = ResultTable.from_json_dict(table)
     return trace

@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .agent import AgentTrace
@@ -72,19 +72,34 @@ class PricingConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PricingConfig":
         data = json.loads(Path(path).read_text())
+        _reject_unknown_keys(data, ("models", "engine"), "")
         models = {}
-        for entry in data.get("models", []):
+        for i, entry in enumerate(data.get("models", [])):
+            _reject_unknown_keys(
+                entry, ("id", "input_per_mtok", "output_per_mtok"), f" in models[{i}]"
+            )
             models[entry["id"]] = PricingEntry(
                 model_id=entry["id"],
                 input_per_mtok=float(entry["input_per_mtok"]),
                 output_per_mtok=float(entry["output_per_mtok"]),
             )
         engine_data = data.get("engine", {})
+        _reject_unknown_keys(engine_data, ("mode", "rate"), " in engine")
         engine = EnginePricing(
             mode=engine_data.get("mode", "free"),
             rate=float(engine_data.get("rate", 0.0)),
         )
         return cls(models=models, engine=engine)
+
+
+def _reject_unknown_keys(
+    raw: dict[str, Any], known: tuple[str, ...], where: str
+) -> None:
+    """Raise ValueError naming every key of `raw` outside `known`, so that a
+    misspelt setting in a plan or pricing file is never silently ignored."""
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}{where}")
 
 
 @dataclass

@@ -120,18 +120,30 @@ class ReplayBackend(LlmBackend):
 
     @classmethod
     def from_path(cls, path: str | Path, model_id: str = "replay") -> "ReplayBackend":
-        """Load a script file; episode logs expand to their embedded exchanges."""
+        """Load a script file; episode logs expand to their embedded exchanges.
+
+        A line must be a `response` record or an episode log's `meta`,
+        `iteration` or `outcome` line; any other line raises ValueError
+        naming its line number, since replaying without it would blame the
+        model for a broken script.
+        """
         entries: list[dict[str, Any]] = []
         with open(path) as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
                 record = json.loads(line)
-                if record.get("type") == "iteration":
+                kind = record.get("type")
+                if kind == "iteration":
                     entries.extend(record.get("exchanges", []))
                 elif "response" in record:
                     entries.append(record)
+                elif kind not in ("meta", "outcome"):
+                    raise ValueError(
+                        f"line {number} is neither a response record nor a "
+                        "meta, iteration or outcome line"
+                    )
         return cls(entries, model_id=model_id)
 
     def complete(

@@ -26,7 +26,12 @@ from .agent import (
     stage_breakdown,
     trace_to_jsonl,
 )
-from .costmodel import CostLedger, PricingConfig, compose_ledger
+from .costmodel import (
+    CostLedger,
+    PricingConfig,
+    _reject_unknown_keys,
+    compose_ledger,
+)
 from .engine import Sessions
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
 from .metrics import MetricRecord
@@ -172,14 +177,6 @@ _BACKEND_KEYS = (
 )
 _SAMPLING_KEYS = ("temperature", "top_p", "max_tokens")
 _AGENT_KEYS = ("max_iterations", "sample_rows", "terminate_after_first_run")
-
-
-def _reject_unknown_keys(
-    raw: dict[str, Any], known: tuple[str, ...], where: str
-) -> None:
-    unknown = [key for key in raw if key not in known]
-    if unknown:
-        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}{where}")
 
 
 @dataclass

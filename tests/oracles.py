@@ -12,7 +12,12 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from bigsqlbench.resultset import DEFAULT_TOLERANCE, ResultTable, values_equal
+from bigsqlbench.resultset import (
+    DEFAULT_TOLERANCE,
+    ResultTable,
+    json_cell,
+    values_equal,
+)
 
 PRICING_SUMMARY_CUTOFF = "1998-09-02"
 
@@ -117,7 +122,9 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
     """Episode log serialized through `dataclasses.asdict` of each iteration.
 
     A copy of the serializer the package used before it stopped deep-copying
-    iterations; its bytes are the reference for `agent.trace_to_jsonl`.
+    iterations, and before it cut large results; its bytes are the reference
+    for `agent.trace_to_jsonl` (BLOB cells as hex text, as the package logs
+    them).
     """
     lines = [
         json.dumps(
@@ -141,5 +148,5 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
             trace.final_result.to_json_dict() if trace.final_result else None
         ),
     }
-    lines.append(json.dumps(outcome, sort_keys=True))
+    lines.append(json.dumps(outcome, sort_keys=True, default=json_cell))
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigsqlbench.agent import (
+    DEFAULT_OBSERVATION_CAP,
     ActionParseError,
     AgentConfig,
     AgentTrace,
@@ -25,7 +26,7 @@ from bigsqlbench.agent import (
 )
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import ChatExchange, ReplayBackend
-from bigsqlbench.resultset import ResultTable
+from bigsqlbench.resultset import ResultTable, json_cell
 from tests.oracles import trace_to_jsonl_asdict
 
 
@@ -486,3 +487,67 @@ traces = st.builds(
 def test_trace_jsonl_bytes_match_asdict_oracle(trace, include_timing):
     expected = trace_to_jsonl_asdict(trace, include_timing)
     assert trace_to_jsonl(trace, include_timing).encode() == expected.encode()
+
+
+# --- large results in the outcome line ---
+
+result_cells = st.none() | st.integers() | st.floats() | st.text() | st.binary()
+
+
+@st.composite
+def result_tables(draw):
+    """Tables of 0-400 rows, cycling through a few drawn rows so that big
+    tables stay cheap to generate."""
+    width = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[result_cells] * width), min_size=1, max_size=6))
+    n_rows = draw(st.integers(0, 400))
+    return ResultTable.build(
+        [(f"c{i}", "text") for i in range(width)],
+        [pool[i % len(pool)] for i in range(n_rows)],
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(table=result_tables())
+def test_outcome_line_logs_the_rows_that_fit_the_observation_budget(table):
+    trace = AgentTrace(outcome="completed", final_sql="SELECT *", final_result=table)
+    text = trace_to_jsonl(trace)
+    expected = trace_to_jsonl_asdict(trace)
+    if len(json.dumps(list(table.rows), default=json_cell)) <= DEFAULT_OBSERVATION_CAP:
+        assert text.encode() == expected.encode()
+        return
+    *head, line = text.splitlines()
+    *expected_head, expected_line = expected.splitlines()
+    assert head == expected_head
+    outcome = json.loads(line)
+    oracle = json.loads(expected_line)
+    logged = outcome.pop("final_result")
+    oracle_result = oracle.pop("final_result")
+    assert outcome == oracle
+    kept = logged["rows"]
+    assert logged["columns"] == oracle_result["columns"]
+    assert logged["row_count"] == table.n_rows
+    assert json.dumps(kept) == json.dumps(oracle_result["rows"][: len(kept)])
+    assert len(json.dumps(kept)) <= DEFAULT_OBSERVATION_CAP
+    one_more = oracle_result["rows"][: len(kept) + 1]
+    assert len(json.dumps(one_more)) > DEFAULT_OBSERVATION_CAP
+    assert trace_from_jsonl(text).final_result is None
+
+
+def test_trace_with_a_cut_outcome_line_still_replays(sessions, sf_tiny_dir, tmp_path):
+    script = [
+        entry(action_text("list_tables", {})),
+        entry(action_text("run_query", {"sql": "SELECT * FROM lineitem"})),
+    ]
+    engine = sessions.get(sf_tiny_dir)
+    trace = run_agent("every line item", AgentConfig(), ReplayBackend(script), engine)
+    log_path = tmp_path / "episode.jsonl"
+    log_path.write_text(trace_to_jsonl(trace))
+    logged = json.loads(log_path.read_text().splitlines()[-1])["final_result"]
+    assert logged["row_count"] == trace.final_result.n_rows == 6000
+
+    replay = ReplayBackend.from_path(log_path)
+    replayed = run_agent("every line item", AgentConfig(), replay, engine)
+    assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
+        trace, include_timing=False
+    )

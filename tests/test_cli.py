@@ -131,6 +131,22 @@ def _unknown_key(plan, suite, monkeypatch):
     return f"plan {suite / 'plan.json'}: unknown key 'max_spend'"
 
 
+def _unknown_pricing_key(plan, suite, monkeypatch):
+    pricing = json.loads((suite / "pricing.json").read_text())
+    pricing["engine"] = {"mode": "per-second", "rates": 0.5}  # not "rate"
+    (suite / "pricing.json").write_text(json.dumps(pricing))
+    return f"plan {suite / 'plan.json'}: unknown key 'rates' in engine"
+
+
+def _script_line_without_exchange(plan, suite, monkeypatch):
+    path = suite / "replays" / "alpha" / "orders_count.jsonl"
+    path.write_text('{"foo": 1}\n')
+    return (
+        f"backend 'replay-alpha': replay script {path} failed to load: "
+        "line 1 is neither a response record nor a meta, iteration or outcome line"
+    )
+
+
 def _repeated_backend_name(plan, suite, monkeypatch):
     plan["backends"][1]["name"] = "replay-alpha"
     return "backend name 'replay-alpha' is used by 2 backends"
@@ -144,8 +160,8 @@ def _repeated_scale_factor(plan, suite, monkeypatch):
 @pytest.mark.parametrize(
     "defect",
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
-     _unknown_key, _repeated_backend_name, _repeated_scale_factor, _unset_key,
-     _empty_key],
+     _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
+     _repeated_backend_name, _repeated_scale_factor, _unset_key, _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(

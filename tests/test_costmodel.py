@@ -123,6 +123,29 @@ def test_pricing_config_from_json(tmp_path):
     assert config.engine.rate == 0.002
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(engines={}), "unknown key 'engines'"),
+        (lambda d: d["models"][0].update(input_per_mtoks=1.0),
+         "unknown key 'input_per_mtoks' in models[0]"),
+        (lambda d: d["engine"].update(rates=0.5), "unknown key 'rates' in engine"),
+    ],
+    ids=["top-level", "model", "engine"],
+)
+def test_pricing_config_rejects_unknown_keys(tmp_path, edit, message):
+    data = {
+        "models": [{"id": "flash", "input_per_mtok": 0.5, "output_per_mtok": 3.0}],
+        "engine": {"mode": "per-second"},
+    }
+    edit(data)
+    path = tmp_path / "pricing.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as raised:
+        PricingConfig.from_json_file(path)
+    assert str(raised.value) == message
+
+
 # --- compose_ledger ---
 
 

@@ -88,6 +88,13 @@ def test_replay_estimates_missing_usage():
     assert exchange.output_tokens == 10
 
 
+def test_replay_script_line_without_exchange_is_rejected(tmp_path):
+    path = tmp_path / "script.jsonl"
+    path.write_text(json.dumps(script_entry("ok")) + "\n\n" + '{"foo": 1}\n')
+    with pytest.raises(ValueError, match="^line 3 is neither a response record"):
+        ReplayBackend.from_path(path)
+
+
 def test_estimate_tokens_quarter_length():
     assert estimate_tokens("abcd" * 25) == 25
     assert estimate_tokens("") == 0

@@ -559,6 +559,60 @@ def test_blob_results_are_compared_and_logged(mini_copy):
     assert len(records["episodes"]) == 20
 
 
+def all_lines_plan(data_dir: Path, tmp_path: Path) -> RunPlan:
+    """A plan over one `SELECT * FROM lineitem` case on data_dir: `gold`
+    replays the golden SQL, `short` returns its first ten rows."""
+    suite = tmp_path / "wh"
+    (suite / "databases").mkdir(parents=True)
+    (suite / "databases" / "wh").symlink_to(data_dir)
+    golden = "SELECT * FROM lineitem"
+    (suite / "manifest.json").write_text(json.dumps({"cases": [
+        {"case_id": "all_lines", "question": "List every line item.",
+         "SQL": golden, "db_id": "wh"},
+    ]}))
+    backends = []
+    for name, sql in (("gold", golden), ("short", golden + " LIMIT 10")):
+        scripts = suite / "replays" / name
+        scripts.mkdir(parents=True)
+        entry = {"fingerprint": None,
+                 "response": {"text": "Thought: run it.\nAction: run_query\n"
+                              f"Action Input: {json.dumps({'sql': sql})}",
+                              "tool_call": None},
+                 "usage": {"input_tokens": 100, "output_tokens": 10}}
+        (scripts / "all_lines.jsonl").write_text(json.dumps(entry) + "\n")
+        backends.append({"name": name, "kind": "replay", "model_id": name,
+                         "scripts_dir": f"replays/{name}"})
+    (suite / "pricing.json").write_text(json.dumps({"models": [
+        {"id": name, "input_per_mtok": 1.0, "output_per_mtok": 2.0}
+        for name in ("gold", "short")
+    ]}))
+    (suite / "plan.json").write_text(json.dumps({
+        "suite": ".", "backends": backends, "pricing": "pricing.json",
+        "output_dir": str(tmp_path / "out"), "scale_factors": [1.0],
+        "concurrency": 1,
+    }))
+    return RunPlan.from_json_file(suite / "plan.json")
+
+
+def test_large_result_trace_is_cut_and_verdicts_kept(sf_tiny_dir, tmp_path):
+    output = execute_plan(all_lines_plan(sf_tiny_dir, tmp_path))
+    records = json.loads(output.records_path.read_text())
+    verdicts = {(ep["model"], ep["indicator"], ep["exact"], ep["precision"])
+                for ep in records["episodes"]}
+    assert verdicts == {("gold", 1, True, 1.0), ("short", 0, False, 1.0)}
+    gold = by_cell(output)["gold", "all_lines", 0]
+    trace = Path(gold.trace_path)
+    assert trace.stat().st_size < 16 * 1024
+    logged = json.loads(trace.read_text().splitlines()[-1])["final_result"]
+    assert logged["row_count"] == 6000 and 0 < len(logged["rows"]) < 6000
+    # the short result fits, so its trace holds it whole
+    short = json.loads(
+        Path(by_cell(output)["short", "all_lines", 0].trace_path)
+        .read_text().splitlines()[-1]
+    )["final_result"]
+    assert "row_count" not in short and len(short["rows"]) == 10
+
+
 def test_comparison_fault_is_harness_error_for_that_cell_only(
     mini_plan, monkeypatch, tmp_path
 ):
