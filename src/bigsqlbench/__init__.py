@@ -35,7 +35,7 @@ from .costmodel import (
 )
 from .agent import AgentConfig, AgentTrace, run_agent, stage_breakdown
 from .engine import EngineConfig, EmbeddedEngine, Sessions
-from .llmclient import HttpBackend, ReplayBackend, record_session
+from .llmclient import HttpBackend, ReplayBackend
 from .suite import (
     QueryCase,
     generate_scaled_data,
@@ -81,7 +81,6 @@ __all__ = [
     "materialize_golden",
     "normalize_column_name",
     "normalize_to_best",
-    "record_session",
     "render_report",
     "run_agent",
     "stage_breakdown",

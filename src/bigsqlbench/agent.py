@@ -21,7 +21,6 @@ from .llmclient import (
     LlmBackend,
     LlmTransportError,
     ReplayExhaustedError,
-    ReplayMismatchError,
 )
 from .resultset import ResultTable, json_cell
 
@@ -137,9 +136,6 @@ class AgentConfig:
     max_iterations: int = 15
     sample_rows: int = 3
     terminate_after_first_run: bool = True
-    system_prompt: str = DEFAULT_SYSTEM_PROMPT
-    checker_prompt: str = DEFAULT_CHECKER_PROMPT
-    observation_cap: int = DEFAULT_OBSERVATION_CAP
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -286,7 +282,7 @@ def tool_check_query(llm: LlmBackend, sql: str, checker_prompt: str) -> ChatExch
     ]
     try:
         return llm.complete(messages)
-    except (LlmTransportError, ReplayMismatchError, ReplayExhaustedError) as exc:
+    except (LlmTransportError, ReplayExhaustedError) as exc:
         raise ToolError(f"checker llm failed: {exc}") from exc
 
 
@@ -425,11 +421,13 @@ def run_agent(
 
     Stops at the final answer, the first run_query (when configured), the
     iteration cap, or an unrecoverable error.  The checker shares the
-    controller backend; its tokens bill to the check iteration.
+    controller backend; its tokens bill to the check iteration.  A request
+    that no longer matches its replayed fingerprint raises
+    ReplayMismatchError, which the caller records as a harness fault.
     """
     trace = AgentTrace(question=question, model_id=llm.model_id)
     messages: list[dict[str, str]] = [
-        {"role": "system", "content": config.system_prompt},
+        {"role": "system", "content": DEFAULT_SYSTEM_PROMPT},
         {"role": "user", "content": question},
     ]
 
@@ -467,7 +465,7 @@ def run_agent(
     for _ in range(config.max_iterations):
         try:
             exchange = llm.complete(messages, TOOL_SCHEMAS)
-        except (LlmTransportError, ReplayMismatchError, ReplayExhaustedError) as exc:
+        except (LlmTransportError, ReplayExhaustedError) as exc:
             trace.outcome = OUTCOME_LLM_ERROR
             trace.error = str(exc)
             return trace
@@ -518,7 +516,7 @@ def run_agent(
                 engine_seconds = time.perf_counter() - t0
             elif action == "check_query":
                 checker_exchange = tool_check_query(
-                    llm, _sql_argument(step.action_input), config.checker_prompt
+                    llm, _sql_argument(step.action_input), DEFAULT_CHECKER_PROMPT
                 )
                 exchanges.append(_exchange_record(checker_exchange))
                 observation = checker_exchange.response_text
@@ -533,7 +531,7 @@ def run_agent(
             observation = str(exc)
             failed = True
 
-        observation = truncate_observation(observation, config.observation_cap)
+        observation = truncate_observation(observation)
         messages.append({"role": "user", "content": f"Observation: {observation}"})
         end_iteration(
             step.thought, action, step.action_input, observation, engine_seconds
@@ -563,7 +561,7 @@ def run_agent(
 
 def _exchange_record(exchange: ChatExchange) -> dict[str, Any]:
     return {
-        "fingerprint": None,
+        "fingerprint": exchange.fingerprint,
         "response": exchange.response_json_dict(),
         "usage": {
             "input_tokens": exchange.input_tokens,

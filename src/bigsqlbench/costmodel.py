@@ -34,7 +34,8 @@ class PricingEntry:
     output_per_mtok: float
 
     def __post_init__(self) -> None:
-        if self.input_per_mtok < 0 or self.output_per_mtok < 0:
+        # `not >= 0` also rejects NaN, which would bill every episode $nan
+        if not (self.input_per_mtok >= 0 and self.output_per_mtok >= 0):
             raise ValueError("token prices must be nonnegative")
 
 
@@ -48,7 +49,7 @@ class EnginePricing:
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine pricing mode: {self.mode!r}")
-        if self.rate < 0:
+        if not self.rate >= 0:  # also rejects NaN
             raise ValueError("engine rate must be nonnegative")
         if self.mode == "free" and self.rate != 0.0:
             raise ValueError("free mode requires rate 0")

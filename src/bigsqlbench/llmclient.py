@@ -2,8 +2,9 @@
 
 Every exchange reports token usage; when a provider omits it, counts are
 estimated (length/4) and flagged so cost reports can separate measured from
-estimated spend.  Recordings are JSON lines keyed by a request fingerprint
-and replay deterministically.
+estimated spend.  A live exchange carries a fingerprint of its request, so an
+episode trace replays deterministically and notices when the request it
+answered has changed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, IO, Sequence
+from typing import Any, Sequence
 
 _WS_RE = re.compile(r"\s+")
 
@@ -64,6 +65,9 @@ class ChatExchange:
     input_tokens: int = 0
     output_tokens: int = 0
     estimated: bool = False
+    # of the request: computed for a live exchange, copied from the script
+    # for a replayed one (None when the script has none)
+    fingerprint: str | None = None
 
     def response_json_dict(self) -> dict[str, Any]:
         return {"text": self.response_text, "tool_call": self.tool_call}
@@ -87,8 +91,25 @@ def estimate_tokens(text: str) -> int:
     return max(1, len(text) // 4) if text else 0
 
 
-def _estimate_input_tokens(messages: Sequence[dict[str, str]]) -> int:
-    return sum(estimate_tokens(str(m.get("content", ""))) for m in messages)
+def _exchange(
+    messages: Sequence[dict[str, str]],
+    text: str,
+    tool_call: dict[str, Any] | None,
+    counts: tuple[Any, Any] | None,
+    estimated: bool,
+    fingerprint: str | None,
+) -> ChatExchange:
+    """An exchange billed with `counts` (input, output) when there are any,
+    else with length/4 estimates, flagged as estimated."""
+    if counts is None:
+        counts = (
+            sum(estimate_tokens(str(m.get("content", ""))) for m in messages),
+            estimate_tokens(text),
+        )
+        estimated = True
+    return ChatExchange(
+        text, tool_call, int(counts[0]), int(counts[1]), estimated, fingerprint
+    )
 
 
 class LlmBackend:
@@ -167,20 +188,13 @@ class ReplayBackend(LlmBackend):
                 )
         response = entry.get("response", {})
         usage = entry.get("usage") or {}
-        text = response.get("text", "")
+        counts = None
         if "input_tokens" in usage and "output_tokens" in usage:
-            return ChatExchange(
-                response_text=text,
-                tool_call=response.get("tool_call"),
-                input_tokens=int(usage["input_tokens"]),
-                output_tokens=int(usage["output_tokens"]),
-            )
-        return ChatExchange(
-            response_text=text,
-            tool_call=response.get("tool_call"),
-            input_tokens=_estimate_input_tokens(messages),
-            output_tokens=estimate_tokens(text),
-            estimated=True,
+            counts = (usage["input_tokens"], usage["output_tokens"])
+        # a trace records its estimates as counts, flagged `estimated`
+        return _exchange(
+            messages, response.get("text", ""), response.get("tool_call"), counts,
+            bool(entry.get("estimated", False)), expected,
         )
 
 
@@ -306,53 +320,9 @@ class HttpBackend(LlmBackend):
                     arguments = {"raw": arguments}
             tool_call = {"name": function.get("name", ""), "arguments": arguments}
         usage = data.get("usage") or {}
+        counts = None
         if "prompt_tokens" in usage and "completion_tokens" in usage:
-            return ChatExchange(
-                response_text=text,
-                tool_call=tool_call,
-                input_tokens=int(usage["prompt_tokens"]),
-                output_tokens=int(usage["completion_tokens"]),
-            )
-        return ChatExchange(
-            response_text=text,
-            tool_call=tool_call,
-            input_tokens=_estimate_input_tokens(messages),
-            output_tokens=estimate_tokens(text),
-            estimated=True,
+            counts = (usage["prompt_tokens"], usage["completion_tokens"])
+        return _exchange(
+            messages, text, tool_call, counts, False, fingerprint_messages(messages)
         )
-
-
-@dataclass
-class RecordingBackend(LlmBackend):
-    """Wraps a live backend and appends every exchange to a replayable sink."""
-
-    inner: LlmBackend
-    sink: IO[str]
-    recorded: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        self.model_id = self.inner.model_id
-
-    def complete(
-        self,
-        messages: Sequence[dict[str, str]],
-        tool_schemas: Sequence[dict[str, Any]] | None = None,
-    ) -> ChatExchange:
-        exchange = self.inner.complete(messages, tool_schemas)
-        line = {
-            "fingerprint": fingerprint_messages(messages),
-            "response": exchange.response_json_dict(),
-            "usage": {
-                "input_tokens": exchange.input_tokens,
-                "output_tokens": exchange.output_tokens,
-            },
-        }
-        self.sink.write(json.dumps(line) + "\n")
-        self.sink.flush()
-        self.recorded += 1
-        return exchange
-
-
-def record_session(backend: LlmBackend, sink: IO[str]) -> RecordingBackend:
-    """Wrap a backend so every exchange lands in a replayable recording."""
-    return RecordingBackend(inner=backend, sink=sink)

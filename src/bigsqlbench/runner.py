@@ -300,16 +300,23 @@ class _Preflight:
     problems: list[str]
     # the suite as loaded for each scale factor, in plan order
     cases: dict[float, list[QueryCase]]
-    # (backend name, case id) -> the entries of that replay script
-    scripts: dict[tuple[str, str], list[dict[str, Any]]]
+    # (backend name, case id, repetition) -> the entries of its replay script
+    scripts: dict[tuple[str, str, int], list[dict[str, Any]]]
 
 
 def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
     """Check a plan, load its suite once per scale factor on `sessions`, and
-    parse the replay script of every backend and usable case."""
+    parse the replay script of every backend, usable case and repetition.
+
+    Repetition r of case c replays `<c>_r<r>.jsonl` when the scripts_dir has
+    it, as a run's trace directory does, and `<c>.jsonl` otherwise.
+    """
     problems: list[str] = []
     if plan.repetitions < 1:
         problems.append("repetitions must be >= 1")
+    # `not >= 0` also rejects NaN, which no spend would ever reach
+    if plan.max_spend_usd is not None and not plan.max_spend_usd >= 0:
+        problems.append(f"max_spend_usd must be >= 0, got {plan.max_spend_usd}")
     if not plan.scale_factors:
         problems.append("scale_factors must be non-empty")
     # a scale factor and a backend name each name a directory of traces
@@ -343,7 +350,7 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
         problems.append("suite has no usable cases")
 
     # Each script is read once per run, so an edit between runs is seen.
-    scripts: dict[tuple[str, str], list[dict[str, Any]]] = {}
+    scripts: dict[tuple[str, str, int], list[dict[str, Any]]] = {}
     for spec in plan.backends:
         if spec.model_id not in plan.pricing.models:
             problems.append(f"backend {spec.name!r} has no pricing entry")
@@ -357,22 +364,23 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
             if spec.scripts_dir is None or not spec.scripts_dir.is_dir():
                 problems.append(f"backend {spec.name!r}: replay scripts_dir missing")
                 continue
+            try:
+                names = set(os.listdir(spec.scripts_dir))
+            except OSError as exc:
+                problems.append(f"backend {spec.name!r}: replay scripts_dir: {exc}")
+                continue
+            # file name -> its entries, None if it is missing or failed to
+            # parse: each file is parsed, and each problem reported, once
+            by_name: dict[str, list[dict[str, Any]] | None] = {}
             for case_id in usable:
-                path = spec.scripts_dir / f"{case_id}.jsonl"
-                try:
-                    loaded = ReplayBackend.from_path(path, model_id=spec.model_id)
-                except FileNotFoundError:
-                    problems.append(
-                        f"backend {spec.name!r}: no replay script for case "
-                        f"{case_id!r}: {path} not found"
-                    )
-                except Exception as exc:  # any script that cannot be parsed
-                    problems.append(
-                        f"backend {spec.name!r}: replay script {path} failed to "
-                        f"load: {exc}"
-                    )
-                else:
-                    scripts[spec.name, case_id] = loaded.entries
+                for rep in range(plan.repetitions):
+                    name = f"{case_id}_r{rep}.jsonl"
+                    if name not in names:
+                        name = f"{case_id}.jsonl"
+                    if name not in by_name:
+                        by_name[name] = _load_script(spec, case_id, name, problems)
+                    if by_name[name] is not None:
+                        scripts[spec.name, case_id, rep] = by_name[name]
         elif spec.kind == "http-api":
             if not spec.endpoint:
                 problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
@@ -393,6 +401,26 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
     return _Preflight(problems, cases, scripts)
 
 
+def _load_script(
+    spec: BackendSpec, case_id: str, name: str, problems: list[str]
+) -> list[dict[str, Any]] | None:
+    """The entries of replay script `name` in spec's scripts_dir, or None
+    with the reason appended to `problems`."""
+    path = spec.scripts_dir / name
+    try:
+        return ReplayBackend.from_path(path, model_id=spec.model_id).entries
+    except FileNotFoundError:
+        problems.append(
+            f"backend {spec.name!r}: no replay script for case {case_id!r}: "
+            f"{path} not found"
+        )
+    except Exception as exc:  # any script that cannot be parsed
+        problems.append(
+            f"backend {spec.name!r}: replay script {path} failed to load: {exc}"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class _EpisodeSpec:
     backend: BackendSpec
@@ -401,7 +429,7 @@ class _EpisodeSpec:
     scale_factor: float
     golden: ResultTable
     golden_t: float
-    # replay entries shared by every episode of this (backend, case); read-only
+    # replay entries shared by every episode replaying one script; read-only
     script: list[dict[str, Any]] | None
     trace_dir: Path
 
@@ -508,11 +536,11 @@ def _plan_episodes(
                 )
                 continue
             for backend in plan.backends:
-                script = checked.scripts.get((backend.name, case.case_id))
                 trace_dir = (
                     plan.output_dir / "traces" / backend.name / f"sf{format_sf(sf)}"
                 )
                 for rep in range(plan.repetitions):
+                    script = checked.scripts.get((backend.name, case.case_id, rep))
                     specs.append(
                         _EpisodeSpec(backend, case, rep, sf, golden, t_gold,
                                      script, trace_dir)

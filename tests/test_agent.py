@@ -25,7 +25,7 @@ from bigsqlbench.agent import (
     truncate_observation,
 )
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
-from bigsqlbench.llmclient import ChatExchange, ReplayBackend
+from bigsqlbench.llmclient import ChatExchange, ReplayBackend, ReplayMismatchError
 from bigsqlbench.resultset import ResultTable, json_cell
 from tests.oracles import trace_to_jsonl_asdict
 
@@ -278,6 +278,14 @@ def test_replay_exhaustion_is_llm_error(shop_engine):
     assert trace.iterations == []
 
 
+@pytest.mark.parametrize("index", [0, 3], ids=["controller", "checker"])
+def test_fingerprint_mismatch_is_raised_not_scored(shop_engine, index):
+    script = [dict(e) for e in FOUR_TOOL_SCRIPT]
+    script[index]["fingerprint"] = "0" * 64
+    with pytest.raises(ReplayMismatchError, match="does not match recorded"):
+        run_agent("q", AgentConfig(), ReplayBackend(script), shop_engine)
+
+
 def test_malformed_reply_is_llm_error(shop_engine):
     trace = run_agent(
         "prose", AgentConfig(), ReplayBackend([entry("no action here")]), shop_engine
@@ -313,12 +321,21 @@ def test_every_iteration_token_lands_in_one_stage(shop_engine):
     assert sum(stage_tokens.values()) == trace.total_input_tokens
 
 
-def test_estimated_usage_flag_propagates(shop_engine):
+def test_estimated_usage_flag_propagates(shop_engine, tmp_path):
     script = [
         {"response": {"text": "Thought: done.\nFinal Answer: n/a", "tool_call": None}}
     ]
     trace = run_agent("q", AgentConfig(), ReplayBackend(script), shop_engine)
     assert trace.uses_estimated_tokens
+    # and survives a replay of the episode's trace, which logs the estimates
+    log_path = tmp_path / "episode.jsonl"
+    log_path.write_text(trace_to_jsonl(trace))
+    replay = ReplayBackend.from_path(log_path)
+    replayed = run_agent("q", AgentConfig(), replay, shop_engine)
+    assert replayed.uses_estimated_tokens
+    assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
+        trace, include_timing=False
+    )
 
     counted = ReplayBackend(FOUR_TOOL_SCRIPT)
     trace = run_agent("q", AgentConfig(), counted, shop_engine)

@@ -147,6 +147,11 @@ def _script_line_without_exchange(plan, suite, monkeypatch):
     )
 
 
+def _negative_max_spend(plan, suite, monkeypatch):
+    plan["max_spend_usd"] = -1  # would skip every cell
+    return "max_spend_usd must be >= 0, got -1.0"
+
+
 def _repeated_backend_name(plan, suite, monkeypatch):
     plan["backends"][1]["name"] = "replay-alpha"
     return "backend name 'replay-alpha' is used by 2 backends"
@@ -161,7 +166,8 @@ def _repeated_scale_factor(plan, suite, monkeypatch):
     "defect",
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
      _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
-     _repeated_backend_name, _repeated_scale_factor, _unset_key, _empty_key],
+     _negative_max_spend, _repeated_backend_name, _repeated_scale_factor,
+     _unset_key, _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(
@@ -183,6 +189,16 @@ def test_plan_validate_and_run_agree(
     out = capsys.readouterr().out
     assert out.startswith("plan invalid: ") and expected in out, out
     assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_nan_max_spend_flag(tmp_path, mini_suite_dir, capsys):
+    plan_path = str(mini_suite_dir / "plan.json")
+    out_dir = tmp_path / "out"
+    args = ["--output-dir", str(out_dir), "--max-spend", "nan"]
+    assert main(["run", "--plan", plan_path, *args]) == 1
+    out = capsys.readouterr().out
+    assert out == "plan invalid: max_spend_usd must be >= 0, got nan\n"
+    assert not out_dir.exists()
 
 
 def test_report_rejects_unknown_format(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -144,6 +145,33 @@ def test_pricing_config_rejects_unknown_keys(tmp_path, edit, message):
     with pytest.raises(ValueError) as raised:
         PricingConfig.from_json_file(path)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["models"][0].update(input_per_mtok=math.nan),
+         "token prices must be nonnegative"),
+        (lambda d: d["models"][0].update(output_per_mtok=math.nan),
+         "token prices must be nonnegative"),
+        (lambda d: d["models"][0].update(output_per_mtok=-1.0),
+         "token prices must be nonnegative"),
+        (lambda d: d["engine"].update(rate=math.nan),
+         "engine rate must be nonnegative"),
+        (lambda d: d["engine"].update(rate=-0.5), "engine rate must be nonnegative"),
+    ],
+    ids=["nan-input", "nan-output", "negative-output", "nan-rate", "negative-rate"],
+)
+def test_pricing_config_rejects_nan_and_negative_prices(tmp_path, edit, message):
+    data = {
+        "models": [{"id": "flash", "input_per_mtok": 0.5, "output_per_mtok": 3.0}],
+        "engine": {"mode": "per-second", "rate": 0.002},
+    }
+    edit(data)
+    path = tmp_path / "pricing.json"
+    path.write_text(json.dumps(data))  # json writes and reads NaN as `NaN`
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PricingConfig.from_json_file(path)
 
 
 # --- compose_ledger ---

@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import io
 import json
 import socket
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -21,7 +18,6 @@ from bigsqlbench.llmclient import (
     SamplingConfig,
     estimate_tokens,
     fingerprint_messages,
-    record_session,
 )
 
 MESSAGES = [
@@ -74,7 +70,8 @@ def test_replay_exhausted_on_extra_call():
 def test_replay_fingerprint_verified_when_present():
     good = fingerprint_messages(MESSAGES)
     backend = ReplayBackend([script_entry("ok", fingerprint=good)])
-    assert backend.complete(MESSAGES).response_text == "ok"
+    exchange = backend.complete(MESSAGES)
+    assert (exchange.response_text, exchange.fingerprint) == ("ok", good)
 
     backend = ReplayBackend([script_entry("ok", fingerprint="deadbeef")])
     with pytest.raises(ReplayMismatchError):
@@ -86,6 +83,7 @@ def test_replay_estimates_missing_usage():
     exchange = backend.complete(MESSAGES)
     assert exchange.estimated
     assert exchange.output_tokens == 10
+    assert exchange.fingerprint is None
 
 
 def test_replay_script_line_without_exchange_is_rejected(tmp_path):
@@ -98,42 +96,6 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
 def test_estimate_tokens_quarter_length():
     assert estimate_tokens("abcd" * 25) == 25
     assert estimate_tokens("") == 0
-
-
-# --- recording ---
-
-
-def test_record_session_round_trips():
-    live = ReplayBackend([script_entry("the answer", in_tok=33, out_tok=7)])
-    sink = io.StringIO()
-    recorder = record_session(live, sink)
-    first = recorder.complete(MESSAGES)
-
-    lines = sink.getvalue().strip().splitlines()
-    assert len(lines) == 1
-    entry = json.loads(lines[0])
-    assert entry["fingerprint"] == fingerprint_messages(MESSAGES)
-
-    replayed = ReplayBackend([entry]).complete(MESSAGES)
-    assert replayed.response_text == first.response_text
-    assert replayed.input_tokens == 33
-    assert replayed.output_tokens == 7
-
-
-def test_record_session_empty_is_empty_file():
-    sink = io.StringIO()
-    record_session(ReplayBackend([]), sink)
-    assert sink.getvalue() == ""
-
-
-def test_recording_rejects_divergent_replay():
-    live = ReplayBackend([script_entry("resp")])
-    sink = io.StringIO()
-    record_session(live, sink).complete(MESSAGES)
-    entry = json.loads(sink.getvalue())
-    replay = ReplayBackend([entry])
-    with pytest.raises(ReplayMismatchError):
-        replay.complete([{"role": "user", "content": "different prompt"}])
 
 
 # --- sampling config ---
@@ -150,42 +112,6 @@ def test_sampling_omits_unexposed_fields():
 
 
 # --- http transport against a local stub ---
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    """Answers each POST with the next scripted (status, body[, headers])."""
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.server.requests.append(json.loads(self.rfile.read(length)))
-        self.server.headers.append(self.headers)
-        status, body, *extra = self.server.script.pop(0)
-        payload = json.dumps(body).encode()
-        self.send_response(status)
-        for name, value in (extra[0] if extra else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.script = []
-    server.requests = []
-    server.headers = []
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
 
 
 def _ok_body(text="hi", usage=True):
@@ -210,6 +136,7 @@ def test_http_complete_parses_text_and_usage(stub_server):
     assert exchange.response_text == "result text"
     assert (exchange.input_tokens, exchange.output_tokens) == (12, 3)
     assert not exchange.estimated
+    assert exchange.fingerprint == fingerprint_messages(MESSAGES)
     assert stub_server.requests[0]["model"] == "stub-model"
     assert stub_server.requests[0]["temperature"] == 0.0
 

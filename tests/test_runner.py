@@ -15,12 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from bigsqlbench import agent as agent_module
 from bigsqlbench import engine as engine_module
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
-from bigsqlbench.llmclient import ReplayBackend
+from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
 from bigsqlbench.report import (
     REPORT_FORMATS,
     build_report,
@@ -404,7 +405,8 @@ def test_suite_loaded_once_per_scale_factor(mini_plan, monkeypatch):
     assert len(explains) == 5 * 2  # each golden compiles once per scale factor
 
 
-def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
+def count_script_loads(monkeypatch) -> list[Path]:
+    """The path of every replay script loaded from now on in this process."""
     loads = []
     from_path = ReplayBackend.from_path.__func__
 
@@ -413,6 +415,11 @@ def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
         return from_path(cls, path, model_id)
 
     monkeypatch.setattr(ReplayBackend, "from_path", classmethod(counting))
+    return loads
+
+
+def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
+    loads = count_script_loads(monkeypatch)
     mini_plan.repetitions = 3
     output = execute_plan(mini_plan)
     assert len(output.episodes) == 2 * 5 * 3
@@ -446,6 +453,97 @@ def test_script_edited_between_runs_is_seen(mini_plan, tmp_path):
     mini_plan.output_dir = tmp_path / "out2"
     second = execute_plan(mini_plan)
     assert generated(second, "replay-alpha") == generated(first, "replay-beta")
+
+
+# --- a run's traces replay as a run ---
+
+
+def test_mini_run_replays_from_its_own_trace_directory(
+    mini_plan, tmp_path, monkeypatch
+):
+    mini_plan.max_spend_usd = None
+    recorded = mini_plan.output_dir / "traces"
+    execute_plan(mini_plan)
+    for backend in mini_plan.backends:
+        backend.scripts_dir = recorded / backend.name / "sf1"
+    mini_plan.output_dir = tmp_path / "replayed"
+    loads = count_script_loads(monkeypatch)
+    execute_plan(mini_plan)
+    # each repetition replays its own trace, `<case>_r<rep>.jsonl`
+    assert sorted(loads) == sorted(recorded.rglob("*.jsonl"))
+    assert len(loads) == 2 * 5 * 2
+    assert untimed_records_text(mini_plan.output_dir) == PINNED_RECORDS.read_text()
+    assert untimed_traces_text(mini_plan.output_dir) == PINNED_TRACES.read_text()
+
+
+def stub_replies(scripts_dir: Path, case_ids: list[str]) -> list[tuple]:
+    """Chat-completions replies that answer each case as its replay script
+    does, in case order, with the script's token counts."""
+    replies = []
+    for case_id in case_ids:
+        script = ReplayBackend.from_path(scripts_dir / f"{case_id}.jsonl")
+        for entry in script.entries:
+            usage = entry["usage"]
+            replies.append((200, {
+                "choices": [{"message": {"content": entry["response"]["text"]}}],
+                "usage": {"prompt_tokens": usage["input_tokens"],
+                          "completion_tokens": usage["output_tokens"]},
+            }))
+    return replies
+
+
+def test_live_run_replays_from_its_traces_and_catches_prompt_drift(
+    mini_plan, stub_server, tmp_path, monkeypatch
+):
+    manifest = json.loads((mini_plan.suite / "manifest.json").read_text())
+    case_ids = [case["case_id"] for case in manifest["cases"]]
+    live = mini_plan.backends[0]
+    stub_server.script.extend(stub_replies(live.scripts_dir, case_ids))
+    del stub_server.script[0][1]["usage"]  # one reply without provider counts
+    live.kind, live.scripts_dir = "http-api", None
+    live.endpoint = f"http://127.0.0.1:{stub_server.server_port}/v1/chat"
+    mini_plan.backends = [live]
+    # one worker, so that the stub answers the cases in suite order
+    mini_plan.repetitions, mini_plan.concurrency = 1, 1
+    mini_plan.max_spend_usd = None
+    output = execute_plan(mini_plan)
+    assert stub_server.script == []
+    assert all(ep.outcome == "completed" for ep in output.episodes)
+    assert [ep.case_id for ep in output.episodes if ep.estimated_usage] == [
+        case_ids[0]
+    ]
+
+    # every logged exchange carries the fingerprint of the request it answered
+    trace_dir = mini_plan.output_dir / "traces" / live.name / "sf1"
+    fingerprints = [
+        exchange["fingerprint"]
+        for case_id in case_ids
+        for it in trace_from_jsonl(
+            (trace_dir / f"{case_id}_r0.jsonl").read_text()
+        ).iterations
+        for exchange in it.exchanges
+    ]
+    assert fingerprints == [
+        fingerprint_messages(request["messages"]) for request in stub_server.requests
+    ]
+
+    # the trace directory replays the run offline, estimates included
+    live_records = untimed_records_text(mini_plan.output_dir)
+    live.kind, live.endpoint, live.scripts_dir = "replay", None, trace_dir
+    mini_plan.output_dir = tmp_path / "replayed"
+    execute_plan(mini_plan)
+    assert untimed_records_text(mini_plan.output_dir) == live_records
+
+    # a prompt changed since the recording is the harness's fault
+    for prompt in ("DEFAULT_SYSTEM_PROMPT", "DEFAULT_CHECKER_PROMPT"):
+        with monkeypatch.context() as patch:
+            patch.setattr(agent_module, prompt, "A prompt edited since the run.")
+            mini_plan.output_dir = tmp_path / prompt
+            drifted = execute_plan(mini_plan)
+        assert len(drifted.episodes) == len(case_ids)
+        for ep in drifted.episodes:
+            assert ep.outcome == "harness-error", prompt
+            assert "does not match recorded" in ep.error
 
 
 @pytest.fixture
@@ -733,7 +831,7 @@ def test_zero_budget_in_plan_file_runs_nothing(mini_suite_dir, tmp_path):
 def test_rate_limiter_spaces_out_calls():
     import time
 
-    from bigsqlbench.llmclient import ReplayBackend
+    from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
     from bigsqlbench.runner import _RateLimiter, _ThrottledBackend
 
     entries = [
