@@ -2,8 +2,8 @@
 
 The controller LLM reasons in Thought/Action/Observation turns over four
 tools (list_tables, get_schema, check_query, run_query).  The episode ends
-at the first run_query by default: on large engines, letting an agent re-run
-queries at will is how bills explode.  Every iteration is timed and
+at the first run_query: on large engines, letting an agent re-run queries at
+will is how bills explode.  Every iteration is timed and
 token-counted; iterations calling the same tool aggregate into a stage.
 """
 
@@ -39,6 +39,9 @@ OUTCOME_COMPLETED = "completed"
 OUTCOME_EXHAUSTED = "exhausted"
 OUTCOME_TOOL_ERROR = "tool-error"
 OUTCOME_LLM_ERROR = "llm-error"
+# a fault that is not the model's: a replayed request that no longer matches
+# its recording, or a bug in the harness
+OUTCOME_HARNESS_ERROR = "harness-error"
 
 DEFAULT_OBSERVATION_CAP = 4000
 TRUNCATION_MARKER = "\n...[observation truncated]"
@@ -135,7 +138,6 @@ class AgentConfig:
 
     max_iterations: int = 15
     sample_rows: int = 3
-    terminate_after_first_run: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -178,6 +180,14 @@ class AgentTrace:
     error: str | None = None
     question: str = ""
     model_id: str = ""
+    # the exception that ended a harness-error episode; not written to the log
+    fault: Exception | None = field(default=None, repr=False, compare=False)
+
+    def end_by_fault(self, exc: Exception) -> None:
+        """End the episode as harness-error: the fault is not the model's."""
+        self.outcome = OUTCOME_HARNESS_ERROR
+        self.error = f"harness error: {exc}"
+        self.fault = exc
 
     @property
     def e2e_seconds(self) -> float:
@@ -192,14 +202,6 @@ class AgentTrace:
             if it.action == "run_query":
                 return it.engine_seconds
         return 0.0
-
-    @property
-    def total_input_tokens(self) -> int:
-        return sum(it.input_tokens for it in self.iterations)
-
-    @property
-    def total_output_tokens(self) -> int:
-        return sum(it.output_tokens for it in self.iterations)
 
     @property
     def uses_estimated_tokens(self) -> bool:
@@ -217,7 +219,6 @@ class StageBreakdown:
 
     seconds: dict[str, float]
     percentages: dict[str, float]
-    e2e_seconds: float
 
 
 def stage_for_action(action: str | None) -> str:
@@ -272,12 +273,12 @@ def tool_get_schema(
     return "\n\n".join(sections)
 
 
-def tool_check_query(llm: LlmBackend, sql: str, checker_prompt: str) -> ChatExchange:
+def tool_check_query(llm: LlmBackend, sql: str) -> ChatExchange:
     """Send the query to the checker model; its verdict text is the observation."""
     if not sql.strip():
         raise ToolError("check_query requires a non-empty sql string")
     messages = [
-        {"role": "system", "content": checker_prompt},
+        {"role": "system", "content": DEFAULT_CHECKER_PROMPT},
         {"role": "user", "content": sql},
     ]
     try:
@@ -334,13 +335,17 @@ class ParsedStep:
     final_answer: str | None
 
 
+_UNPARSED = ParsedStep("", None, {}, None)  # an open iteration's reply until it parses
+
+
 def parse_controller_reply(exchange: ChatExchange) -> ParsedStep:
     """Decode a controller reply: structured tool call or the text protocol."""
     if exchange.tool_call is not None:
+        arguments = exchange.tool_call.get("arguments")
         return ParsedStep(
             thought=exchange.response_text.strip(),
             action=exchange.tool_call.get("name"),
-            action_input=dict(exchange.tool_call.get("arguments") or {}),
+            action_input={} if arguments is None else _action_arguments(arguments),
             final_answer=None,
         )
     text = exchange.response_text
@@ -376,11 +381,17 @@ def _parse_action_input(raw: str) -> dict[str, Any]:
         parsed = json.loads(raw)
     except json.JSONDecodeError:
         return {"raw": raw}
-    if isinstance(parsed, dict):
-        return parsed
-    if isinstance(parsed, list):
-        return {"tables": parsed}
-    return {"raw": str(parsed)}
+    return _action_arguments(parsed)
+
+
+def _action_arguments(value: Any) -> dict[str, Any]:
+    """Tool arguments as an object: an object as it is, an array as the
+    `tables` list, anything else as its text under `raw`."""
+    if isinstance(value, dict):
+        return value
+    if isinstance(value, list):
+        return {"tables": value}
+    return {"raw": str(value)}
 
 
 def _sql_argument(args: dict[str, Any]) -> str:
@@ -419,11 +430,12 @@ def run_agent(
 ) -> AgentTrace:
     """Drive one episode: prompt, parse, dispatch, observe, repeat.
 
-    Stops at the final answer, the first run_query (when configured), the
-    iteration cap, or an unrecoverable error.  The checker shares the
-    controller backend; its tokens bill to the check iteration.  A request
-    that no longer matches its replayed fingerprint raises
-    ReplayMismatchError, which the caller records as a harness fault.
+    Stops at the final answer, the first run_query, the iteration cap, or an
+    unrecoverable error.  The checker shares the controller backend; its
+    tokens bill to the check iteration.  A fault that is not the model's (a
+    ReplayMismatchError, or a harness bug) ends the trace as harness-error;
+    the trace keeps the iteration it interrupted when that one made an
+    exchange, so every exchange made is billed.
     """
     trace = AgentTrace(question=question, model_id=llm.model_id)
     messages: list[dict[str, str]] = [
@@ -434,23 +446,21 @@ def run_agent(
     # Iterations tile the episode: each starts where the previous ended, so
     # stage seconds sum to e2e and breakdown percentages sum to 100.
     started = time.perf_counter()
+    # the exchanges of the open iteration, whose parsed reply is `step`
+    exchanges: list[dict[str, Any]] = []
 
     def end_iteration(
-        thought: str,
-        action: str | None,
-        action_input: dict[str, Any],
-        observation: str,
-        engine_seconds: float = 0.0,
+        action: str | None, observation: str, engine_seconds: float = 0.0
     ) -> None:
-        """Append the current iteration, billed with its exchanges' tokens."""
-        nonlocal started
+        """Append the open iteration, billed with its exchanges' tokens."""
+        nonlocal started, exchanges
         ended = time.perf_counter()
         trace.iterations.append(
             Iteration(
                 index=len(trace.iterations),
-                thought=thought,
+                thought=step.thought,
                 action=action,
-                action_input=action_input,
+                action_input=step.action_input,
                 observation=observation,
                 started_at=started,
                 ended_at=ended,
@@ -461,101 +471,92 @@ def run_agent(
             )
         )
         started = ended
+        exchanges = []
 
-    for _ in range(config.max_iterations):
-        try:
-            exchange = llm.complete(messages, TOOL_SCHEMAS)
-        except (LlmTransportError, ReplayExhaustedError) as exc:
-            trace.outcome = OUTCOME_LLM_ERROR
-            trace.error = str(exc)
-            return trace
-
-        exchanges = [_exchange_record(exchange)]
-        try:
-            step = parse_controller_reply(exchange)
-        except ActionParseError as exc:
-            end_iteration("", None, {}, f"unparseable reply: {exc}")
-            trace.outcome = OUTCOME_LLM_ERROR
-            trace.error = str(exc)
-            return trace
-
-        if step.final_answer is not None:
-            end_iteration(step.thought, FINAL_ANSWER_ACTION, {}, "")
-            trace.final_answer = step.final_answer
-            trace.outcome = OUTCOME_COMPLETED
-            return trace
-
-        messages.append({"role": "assistant", "content": exchange.response_text})
-
-        action = step.action or ""
-        if action not in _TOOL_STAGE:
-            end_iteration(
-                step.thought, None, step.action_input, f"unknown tool: {action}"
-            )
-            trace.outcome = OUTCOME_LLM_ERROR
-            trace.error = f"unknown tool: {action!r}"
-            return trace
-
-        observation = ""
-        engine_seconds = 0.0
-        failed = False
-        run_result: ResultTable | None = None
-        run_sql: str | None = None
-        try:
-            if action == "list_tables":
-                t0 = time.perf_counter()
-                observation = tool_list_tables(engine)
-                engine_seconds = time.perf_counter() - t0
-            elif action == "get_schema":
-                tables = _tables_argument(step.action_input)
-                sample_rows = _sample_rows_argument(
-                    step.action_input, config.sample_rows
-                )
-                t0 = time.perf_counter()
-                observation = tool_get_schema(engine, tables, sample_rows)
-                engine_seconds = time.perf_counter() - t0
-            elif action == "check_query":
-                checker_exchange = tool_check_query(
-                    llm, _sql_argument(step.action_input), DEFAULT_CHECKER_PROMPT
-                )
-                exchanges.append(_exchange_record(checker_exchange))
-                observation = checker_exchange.response_text
-            elif action == "run_query":
-                run_sql = _sql_argument(step.action_input)
-                run_result, engine_seconds = tool_run_query(engine, run_sql)
-                observation = (
-                    f"query returned {run_result.n_rows} row(s), "
-                    f"{len(run_result.columns)} column(s)"
-                )
-        except ToolError as exc:
-            observation = str(exc)
-            failed = True
-
-        observation = truncate_observation(observation)
-        messages.append({"role": "user", "content": f"Observation: {observation}"})
-        end_iteration(
-            step.thought, action, step.action_input, observation, engine_seconds
-        )
-
-        if failed:
-            # run_query errors end the episode: re-running queries to
-            # self-correct is exactly the loop this harness refuses to pay for.
-            trace.outcome = OUTCOME_TOOL_ERROR
-            trace.error = observation
-            if action == "run_query":
-                trace.final_sql = run_sql
-            return trace
-
-        if action == "run_query":
-            trace.final_sql = run_sql
-            trace.final_result = run_result
-            trace.outcome = OUTCOME_COMPLETED
-            if config.terminate_after_first_run:
+    try:
+        for _ in range(config.max_iterations):
+            step = _UNPARSED
+            try:
+                exchange = llm.complete(messages, TOOL_SCHEMAS)
+            except (LlmTransportError, ReplayExhaustedError) as exc:
+                trace.outcome, trace.error = OUTCOME_LLM_ERROR, str(exc)
                 return trace
 
-    if trace.outcome == OUTCOME_COMPLETED:
-        return trace
-    trace.outcome = OUTCOME_EXHAUSTED
+            exchanges = [_exchange_record(exchange)]
+            try:
+                step = parse_controller_reply(exchange)
+            except ActionParseError as exc:
+                end_iteration(None, f"unparseable reply: {exc}")
+                trace.outcome, trace.error = OUTCOME_LLM_ERROR, str(exc)
+                return trace
+
+            if step.final_answer is not None:
+                end_iteration(FINAL_ANSWER_ACTION, "")
+                trace.outcome, trace.final_answer = OUTCOME_COMPLETED, step.final_answer
+                return trace
+
+            messages.append({"role": "assistant", "content": exchange.response_text})
+
+            action = step.action or ""
+            if action not in _TOOL_STAGE:
+                end_iteration(None, f"unknown tool: {action}")
+                trace.outcome = OUTCOME_LLM_ERROR
+                trace.error = f"unknown tool: {action!r}"
+                return trace
+
+            observation = ""
+            engine_seconds = 0.0
+            failed = False
+            run_result: ResultTable | None = None
+            run_sql: str | None = None
+            try:
+                if action == "list_tables":
+                    t0 = time.perf_counter()
+                    observation = tool_list_tables(engine)
+                    engine_seconds = time.perf_counter() - t0
+                elif action == "get_schema":
+                    tables = _tables_argument(step.action_input)
+                    sample_rows = _sample_rows_argument(
+                        step.action_input, config.sample_rows
+                    )
+                    t0 = time.perf_counter()
+                    observation = tool_get_schema(engine, tables, sample_rows)
+                    engine_seconds = time.perf_counter() - t0
+                elif action == "check_query":
+                    checker_exchange = tool_check_query(
+                        llm, _sql_argument(step.action_input)
+                    )
+                    exchanges.append(_exchange_record(checker_exchange))
+                    observation = checker_exchange.response_text
+                elif action == "run_query":
+                    run_sql = _sql_argument(step.action_input)
+                    run_result, engine_seconds = tool_run_query(engine, run_sql)
+                    observation = (
+                        f"query returned {run_result.n_rows} row(s), "
+                        f"{len(run_result.columns)} column(s)"
+                    )
+            except ToolError as exc:
+                observation = str(exc)
+                failed = True
+
+            observation = truncate_observation(observation)
+            messages.append({"role": "user", "content": f"Observation: {observation}"})
+            end_iteration(action, observation, engine_seconds)
+
+            # A failed tool ends the episode too: re-running queries to
+            # self-correct is exactly the loop this harness refuses to pay for.
+            if failed:
+                trace.outcome, trace.error = OUTCOME_TOOL_ERROR, observation
+            elif action == "run_query":
+                trace.outcome, trace.final_result = OUTCOME_COMPLETED, run_result
+            else:
+                continue
+            trace.final_sql = run_sql
+            return trace
+    except Exception as exc:  # not the model's fault; bill what it did
+        if exchanges:
+            end_iteration(step.action, "")
+        trace.end_by_fault(exc)
     return trace
 
 
@@ -585,7 +586,7 @@ def stage_breakdown(trace: AgentTrace) -> StageBreakdown:
         percentages = {s: 100.0 * v / e2e for s, v in seconds.items()}
     else:
         percentages = {s: 0.0 for s in STAGES}
-    return StageBreakdown(seconds=seconds, percentages=percentages, e2e_seconds=e2e)
+    return StageBreakdown(seconds=seconds, percentages=percentages)
 
 
 # --- episode log serialization ------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Any
 
 from .resultset import ResultTable
 
+# the most rows a query may materialize; read at each query
 DEFAULT_ROW_CAP = 1_000_000
 
 _SQLITE_TYPES = {
@@ -73,10 +74,9 @@ class SessionClosedError(EngineError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Where the engine finds its data and how much it may materialize."""
+    """Where the engine finds its data."""
 
     data_dir: str | Path | None = None
-    row_cap: int = DEFAULT_ROW_CAP
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,10 @@ class EmbeddedEngine:
                 if not chunk:
                     break
                 rows.extend(chunk)
-                if len(rows) > self.config.row_cap:
+                if len(rows) > DEFAULT_ROW_CAP:
                     cursor.close()  # reset the statement now, not when collected
                     raise ResultOverflowError(
-                        f"result exceeded the {self.config.row_cap}-row cap"
+                        f"result exceeded the {DEFAULT_ROW_CAP}-row cap"
                     )
         except sqlite3.Error as exc:
             raise EngineError(f"sql execution failed: {exc}") from exc

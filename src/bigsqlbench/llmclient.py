@@ -146,7 +146,8 @@ class ReplayBackend(LlmBackend):
         A line must be a `response` record or an episode log's `meta`,
         `iteration` or `outcome` line; any other line raises ValueError
         naming its line number, since replaying without it would blame the
-        model for a broken script.
+        model for a broken script.  So does a `harness-error` outcome line:
+        replaying that trace would blame the model where the harness stopped.
         """
         entries: list[dict[str, Any]] = []
         with open(path) as handle:
@@ -160,6 +161,11 @@ class ReplayBackend(LlmBackend):
                     entries.extend(record.get("exchanges", []))
                 elif "response" in record:
                     entries.append(record)
+                elif kind == "outcome" and record.get("outcome") == "harness-error":
+                    raise ValueError(
+                        f"line {number}: a trace cut short by a harness fault "
+                        "(outcome harness-error) cannot be replayed"
+                    )
                 elif kind not in ("meta", "outcome"):
                     raise ValueError(
                         f"line {number} is neither a response record nor a "

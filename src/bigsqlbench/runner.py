@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from .agent import (
+    OUTCOME_HARNESS_ERROR,
     AgentConfig,
     AgentTrace,
     run_agent,
@@ -141,9 +142,6 @@ class RunPlan:
         agent = AgentConfig(
             max_iterations=int(agent_raw.get("max_iterations", 15)),
             sample_rows=int(agent_raw.get("sample_rows", 3)),
-            terminate_after_first_run=bool(
-                agent_raw.get("terminate_after_first_run", True)
-            ),
         )
         _reject_unknown_keys(agent_raw, _AGENT_KEYS, " in agent")
         _reject_unknown_keys(data, _PLAN_KEYS, "")
@@ -176,7 +174,7 @@ _BACKEND_KEYS = (
     "supports_tools", "rate_limit_per_sec", "sampling",
 )
 _SAMPLING_KEYS = ("temperature", "top_p", "max_tokens")
-_AGENT_KEYS = ("max_iterations", "sample_rows", "terminate_after_first_run")
+_AGENT_KEYS = ("max_iterations", "sample_rows")
 
 
 @dataclass
@@ -719,56 +717,50 @@ def _make_backend(
 
 
 def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
-    case = spec.case
-    backend_spec = spec.backend
-    pricing_entry = run.plan.pricing.lookup(backend_spec.model_id)
+    """Run one cell, write its trace, and score it.
 
-    trace = AgentTrace(question=case.nl_question, model_id=backend_spec.model_id)
-    ledger = CostLedger()
-    error: str | None = None
+    The record's outcome and error are the trace's.  A fault before the
+    agent loop ends the empty trace as harness-error; a fault while billing
+    or scoring zeroes the verdicts and marks only the record, so the trace
+    stays the agent's own account and still replays.
+    """
+    case = spec.case
+    pricing = run.plan.pricing.lookup(spec.backend.model_id)
+    trace = AgentTrace(question=case.nl_question, model_id=spec.backend.model_id)
     try:
         llm = _make_backend(spec, run.limiters)
         engine = run.sessions.get(case.data_dir)
         trace = run_agent(case.nl_question, run.plan.agent, llm, engine)
-        ledger = compose_ledger(trace, pricing_entry, run.plan.pricing.engine)
     except Exception as exc:  # harness fault: record it, never drop the cell
-        error = f"harness error: {exc}"
+        trace.end_by_fault(exc)
+    outcome, error, fault = trace.outcome, trace.error, trace.fault
 
-    return _episode_result(run, spec, trace, ledger, error)
-
-
-def _episode_result(
-    run: _Run,
-    spec: _EpisodeSpec,
-    trace: AgentTrace,
-    ledger: CostLedger,
-    error: str | None,
-) -> EpisodeResult:
-    case = spec.case
     golden = spec.golden
     generated = trace.final_result
-    indicator = 0
-    precision = 0.0
-    exact = False
-    if generated is not None:
-        try:
+    ledger = CostLedger()
+    indicator, precision, exact = 0, 0.0, False
+    try:
+        ledger = compose_ledger(trace, pricing, run.plan.pricing.engine)
+        if generated is not None:
             indicator = containment_indicator(golden, generated, ordered=case.ordered)
             try:
                 precision = column_precision(golden, generated)
             except UndefinedPrecisionError:
                 precision = 0.0
             exact = tables_equal_exact(golden, generated, ordered=case.ordered)
-        except Exception as exc:  # harness fault: blame this cell, keep the run going
-            logger.warning(
-                "result comparison failed for %s/%s rep %d",
-                spec.backend.name, case.case_id, spec.repetition, exc_info=True,
-            )
-            indicator, precision, exact = 0, 0.0, False
-            error = error or f"harness error: {exc}"
+    except Exception as exc:  # harness fault: blame this cell, keep the run going
+        indicator, precision, exact = 0, 0.0, False
+        if fault is None:
+            outcome, error, fault = OUTCOME_HARNESS_ERROR, f"harness error: {exc}", exc
+    if fault is not None:
+        logger.warning(
+            "harness error in %s/%s rep %d at sf %s",
+            spec.backend.name, case.case_id, spec.repetition,
+            format_sf(spec.scale_factor), exc_info=fault,
+        )
 
     t_gen = trace.generated_runtime
     breakdown = stage_breakdown(trace)
-    stage_cost = {name: entry.total for name, entry in ledger.stages.items()}
 
     trace_path = None
     trace_file = spec.trace_dir / f"{case.case_id}_r{spec.repetition}.jsonl"
@@ -794,14 +786,14 @@ def _episode_result(
         t_gen=t_gen,
         t_e2e=max(trace.e2e_seconds, t_gen),
         c_e2e=ledger.total,
-        outcome=trace.outcome if error is None else "harness-error",
+        outcome=outcome,
         golden_sql=case.golden_sql,
         generated_sql=trace.final_sql or "",
         stage_seconds=dict(breakdown.seconds),
         stage_percentages=dict(breakdown.percentages),
-        stage_cost=stage_cost,
+        stage_cost={name: entry.total for name, entry in ledger.stages.items()},
         trace_path=trace_path,
-        error=error or trace.error,
+        error=error,
         estimated_usage=trace.uses_estimated_tokens,
     )
 

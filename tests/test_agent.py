@@ -5,6 +5,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigsqlbench import agent as agent_module
+from bigsqlbench import engine as engine_module
 from bigsqlbench.agent import (
     DEFAULT_OBSERVATION_CAP,
     ActionParseError,
@@ -99,19 +101,19 @@ def test_tool_get_schema_unknown_table_inline_error(shop_engine):
 
 def test_tool_check_query_verbatim_verdict():
     checker = ReplayBackend([entry("query OK")])
-    exchange = tool_check_query(checker, "SELECT 1", "review this")
+    exchange = tool_check_query(checker, "SELECT 1")
     assert exchange.response_text == "query OK"
 
 
 def test_tool_check_query_corrected_sql():
     checker = ReplayBackend([entry("SELECT name FROM t WHERE x = 'y'")])
-    exchange = tool_check_query(checker, "SELECT name FROM t WHERE x = 'y", "review")
+    exchange = tool_check_query(checker, "SELECT name FROM t WHERE x = 'y")
     assert "SELECT name" in exchange.response_text
 
 
 def test_tool_check_query_empty_sql():
     with pytest.raises(ToolError):
-        tool_check_query(ReplayBackend([]), "   ", "review")
+        tool_check_query(ReplayBackend([]), "   ")
 
 
 def test_tool_run_query_constant(shop_engine):
@@ -156,6 +158,27 @@ def test_parse_structured_tool_call_takes_precedence():
         )
     )
     assert step.action == "list_tables"
+
+
+@pytest.mark.parametrize(
+    "arguments", [[1, 2], 5, "orders", ["orders"], [["a", "b"]]],
+    ids=["numbers", "number", "string", "tables", "pairs"],
+)
+@pytest.mark.parametrize("tool", ["get_schema", "run_query"])
+def test_structured_arguments_score_as_text_arguments(shop_engine, tool, arguments):
+    structured_entry = entry("")
+    structured_entry["response"]["tool_call"] = {"name": tool, "arguments": arguments}
+    text, structured = (
+        run_agent("q", AgentConfig(max_iterations=1), ReplayBackend([e]), shop_engine)
+        for e in (entry(action_text(tool, arguments)), structured_entry)
+    )
+    assert text.outcome != "harness-error"
+    assert (structured.outcome, structured.error, structured.final_sql) == (
+        text.outcome, text.error, text.final_sql
+    )
+    [text_step], [structured_step] = text.iterations, structured.iterations
+    assert structured_step.action_input == text_step.action_input
+    assert structured_step.observation == text_step.observation
 
 
 def test_parse_malformed_raises():
@@ -216,20 +239,6 @@ def test_terminate_after_first_run(shop_engine):
     assert trace.outcome == "completed"
 
 
-def test_no_termination_flag_allows_second_run(shop_engine):
-    script = [
-        entry(action_text("run_query", {"sql": "SELECT 1 AS x"})),
-        entry(action_text("run_query", {"sql": "SELECT 2 AS x"})),
-        entry("Thought: done.\nFinal Answer: ran twice"),
-    ]
-    config = AgentConfig(terminate_after_first_run=False)
-    trace = run_agent("run twice", config, ReplayBackend(script), shop_engine)
-    runs = [it for it in trace.iterations if it.action == "run_query"]
-    assert len(runs) == 2
-    assert trace.final_result is not None
-    assert trace.final_result.rows == ((2,),)
-
-
 def test_run_query_error_terminates_episode(shop_engine):
     script = [
         entry(action_text("run_query", {"sql": "SELECT broken FROM nowhere"})),
@@ -261,9 +270,10 @@ def test_tables_argument_string_or_non_list(shop_engine):
     assert "tables is not a list" in trace.error
 
 
-def test_engine_error_while_sampling_is_tool_error(mini_suite_dir):
+def test_engine_error_while_sampling_is_tool_error(mini_suite_dir, monkeypatch):
     # three sample rows overflow a one-row cap inside get_schema
-    config = EngineConfig(data_dir=mini_suite_dir / "databases" / "shop", row_cap=1)
+    monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 1)
+    config = EngineConfig(data_dir=mini_suite_dir / "databases" / "shop")
     args = {"tables": ["orders"], "sample_rows": 3}
     script = [entry(action_text("get_schema", args))]
     with EmbeddedEngine(config) as engine:
@@ -278,12 +288,39 @@ def test_replay_exhaustion_is_llm_error(shop_engine):
     assert trace.iterations == []
 
 
-@pytest.mark.parametrize("index", [0, 3], ids=["controller", "checker"])
-def test_fingerprint_mismatch_is_raised_not_scored(shop_engine, index):
+@pytest.mark.parametrize(
+    "index, actions",
+    [(2, ["list_tables", "get_schema"]),
+     (3, ["list_tables", "get_schema", "check_query"])],
+    ids=["controller", "checker"],
+)
+def test_fingerprint_mismatch_is_raised_not_scored(shop_engine, index, actions):
     script = [dict(e) for e in FOUR_TOOL_SCRIPT]
     script[index]["fingerprint"] = "0" * 64
-    with pytest.raises(ReplayMismatchError, match="does not match recorded"):
-        run_agent("q", AgentConfig(), ReplayBackend(script), shop_engine)
+    trace = run_agent("q", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.outcome == "harness-error"
+    assert isinstance(trace.fault, ReplayMismatchError)
+    assert trace.error == f"harness error: {trace.fault}"
+    assert "does not match recorded" in trace.error
+    assert trace.final_result is None
+    # the finished iterations, and the check the checker's mismatch cut
+    # short, with the one exchange it made
+    assert [it.action for it in trace.iterations] == actions
+    assert [len(it.exchanges) for it in trace.iterations] == [1] * len(actions)
+    assert sum(it.input_tokens for it in trace.iterations) == 100 * len(actions)
+
+
+def test_harness_bug_in_a_tool_is_harness_error(shop_engine, monkeypatch):
+    def broken(engine):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(agent_module, "tool_list_tables", broken)
+    llm = ReplayBackend(FOUR_TOOL_SCRIPT)
+    trace = run_agent("q", AgentConfig(), llm, shop_engine)
+    assert (trace.outcome, trace.error) == ("harness-error", "harness error: 'bug'")
+    [open_iteration] = trace.iterations
+    assert open_iteration.action == "list_tables"
+    assert open_iteration.input_tokens == 100
 
 
 def test_malformed_reply_is_llm_error(shop_engine):
@@ -292,7 +329,7 @@ def test_malformed_reply_is_llm_error(shop_engine):
     )
     assert trace.outcome == "llm-error"
     # tokens of the malformed reply still count toward cost
-    assert trace.total_input_tokens == 100
+    assert sum(it.input_tokens for it in trace.iterations) == 100
 
 
 def test_unknown_tool_is_llm_error(shop_engine):
@@ -318,7 +355,7 @@ def test_every_iteration_token_lands_in_one_stage(shop_engine):
         stage_tokens[stage_for_action(it.action)] = (
             stage_tokens.get(stage_for_action(it.action), 0) + it.input_tokens
         )
-    assert sum(stage_tokens.values()) == trace.total_input_tokens
+    assert sum(stage_tokens.values()) == 100 * len(FOUR_TOOL_SCRIPT)
 
 
 def test_estimated_usage_flag_propagates(shop_engine, tmp_path):
@@ -397,7 +434,7 @@ def test_stage_breakdown_single_iteration_is_all_of_e2e():
 
 def test_stage_breakdown_empty_trace():
     bd = stage_breakdown(AgentTrace())
-    assert bd.e2e_seconds == 0.0
+    assert all(v == 0.0 for v in bd.seconds.values())
     assert all(v == 0.0 for v in bd.percentages.values())
 
 

@@ -14,6 +14,7 @@ from bigsqlbench.engine import SessionClosedError
 
 from tests.conftest import REPO_ROOT
 from tests.test_engine import count_registrations
+from tests.test_runner import mismatch_entry
 
 
 def test_cli_imports_without_requests_or_http_stack():
@@ -189,6 +190,36 @@ def test_plan_validate_and_run_agree(
     out = capsys.readouterr().out
     assert out.startswith("plan invalid: ") and expected in out, out
     assert not (tmp_path / "out").exists()
+
+
+def test_trace_cut_by_a_harness_fault_is_refused_as_a_script(
+    tmp_path, mini_suite_dir, capsys
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    mismatch_entry(suite / "replays" / "alpha" / "orders_count.jsonl", 3)
+    plan = json.loads((suite / "plan.json").read_text())
+    plan["output_dir"] = str(tmp_path / "out")
+    plan_path = suite / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["run", "--plan", str(plan_path)]) == 0
+
+    # re-score the run from its traces
+    traces = tmp_path / "out" / "traces" / "replay-alpha" / "sf1"
+    plan["backends"][0]["scripts_dir"] = str(traces)
+    plan["output_dir"] = str(tmp_path / "rescored")
+    plan_path.write_text(json.dumps(plan))
+    capsys.readouterr()
+    assert main(["plan", "validate", "--plan", str(plan_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"INVALID: backend 'replay-alpha': replay script "
+        f"{traces / f'orders_count_r{rep}.jsonl'} failed to load: line 5: a "
+        "trace cut short by a harness fault (outcome harness-error) cannot be "
+        "replayed"
+        for rep in range(2)
+    ]
+    assert main(["run", "--plan", str(plan_path)]) == 1
+    assert not (tmp_path / "rescored").exists()
 
 
 def test_run_refuses_a_nan_max_spend_flag(tmp_path, mini_suite_dir, capsys):

@@ -114,10 +114,11 @@ def test_repeated_execution_is_deterministic(tiny_engine):
     assert tables_equal_exact(first, second)
 
 
-def test_row_cap_overflow(tmp_path):
+def test_row_cap_overflow(tmp_path, monkeypatch):
     (tmp_path / "t.schema").write_text("x integer\n")
     (tmp_path / "t.csv").write_text("x\n" + "\n".join(str(i) for i in range(50)) + "\n")
-    config = EngineConfig(data_dir=tmp_path, row_cap=10)
+    monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 10)
+    config = EngineConfig(data_dir=tmp_path)
     with EmbeddedEngine(config) as engine:
         with pytest.raises(ResultOverflowError):
             engine.execute_timed("SELECT * FROM t")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -231,8 +230,11 @@ def write_plan(mini_suite_dir, tmp_path, edit) -> Path:
          "unknown key 'temprature' in backends[0].sampling"),
         (lambda d: d["agent"].update(max_iteration=3),
          "unknown key 'max_iteration' in agent"),
+        (lambda d: d["agent"].update(terminate_after_first_run=False),
+         "unknown key 'terminate_after_first_run' in agent"),
     ],
-    ids=["top-level", "two-top-level", "backend", "sampling", "agent"],
+    ids=["top-level", "two-top-level", "backend", "sampling", "agent",
+         "removed-agent-key"],
 )
 def test_unknown_plan_key_rejected(mini_suite_dir, tmp_path, edit, message):
     plan_path = write_plan(mini_suite_dir, tmp_path, edit)
@@ -244,7 +246,6 @@ def test_unknown_plan_key_rejected(mini_suite_dir, tmp_path, edit, message):
 def test_every_plan_key_read_is_accepted(mini_suite_dir, tmp_path):
     def every_key(data):
         data.update(max_spend_usd=None)
-        data["agent"]["terminate_after_first_run"] = False
         data["backends"][0].update(
             endpoint=None, api_key_env=None, supports_tools=False,
             rate_limit_per_sec=None,
@@ -253,7 +254,6 @@ def test_every_plan_key_read_is_accepted(mini_suite_dir, tmp_path):
 
     plan = RunPlan.from_json_file(write_plan(mini_suite_dir, tmp_path, every_key))
     assert plan.backends[0].sampling.max_tokens == 64
-    assert plan.agent.terminate_after_first_run is False
 
 
 def test_null_rate_limit_in_plan_file_means_no_limit(mini_suite_dir, tmp_path):
@@ -711,8 +711,80 @@ def test_large_result_trace_is_cut_and_verdicts_kept(sf_tiny_dir, tmp_path):
     assert "row_count" not in short and len(short["rows"]) == 10
 
 
+def mismatch_entry(script: Path, index: int) -> None:
+    """Give entry `index` of a replay script a fingerprint no request has."""
+    entries = [json.loads(line) for line in script.read_text().splitlines()]
+    entries[index]["fingerprint"] = "0" * 64
+    script.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def harness_errors(output) -> dict[int, EpisodeResult]:
+    return {ep.repetition: ep for ep in output.episodes
+            if ep.outcome == "harness-error"}
+
+
+def logged_faults(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("harness error in ")]
+
+
+def test_replay_mismatch_at_the_checker_bills_the_exchanges_made(
+    mini_copy, caplog
+):
+    mismatch_entry(mini_copy.backends[0].scripts_dir / "orders_count.jsonl", 3)
+    output = execute_plan(mini_copy)
+    faulted = harness_errors(output)
+    assert sorted(faulted) == [0, 1]
+    for rep, ep in faulted.items():
+        assert (ep.model, ep.case_id) == ("replay-alpha", "orders_count")
+        assert ep.error.startswith("harness error: request fingerprint ")
+        assert "does not match recorded" in ep.error
+        # list 0.0036 + schema 0.0043 + the check's controller turn 0.0049
+        assert ep.c_e2e == pytest.approx(0.0128)
+        assert ep.stage_cost == pytest.approx(
+            {"list": 0.0036, "schema": 0.0043, "check": 0.0049}
+        )
+        lines = [json.loads(line)
+                 for line in Path(ep.trace_path).read_text().splitlines()]
+        assert [line["type"] for line in lines] == ["meta"] + ["iteration"] * 3 + [
+            "outcome"
+        ]
+        assert [line["action"] for line in lines[1:4]] == [
+            "list_tables", "get_schema", "check_query"
+        ]
+        assert (lines[-1]["outcome"], lines[-1]["error"]) == (ep.outcome, ep.error)
+        # logged once, naming the cell, with the traceback
+        [logged] = [message for message in logged_faults(caplog)
+                    if f" replay-alpha/orders_count rep {rep} " in message]
+        assert "Traceback" in logged and "ReplayMismatchError" in logged
+    assert len(logged_faults(caplog)) == 2
+    assert all(ep.outcome == "completed" for ep in output.episodes
+               if ep.case_id != "orders_count" or ep.model != "replay-alpha")
+
+    # the bill counts toward the ceiling: the two faulted episodes reach it
+    mini_copy.concurrency, mini_copy.max_spend_usd = 1, 0.02
+    mini_copy.output_dir = mini_copy.output_dir.parent / "capped"
+    capped = execute_plan(mini_copy)
+    assert sorted(harness_errors(capped)) == [0, 1]
+    assert len(capped.episodes) == 2 and len(capped.skipped) == 18
+
+
+def test_replay_mismatch_at_the_controller_keeps_the_finished_iterations(
+    mini_copy,
+):
+    mismatch_entry(mini_copy.backends[0].scripts_dir / "orders_count.jsonl", 2)
+    faulted = harness_errors(execute_plan(mini_copy))
+    assert sorted(faulted) == [0, 1]
+    for ep in faulted.values():
+        assert ep.c_e2e == pytest.approx(0.0036 + 0.0043)
+        assert set(ep.stage_cost) == {"list", "schema"}
+        trace = trace_from_jsonl(Path(ep.trace_path).read_text())
+        assert [it.action for it in trace.iterations] == ["list_tables", "get_schema"]
+        assert (trace.outcome, trace.error) == (ep.outcome, ep.error)
+
+
 def test_comparison_fault_is_harness_error_for_that_cell_only(
-    mini_plan, monkeypatch, tmp_path
+    mini_plan, monkeypatch, tmp_path, caplog
 ):
     containment_indicator = runner.containment_indicator
 
@@ -726,8 +798,14 @@ def test_comparison_fault_is_harness_error_for_that_cell_only(
     assert len(output.episodes) == 20
     faulted = [ep for ep in output.episodes if ep.outcome == "harness-error"]
     assert len(faulted) == 1
-    assert "comparison blew up" in faulted[0].error
+    assert faulted[0].error == "harness error: comparison blew up"
     assert faulted[0].record.indicator == 0 and not faulted[0].record.exact
+    assert faulted[0].precision == 0.0 and faulted[0].c_e2e > 0
+    # the trace is the agent's account, which finished
+    trace = trace_from_jsonl(Path(faulted[0].trace_path).read_text())
+    assert (trace.outcome, trace.error) == ("completed", None)
+    [logged] = logged_faults(caplog)
+    assert "Traceback" in logged and "comparison blew up" in logged
     assert all(ep.outcome == "completed" for ep in output.episodes if ep not in faulted)
 
 
@@ -1024,7 +1102,9 @@ def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch, tmp_path)
     assert all_closed(events())
 
 
-def test_sessions_closed_after_harness_error(mini_plan, monkeypatch, tmp_path):
+def test_sessions_closed_after_harness_error(
+    mini_plan, monkeypatch, tmp_path, caplog
+):
     events = track_sessions(monkeypatch, tmp_path / "sessions")
     run_agent = runner.run_agent
 
@@ -1035,7 +1115,14 @@ def test_sessions_closed_after_harness_error(mini_plan, monkeypatch, tmp_path):
 
     monkeypatch.setattr(runner, "run_agent", failing_once)
     output = execute_plan(mini_plan)
-    assert [ep.outcome for ep in output.episodes].count("harness-error") == 1
+    [faulted] = [ep for ep in output.episodes if ep.outcome == "harness-error"]
+    assert faulted.error == "harness error: agent blew up"
+    # the trace says so too, with no iteration, and costs nothing
+    trace = trace_from_jsonl(Path(faulted.trace_path).read_text())
+    assert (trace.outcome, trace.error) == (faulted.outcome, faulted.error)
+    assert trace.iterations == [] and faulted.c_e2e == 0.0
+    [logged] = logged_faults(caplog)
+    assert "Traceback" in logged and "agent blew up" in logged
     assert len(opens(events())) >= 2 and all_closed(events())
 
 
@@ -1065,9 +1152,7 @@ def poison_script(sql: str) -> list[dict]:
 
 def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeypatch):
     # a small row cap, so that a recursive CTE overflows in its first fetch
-    monkeypatch.setattr(
-        engine_module, "EngineConfig", functools.partial(EngineConfig, row_cap=100)
-    )
+    monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 100)
     case = next(c for c in runner.load_suite(mini_plan.suite)
                 if c.case_id == "pricey_products")
     with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:

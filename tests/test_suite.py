@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,8 +22,30 @@ from bigsqlbench.suite import (
     warehouse_schema,
 )
 
+from .conftest import REPO_ROOT
 from .oracles import PRICING_SUMMARY_SQL, csv_row_count, pricing_summary_oracle
 from .test_engine import count_registrations
+
+
+# --- the bundled mini suite ---
+
+
+def test_make_mini_suite_regenerates_the_bundled_suite(mini_suite_dir, tmp_path):
+    # the tool writes suites/mini next to its own tools/ directory
+    (tmp_path / "tools").mkdir()
+    tool = shutil.copy(REPO_ROOT / "tools" / "make_mini_suite.py", tmp_path / "tools")
+    subprocess.run([sys.executable, tool], check=True, capture_output=True, timeout=60)
+
+    def files(root):
+        return {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()
+        }
+
+    generated = files(tmp_path / "suites" / "mini")
+    bundled = files(mini_suite_dir)
+    assert sorted(generated) == sorted(bundled)
+    assert generated == bundled
 
 
 # --- manifest loading ---
