@@ -284,14 +284,40 @@ def write_schema_file(path: str | Path, schema: TableSchema) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _converter(type_tag: str):
-    if type_tag == "integer":
-        return lambda cell: int(cell) if cell != "" else None
-    if type_tag == "float":
-        return lambda cell: float(cell) if cell != "" else None
-    if type_tag == "bool":
-        return _parse_bool
-    return lambda cell: cell if cell != "" else None
+# How each type tag turns one CSV cell, bound to `{c}`, into the value
+# stored: conversion happens here and never through sqlite's column
+# affinity, whose text-to-REAL rounding and integer rules differ from
+# float() and int().  An empty cell is NULL for every tag.
+_CELL_EXPRESSIONS = {
+    "integer": "int({c}) if {c} else None",
+    "float": "float({c}) if {c} else None",
+    "bool": "_parse_bool({c})",
+    "text": "{c} or None",
+    "date": "{c} or None",
+}
+
+
+def _row_converter(type_tags: tuple[str, ...]):
+    """A function from one CSV row of len(type_tags) cells to its stored values.
+
+    It is generated from the tags, as `dataclasses` generates methods, so a
+    row costs one Python call, not one per cell (a bool cell still calls
+    `_parse_bool`): the cells are bound to the names c0..cN and each value
+    is its tag's expression over its name.  Only those names and the fixed
+    expressions above enter the source, no text from a data file.
+    """
+    names = [f"c{i}" for i in range(len(type_tags))]
+    values = [
+        _CELL_EXPRESSIONS[tag].format(c=name) for name, tag in zip(names, type_tags)
+    ]
+    source = (
+        "def convert(row):\n"
+        f"    [{', '.join(names)}] = row\n"
+        f"    return ({''.join(value + ', ' for value in values)})\n"
+    )
+    namespace = {"_parse_bool": _parse_bool}
+    exec(source, namespace)
+    return namespace["convert"]
 
 
 def _parse_bool(cell: str) -> int | None:
@@ -346,7 +372,7 @@ def _register_data_dir(conn: sqlite3.Connection, data_dir: Path) -> None:
         schema = read_schema_file(schema_path)
         try:
             _create_and_load(conn, schema, csv_path)
-        except (sqlite3.Error, ValueError) as exc:
+        except (sqlite3.Error, ValueError, OverflowError) as exc:
             raise RegistrationError(f"failed to register {csv_path}: {exc}") from exc
 
 
@@ -357,7 +383,8 @@ def _create_and_load(
         f'"{c.name}" {_SQLITE_TYPES[c.type_tag]}' for c in schema.columns
     )
     conn.execute(f'CREATE TABLE "{schema.name}" ({columns_sql})')
-    converters = [_converter(c.type_tag) for c in schema.columns]
+    width = len(schema.columns)
+    convert = _row_converter(tuple(c.type_tag for c in schema.columns))
     placeholders = ", ".join("?" for _ in schema.columns)
     insert_sql = f'INSERT INTO "{schema.name}" VALUES ({placeholders})'
     with open(csv_path, newline="") as handle:
@@ -370,16 +397,14 @@ def _create_and_load(
             raise RegistrationError(
                 f"{csv_path}: header {header} does not match schema {expected}"
             )
-        batch = []
-        for row in reader:
-            if len(row) != len(converters):
-                raise RegistrationError(
-                    f"{csv_path}: row width {len(row)} != {len(converters)}"
-                )
-            batch.append(tuple(conv(cell) for conv, cell in zip(converters, row)))
-            if len(batch) >= 10_000:
-                conn.executemany(insert_sql, batch)
-                batch.clear()
-        if batch:
-            conn.executemany(insert_sql, batch)
+
+        def rows():
+            for row in reader:
+                if len(row) != width:
+                    raise RegistrationError(
+                        f"{csv_path}: row width {len(row)} != {width}"
+                    )
+                yield convert(row)
+
+        conn.executemany(insert_sql, rows())
     conn.commit()

@@ -146,8 +146,9 @@ class ReplayBackend(LlmBackend):
         A line must be a `response` record or an episode log's `meta`,
         `iteration` or `outcome` line; any other line raises ValueError
         naming its line number, since replaying without it would blame the
-        model for a broken script.  So does a `harness-error` outcome line:
-        replaying that trace would blame the model where the harness stopped.
+        model for a broken script.  So does a record replay cannot serve (see
+        `_check_exchange`), and a `harness-error` outcome line: replaying
+        that trace would blame the model where the harness stopped.
         """
         entries: list[dict[str, Any]] = []
         with open(path) as handle:
@@ -156,10 +157,18 @@ class ReplayBackend(LlmBackend):
                 if not line:
                     continue
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {number}: not a JSON object")
                 kind = record.get("type")
                 if kind == "iteration":
-                    entries.extend(record.get("exchanges", []))
+                    exchanges = record.get("exchanges", [])
+                    if not isinstance(exchanges, list):
+                        raise ValueError(f"line {number}: `exchanges` is not a list")
+                    for exchange in exchanges:
+                        _check_exchange(exchange, number)
+                    entries.extend(exchanges)
                 elif "response" in record:
+                    _check_exchange(record, number)
                     entries.append(record)
                 elif kind == "outcome" and record.get("outcome") == "harness-error":
                     raise ValueError(
@@ -202,6 +211,29 @@ class ReplayBackend(LlmBackend):
             messages, response.get("text", ""), response.get("tool_call"), counts,
             bool(entry.get("estimated", False)), expected,
         )
+
+
+def _check_exchange(record: Any, number: int) -> None:
+    """Raise ValueError naming line `number` unless `record` is an exchange
+    `complete` can replay: an object whose `response` is an object, with a
+    string `text` when present and a `tool_call` that is null or an object
+    with a string `name`."""
+    if not isinstance(record, dict):
+        problem = "an exchange is not an object"
+    elif not isinstance(record.get("response"), dict):
+        problem = "`response` is not an object"
+    elif not isinstance(record["response"].get("text", ""), str):
+        problem = "`response.text` is not a string"
+    else:
+        tool_call = record["response"].get("tool_call")
+        if tool_call is None or (
+            isinstance(tool_call, dict) and isinstance(tool_call.get("name"), str)
+        ):
+            return
+        problem = (
+            "`response.tool_call` is neither null nor an object with a string `name`"
+        )
+    raise ValueError(f"line {number}: {problem}")
 
 
 # Besides 5xx, the statuses that may succeed when sent again.

@@ -11,6 +11,7 @@ claim of matching any official benchmark's value distributions.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import random
 import statistics
@@ -253,19 +254,58 @@ _PART_TYPES = ("ANODIZED BRASS", "BURNISHED COPPER", "ECONOMY TIN",
                "PLATED STEEL", "POLISHED NICKEL", "STANDARD PLATED")
 _WORDS = ("quick", "silent", "amber", "crates", "along", "dockside", "pending",
           "express", "furious", "ledger", "beyond", "carefully", "final")
+_HUNDREDTHS = tuple(f"{i / 100:.2f}" for i in range(11))
 
 
-def _rng_date(rng: random.Random) -> str:
-    return (_EPOCH + datetime.timedelta(days=rng.randrange(_DATE_SPAN_DAYS))).isoformat()
+# Every draw below is the one `random.Random` makes for the same call
+# (`randrange`, `choice` and `uniform` as `a + (b - a) * random()`), in the
+# same order, so a (schema, scale factor, seed) writes the same bytes; the
+# draws are spelled out because the stdlib calls cost three frames each.
 
 
-def _rng_comment(rng: random.Random) -> str:
-    return " ".join(rng.choice(_WORDS) for _ in range(rng.randrange(2, 5)))
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), as `random.Random.randrange(n)` makes it."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+@functools.cache
+def _iso_dates() -> tuple[str, ...]:
+    """ISO text of _EPOCH + i days, built on first use rather than at import.
+
+    A shipment's commit and receipt dates fall up to 30 days after its ship
+    date, hence the 31 days past the span.
+    """
+    return tuple(
+        (_EPOCH + datetime.timedelta(days=i)).isoformat()
+        for i in range(_DATE_SPAN_DAYS + 31)
+    )
+
+
+def _rng_comment(getrandbits) -> str:
+    return " ".join([
+        _WORDS[_below(getrandbits, len(_WORDS))]
+        for _ in range(2 + _below(getrandbits, 3))
+    ])
+
+
+def _rng_phone(getrandbits) -> str:
+    return (
+        f"{10 + _below(getrandbits, 25)}-{100 + _below(getrandbits, 900)}"
+        f"-{1000 + _below(getrandbits, 9000)}"
+    )
 
 
 def _build_region(rng, count, counts):
     for i in range(count):
-        yield [str(i), _REGION_NAMES[i % len(_REGION_NAMES)], _rng_comment(rng)]
+        yield [
+            str(i), _REGION_NAMES[i % len(_REGION_NAMES)], _rng_comment(rng.getrandbits)
+        ]
 
 
 def _build_nation(rng, count, counts):
@@ -274,53 +314,59 @@ def _build_nation(rng, count, counts):
             str(i),
             _NATION_NAMES[i % len(_NATION_NAMES)],
             str(i % counts["region"]),
-            _rng_comment(rng),
+            _rng_comment(rng.getrandbits),
         ]
 
 
 def _build_supplier(rng, count, counts):
+    getrandbits, random = rng.getrandbits, rng.random
+    n_nation = counts["nation"]
     for i in range(1, count + 1):
         yield [
             str(i),
             f"Supplier#{i:09d}",
-            _rng_comment(rng),
-            str(rng.randrange(counts["nation"])),
-            f"{rng.randrange(10, 35)}-{rng.randrange(100, 1000)}-{rng.randrange(1000, 10000)}",
-            f"{rng.uniform(-999.99, 9999.99):.2f}",
-            _rng_comment(rng),
+            _rng_comment(getrandbits),
+            str(_below(getrandbits, n_nation)),
+            _rng_phone(getrandbits),
+            f"{-999.99 + (9999.99 - -999.99) * random():.2f}",
+            _rng_comment(getrandbits),
         ]
 
 
 def _build_customer(rng, count, counts):
+    getrandbits, random = rng.getrandbits, rng.random
+    n_nation = counts["nation"]
     for i in range(1, count + 1):
         yield [
             str(i),
             f"Customer#{i:09d}",
-            _rng_comment(rng),
-            str(rng.randrange(counts["nation"])),
-            f"{rng.randrange(10, 35)}-{rng.randrange(100, 1000)}-{rng.randrange(1000, 10000)}",
-            f"{rng.uniform(-999.99, 9999.99):.2f}",
-            rng.choice(_SEGMENTS),
-            _rng_comment(rng),
+            _rng_comment(getrandbits),
+            str(_below(getrandbits, n_nation)),
+            _rng_phone(getrandbits),
+            f"{-999.99 + (9999.99 - -999.99) * random():.2f}",
+            _SEGMENTS[_below(getrandbits, len(_SEGMENTS))],
+            _rng_comment(getrandbits),
         ]
 
 
 def _build_part(rng, count, counts):
+    getrandbits, random = rng.getrandbits, rng.random
     for i in range(1, count + 1):
         yield [
             str(i),
-            " ".join(rng.choice(_WORDS) for _ in range(3)),
-            f"Manufacturer#{rng.randrange(1, 6)}",
-            f"Brand#{rng.randrange(1, 6)}{rng.randrange(1, 6)}",
-            rng.choice(_PART_TYPES),
-            str(rng.randrange(1, 51)),
-            rng.choice(_CONTAINERS),
-            f"{rng.uniform(900.0, 2000.0):.2f}",
-            _rng_comment(rng),
+            " ".join([_WORDS[_below(getrandbits, len(_WORDS))] for _ in range(3)]),
+            f"Manufacturer#{1 + _below(getrandbits, 5)}",
+            f"Brand#{1 + _below(getrandbits, 5)}{1 + _below(getrandbits, 5)}",
+            _PART_TYPES[_below(getrandbits, len(_PART_TYPES))],
+            str(1 + _below(getrandbits, 50)),
+            _CONTAINERS[_below(getrandbits, len(_CONTAINERS))],
+            f"{900.0 + (2000.0 - 900.0) * random():.2f}",
+            _rng_comment(getrandbits),
         ]
 
 
 def _build_partsupp(rng, count, counts):
+    getrandbits, random = rng.getrandbits, rng.random
     n_part = counts["part"]
     n_supp = counts["supplier"]
     for idx in range(count):
@@ -329,54 +375,61 @@ def _build_partsupp(rng, count, counts):
         yield [
             str(partkey),
             str(suppkey),
-            str(rng.randrange(1, 10000)),
-            f"{rng.uniform(1.0, 1000.0):.2f}",
-            _rng_comment(rng),
+            str(1 + _below(getrandbits, 9999)),
+            f"{1.0 + (1000.0 - 1.0) * random():.2f}",
+            _rng_comment(getrandbits),
         ]
 
 
 def _build_orders(rng, count, counts):
+    getrandbits, random = rng.getrandbits, rng.random
+    dates = _iso_dates()
+    n_customer = counts["customer"]
     for i in range(1, count + 1):
         yield [
             str(i),
-            str(rng.randrange(counts["customer"]) + 1),
-            rng.choice("OFP"),
-            f"{rng.uniform(800.0, 500000.0):.2f}",
-            _rng_date(rng),
-            rng.choice(_PRIORITIES),
-            f"Clerk#{rng.randrange(1, 1000):09d}",
+            str(_below(getrandbits, n_customer) + 1),
+            "OFP"[_below(getrandbits, 3)],
+            f"{800.0 + (500000.0 - 800.0) * random():.2f}",
+            dates[_below(getrandbits, _DATE_SPAN_DAYS)],
+            _PRIORITIES[_below(getrandbits, len(_PRIORITIES))],
+            f"Clerk#{1 + _below(getrandbits, 999):09d}",
             "0",
-            _rng_comment(rng),
+            _rng_comment(getrandbits),
         ]
 
 
 def _build_lineitem(rng, count, counts):
+    getrandbits, random = rng.getrandbits, rng.random
+    dates = _iso_dates()
     n_orders = counts["orders"]
+    n_part = counts["part"]
+    n_supp = counts["supplier"]
     for idx in range(count):
         orderkey = idx % n_orders + 1
         linenumber = idx // n_orders + 1
-        quantity = rng.randrange(1, 51)
-        price = rng.uniform(900.0, 2000.0)
-        ship = _EPOCH + datetime.timedelta(days=rng.randrange(_DATE_SPAN_DAYS - 60))
-        commit = ship + datetime.timedelta(days=rng.randrange(1, 31))
-        receipt = ship + datetime.timedelta(days=rng.randrange(1, 31))
+        quantity = 1 + _below(getrandbits, 50)
+        price = 900.0 + (2000.0 - 900.0) * random()
+        ship = _below(getrandbits, _DATE_SPAN_DAYS - 60)
+        commit = ship + 1 + _below(getrandbits, 30)
+        receipt = ship + 1 + _below(getrandbits, 30)
         yield [
             str(orderkey),
-            str(rng.randrange(counts["part"]) + 1),
-            str(rng.randrange(counts["supplier"]) + 1),
+            str(_below(getrandbits, n_part) + 1),
+            str(_below(getrandbits, n_supp) + 1),
             str(linenumber),
             str(quantity),
             f"{quantity * price:.2f}",
-            f"{rng.randrange(0, 11) / 100:.2f}",
-            f"{rng.randrange(0, 9) / 100:.2f}",
-            rng.choice("RAN"),
-            rng.choice("OF"),
-            ship.isoformat(),
-            commit.isoformat(),
-            receipt.isoformat(),
-            rng.choice(_SHIP_INSTRUCT),
-            rng.choice(_SHIP_MODES),
-            _rng_comment(rng),
+            _HUNDREDTHS[_below(getrandbits, 11)],
+            _HUNDREDTHS[_below(getrandbits, 9)],
+            "RAN"[_below(getrandbits, 3)],
+            "OF"[_below(getrandbits, 2)],
+            dates[ship],
+            dates[commit],
+            dates[receipt],
+            _SHIP_INSTRUCT[_below(getrandbits, len(_SHIP_INSTRUCT))],
+            _SHIP_MODES[_below(getrandbits, len(_SHIP_MODES))],
+            _rng_comment(getrandbits),
         ]
 
 
@@ -502,13 +555,14 @@ def generate_scaled_data(
         raise SchemaAnnotationError(
             f"schema {schema.name!r} declares no key relationships"
         )
+    for table in schema.tables:
+        if table.builder is None:
+            raise SchemaAnnotationError(f"table {table.name!r} has no row builder")
 
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     counts = {t.name: t.row_count(scale_factor) for t in schema.tables}
     for table in schema.tables:
-        if table.builder is None:
-            raise SchemaAnnotationError(f"table {table.name!r} has no row builder")
         rng = random.Random(f"{seed}:{table.name}")
         csv_path = out_path / f"{table.name}.csv"
         with open(csv_path, "w", newline="") as handle:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sqlite3
 from dataclasses import asdict
 from pathlib import Path
 
@@ -77,6 +78,56 @@ def pricing_summary_oracle(data_dir: Path) -> ResultTable:
         ],
         rows,
     )
+
+
+_TRUE_LITERALS = {"1", "true", "t", "yes"}
+_FALSE_LITERALS = {"0", "false", "f", "no"}
+
+
+def _converter(type_tag: str):
+    if type_tag == "integer":
+        return lambda cell: int(cell) if cell != "" else None
+    if type_tag == "float":
+        return lambda cell: float(cell) if cell != "" else None
+    if type_tag == "bool":
+        return _parse_bool
+    return lambda cell: cell if cell != "" else None
+
+
+def _parse_bool(cell: str) -> int | None:
+    if cell == "":
+        return None
+    lowered = cell.strip().lower()
+    if lowered in _TRUE_LITERALS:
+        return 1
+    if lowered in _FALSE_LITERALS:
+        return 0
+    raise ValueError(f"not a boolean literal: {cell!r}")
+
+
+def load_csv_per_cell(
+    conn: sqlite3.Connection, table: str, columns: list[tuple[str, str]], csv_path: Path
+) -> None:
+    """Load a headed CSV into a new table of `conn`, one converter call per cell.
+
+    A copy of the registration the package ran before it generated one
+    converter per table; the values and storage classes it stores are the
+    reference for `engine.register_snapshot`.  `columns` are (name, type
+    tag) pairs, and the SQL types are the engine's.
+    """
+    sql_types = {"integer": "INTEGER", "float": "REAL", "text": "TEXT",
+                 "bool": "INTEGER", "date": "TEXT"}
+    columns_sql = ", ".join(f'"{name}" {sql_types[tag]}' for name, tag in columns)
+    conn.execute(f'CREATE TABLE "{table}" ({columns_sql})')
+    converters = [_converter(tag) for _, tag in columns]
+    placeholders = ", ".join("?" for _ in columns)
+    with open(csv_path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        rows = [
+            tuple(conv(cell) for conv, cell in zip(converters, row)) for row in reader
+        ]
+    conn.executemany(f'INSERT INTO "{table}" VALUES ({placeholders})', rows)
 
 
 def csv_row_count(path: Path) -> int:

@@ -148,6 +148,24 @@ def _script_line_without_exchange(plan, suite, monkeypatch):
     )
 
 
+def _response_not_an_object(plan, suite, monkeypatch):
+    path = suite / "replays" / "alpha" / "orders_count.jsonl"
+    path.write_text('{"response": "hello"}\n')
+    return (
+        f"backend 'replay-alpha': replay script {path} failed to load: "
+        "line 1: `response` is not an object"
+    )
+
+
+def _exchanges_not_a_list(plan, suite, monkeypatch):
+    path = suite / "replays" / "beta" / "orders_count.jsonl"
+    path.write_text('{"type": "meta"}\n{"type": "iteration", "exchanges": 5}\n')
+    return (
+        f"backend 'replay-beta': replay script {path} failed to load: "
+        "line 2: `exchanges` is not a list"
+    )
+
+
 def _negative_max_spend(plan, suite, monkeypatch):
     plan["max_spend_usd"] = -1  # would skip every cell
     return "max_spend_usd must be >= 0, got -1.0"
@@ -167,7 +185,7 @@ def _repeated_scale_factor(plan, suite, monkeypatch):
     "defect",
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
      _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
-     _negative_max_spend, _repeated_backend_name, _repeated_scale_factor,
+     _response_not_an_object, _exchanges_not_a_list, _negative_max_spend, _repeated_backend_name, _repeated_scale_factor,
      _unset_key, _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )

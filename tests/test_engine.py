@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import shutil
+import sqlite3
+import tempfile
+from contextlib import closing
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigsqlbench import engine as engine_module
 from bigsqlbench.agent import ToolError, tool_get_schema, tool_list_tables, tool_run_query
@@ -24,6 +30,8 @@ from bigsqlbench.engine import (
     write_schema_file,
 )
 from bigsqlbench.resultset import tables_equal_exact
+
+from .oracles import load_csv_per_cell
 
 WAREHOUSE_TABLES = [
     "customer", "lineitem", "nation", "orders",
@@ -174,6 +182,110 @@ def test_bool_literals_load_as_ints(tmp_path):
     with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
         result, _ = engine.execute_timed("SELECT flag FROM t ORDER BY flag")
         assert [r[0] for r in result.rows] == [0, 1, 1]
+
+
+# --- CSV cells to stored values ---
+
+
+def _padded(cells):
+    """Each cell as is, or inside the blanks that int() and float() skip."""
+    blanks = st.sampled_from(["", " ", "\t", "\n"])
+    return st.tuples(blanks, cells, blanks).map("".join)
+
+
+_INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_INT_CELLS = st.one_of(
+    st.just(""),
+    _padded(_INT64.map(str)),
+    _padded(_INT64.filter(lambda n: n >= 0).map(lambda n: f"+{n}")),
+    _padded(_INT64.map(lambda n: f"{n:_}")),
+)
+_FLOAT_CELLS = st.one_of(
+    st.just(""),
+    _padded(st.floats().map(repr)),
+    _padded(st.floats(allow_nan=False).map(lambda x: f"{x:.16e}")),
+    _padded(st.floats(allow_infinity=False, allow_nan=False).map(lambda x: f"{x:.17g}")),
+    # sqlite's own text-to-REAL conversion rounds this one differently
+    _padded(st.integers(-400, 400).map(lambda e: f"3.372874562926353e{e}")),
+    _padded(st.sampled_from([
+        "nan", "NaN", "-nan", "inf", "-Infinity", "+inf", "1_000.5", "1e5", ".5", "5.",
+    ])),
+)
+_BOOL_WORDS = st.sampled_from(["1", "true", "t", "yes", "0", "false", "f", "no"])
+_BOOL_CELLS = st.one_of(
+    st.just(""),
+    _padded(_BOOL_WORDS.flatmap(
+        lambda word: st.sampled_from([word, word.upper(), word.title()])
+    )),
+)
+_TEXT_CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    st.sampled_from(["a,b", '"q"', "x\ny", "\r\n", " ", '""']),
+)
+_CELLS = {
+    "integer": _INT_CELLS, "float": _FLOAT_CELLS, "bool": _BOOL_CELLS,
+    "text": _TEXT_CELLS, "date": _TEXT_CELLS,
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """(type tags, rows of CSV cells) of a random table, every cell valid."""
+    tags = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
+    return tags, draw(st.lists(st.tuples(*(_CELLS[tag] for tag in tags)), max_size=8))
+
+
+def _stored(conn, width):
+    """(storage class, value) of every cell of table t, row by row."""
+    columns = ", ".join(f"typeof(c{i}), c{i}" for i in range(width))
+    return conn.execute(f"SELECT {columns} FROM t ORDER BY rowid").fetchall()
+
+
+@settings(deadline=None, max_examples=200)
+@given(table=csv_tables())
+def test_registration_stores_what_a_per_cell_conversion_stores(table):
+    tags, rows = table
+    columns = [(f"c{i}", tag) for i, tag in enumerate(tags)]
+    schema = TableSchema("t", tuple(ColumnSchema(name, tag) for name, tag in columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        write_schema_file(data_dir / "t.schema", schema)
+        with open(data_dir / "t.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(name for name, _ in columns)
+            writer.writerows(rows)
+        with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
+            stored = _stored(engine.conn, len(tags))
+        with closing(sqlite3.connect(":memory:")) as oracle:
+            load_csv_per_cell(oracle, "t", columns, data_dir / "t.csv")
+            expected = _stored(oracle, len(tags))
+    assert len(stored) == len(rows)
+    assert stored == expected
+
+
+@pytest.mark.parametrize(
+    "schema, text, message",
+    [
+        ("a integer\n", "a\n1\n1.0\n",
+         "failed to register {csv}: invalid literal for int() with base 10: '1.0'"),
+        ("a integer\n", "a\n9223372036854775808\n",
+         "failed to register {csv}: Python int too large to convert to SQLite INTEGER"),
+        ("a float\n", "a\n1.5\nabc\n",
+         "failed to register {csv}: could not convert string to float: 'abc'"),
+        ("a bool\n", "a\nyes\nmaybe\n",
+         "failed to register {csv}: not a boolean literal: 'maybe'"),
+        ("a integer\nb text\n", "a,b\n1,x\n2\n", "{csv}: row width 1 != 2"),
+        ("a integer\nb text\n", "a,c\n1,x\n",
+         "{csv}: header ['a', 'c'] does not match schema ['a', 'b']"),
+    ],
+    ids=["int", "int-range", "float", "bool", "width", "header"],
+)
+def test_registration_errors_keep_their_messages(tmp_path, schema, text, message):
+    (tmp_path / "t.schema").write_text(schema)
+    (tmp_path / "t.csv").write_text(text)
+    with pytest.raises(RegistrationError) as caught:
+        EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+    assert str(caught.value) == message.format(csv=tmp_path / "t.csv")
 
 
 def test_schema_file_round_trip(tmp_path):

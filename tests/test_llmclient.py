@@ -91,6 +91,19 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
     path.write_text(json.dumps(script_entry("ok")) + "\n\n" + '{"foo": 1}\n')
     with pytest.raises(ValueError, match="^line 3 is neither a response record"):
         ReplayBackend.from_path(path)
+    unreplayable = {
+        '{"response": "hello"}': "`response` is not an object",
+        '{"response": {"text": null}}': "`response.text` is not a string",
+        '{"response": {"text": "x", "tool_call": ["list_tables"]}}':
+            "`response.tool_call` is neither null nor an object with a string `name`",
+        "[1, 2]": "not a JSON object",
+        '{"type": "iteration", "exchanges": 5}': "`exchanges` is not a list",
+    }
+    for line, problem in unreplayable.items():
+        path.write_text(json.dumps(script_entry("ok")) + "\n\n" + line + "\n")
+        with pytest.raises(ValueError) as caught:
+            ReplayBackend.from_path(path)
+        assert str(caught.value) == f"line 3: {problem}", line
 
 
 def test_estimate_tokens_quarter_length():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+from bigsqlbench.engine import ColumnSchema
 from bigsqlbench.resultset import tables_equal_exact
 from bigsqlbench.suite import (
     GoldenMaterializationError,
@@ -15,6 +19,7 @@ from bigsqlbench.suite import (
     SchemaAnnotationError,
     DatasetSchema,
     TableDef,
+    _below,
     format_sf,
     generate_scaled_data,
     load_suite,
@@ -241,6 +246,57 @@ def test_generation_is_deterministic(tmp_path):
     generate_scaled_data(schema, 0.001, seed=7, out_dir=b)
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes(), path.name
+
+
+def _sha256_by_name(data_dir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(data_dir.iterdir())
+    }
+
+
+def test_generated_files_are_pinned_byte_for_byte(tmp_path, sf_small_dir):
+    """Every generated file keeps its bytes for a given (scale factor, seed)."""
+    pinned = json.loads(
+        (REPO_ROOT / "tests" / "data" / "generated_sha256.json").read_text()
+    )
+    generate_scaled_data(warehouse_schema(), 0.001, seed=7, out_dir=tmp_path)
+    assert _sha256_by_name(tmp_path) == pinned["sf 0.001, seed 7"]
+    assert _sha256_by_name(sf_small_dir) == pinned["sf 0.01, seed 42"]
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    bounds=st.lists(st.integers(1, 2**70), min_size=1, max_size=20),
+)
+def test_below_draws_what_randrange_draws(seed, bounds):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    assert [_below(ours.getrandbits, n) for n in bounds] == [
+        stdlib.randrange(n) for n in bounds
+    ]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_refuses_an_empty_range(n):
+    with pytest.raises(ValueError):
+        _below(random.Random(0).getrandbits, n)
+
+
+def test_table_without_builder_writes_no_file(tmp_path):
+    def keys(rng, count, counts):
+        return ([str(i)] for i in range(count))
+
+    schema = DatasetSchema(
+        name="partial",
+        tables=(
+            TableDef("a", (ColumnSchema("k", "integer"),), base_rows=3, builder=keys),
+            TableDef("b", (ColumnSchema("a_k", "integer"),), base_rows=3,
+                     foreign_keys={"a_k": "a.k"}),
+        ),
+    )
+    with pytest.raises(SchemaAnnotationError, match="'b' has no row builder"):
+        generate_scaled_data(schema, 0.01, seed=0, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_different_seeds_differ(tmp_path):
