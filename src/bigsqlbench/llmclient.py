@@ -143,7 +143,7 @@ class ReplayBackend(LlmBackend):
     def from_path(cls, path: str | Path, model_id: str = "replay") -> "ReplayBackend":
         """Load a script file; episode logs expand to their embedded exchanges.
 
-        A line must be a `response` record or an episode log's `meta`,
+        A line must be a JSON `response` record or an episode log's `meta`,
         `iteration` or `outcome` line; any other line raises ValueError
         naming its line number, since replaying without it would blame the
         model for a broken script.  So does a record replay cannot serve (see
@@ -153,10 +153,14 @@ class ReplayBackend(LlmBackend):
         entries: list[dict[str, Any]] = []
         with open(path) as handle:
             for number, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line.rstrip())
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"line {number}: not JSON: {exc.msg} at column {exc.colno}"
+                    ) from None
                 if not isinstance(record, dict):
                     raise ValueError(f"line {number}: not a JSON object")
                 kind = record.get("type")
@@ -217,22 +221,34 @@ def _check_exchange(record: Any, number: int) -> None:
     """Raise ValueError naming line `number` unless `record` is an exchange
     `complete` can replay: an object whose `response` is an object, with a
     string `text` when present and a `tool_call` that is null or an object
-    with a string `name`."""
+    with a string `name`; whose `fingerprint` is absent, null or a string;
+    and whose `usage` is absent, null or an object in which `input_tokens`
+    and `output_tokens`, when present, are ints >= 0."""
     if not isinstance(record, dict):
-        problem = "an exchange is not an object"
-    elif not isinstance(record.get("response"), dict):
+        raise ValueError(f"line {number}: an exchange is not an object")
+    response = record.get("response")
+    tool_call = response.get("tool_call") if isinstance(response, dict) else None
+    usage = record.get("usage")
+    if not isinstance(response, dict):
         problem = "`response` is not an object"
-    elif not isinstance(record["response"].get("text", ""), str):
+    elif not isinstance(response.get("text", ""), str):
         problem = "`response.text` is not a string"
-    else:
-        tool_call = record["response"].get("tool_call")
-        if tool_call is None or (
-            isinstance(tool_call, dict) and isinstance(tool_call.get("name"), str)
-        ):
-            return
+    elif tool_call is not None and not (
+        isinstance(tool_call, dict) and isinstance(tool_call.get("name"), str)
+    ):
         problem = (
             "`response.tool_call` is neither null nor an object with a string `name`"
         )
+    elif not isinstance(record.get("fingerprint"), (str, type(None))):
+        problem = "`fingerprint` is neither null nor a string"
+    elif not isinstance(usage, (dict, type(None))):
+        problem = "`usage` is neither null nor an object"
+    else:
+        for key in ("input_tokens", "output_tokens"):
+            count = (usage or {}).get(key, 0)
+            if type(count) is not int or count < 0:  # bool is not a count
+                raise ValueError(f"line {number}: `usage.{key}` is not an int >= 0")
+        return
     raise ValueError(f"line {number}: {problem}")
 
 

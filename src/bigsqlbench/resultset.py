@@ -33,21 +33,10 @@ class UndefinedPrecisionError(ValueError):
     """Raised when precision is requested for a table with no columns."""
 
 
-@dataclass(frozen=True)
-class FloatTolerance:
-    """Relative tolerance with an absolute floor for float cell comparison."""
-
-    relative: float = 1e-6
-    absolute: float = 1e-9
-
-    def equal(self, a: float, b: float) -> bool:
-        if a == b:
-            return True
-        diff = abs(a - b)
-        return diff <= max(self.absolute, self.relative * max(abs(a), abs(b)))
-
-
-DEFAULT_TOLERANCE = FloatTolerance()
+# Numbers are equal when `math.isclose` at these tolerances says so: within a
+# relative 1e-6, with an absolute floor of 1e-9; an infinity only equals itself.
+REL_TOL = 1e-6
+ABS_TOL = 1e-9
 
 
 def normalize_column_name(raw: str) -> str:
@@ -185,14 +174,13 @@ def _infer_tag(value: Any) -> str:
     return "text"
 
 
-def values_equal(a: Any, b: Any, tolerance: FloatTolerance = DEFAULT_TOLERANCE) -> bool:
-    """Cell equality: null==null, tolerant numerics, trimmed text, exact bytes."""
+def values_equal(a: Any, b: Any) -> bool:
+    """Cell equality: null==null, numbers within REL_TOL/ABS_TOL, text
+    ignoring trailing spaces, bytes by value."""
     if a is None or b is None:
         return a is None and b is None
-    a_num = isinstance(a, (int, float))
-    b_num = isinstance(b, (int, float))
-    if a_num and b_num:
-        return tolerance.equal(float(a), float(b))
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return math.isclose(float(a), float(b), rel_tol=REL_TOL, abs_tol=ABS_TOL)
     if isinstance(a, str) and isinstance(b, str):
         return a.rstrip() == b.rstrip()
     if isinstance(a, bytes) and isinstance(b, bytes):
@@ -230,7 +218,7 @@ def _plain_cells(rows: Sequence[tuple[Any, ...]]) -> bool:
     float value.
 
     For such cells `a == b` implies `values_equal(a, b)`, so rows that are
-    exactly equal are equal under every tolerance.  NaN (never equal to
+    exactly equal are equal under `values_equal`.  NaN (never equal to
     anything) and other types fail the check, as do ints too large for a
     float, on which `values_equal` raises.
     """
@@ -251,51 +239,35 @@ def _plain_cells(rows: Sequence[tuple[Any, ...]]) -> bool:
         return False
 
 
-def rows_equal_multiset(
+def rows_equal(
     left: Sequence[tuple[Any, ...]],
     right: Sequence[tuple[Any, ...]],
-    tolerance: FloatTolerance = DEFAULT_TOLERANCE,
+    ordered: bool = False,
 ) -> bool:
-    """Multiset equality of row collections under cell tolerance.
+    """Row collections equal under `values_equal`: as multisets, or
+    positionally when ordered.
 
-    Exactly equal multisets of plain cells are decided by hashing; anything
-    else goes through the tolerant sort-and-scan.
+    Exactly equal rows of plain cells are decided by hashing (by list
+    equality when ordered); anything else goes through a canonical sort
+    (unless ordered) and a cell-by-cell scan.
     """
     if len(left) != len(right):
         return False
-    # Counter's own == walks every key in Python; counts built from rows are
-    # all positive, so dict equality is multiset equality.
-    if (
-        _plain_cells(left)
-        and _plain_cells(right)
-        and dict.__eq__(Counter(left), Counter(right))
-    ):
-        return True
-    left_sorted = sorted(left, key=_sort_key)
-    right_sorted = sorted(right, key=_sort_key)
-    return _rows_pairwise_equal(left_sorted, right_sorted, tolerance)
-
-
-def rows_equal_ordered(
-    left: Sequence[tuple[Any, ...]],
-    right: Sequence[tuple[Any, ...]],
-    tolerance: FloatTolerance = DEFAULT_TOLERANCE,
-) -> bool:
-    """Positional equality of row collections under cell tolerance."""
-    if len(left) != len(right):
-        return False
-    if _plain_cells(left) and _plain_cells(right) and list(left) == list(right):
-        return True
-    return _rows_pairwise_equal(left, right, tolerance)
-
-
-def _rows_pairwise_equal(left, right, tolerance) -> bool:
+    if _plain_cells(left) and _plain_cells(right):
+        if ordered:
+            exact = list(left) == list(right)
+        else:
+            # Counter's own == walks every key in Python; counts built from
+            # rows are all positive, so dict equality is multiset equality.
+            exact = dict.__eq__(Counter(left), Counter(right))
+        if exact:
+            return True
+    if not ordered:
+        left = sorted(left, key=_sort_key)
+        right = sorted(right, key=_sort_key)
     for lrow, rrow in zip(left, right):
-        if len(lrow) != len(rrow):
+        if len(lrow) != len(rrow) or not all(map(values_equal, lrow, rrow)):
             return False
-        for a, b in zip(lrow, rrow):
-            if not values_equal(a, b, tolerance):
-                return False
     return True
 
 
@@ -374,10 +346,7 @@ def _project(
 
 
 def containment_indicator(
-    truth: ResultTable,
-    generated: ResultTable,
-    tolerance: FloatTolerance = DEFAULT_TOLERANCE,
-    ordered: bool = False,
+    truth: ResultTable, generated: ResultTable, ordered: bool = False
 ) -> int:
     """1 iff the truth table is recoverable from the generated output.
 
@@ -392,29 +361,15 @@ def containment_indicator(
         return 0
     order = [mapping[i] for i in range(len(truth.columns))]
     projected = _project(generated.rows, order, len(generated.columns))
-    if ordered:
-        equal = rows_equal_ordered(truth.rows, projected, tolerance)
-    else:
-        equal = rows_equal_multiset(truth.rows, projected, tolerance)
-    return 1 if equal else 0
+    return 1 if rows_equal(truth.rows, projected, ordered) else 0
 
 
-def tables_equal_exact(
-    x: ResultTable,
-    y: ResultTable,
-    tolerance: FloatTolerance = DEFAULT_TOLERANCE,
-    ordered: bool = False,
-) -> bool:
-    """Strict equality: identical normalized column sets and equal row multisets."""
-    if set(x.column_names) != set(y.column_names):
+def tables_equal_exact(x: ResultTable, y: ResultTable, ordered: bool = False) -> bool:
+    """Strict equality: the same normalized column names, none repeated, and
+    equal rows.  With nothing superfluous, containment is equality."""
+    names = set(x.column_names)
+    if names != set(y.column_names):
         return False
-    if len(set(x.column_names)) != len(x.columns) or len(set(y.column_names)) != len(
-        y.columns
-    ):
+    if not len(names) == len(x.columns) == len(y.columns):
         return False
-    y_index = {name: j for j, name in enumerate(y.column_names)}
-    order = [y_index[name] for name in x.column_names]
-    projected = _project(y.rows, order, len(y.columns))
-    if ordered:
-        return rows_equal_ordered(x.rows, projected, tolerance)
-    return rows_equal_multiset(x.rows, projected, tolerance)
+    return containment_indicator(x, y, ordered) == 1

@@ -312,6 +312,8 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
     problems: list[str] = []
     if plan.repetitions < 1:
         problems.append("repetitions must be >= 1")
+    if plan.concurrency < 1:
+        problems.append("concurrency must be >= 1")
     # `not >= 0` also rejects NaN, which no spend would ever reach
     if plan.max_spend_usd is not None and not plan.max_spend_usd >= 0:
         problems.append(f"max_spend_usd must be >= 0, got {plan.max_spend_usd}")
@@ -579,7 +581,7 @@ def _run_episodes(
     )
     workers: dict[Any, Any] = {}  # result pipe -> its worker process
     try:
-        for _ in range(min(max(1, run.plan.concurrency), len(specs))):
+        for _ in range(min(run.plan.concurrency, len(specs))):
             reader, writer = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker, args=(run, specs, claims, writer), daemon=True

@@ -217,12 +217,6 @@ class DatasetSchema:
     name: str
     tables: tuple[TableDef, ...]
 
-    def table(self, name: str) -> TableDef:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class ScaledDataset:

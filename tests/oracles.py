@@ -9,16 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sqlite3
 from dataclasses import asdict
 from pathlib import Path
 
-from bigsqlbench.resultset import (
-    DEFAULT_TOLERANCE,
-    ResultTable,
-    json_cell,
-    values_equal,
-)
+from bigsqlbench.resultset import ResultTable, json_cell
 
 PRICING_SUMMARY_CUTOFF = "1998-09-02"
 
@@ -147,10 +143,30 @@ def _tolerant_sort_key(row: tuple) -> tuple:
     return tuple(key)
 
 
-def tolerant_rows_equal(
-    left, right, ordered=False, tolerance=DEFAULT_TOLERANCE
-) -> bool:
-    """Row comparison by a canonical sort (unless ordered) and a cell-by-cell scan.
+def oracle_cells_equal(a, b) -> bool:
+    """The README's cell rule, written out: NULL equals only NULL; numbers
+    (compared as floats) are equal when `a == b`, or when both are finite and
+    |a - b| <= max(1e-9, 1e-6 * max(|a|, |b|)); text ignores trailing spaces;
+    bytes compare by value; nothing else is equal."""
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        a, b = float(a), float(b)
+        if a == b:
+            return True
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return False
+        return abs(a - b) <= max(1e-9, 1e-6 * max(abs(a), abs(b)))
+    if isinstance(a, str) and isinstance(b, str):
+        return a.rstrip() == b.rstrip()
+    if isinstance(a, bytes) and isinstance(b, bytes):
+        return a == b
+    return False
+
+
+def tolerant_rows_equal(left, right, ordered=False) -> bool:
+    """Row comparison by a canonical sort (unless ordered) and a scan with
+    `oracle_cells_equal`.
 
     A copy of the comparison the package ran before it decided exactly equal
     tables by hashing; its verdicts are the reference for the fast path.
@@ -164,7 +180,7 @@ def tolerant_rows_equal(
         if len(lrow) != len(rrow):
             return False
         for a, b in zip(lrow, rrow):
-            if not values_equal(a, b, tolerance):
+            if not oracle_cells_equal(a, b):
                 return False
     return True
 

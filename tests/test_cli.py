@@ -114,7 +114,10 @@ def _missing_script(plan, suite, monkeypatch):
 def _malformed_script(plan, suite, monkeypatch):
     path = suite / "replays" / "alpha" / "pricey_products.jsonl"
     path.write_text("{not json\n")
-    return f"backend 'replay-alpha': replay script {path} failed to load: Expecting"
+    return (
+        f"backend 'replay-alpha': replay script {path} failed to load: "
+        "line 1: not JSON: Expecting"
+    )
 
 
 def _missing_scripts_dir(plan, suite, monkeypatch):
@@ -166,6 +169,20 @@ def _exchanges_not_a_list(plan, suite, monkeypatch):
     )
 
 
+def _usage_not_an_object(plan, suite, monkeypatch):
+    path = suite / "replays" / "alpha" / "orders_count.jsonl"
+    path.write_text('{"response": {"text": "x"}, "usage": 7}\n')
+    return (
+        f"backend 'replay-alpha': replay script {path} failed to load: "
+        "line 1: `usage` is neither null nor an object"
+    )
+
+
+def _zero_concurrency(plan, suite, monkeypatch):
+    plan["concurrency"] = 0  # would run every cell on one worker
+    return "concurrency must be >= 1"
+
+
 def _negative_max_spend(plan, suite, monkeypatch):
     plan["max_spend_usd"] = -1  # would skip every cell
     return "max_spend_usd must be >= 0, got -1.0"
@@ -185,8 +202,9 @@ def _repeated_scale_factor(plan, suite, monkeypatch):
     "defect",
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
      _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
-     _response_not_an_object, _exchanges_not_a_list, _negative_max_spend, _repeated_backend_name, _repeated_scale_factor,
-     _unset_key, _empty_key],
+     _response_not_an_object, _exchanges_not_a_list, _usage_not_an_object,
+     _zero_concurrency, _negative_max_spend, _repeated_backend_name,
+     _repeated_scale_factor, _unset_key, _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(

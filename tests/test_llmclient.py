@@ -98,6 +98,19 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
             "`response.tool_call` is neither null nor an object with a string `name`",
         "[1, 2]": "not a JSON object",
         '{"type": "iteration", "exchanges": 5}': "`exchanges` is not a list",
+        '{"response": {"text": "x"}, "fingerprint": 5}':
+            "`fingerprint` is neither null nor a string",
+        '{"response": {"text": "x"}, "usage": 7}':
+            "`usage` is neither null nor an object",
+        '{"response": {"text": "x"}, "usage": {"input_tokens": "abc", '
+        '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
+        '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '
+        '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
+        '{"type": "iteration", "exchanges": [{"response": {"text": "x"}, '
+        '"usage": {"input_tokens": 1, "output_tokens": true}}]}':
+            "`usage.output_tokens` is not an int >= 0",
+        '{"response": {"text": "x"},': "not JSON: Expecting property name "
+            "enclosed in double quotes at column 28",
     }
     for line, problem in unreplayable.items():
         path.write_text(json.dumps(script_entry("ok")) + "\n\n" + line + "\n")

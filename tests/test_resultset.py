@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from bigsqlbench import resultset
 from bigsqlbench.resultset import (
     Column,
-    FloatTolerance,
     InvalidColumnNameError,
     ResultTable,
     UndefinedPrecisionError,
@@ -19,13 +18,12 @@ from bigsqlbench.resultset import (
     json_cell,
     match_columns,
     normalize_column_name,
-    rows_equal_multiset,
-    rows_equal_ordered,
+    rows_equal,
     tables_equal_exact,
     values_equal,
 )
 
-from .oracles import tolerant_rows_equal
+from .oracles import oracle_cells_equal, tolerant_rows_equal
 
 
 def table(cols, rows=()):
@@ -88,9 +86,57 @@ def test_values_equal_cross_type():
 
 
 def test_tolerance_absolute_floor():
-    tol = FloatTolerance(relative=1e-6, absolute=1e-9)
-    assert tol.equal(0.0, 5e-10)
-    assert not tol.equal(0.0, 1e-6)
+    assert values_equal(0.0, 5e-10)
+    assert not values_equal(0.0, 1e-6)
+
+
+INF = float("inf")
+
+
+def test_infinity_equals_only_itself():
+    assert values_equal(INF, INF) and values_equal(-INF, -INF)
+    assert not values_equal(INF, 1.0)
+    assert not values_equal(INF, -INF)
+    assert not values_equal(1e300, INF)
+    assert not values_equal(-1.7e308, -INF)
+
+
+def test_infinite_result_does_not_match_a_finite_golden():
+    # `SELECT 1e999`, or a REAL sum that overflows, returns inf
+    overflowed = table([("x", "float")], [(INF,)])
+    finite = table([("x", "float")], [(2.5,)])
+    for truth, gen in ((overflowed, finite), (finite, overflowed)):
+        assert containment_indicator(truth, gen) == 0
+        assert containment_indicator(truth, gen, ordered=True) == 0
+        assert not tables_equal_exact(truth, gen)
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+_float_range_ints = st.integers(min_value=-(2**1023), max_value=2**1023)
+
+
+@st.composite
+def number_pairs(draw):
+    """Two numbers, often close to the tolerance boundary of each other."""
+    a = draw(st.one_of(_finite_floats, _float_range_ints))
+    kind = draw(st.sampled_from(["any", "relative", "absolute", "step"]))
+    if kind == "any":
+        b = draw(st.one_of(_finite_floats, _float_range_ints))
+    elif kind == "relative":
+        b = float(a) * (1 + draw(st.floats(-3e-6, 3e-6)))
+    elif kind == "absolute":
+        b = float(a) + draw(st.floats(-3e-9, 3e-9))
+    else:
+        b = a + draw(st.integers(-3, 3))
+    return a, b
+
+
+@settings(max_examples=1000)
+@given(number_pairs())
+def test_prop_values_equal_matches_oracle_on_numbers(pair):
+    a, b = pair
+    assert values_equal(a, b) == oracle_cells_equal(a, b)
+    assert values_equal(b, a) == oracle_cells_equal(b, a)
 
 
 # --- column_precision ---
@@ -229,6 +275,15 @@ def test_exact_extra_column_unequal():
     x = table(["a"], [(1,)])
     y = table(["a", "b"], [(1, 2)])
     assert not tables_equal_exact(x, y)
+
+
+def test_exact_repeated_column_unequal():
+    # the same name set, but the repeat is a superfluous column
+    x = table(["a"], [(1,)])
+    y = table(["a", "a"], [(1, 1)])
+    assert containment_indicator(x, y) == 1
+    assert not tables_equal_exact(x, y)
+    assert not tables_equal_exact(y, x)
 
 
 def test_exact_column_order_insensitive():
@@ -405,8 +460,8 @@ def row_pairs(draw):
 @given(row_pairs())
 def test_prop_row_comparisons_match_tolerant_oracle(pair):
     left, right = pair
-    assert rows_equal_multiset(left, right) == tolerant_rows_equal(left, right)
-    assert rows_equal_ordered(left, right) == tolerant_rows_equal(
+    assert rows_equal(left, right) == tolerant_rows_equal(left, right)
+    assert rows_equal(left, right, ordered=True) == tolerant_rows_equal(
         left, right, ordered=True
     )
 
@@ -417,20 +472,20 @@ def test_tolerant_equal_rows_left_after_exact_pairs_are_not_dropped():
     x, eps = 1.0, 1e-6
     left = [(x,), (x - 0.9 * eps,)]
     right = [(x,), (x + 0.9 * eps,)]
-    assert rows_equal_multiset(left, right)
+    assert rows_equal(left, right)
     assert not values_equal(x - 0.9 * eps, x + 0.9 * eps)
 
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
     calls = []
-    scan = resultset._rows_pairwise_equal
+    cells_equal = resultset.values_equal
 
-    def spy(left, right, tolerance):
-        calls.append(len(left))
-        return scan(left, right, tolerance)
+    def spy(a, b):
+        calls.append((a, b))
+        return cells_equal(a, b)
 
-    monkeypatch.setattr(resultset, "_rows_pairwise_equal", spy)
+    monkeypatch.setattr(resultset, "values_equal", spy)
     return calls
 
 
