@@ -22,9 +22,8 @@ from .llmclient import (
     LlmTransportError,
     ReplayExhaustedError,
 )
+from .metrics import STAGES
 from .resultset import ResultTable, json_cell
-
-STAGES = ("list", "schema", "check", "run", "finalize")
 
 _TOOL_STAGE = {
     "list_tables": "list",

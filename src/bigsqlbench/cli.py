@@ -1,4 +1,8 @@
-"""Command-line entry point: validate plans, run matrices, render reports."""
+"""Command-line entry point: validate plans, run matrices, render reports.
+
+Each handler imports only the modules its command runs, so `--help` loads
+no other module of the package and `report` never loads the engine.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +10,34 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import Sessions
-from .report import REPORT_FORMATS, render_report
-from .runner import PlanValidationError, RunPlan, execute_plan, load_records, validate_plan
-from .suite import (
-    GoldenMaterializationError,
-    format_sf,
-    generate_scaled_data,
-    load_suite,
-    materialize_golden,
-    warehouse_schema,
-)
+REPORT_FORMATS = ("json", "csv", "markdown", "plotdata")
+
+
+# The handlers call these through this module, where a caller can replace
+# one; each imports its module when first called.
+def execute_plan(plan):
+    from .runner import execute_plan
+    return execute_plan(plan)
+
+
+def load_records(path):
+    from .metrics import load_records
+    return load_records(path)
+
+
+def render_report(episodes, formats, out_dir):
+    from .report import render_report
+    return render_report(episodes, formats, out_dir)
+
+
+def materialize_golden(case, engine, **kwargs):
+    from .suite import materialize_golden
+    return materialize_golden(case, engine, **kwargs)
+
+
+def generate_scaled_data(schema, scale_factor, seed, out_dir):
+    from .suite import generate_scaled_data
+    return generate_scaled_data(schema, scale_factor, seed, out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_cmd.add_argument("--records", required=True, type=Path)
     report_cmd.add_argument(
         "--format",
-        default="json,csv,markdown,plotdata",
+        default=",".join(REPORT_FORMATS),
         help=f"comma-separated subset of {','.join(REPORT_FORMATS)}",
     )
     report_cmd.add_argument("--output-dir", required=True, type=Path)
@@ -69,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_plan_validate(args: argparse.Namespace) -> int:
+    from .runner import PlanValidationError, RunPlan, validate_plan
+
     try:
         problems = validate_plan(RunPlan.from_json_file(args.plan))
     except PlanValidationError as exc:
@@ -82,6 +105,8 @@ def _cmd_plan_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .runner import PlanValidationError, RunPlan
+
     try:
         plan = RunPlan.from_json_file(args.plan)
         if args.output_dir is not None:
@@ -124,6 +149,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
+    from .engine import Sessions
+    from .suite import GoldenMaterializationError, load_suite
+
     failures = 0
     with Sessions() as sessions:
         for case in load_suite(args.suite, args.scale_factor, sessions):
@@ -147,6 +175,8 @@ def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
 
 
 def _cmd_data_generate(args: argparse.Namespace) -> int:
+    from .suite import format_sf, warehouse_schema
+
     dataset = generate_scaled_data(
         warehouse_schema(), args.scale_factor, args.seed, args.output_dir
     )

@@ -213,7 +213,7 @@ class ReplayBackend(LlmBackend):
         # a trace records its estimates as counts, flagged `estimated`
         return _exchange(
             messages, response.get("text", ""), response.get("tool_call"), counts,
-            bool(entry.get("estimated", False)), expected,
+            entry.get("estimated", False), expected,
         )
 
 
@@ -222,8 +222,9 @@ def _check_exchange(record: Any, number: int) -> None:
     `complete` can replay: an object whose `response` is an object, with a
     string `text` when present and a `tool_call` that is null or an object
     with a string `name`; whose `fingerprint` is absent, null or a string;
-    and whose `usage` is absent, null or an object in which `input_tokens`
-    and `output_tokens`, when present, are ints >= 0."""
+    whose `estimated` is absent or a boolean; and whose `usage` is absent,
+    null or an object in which `input_tokens` and `output_tokens`, when
+    present, are ints >= 0."""
     if not isinstance(record, dict):
         raise ValueError(f"line {number}: an exchange is not an object")
     response = record.get("response")
@@ -241,6 +242,8 @@ def _check_exchange(record: Any, number: int) -> None:
         )
     elif not isinstance(record.get("fingerprint"), (str, type(None))):
         problem = "`fingerprint` is neither null nor a string"
+    elif not isinstance(record.get("estimated", False), bool):
+        problem = "`estimated` is not a boolean"
     elif not isinstance(usage, (dict, type(None))):
         problem = "`usage` is neither null nor an object"
     else:

@@ -3,14 +3,21 @@
 Covers the classic text-to-SQL trio (exact match, execution accuracy, valid
 efficiency score) plus the end-to-end variants that fold in agent latency,
 column precision, and dollar cost, and the expected cost per valid query
-under a retry-until-success model.
+under a retry-until-success model; and the episode records (records.json)
+they are computed from, which `report` reads without loading the engine.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field, fields
+from pathlib import Path
 from statistics import fmean
+from typing import Any
+
+# the stages an episode's time and cost are attributed to, in report order
+STAGES = ("list", "schema", "check", "run", "finalize")
 
 SQL_KEYWORDS = frozenset(
     """
@@ -27,10 +34,6 @@ _TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|\S+")
 
 class DegenerateTimingError(ValueError):
     """A valid run reported a non-positive runtime."""
-
-
-class DegenerateCostError(ValueError):
-    """A valid run reported a non-positive cost."""
 
 
 class InvalidRateError(ValueError):
@@ -85,16 +88,75 @@ class MetricRecord:
         return self.indicator == 1
 
 
+@dataclass
+class EpisodeResult:
+    """One matrix cell: its metric values plus everything reports need.
+
+    The init fields are the records.json entry, in this order; `record` is
+    the metric record built from them once.
+    """
+
+    model: str
+    case_id: str
+    repetition: int
+    scale_factor: float
+    indicator: int
+    exact: bool
+    precision: float
+    t_gold: float
+    t_gen: float
+    t_e2e: float
+    c_e2e: float
+    outcome: str
+    golden_sql: str
+    generated_sql: str
+    stage_seconds: dict[str, float]
+    stage_percentages: dict[str, float]
+    stage_cost: dict[str, float]
+    trace_path: str | None = None
+    error: str | None = None
+    estimated_usage: bool = False
+    record: MetricRecord = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.record = MetricRecord(
+            case_id=self.case_id,
+            run_id=self.repetition,
+            indicator=self.indicator,
+            precision=self.precision,
+            t_gold=self.t_gold,
+            t_gen=self.t_gen,
+            t_e2e=self.t_e2e,
+            c_e2e=self.c_e2e,
+            exact=self.exact,
+        )
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+
+    @classmethod
+    def from_json_dict(cls, data: dict[str, Any]) -> "EpisodeResult":
+        names = [f.name for f in fields(cls) if f.init]
+        return cls(**{name: data[name] for name in names if name in data})
+
+
+def load_records(path: str | Path) -> list[EpisodeResult]:
+    """Read back the episode results a run wrote to records.json."""
+    data = json.loads(Path(path).read_text())
+    return [EpisodeResult.from_json_dict(raw) for raw in data["episodes"]]
+
+
 @dataclass(frozen=True)
 class SuiteMetrics:
-    """Suite-level aggregates; cvq is None exactly when p_hat is zero."""
+    """Suite-level aggregates; cvq is None exactly when p_hat is zero, and
+    vces when a valid record cost $0."""
 
     n: int
     em: float
     ea: float
     ves: float
     ves_star: float
-    vces: float
+    vces: float | None
     cvq: float | None
     p_hat: float
 
@@ -147,14 +209,13 @@ def ves_star_per_query(r: MetricRecord) -> float:
     return r.precision * r.t_gold / r.t_e2e
 
 
-def vces_per_query(r: MetricRecord) -> float:
-    """Cost-normalized efficiency: the end-to-end score divided by run cost."""
+def vces_per_query(r: MetricRecord) -> float | None:
+    """Cost-normalized efficiency: the end-to-end score divided by run cost;
+    None for a valid run that cost $0 (`MetricRecord` refuses a negative one)."""
     if r.indicator == 0:
         return 0.0
-    if r.c_e2e <= 0:
-        raise DegenerateCostError(
-            f"case {r.case_id} run {r.run_id}: valid run with c_e2e={r.c_e2e}"
-        )
+    if r.c_e2e == 0:
+        return None
     return ves_star_per_query(r) / r.c_e2e
 
 
@@ -196,6 +257,7 @@ def aggregate(
         else:
             em_bits.append(exact_match(golden, generated))
     p_hat = fmean(r.indicator for r in records)
+    vces = [vces_per_query(r) for r in records]
     mean_cost = fmean(r.c_e2e for r in records)
     return SuiteMetrics(
         n=len(records),
@@ -203,7 +265,7 @@ def aggregate(
         ea=fmean(1 if r.exact else 0 for r in records),
         ves=fmean(ves_per_query(r) for r in records),
         ves_star=fmean(ves_star_per_query(r) for r in records),
-        vces=fmean(vces_per_query(r) for r in records),
+        vces=None if None in vces else fmean(vces),
         cvq=cvq(mean_cost, p_hat),
         p_hat=p_hat,
     )

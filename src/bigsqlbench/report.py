@@ -16,8 +16,9 @@ from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Any, Iterable
 
-from .agent import STAGES
 from .metrics import (
+    STAGES,
+    EpisodeResult,
     NormalizationError,
     SuiteMetrics,
     aggregate,
@@ -27,11 +28,8 @@ from .metrics import (
     ves_per_query,
     ves_star_per_query,
 )
-from .runner import EpisodeResult
 
 FOUR_STAGES = ("list", "schema", "check", "run")
-
-REPORT_FORMATS = ("json", "csv", "markdown", "plotdata")
 
 
 def _by_model(episodes: Iterable[EpisodeResult]) -> dict[str, list[EpisodeResult]]:
@@ -55,12 +53,14 @@ def _stage_means(eps: list[EpisodeResult], attribute: str) -> dict[str, float]:
 
 
 def _safe_normalize(
-    values: dict[str, float], higher_is_better: bool
-) -> dict[str, float]:
+    values: dict[str, float | None], higher_is_better: bool
+) -> dict[str, float | None]:
+    defined = {model: value for model, value in values.items() if value is not None}
     try:
-        return normalize_to_best(values, higher_is_better)
+        normalized = normalize_to_best(defined, higher_is_better)
     except NormalizationError:
-        return {model: math.nan for model in values}
+        normalized = {model: math.nan for model in defined}
+    return {model: normalized.get(model) for model in values}
 
 
 def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
@@ -122,7 +122,8 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
         }
         for m in grouped
     ]
-    table3.sort(key=lambda row: (-row["vces"], row["model"]))
+    # an undefined VCES sorts last
+    table3.sort(key=lambda row: (row["vces"] is None, -(row["vces"] or 0), row["model"]))
 
     per_query = _per_query_rows(episodes)
     plot_time, plot_cost = _plot_series(episodes)
@@ -162,8 +163,8 @@ def _per_query_rows(episodes: list[EpisodeResult]) -> list[dict[str, Any]]:
                 "ves_std": pstdev(ves),
                 "ves_star_mean": fmean(ves_star),
                 "ves_star_std": pstdev(ves_star),
-                "vces_mean": fmean(vces),
-                "vces_std": pstdev(vces),
+                "vces_mean": None if None in vces else fmean(vces),
+                "vces_std": None if None in vces else pstdev(vces),
                 "cvq": cvq(fmean(r.c_e2e for r in records), p_hat),
             }
         )
@@ -283,30 +284,30 @@ def _render_plot_csv(rows: list[dict[str, Any]]) -> str:
     )
 
 
+# each format's files from (report, episodes); `cli.REPORT_FORMATS` lists the keys
+_RENDERERS = {
+    "json": lambda report, episodes: {"report.json": json.dumps(report, indent=2)},
+    "csv": lambda report, episodes: {"records.csv": render_records_csv(episodes)},
+    "markdown": lambda report, episodes: {"report.md": render_markdown(report)},
+    "plotdata": lambda report, episodes: {
+        "plotdata_time.csv": _render_plot_csv(report["plotdata_time"]),
+        "plotdata_cost.csv": _render_plot_csv(report["plotdata_cost"]),
+    },
+}
+
+
 def render_report(
-    episodes: list[EpisodeResult],
-    formats: Iterable[str],
-    out_dir: str | Path,
+    episodes: list[EpisodeResult], formats: Iterable[str], out_dir: str | Path
 ) -> list[Path]:
     """Write the requested report artifacts; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = build_report(episodes)
-    # each format's files, rendered only if the format is asked for
-    renderers = {
-        "json": lambda: {"report.json": json.dumps(report, indent=2)},
-        "csv": lambda: {"records.csv": render_records_csv(episodes)},
-        "markdown": lambda: {"report.md": render_markdown(report)},
-        "plotdata": lambda: {
-            "plotdata_time.csv": _render_plot_csv(report["plotdata_time"]),
-            "plotdata_cost.csv": _render_plot_csv(report["plotdata_cost"]),
-        },
-    }
     written: list[Path] = []
     for fmt in formats:
-        if fmt not in renderers:
+        if fmt not in _RENDERERS:
             raise ValueError(f"unknown report format: {fmt!r}")
-        for name, text in renderers[fmt]().items():
+        for name, text in _RENDERERS[fmt](report, episodes).items():
             path = out / name
             path.write_text(text)
             written.append(path)

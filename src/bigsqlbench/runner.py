@@ -15,7 +15,7 @@ import os
 import time
 import traceback
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -35,7 +35,7 @@ from .costmodel import (
 )
 from .engine import Sessions
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
-from .metrics import MetricRecord
+from .metrics import EpisodeResult
 from .resultset import (
     ResultTable,
     UndefinedPrecisionError,
@@ -175,58 +175,6 @@ _BACKEND_KEYS = (
 )
 _SAMPLING_KEYS = ("temperature", "top_p", "max_tokens")
 _AGENT_KEYS = ("max_iterations", "sample_rows")
-
-
-@dataclass
-class EpisodeResult:
-    """One matrix cell: its metric values plus everything reports need.
-
-    The init fields are the records.json entry, in this order; `record` is
-    the metric record built from them once.
-    """
-
-    model: str
-    case_id: str
-    repetition: int
-    scale_factor: float
-    indicator: int
-    exact: bool
-    precision: float
-    t_gold: float
-    t_gen: float
-    t_e2e: float
-    c_e2e: float
-    outcome: str
-    golden_sql: str
-    generated_sql: str
-    stage_seconds: dict[str, float]
-    stage_percentages: dict[str, float]
-    stage_cost: dict[str, float]
-    trace_path: str | None = None
-    error: str | None = None
-    estimated_usage: bool = False
-    record: MetricRecord = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.record = MetricRecord(
-            case_id=self.case_id,
-            run_id=self.repetition,
-            indicator=self.indicator,
-            precision=self.precision,
-            t_gold=self.t_gold,
-            t_gen=self.t_gen,
-            t_e2e=self.t_e2e,
-            c_e2e=self.c_e2e,
-            exact=self.exact,
-        )
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "EpisodeResult":
-        names = [f.name for f in fields(cls) if f.init]
-        return cls(**{name: data[name] for name in names if name in data})
 
 
 @dataclass
@@ -798,9 +746,3 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
         error=error,
         estimated_usage=trace.uses_estimated_tokens,
     )
-
-
-def load_records(path: str | Path) -> list[EpisodeResult]:
-    """Read back the episode results written by execute_plan."""
-    data = json.loads(Path(path).read_text())
-    return [EpisodeResult.from_json_dict(raw) for raw in data["episodes"]]

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import ast
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -12,6 +16,21 @@ from bigsqlbench.suite import generate_scaled_data, warehouse_schema
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI_SUITE = REPO_ROOT / "suites" / "mini"
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds once it has run `code`."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(sorted(sys.modules))"],
+        env=env, capture_output=True, text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return set(ast.literal_eval(completed.stdout.splitlines()[-1]))
+
+
+def package_modules(modules: set[str]) -> set[str]:
+    return {name for name in modules if name.split(".")[0] == "bigsqlbench"}
 
 
 @pytest.fixture(scope="session")

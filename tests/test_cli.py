@@ -1,10 +1,7 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import subprocess
-import sys
 
 import pytest
 
@@ -12,23 +9,69 @@ from bigsqlbench import cli
 from bigsqlbench.cli import main
 from bigsqlbench.engine import SessionClosedError
 
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, modules_after, package_modules
 from tests.test_engine import count_registrations
-from tests.test_runner import mismatch_entry
+from tests.test_runner import PINNED_REPORT, mismatch_entry, two_model_episodes
 
 
 def test_cli_imports_without_requests_or_http_stack():
-    code = (
-        "import sys; sys.modules['requests'] = None; import bigsqlbench.cli; "
-        "assert 'urllib.request' not in sys.modules; "
-        # imported by a run when it starts its workers
-        "assert 'multiprocessing' not in sys.modules"
+    modules = modules_after(
+        "import sys; sys.modules['requests'] = None\n"
+        "from bigsqlbench.cli import main\n"
+        "try:\n    main(['--help'])\nexcept SystemExit:\n    pass"
     )
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    completed = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    assert "urllib.request" not in modules
+    # imported by a run when it starts its workers
+    assert "multiprocessing" not in modules
+    # `--help` loads no other module of the package, and no engine
+    assert package_modules(modules) == {"bigsqlbench", "bigsqlbench.cli"}
+    assert "sqlite3" not in modules
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert package_modules(modules_after("import bigsqlbench")) == {"bigsqlbench"}
+
+
+def test_every_public_name_resolves_and_is_listed():
+    # with `cli`, that loads every module of the package: none may need
+    # `requests` or import at its top what only an HTTP call or a worker uses
+    modules = modules_after(
+        "import sys; sys.modules['requests'] = None\n"
+        "import bigsqlbench, bigsqlbench.cli\n"
+        "for name in bigsqlbench.__all__:\n"
+        "    getattr(bigsqlbench, name)\n"
+        "assert set(bigsqlbench.__all__) <= set(dir(bigsqlbench))\n"
+        "assert not hasattr(bigsqlbench, 'no_such_name')"
     )
-    assert completed.returncode == 0, completed.stderr
+    package = REPO_ROOT / "src" / "bigsqlbench"
+    assert package_modules(modules) == {"bigsqlbench"} | {
+        f"bigsqlbench.{p.stem}" for p in package.glob("*.py")
+        if p.stem not in ("__init__", "__main__")
+    }
+    assert "urllib.request" not in modules
+    assert "multiprocessing" not in modules
+
+
+def test_report_loads_no_engine_stack(tmp_path):
+    records = tmp_path / "records.json"
+    records.write_text(json.dumps(
+        {"episodes": [ep.to_json_dict() for ep in two_model_episodes()]}
+    ))
+    out = tmp_path / "report"
+    modules = modules_after(
+        "from bigsqlbench.cli import main\n"
+        f"assert main(['report', '--records', {str(records)!r}, "
+        f"'--output-dir', {str(out)!r}]) == 0"
+    )
+    assert package_modules(modules) == {
+        "bigsqlbench", "bigsqlbench.cli", "bigsqlbench.metrics", "bigsqlbench.report"
+    }
+    assert "sqlite3" not in modules
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        p.name for p in PINNED_REPORT.iterdir()
+    )
+    for path in out.iterdir():
+        assert path.read_bytes() == (PINNED_REPORT / path.name).read_bytes(), path.name
 
 
 def test_plan_validate_ok(mini_suite_dir, capsys):
@@ -178,6 +221,15 @@ def _usage_not_an_object(plan, suite, monkeypatch):
     )
 
 
+def _estimated_not_a_boolean(plan, suite, monkeypatch):
+    path = suite / "replays" / "alpha" / "orders_count.jsonl"
+    path.write_text('{"response": {"text": "x"}, "estimated": "false"}\n')
+    return (
+        f"backend 'replay-alpha': replay script {path} failed to load: "
+        "line 1: `estimated` is not a boolean"
+    )
+
+
 def _zero_concurrency(plan, suite, monkeypatch):
     plan["concurrency"] = 0  # would run every cell on one worker
     return "concurrency must be >= 1"
@@ -203,8 +255,8 @@ def _repeated_scale_factor(plan, suite, monkeypatch):
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
      _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
      _response_not_an_object, _exchanges_not_a_list, _usage_not_an_object,
-     _zero_concurrency, _negative_max_spend, _repeated_backend_name,
-     _repeated_scale_factor, _unset_key, _empty_key],
+     _estimated_not_a_boolean, _zero_concurrency, _negative_max_spend,
+     _repeated_backend_name, _repeated_scale_factor, _unset_key, _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(
@@ -297,6 +349,41 @@ def test_data_generate_prints_counts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "region: 5 rows" in out
     assert "lineitem: 6000 rows" in out
+
+
+def test_report_shows_vces_undefined_for_a_model_that_cost_nothing(
+    tmp_path, mini_suite_dir
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    pricing = json.loads((suite / "pricing.json").read_text())
+    pricing["models"][1].update(input_per_mtok=0, output_per_mtok=0)  # replay-beta
+    (suite / "pricing.json").write_text(json.dumps(pricing))
+    out = tmp_path / "out"
+    assert main(["run", "--plan", str(suite / "plan.json"), "--output-dir", str(out)]) == 0
+    assert main(
+        ["report", "--records", str(out / "records.json"),
+         "--output-dir", str(out / "report")]
+    ) == 0
+
+    report = json.loads((out / "report" / "report.json").read_text())
+    assert report["suite_metrics"]["replay-beta"]["vces"] is None
+    assert report["suite_metrics"]["replay-alpha"]["vces"] > 0
+    # the undefined VCES sorts last, and normalization skips it
+    assert [(row["model"], row["vces_norm"]) for row in report["table3"]] == [
+        ("replay-alpha", 1.0), ("replay-beta", None)
+    ]
+    markdown = (out / "report" / "report.md").read_text().splitlines()
+    assert any(line.startswith("| replay-beta | -- | ") for line in markdown)
+    valid_beta = {
+        row["case_id"] for row in report["per_query"]
+        if row["model"] == "replay-beta" and row["ex_mean"] > 0
+    }
+    assert valid_beta
+    for case_id in valid_beta:
+        row = next(line for line in markdown
+                   if line.startswith(f"| {case_id} | replay-beta | "))
+        assert row.split(" | ")[5] == "-- +/- --", row
 
 
 def test_goldens_materialize_cli(tmp_path, mini_suite_dir, capsys):

@@ -102,6 +102,8 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
             "`fingerprint` is neither null nor a string",
         '{"response": {"text": "x"}, "usage": 7}':
             "`usage` is neither null nor an object",
+        '{"response": {"text": "x"}, "estimated": "false"}':
+            "`estimated` is not a boolean",
         '{"response": {"text": "x"}, "usage": {"input_tokens": "abc", '
         '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
         '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bigsqlbench.metrics import (
-    DegenerateCostError,
     DegenerateTimingError,
     EmptySuiteError,
     InvalidRateError,
@@ -127,8 +126,12 @@ def test_vces_halves_when_cost_doubles():
 
 
 def test_vces_degenerate_cost():
-    with pytest.raises(DegenerateCostError):
-        vces_per_query(record(c_e2e=0.0))
+    # a valid run that cost $0 has no cost efficiency; an invalid one scores 0
+    assert vces_per_query(record(c_e2e=0.0)) is None
+    assert vces_per_query(record(indicator=0, exact=False, c_e2e=0.0)) == 0.0
+    # a negative cost is refused before any metric sees it
+    with pytest.raises(ValueError, match="c_e2e must be nonnegative"):
+        record(c_e2e=-0.01)
 
 
 # --- cvq ---
@@ -220,6 +223,16 @@ def test_aggregate_cvq_undefined_when_all_invalid():
     suite = aggregate(records, [("SELECT 1", "SELECT 2")])
     assert suite.cvq is None
     assert suite.p_hat == 0.0
+
+
+def test_aggregate_vces_undefined_when_a_valid_record_cost_nothing():
+    paid = record(c_e2e=0.01)
+    pairs = [("SELECT 1", "SELECT 1")] * 2
+    assert aggregate([paid, record(c_e2e=0.0)], pairs).vces is None
+    # an invalid record that cost nothing scores 0, as any invalid record
+    unpaid_invalid = record(indicator=0, exact=False, c_e2e=0.0)
+    suite = aggregate([paid, unpaid_invalid], pairs)
+    assert suite.vces == pytest.approx(vces_per_query(paid) / 2)
 
 
 def test_aggregate_single_record_equals_per_query():

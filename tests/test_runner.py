@@ -16,25 +16,17 @@ import pytest
 
 from bigsqlbench import agent as agent_module
 from bigsqlbench import engine as engine_module
+from bigsqlbench import report as report_module
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
+from bigsqlbench.cli import REPORT_FORMATS
 from bigsqlbench.costmodel import EnginePricing
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
 from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
-from bigsqlbench.report import (
-    REPORT_FORMATS,
-    build_report,
-    render_markdown,
-    render_report,
-)
-from bigsqlbench.runner import (
-    EpisodeResult,
-    PlanValidationError,
-    RunPlan,
-    execute_plan,
-    load_records,
-    validate_plan,
-)
+from bigsqlbench.metrics import EpisodeResult, load_records
+from bigsqlbench.report import build_report, render_markdown, render_report
+from bigsqlbench.runner import PlanValidationError, RunPlan, execute_plan, validate_plan
+from tests.conftest import modules_after
 from tests.oracles import trace_to_jsonl_asdict
 from tests.test_engine import count_registrations, snapshot_files
 
@@ -314,6 +306,26 @@ def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     loaded = count_registrations(monkeypatch)
     execute_plan(mini_plan)
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
+
+
+def test_episodes_import_nothing_the_parent_has_not_loaded(mini_suite_dir, tmp_path):
+    """The fork rule: importing the runner loads every module an episode
+    runs, so no worker compiles one inside a timed episode."""
+    modules_after(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from bigsqlbench import runner\n"
+        "loaded = set(sys.modules)\n"
+        f"plan = runner.RunPlan.from_json_file({str(mini_suite_dir / 'plan.json')!r})\n"
+        f"plan.output_dir = Path({str(tmp_path)!r})\n"
+        "with runner.Sessions() as sessions:\n"
+        "    checked = runner._preflight(plan, sessions)\n"
+        "    specs, _ = runner._plan_episodes(plan, checked, sessions)\n"
+        "    run = runner._Run(plan, {}, sessions, runner._make_trace_dirs(specs))\n"
+        "    episodes = [runner._run_episode(run, spec) for spec in specs]\n"
+        "assert len(episodes) == 20 and all(ep.trace_path for ep in episodes)\n"
+        "assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)"
+    )
 
 
 def test_workers_read_the_data_the_goldens_ran_on(mini_copy, monkeypatch):
@@ -884,6 +896,11 @@ def test_records_json_round_trip(mini_plan):
         "generated_sql", "stage_seconds", "stage_percentages", "stage_cost",
         "trace_path", "error", "estimated_usage",
     ]
+    # `report` reads records.json from outside: a negative cost is refused on load
+    negative = output.records_path.with_name("negative.json")
+    negative.write_text(json.dumps({"episodes": [{**first, "c_e2e": -0.01}]}))
+    with pytest.raises(ValueError, match="c_e2e must be nonnegative"):
+        load_records(negative)
 
 
 def test_zero_budget_in_plan_file_runs_nothing(mini_suite_dir, tmp_path):
@@ -1355,6 +1372,8 @@ def test_render_report_writes_all_formats(tmp_path):
 
 
 def test_render_report_matches_pinned_files(tmp_path):
+    # the CLI's one list of formats names every renderer, in order
+    assert tuple(report_module._RENDERERS) == REPORT_FORMATS
     written = render_report(two_model_episodes(), REPORT_FORMATS, tmp_path)
     assert sorted(p.name for p in written) == sorted(
         p.name for p in PINNED_REPORT.iterdir()
