@@ -22,7 +22,7 @@ _EXPORTS = {
     "engine": ("EmbeddedEngine", "EngineConfig", "Sessions"),
     "llmclient": ("HttpBackend", "ReplayBackend"),
     "metrics": (
-        "MetricRecord", "SuiteMetrics", "aggregate", "cvq", "exact_match",
+        "EpisodeResult", "SuiteMetrics", "aggregate", "cvq", "exact_match",
         "normalize_to_best", "ves_per_query", "ves_star_per_query",
         "vces_per_query",
     ),

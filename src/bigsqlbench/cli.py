@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--repetitions", type=int, default=None)
     run_cmd.add_argument("--concurrency", type=int, default=None)
     run_cmd.add_argument("--seed", type=int, default=None)
-    run_cmd.add_argument("--max-spend", type=float, default=None)
+    run_cmd.add_argument("--max-spend", dest="max_spend_usd", type=float, default=None)
 
     report_cmd = sub.add_parser("report", help="render reports from records")
     report_cmd.add_argument("--records", required=True, type=Path)
@@ -109,16 +109,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         plan = RunPlan.from_json_file(args.plan)
-        if args.output_dir is not None:
-            plan.output_dir = args.output_dir
-        if args.repetitions is not None:
-            plan.repetitions = args.repetitions
-        if args.concurrency is not None:
-            plan.concurrency = args.concurrency
-        if args.seed is not None:
-            plan.seed = args.seed
-        if args.max_spend is not None:
-            plan.max_spend_usd = args.max_spend
+        # each flag given overrides the plan key of its name
+        for name in ("output_dir", "repetitions", "concurrency", "seed",
+                     "max_spend_usd"):
+            if getattr(args, name) is not None:
+                setattr(plan, name, getattr(args, name))
         output = execute_plan(plan)
     except PlanValidationError as exc:
         print(f"plan invalid: {exc}")
@@ -138,7 +133,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if fmt not in REPORT_FORMATS:
             print(f"unknown format: {fmt}")
             return 1
-    episodes = load_records(args.records)
+    try:
+        episodes = load_records(args.records)
+    except ValueError as exc:
+        print(f"records invalid: {exc}")
+        return 1
     if not episodes:
         print("no episodes in records file")
         return 1

@@ -10,11 +10,12 @@ they are computed from, which `report` reads without loading the engine.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from statistics import fmean
-from typing import Any
+from statistics import fmean, pstdev
+from typing import Any, Iterable
 
 # the stages an episode's time and cost are attributed to, in report order
 STAGES = ("list", "schema", "check", "run", "finalize")
@@ -32,10 +33,6 @@ SQL_KEYWORDS = frozenset(
 _TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|\S+")
 
 
-class DegenerateTimingError(ValueError):
-    """A valid run reported a non-positive runtime."""
-
-
 class InvalidRateError(ValueError):
     """Validity rate outside [0, 1]."""
 
@@ -48,52 +45,20 @@ class NormalizationError(ValueError):
     """Normalization to a best value of zero (or over no values)."""
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    """Per-(case, run) measurements every derived metric is computed from.
-
-    `indicator` is the containment-based validity bit; `exact` is the strict
-    result-equality bit (the two differ when the generated output carries
-    superfluous columns).
-    """
-
-    case_id: str
-    run_id: int
-    indicator: int
-    precision: float
-    t_gold: float
-    t_gen: float
-    t_e2e: float
-    c_e2e: float
-    exact: bool = False
-
-    def __post_init__(self) -> None:
-        if self.indicator not in (0, 1):
-            raise ValueError(f"indicator must be 0 or 1, got {self.indicator}")
-        if not 0.0 <= self.precision <= 1.0:
-            raise ValueError(f"precision outside [0,1]: {self.precision}")
-        if self.t_gold <= 0:
-            raise ValueError(f"t_gold must be positive: {self.t_gold}")
-        if self.t_gen < 0:
-            raise ValueError(f"t_gen must be nonnegative: {self.t_gen}")
-        if self.t_e2e < self.t_gen:
-            raise ValueError(
-                f"t_e2e ({self.t_e2e}) must be >= t_gen ({self.t_gen})"
-            )
-        if self.c_e2e < 0:
-            raise ValueError(f"c_e2e must be nonnegative: {self.c_e2e}")
-
-    @property
-    def valid(self) -> bool:
-        return self.indicator == 1
+# the types a records.json value may take, by field annotation
+_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "int": int,
+                "float": (int, float), "bool": bool, "dict[str, float]": dict}
 
 
 @dataclass
 class EpisodeResult:
-    """One matrix cell: its metric values plus everything reports need.
+    """One matrix cell: the per-(case, run) measurements every metric is
+    computed from, plus everything reports need.
 
-    The init fields are the records.json entry, in this order; `record` is
-    the metric record built from them once.
+    The fields are the records.json entry, in this order.  `indicator` is the
+    containment-based validity bit; `exact` is the strict result-equality bit
+    (the two differ when the generated output carries superfluous columns).
+    The constructor refuses any value a report could not render.
     """
 
     model: str
@@ -116,34 +81,72 @@ class EpisodeResult:
     trace_path: str | None = None
     error: str | None = None
     estimated_usage: bool = False
-    record: MetricRecord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.record = MetricRecord(
-            case_id=self.case_id,
-            run_id=self.repetition,
-            indicator=self.indicator,
-            precision=self.precision,
-            t_gold=self.t_gold,
-            t_gen=self.t_gen,
-            t_e2e=self.t_e2e,
-            c_e2e=self.c_e2e,
-            exact=self.exact,
-        )
+        for f in self.__dataclass_fields__.values():
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}: {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite: {value}")
+            if f.type == "dict[str, float]":
+                for x in value.values():
+                    if not (isinstance(x, (int, float)) and 0 <= x < math.inf):
+                        raise ValueError(f"{f.name} values must be finite and >= 0")
+        if self.indicator not in (0, 1):
+            raise ValueError(f"indicator must be 0 or 1, got {self.indicator}")
+        if not 0.0 <= self.precision <= 1.0:
+            raise ValueError(f"precision outside [0,1]: {self.precision}")
+        if self.t_gold <= 0:
+            raise ValueError(f"t_gold must be positive: {self.t_gold}")
+        if self.t_gen < 0:
+            raise ValueError(f"t_gen must be nonnegative: {self.t_gen}")
+        # a valid result comes only from a query the engine ran and timed
+        if self.valid and self.t_gen == 0:
+            raise ValueError(f"a valid run must have a positive t_gen: {self.t_gen}")
+        if self.t_e2e < self.t_gen:
+            raise ValueError(f"t_e2e ({self.t_e2e}) must be >= t_gen ({self.t_gen})")
+        if self.c_e2e < 0:
+            raise ValueError(f"c_e2e must be nonnegative: {self.c_e2e}")
+
+    @property
+    def valid(self) -> bool:
+        return self.indicator == 1
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "EpisodeResult":
-        names = [f.name for f in fields(cls) if f.init]
-        return cls(**{name: data[name] for name in names if name in data})
+    def from_json_dict(cls, data: Any) -> "EpisodeResult":
+        """One records.json episode; a missing or unknown field is refused."""
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        names = cls.__dataclass_fields__
+        if data.keys() != names.keys():
+            missing = [name for name in names if name not in data]
+            unknown = [key for key in data if key not in names]
+            raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
+        return cls(**data)
 
 
 def load_records(path: str | Path) -> list[EpisodeResult]:
-    """Read back the episode results a run wrote to records.json."""
-    data = json.loads(Path(path).read_text())
-    return [EpisodeResult.from_json_dict(raw) for raw in data["episodes"]]
+    """Read back the episode results a run wrote to records.json; a file that
+    cannot be read, or an episode that is not a valid record, raises
+    ValueError naming the path and the episode."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"records {path}: {exc}") from None
+    episodes = data.get("episodes") if isinstance(data, dict) else None
+    if not isinstance(episodes, list):
+        raise ValueError(f"records {path}: `episodes` is not a list")
+    loaded = []
+    for index, raw in enumerate(episodes):
+        try:
+            loaded.append(EpisodeResult.from_json_dict(raw))
+        except ValueError as exc:
+            raise ValueError(f"records {path}: episode {index}: {exc}") from None
+    return loaded
 
 
 @dataclass(frozen=True)
@@ -160,24 +163,17 @@ class SuiteMetrics:
     cvq: float | None
     p_hat: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def canonicalize_sql(sql: str) -> str:
     """Collapse whitespace runs, trim, and upper-case bare SQL keywords.
 
-    Quoted literals pass through untouched; identifiers keep their case.
+    A quoted literal is one token, quotes included, so it never matches a
+    keyword and passes through untouched; identifiers keep their case.
     """
-    out = []
-    for token in _TOKEN_RE.findall(sql.strip()):
-        if token[0] in ("'", '"'):
-            out.append(token)
-        elif token.lower() in SQL_KEYWORDS:
-            out.append(token.upper())
-        else:
-            out.append(token)
-    return " ".join(out)
+    return " ".join(
+        token.upper() if token.lower() in SQL_KEYWORDS else token
+        for token in _TOKEN_RE.findall(sql.strip())
+    )
 
 
 def exact_match(golden_sql: str, generated_sql: str) -> int:
@@ -187,36 +183,37 @@ def exact_match(golden_sql: str, generated_sql: str) -> int:
     return 1 if canonicalize_sql(golden_sql) == canonicalize_sql(generated_sql) else 0
 
 
-def ves_per_query(r: MetricRecord) -> float:
+def ves_per_query(r: EpisodeResult) -> float:
     """Validity-gated golden/generated runtime ratio; 0 for invalid runs."""
-    if r.indicator == 0:
-        return 0.0
-    if r.t_gen <= 0:
-        raise DegenerateTimingError(
-            f"case {r.case_id} run {r.run_id}: valid run with t_gen={r.t_gen}"
-        )
-    return r.t_gold / r.t_gen
+    return r.t_gold / r.t_gen if r.valid else 0.0
 
 
-def ves_star_per_query(r: MetricRecord) -> float:
+def ves_star_per_query(r: EpisodeResult) -> float:
     """Validity- and precision-gated golden/end-to-end runtime ratio."""
-    if r.indicator == 0:
-        return 0.0
-    if r.t_e2e <= 0:
-        raise DegenerateTimingError(
-            f"case {r.case_id} run {r.run_id}: valid run with t_e2e={r.t_e2e}"
-        )
-    return r.precision * r.t_gold / r.t_e2e
+    return r.precision * r.t_gold / r.t_e2e if r.valid else 0.0
 
 
-def vces_per_query(r: MetricRecord) -> float | None:
+def vces_per_query(r: EpisodeResult) -> float | None:
     """Cost-normalized efficiency: the end-to-end score divided by run cost;
-    None for a valid run that cost $0 (`MetricRecord` refuses a negative one)."""
-    if r.indicator == 0:
+    None for a valid run that cost $0 (`EpisodeResult` refuses a negative one)."""
+    if not r.valid:
         return 0.0
     if r.c_e2e == 0:
         return None
     return ves_star_per_query(r) / r.c_e2e
+
+
+def mean(values: Iterable[float]) -> float:
+    """`fmean`, or inf where the sum of (nonnegative) values overflows a float."""
+    try:
+        return fmean(values)
+    except OverflowError:
+        return math.inf
+
+
+def std(values: list[float]) -> float:
+    """`pstdev`, or NaN (undefined) when a value is not finite."""
+    return pstdev(values) if all(map(math.isfinite, values)) else math.nan
 
 
 def cvq(mean_c_e2e: float, p_hat: float) -> float | None:
@@ -235,38 +232,28 @@ def cvq(mean_c_e2e: float, p_hat: float) -> float | None:
     return mean_c_e2e / p_hat
 
 
-def aggregate(
-    records: list[MetricRecord],
-    sql_pairs: list[tuple[str, str]],
-) -> SuiteMetrics:
+def aggregate(records: list[EpisodeResult]) -> SuiteMetrics:
     """Mean every per-query metric over N records (failures contribute 0).
 
-    `sql_pairs` holds (golden, generated) text per record for exact match; a
-    missing generated query counts as a non-match.
+    Exact match compares each record's golden and generated SQL; a missing
+    generated query counts as a non-match.
     """
     if not records:
         raise EmptySuiteError("cannot aggregate an empty record list")
-    if len(sql_pairs) != len(records):
-        raise ValueError(
-            f"{len(sql_pairs)} sql pairs for {len(records)} records"
-        )
-    em_bits = []
-    for golden, generated in sql_pairs:
-        if not golden.strip() or not generated.strip():
-            em_bits.append(0)
-        else:
-            em_bits.append(exact_match(golden, generated))
-    p_hat = fmean(r.indicator for r in records)
+    p_hat = mean(r.indicator for r in records)
     vces = [vces_per_query(r) for r in records]
-    mean_cost = fmean(r.c_e2e for r in records)
     return SuiteMetrics(
         n=len(records),
-        em=fmean(em_bits),
-        ea=fmean(1 if r.exact else 0 for r in records),
-        ves=fmean(ves_per_query(r) for r in records),
-        ves_star=fmean(ves_star_per_query(r) for r in records),
-        vces=None if None in vces else fmean(vces),
-        cvq=cvq(mean_cost, p_hat),
+        em=mean(
+            exact_match(r.golden_sql, r.generated_sql)
+            if r.golden_sql.strip() and r.generated_sql.strip() else 0
+            for r in records
+        ),
+        ea=mean(1 if r.exact else 0 for r in records),
+        ves=mean(ves_per_query(r) for r in records),
+        ves_star=mean(ves_star_per_query(r) for r in records),
+        vces=None if None in vces else mean(vces),
+        cvq=cvq(mean(r.c_e2e for r in records), p_hat),
         p_hat=p_hat,
     )
 

@@ -12,18 +12,19 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
-from statistics import fmean, pstdev
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .metrics import (
     STAGES,
     EpisodeResult,
     NormalizationError,
-    SuiteMetrics,
     aggregate,
     cvq,
+    mean,
     normalize_to_best,
+    std,
     vces_per_query,
     ves_per_query,
     ves_star_per_query,
@@ -32,24 +33,17 @@ from .metrics import (
 FOUR_STAGES = ("list", "schema", "check", "run")
 
 
-def _by_model(episodes: Iterable[EpisodeResult]) -> dict[str, list[EpisodeResult]]:
-    grouped: dict[str, list[EpisodeResult]] = {}
+def _group(episodes: list[EpisodeResult], key: Callable) -> dict[Any, list]:
+    """The episodes by `key(episode)`, in first-seen order."""
+    grouped: dict[Any, list[EpisodeResult]] = {}
     for ep in episodes:
-        grouped.setdefault(ep.model, []).append(ep)
+        grouped.setdefault(key(ep), []).append(ep)
     return grouped
-
-
-def _suite_metrics(episodes: list[EpisodeResult]) -> SuiteMetrics:
-    records = [ep.record for ep in episodes]
-    pairs = [(ep.golden_sql, ep.generated_sql) for ep in episodes]
-    return aggregate(records, pairs)
 
 
 def _stage_means(eps: list[EpisodeResult], attribute: str) -> dict[str, float]:
     """Mean of one per-stage field (seconds, percentages or cost) over eps."""
-    return {
-        s: fmean(getattr(ep, attribute).get(s, 0.0) for ep in eps) for s in STAGES
-    }
+    return {s: mean(getattr(ep, attribute).get(s, 0.0) for ep in eps) for s in STAGES}
 
 
 def _safe_normalize(
@@ -67,11 +61,9 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
     """Assemble every table and plot series from pooled episode results."""
     if not episodes:
         raise ValueError("cannot build a report from zero episodes")
-    grouped = _by_model(episodes)
-    suite = {model: _suite_metrics(eps) for model, eps in grouped.items()}
+    grouped = _group(episodes, lambda ep: ep.model)
+    suite = {model: aggregate(eps) for model, eps in grouped.items()}
 
-    e2e_mean = {m: fmean(ep.record.t_e2e for ep in eps) for m, eps in grouped.items()}
-    e2e_std = {m: pstdev([ep.record.t_e2e for ep in eps]) for m, eps in grouped.items()}
     stage_secs = {m: _stage_means(eps, "stage_seconds") for m, eps in grouped.items()}
     stage_cost = {m: _stage_means(eps, "stage_cost") for m, eps in grouped.items()}
 
@@ -80,8 +72,8 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
             "model": m,
             "ex": suite[m].p_hat,
             "ea": suite[m].ea,
-            "e2e_mean": e2e_mean[m],
-            "e2e_std": e2e_std[m],
+            "e2e_mean": mean(ep.t_e2e for ep in eps),
+            "e2e_std": std([ep.t_e2e for ep in eps]),
             "pct": _stage_means(eps, "stage_percentages"),
         }
         for m, eps in grouped.items()
@@ -130,7 +122,7 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
 
     return {
         "models": sorted(grouped),
-        "suite_metrics": {m: suite[m].to_json_dict() for m in sorted(grouped)},
+        "suite_metrics": {m: asdict(suite[m]) for m in sorted(grouped)},
         "table1": table1,
         "table2": table2,
         "table3": table3,
@@ -141,44 +133,31 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
 
 
 def _per_query_rows(episodes: list[EpisodeResult]) -> list[dict[str, Any]]:
-    grouped: dict[tuple[str, str], list[EpisodeResult]] = {}
-    for ep in episodes:
-        grouped.setdefault((ep.case_id, ep.model), []).append(ep)
+    metrics = (
+        ("ex", lambda ep: ep.indicator), ("ves", ves_per_query),
+        ("ves_star", ves_star_per_query), ("vces", vces_per_query),
+    )
     rows = []
-    for (case_id, model), eps in sorted(grouped.items()):
-        records = [ep.record for ep in eps]
-        ex = [r.indicator for r in records]
-        ves = [ves_per_query(r) for r in records]
-        ves_star = [ves_star_per_query(r) for r in records]
-        vces = [vces_per_query(r) for r in records]
-        p_hat = fmean(ex)
-        rows.append(
-            {
-                "case_id": case_id,
-                "model": model,
-                "n": len(records),
-                "ex_mean": p_hat,
-                "ex_std": pstdev(ex),
-                "ves_mean": fmean(ves),
-                "ves_std": pstdev(ves),
-                "ves_star_mean": fmean(ves_star),
-                "ves_star_std": pstdev(ves_star),
-                "vces_mean": None if None in vces else fmean(vces),
-                "vces_std": None if None in vces else pstdev(vces),
-                "cvq": cvq(fmean(r.c_e2e for r in records), p_hat),
-            }
-        )
+    by_query = _group(episodes, lambda ep: (ep.case_id, ep.model))
+    for (case_id, model), eps in sorted(by_query.items()):
+        row: dict[str, Any] = {"case_id": case_id, "model": model, "n": len(eps)}
+        for name, metric in metrics:
+            # a VCES undefined for one run is undefined for the query
+            values = [metric(ep) for ep in eps]
+            defined = None not in values
+            row[f"{name}_mean"] = mean(values) if defined else None
+            row[f"{name}_std"] = std(values) if defined else None
+        row["cvq"] = cvq(mean(ep.c_e2e for ep in eps), row["ex_mean"])
+        rows.append(row)
     return rows
 
 
 def _plot_series(
     episodes: list[EpisodeResult],
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    grouped: dict[tuple[str, float], list[EpisodeResult]] = {}
-    for ep in episodes:
-        grouped.setdefault((ep.model, ep.scale_factor), []).append(ep)
     time_rows, cost_rows = [], []
-    for (model, sf), eps in sorted(grouped.items()):
+    by_scale = _group(episodes, lambda ep: (ep.model, ep.scale_factor))
+    for (model, sf), eps in sorted(by_scale.items()):
         key = {"model": model, "scale_factor": sf}
         time_rows.append({**key, **_stage_means(eps, "stage_seconds")})
         cost_rows.append({**key, **_stage_means(eps, "stage_cost")})
@@ -189,8 +168,8 @@ def _plot_series(
 
 
 def _fmt(value: float | None, template: str = "{:.2f}") -> str:
-    """A table cell; an undefined value (None or NaN) renders as `--`."""
-    if value is None or math.isnan(value):
+    """A table cell; an undefined value (None, NaN or infinite) renders as `--`."""
+    if value is None or not math.isfinite(value):
         return "--"
     return template.format(value)
 
@@ -258,17 +237,15 @@ def _csv(header: list[str], rows: Iterable[list[Any]]) -> str:
 
 
 def render_records_csv(episodes: list[EpisodeResult]) -> str:
-    rows = []
-    for ep in episodes:
-        r = ep.record
-        rows.append(
-            [
-                ep.model, ep.case_id, ep.repetition, ep.scale_factor,
-                r.indicator, int(r.exact), f"{r.precision:.6f}",
-                f"{r.t_gold:.6f}", f"{r.t_gen:.6f}", f"{r.t_e2e:.6f}",
-                f"{r.c_e2e:.8f}", ep.outcome,
-            ]
-        )
+    rows = [
+        [
+            ep.model, ep.case_id, ep.repetition, ep.scale_factor,
+            ep.indicator, int(ep.exact), f"{ep.precision:.6f}",
+            f"{ep.t_gold:.6f}", f"{ep.t_gen:.6f}", f"{ep.t_e2e:.6f}",
+            f"{ep.c_e2e:.8f}", ep.outcome,
+        ]
+        for ep in episodes
+    ]
     header = [
         "model", "case_id", "repetition", "scale_factor", "indicator",
         "exact", "precision", "t_gold", "t_gen", "t_e2e", "c_e2e", "outcome",

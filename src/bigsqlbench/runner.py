@@ -126,11 +126,7 @@ class RunPlan:
                     endpoint=raw.get("endpoint"),
                     api_key_env=raw.get("api_key_env"),
                     supports_tools=bool(raw.get("supports_tools", False)),
-                    rate_limit_per_sec=(
-                        float(raw["rate_limit_per_sec"])
-                        if raw.get("rate_limit_per_sec") is not None
-                        else None
-                    ),
+                    rate_limit_per_sec=_optional_float(raw, "rate_limit_per_sec"),
                     sampling=SamplingConfig(
                         temperature=sampling_raw.get("temperature", 0.0),
                         top_p=sampling_raw.get("top_p", 1.0),
@@ -154,11 +150,7 @@ class RunPlan:
             scale_factors=[float(sf) for sf in data.get("scale_factors", [1.0])],
             concurrency=int(data.get("concurrency", 4)),
             seed=int(data.get("seed", 0)),
-            max_spend_usd=(
-                float(data["max_spend_usd"])
-                if data.get("max_spend_usd") is not None
-                else None
-            ),
+            max_spend_usd=_optional_float(data, "max_spend_usd"),
             agent=agent,
         )
 
@@ -175,6 +167,10 @@ _BACKEND_KEYS = (
 )
 _SAMPLING_KEYS = ("temperature", "top_p", "max_tokens")
 _AGENT_KEYS = ("max_iterations", "sample_rows")
+
+
+def _optional_float(raw: dict[str, Any], key: str) -> float | None:
+    return None if raw.get(key) is None else float(raw[key])
 
 
 @dataclass
@@ -444,7 +440,7 @@ def execute_plan(plan: RunPlan) -> RunOutput:
                 "skipped": skipped,
                 "unusable_cases": unusable,
                 # fsum: the running `spent` depends on completion order
-                "total_spend_usd": math.fsum(e.record.c_e2e for e in episodes),
+                "total_spend_usd": math.fsum(e.c_e2e for e in episodes),
             }
         )
     )
@@ -588,7 +584,7 @@ def _worker(run: _Run, specs: list[_EpisodeSpec], claims: _Claims, conn) -> None
         try:
             while (index := claims.claim(len(specs))) is not None:
                 result = _run_episode(run, specs[index])
-                claims.spend(result.record.c_e2e)
+                claims.spend(result.c_e2e)
                 episodes.append(result)
         finally:
             run.sessions.close()

@@ -11,11 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from bigsqlbench import engine as engine_module
 from bigsqlbench.engine import Sessions
+from bigsqlbench.metrics import EpisodeResult
 from bigsqlbench.suite import generate_scaled_data, warehouse_schema
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI_SUITE = REPO_ROOT / "suites" / "mini"
+# every report format rendered from two_model_episodes()
+PINNED_REPORT = Path(__file__).parent / "data" / "report_two_models"
 
 
 def modules_after(code: str) -> set[str]:
@@ -31,6 +35,67 @@ def modules_after(code: str) -> set[str]:
 
 def package_modules(modules: set[str]) -> set[str]:
     return {name for name in modules if name.split(".")[0] == "bigsqlbench"}
+
+
+def episode(model, case_id, rep=0, sf=1.0, indicator=1, precision=1.0,
+            t_gold=0.002, t_gen=0.001, t_e2e=0.5, c_e2e=0.01, exact=True,
+            stage_seconds=None, stage_cost=None, generated="SELECT 1",
+            golden="SELECT 1"):
+    """The one episode factory of the tests; the pinned report files are
+    rendered from its defaults."""
+    seconds = stage_seconds or {
+        "list": 0.1, "schema": 0.1, "check": 0.2, "run": 0.1, "finalize": 0.0,
+    }
+    total = sum(seconds.values())
+    return EpisodeResult(
+        model=model, case_id=case_id, repetition=rep, scale_factor=sf,
+        indicator=indicator, exact=exact, precision=precision, t_gold=t_gold,
+        t_gen=t_gen, t_e2e=t_e2e, c_e2e=c_e2e,
+        outcome="completed", golden_sql=golden,
+        generated_sql=generated,
+        stage_seconds=seconds,
+        stage_percentages={k: 100.0 * v / total for k, v in seconds.items()},
+        stage_cost=stage_cost or {
+            "list": 0.002, "schema": 0.002, "check": 0.004, "run": 0.002,
+        },
+    )
+
+
+def two_model_episodes():
+    fast = [episode("fast", f"q{i}", t_e2e=0.4, c_e2e=0.01) for i in range(4)]
+    slow = [
+        episode("slow", f"q{i}", t_e2e=0.9, c_e2e=0.03,
+                stage_seconds={"list": 0.2, "schema": 0.2, "check": 0.3,
+                               "run": 0.2, "finalize": 0.0},
+                stage_cost={"list": 0.006, "schema": 0.006, "check": 0.012,
+                            "run": 0.006})
+        for i in range(4)
+    ]
+    return fast + slow
+
+
+def mismatch_entry(script: Path, index: int) -> None:
+    """Give entry `index` of a replay script a fingerprint no request has."""
+    entries = [json.loads(line) for line in script.read_text().splitlines()]
+    entries[index]["fingerprint"] = "0" * 64
+    script.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
+def count_registrations(monkeypatch) -> list:
+    """Record every CSV that registration parses."""
+    loaded = []
+    original = engine_module._create_and_load
+
+    def counting(conn, schema, csv_path):
+        loaded.append(csv_path)
+        original(conn, schema, csv_path)
+
+    monkeypatch.setattr(engine_module, "_create_and_load", counting)
+    return loaded
+
+
+def snapshot_files() -> set:
+    return set(engine_module._snapshot_dir().iterdir())
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from bigsqlbench.costmodel import EnginePricing, PricingEntry, compose_ledger, l
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import ReplayBackend
 from bigsqlbench.metrics import (
-    MetricRecord,
     aggregate,
     cvq,
     ves_per_query,
@@ -39,6 +38,7 @@ from bigsqlbench.resultset import (
 )
 from bigsqlbench.suite import warehouse_schema
 
+from .conftest import episode
 from .oracles import PRICING_SUMMARY_SQL, csv_row_count, pricing_summary_oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,35 +67,31 @@ def criterion(number, label):
 
 def _random_records(rng, n):
     records = []
-    pairs = []
     for i in range(n):
         indicator = 1 if rng.random() < 0.6 else 0
         t_gen = rng.uniform(1e-3, 10.0)
-        records.append(
-            MetricRecord(
-                case_id=f"c{i % 17}",
-                run_id=i,
-                indicator=indicator,
-                precision=rng.random(),
-                t_gold=rng.uniform(1e-3, 10.0),
-                t_gen=t_gen,
-                t_e2e=t_gen + rng.uniform(0.0, 100.0),
-                c_e2e=rng.uniform(1e-5, 1.0),
-                exact=rng.random() < 0.5,
-            )
+        measured = dict(
+            precision=rng.random(),
+            t_gold=rng.uniform(1e-3, 10.0),
+            t_e2e=t_gen + rng.uniform(0.0, 100.0),
+            c_e2e=rng.uniform(1e-5, 1.0),
+            exact=rng.random() < 0.5,
         )
         golden = "SELECT " + "".join(rng.choices(string.ascii_lowercase, k=8))
-        if rng.random() < 0.5:
-            pairs.append((golden, golden))
-        else:
-            pairs.append((golden, golden + "_x"))
-    return records, pairs
+        generated = golden if rng.random() < 0.5 else golden + "_x"
+        records.append(
+            episode("m", f"c{i % 17}", rep=i, indicator=indicator, t_gen=t_gen,
+                    golden=golden, generated=generated, **measured)
+        )
+    return records
 
 
-def _reference_suite(records, pairs):
+def _reference_suite(records):
     # straight transcription of the metric definitions, summed exactly
     n = len(records)
-    em = math.fsum(1.0 if g == p else 0.0 for g, p in pairs) / n
+    em = math.fsum(
+        1.0 if r.golden_sql == r.generated_sql else 0.0 for r in records
+    ) / n
     ea = math.fsum(1.0 if r.exact else 0.0 for r in records) / n
     ves = math.fsum(
         r.indicator * r.t_gold / r.t_gen if r.indicator else 0.0 for r in records
@@ -126,9 +122,9 @@ def _close(a, b, rel=1e-12):
 def test_acceptance_1_metric_oracle_equivalence():
     started = time.perf_counter()
     rng = random.Random(20240601)
-    records, pairs = _random_records(rng, 1000)
-    suite = aggregate(records, pairs)
-    em, ea, ves, ves_star, vces, ref_cvq, p_hat = _reference_suite(records, pairs)
+    records = _random_records(rng, 1000)
+    suite = aggregate(records)
+    em, ea, ves, ves_star, vces, ref_cvq, p_hat = _reference_suite(records)
 
     assert _close(suite.em, em)
     assert _close(suite.ea, ea)
@@ -220,7 +216,7 @@ def test_acceptance_2_outcome_taxonomy():
 @criterion(3, "VES* never exceeds VES when T_e2e >= T_gen")
 def test_acceptance_3_ves_star_dominated():
     rng = random.Random(13579)
-    records, _ = _random_records(rng, 1000)
+    records = _random_records(rng, 1000)
     violations = sum(
         1 for r in records if ves_star_per_query(r) > ves_per_query(r) + 1e-15
     )

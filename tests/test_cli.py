@@ -9,9 +9,15 @@ from bigsqlbench import cli
 from bigsqlbench.cli import main
 from bigsqlbench.engine import SessionClosedError
 
-from tests.conftest import REPO_ROOT, modules_after, package_modules
-from tests.test_engine import count_registrations
-from tests.test_runner import PINNED_REPORT, mismatch_entry, two_model_episodes
+from tests.conftest import (
+    PINNED_REPORT,
+    REPO_ROOT,
+    count_registrations,
+    mismatch_entry,
+    modules_after,
+    package_modules,
+    two_model_episodes,
+)
 
 
 def test_cli_imports_without_requests_or_http_stack():
@@ -338,6 +344,40 @@ def test_report_rejects_empty_records(tmp_path):
          "--output-dir", str(tmp_path)]
     )
     assert code == 1
+
+
+def _records_file(text):
+    def write(tmp_path):
+        path = tmp_path / "records.json"
+        path.write_text(text)
+        return path
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "records, cause",
+    [
+        (lambda tmp_path: tmp_path / "absent.json", "No such file or directory"),
+        # the pinned untimed copy lacks the clock-derived fields
+        (lambda tmp_path: REPO_ROOT / "tests" / "data" / "mini_records_untimed.json",
+         "episode 0: missing fields ['t_gold', 't_gen', 't_e2e', 'stage_seconds', "
+         "'stage_percentages'], unknown fields []"),
+        (_records_file('{"episodes": 5}'), "`episodes` is not a list"),
+        (_records_file("{not json"), "Expecting property name"),
+    ],
+    ids=["missing_path", "untimed_records", "episodes_not_a_list", "not_json"],
+)
+def test_report_refuses_unreadable_records_in_one_line(
+    tmp_path, capsys, records, cause
+):
+    path = records(tmp_path)
+    out_dir = tmp_path / "report"
+    assert main(["report", "--records", str(path), "--output-dir", str(out_dir)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"records invalid: records {path}: ") and cause in out, out
+    assert out.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_data_generate_prints_counts(tmp_path, capsys):

@@ -31,6 +31,7 @@ from bigsqlbench.engine import (
 )
 from bigsqlbench.resultset import tables_equal_exact
 
+from .conftest import count_registrations, snapshot_files
 from .oracles import load_csv_per_cell
 
 WAREHOUSE_TABLES = [
@@ -299,23 +300,6 @@ def test_schema_file_round_trip(tmp_path):
 
 
 # --- snapshots and their owners ---
-
-
-def count_registrations(monkeypatch) -> list:
-    """Record every CSV that registration parses."""
-    loaded = []
-    original = engine_module._create_and_load
-
-    def counting(conn, schema, csv_path):
-        loaded.append(csv_path)
-        original(conn, schema, csv_path)
-
-    monkeypatch.setattr(engine_module, "_create_and_load", counting)
-    return loaded
-
-
-def snapshot_files() -> set:
-    return set(engine_module._snapshot_dir().iterdir())
 
 
 def rows_of(data_dir, sql):

@@ -1,42 +1,37 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bigsqlbench.metrics import (
-    DegenerateTimingError,
     EmptySuiteError,
+    EpisodeResult,
     InvalidRateError,
-    MetricRecord,
     NormalizationError,
     aggregate,
     canonicalize_sql,
     cvq,
     exact_match,
+    load_records,
     normalize_to_best,
     ves_per_query,
     ves_star_per_query,
     vces_per_query,
 )
 
+from tests.conftest import episode
 
-def record(**overrides) -> MetricRecord:
-    base = dict(
-        case_id="q1",
-        run_id=0,
-        indicator=1,
-        precision=1.0,
-        t_gold=1.0,
-        t_gen=1.0,
-        t_e2e=2.0,
-        c_e2e=0.01,
-        exact=True,
-    )
-    base.update(overrides)
-    return MetricRecord(**base)
+
+def record(case_id="q1", **overrides) -> EpisodeResult:
+    """An episode with round timings; `overrides` are `episode()`'s keywords."""
+    timings = {"t_gold": 1.0, "t_gen": 1.0, "t_e2e": 2.0}
+    return episode("m", case_id, **{**timings, **overrides})
 
 
 # --- exact match ---
@@ -96,8 +91,9 @@ def test_ves_above_one_is_not_clamped():
 
 
 def test_ves_degenerate_timing():
-    with pytest.raises(DegenerateTimingError):
-        ves_per_query(record(t_gen=0.0, t_e2e=0.0))
+    # a valid run ran and timed its query: a zero t_gen is refused on construction
+    with pytest.raises(ValueError, match="a valid run must have a positive t_gen"):
+        record(t_gen=0.0, t_e2e=0.0)
 
 
 def test_ves_star_formula():
@@ -177,10 +173,10 @@ def test_cvq_monte_carlo_retry_simulation():
 def test_aggregate_means_per_query_values():
     records = [
         record(case_id="a", precision=1.0, t_gold=2.0, t_gen=2.0, t_e2e=2.0),
-        record(case_id="b", indicator=0, exact=False, t_gen=0.0, t_e2e=0.0),
+        record(case_id="b", indicator=0, exact=False, t_gen=0.0, t_e2e=0.0,
+               golden="SELECT 2", generated="SELECT 3"),
     ]
-    pairs = [("SELECT 1", "SELECT 1"), ("SELECT 2", "SELECT 3")]
-    suite = aggregate(records, pairs)
+    suite = aggregate(records)
     assert suite.n == 2
     assert suite.ves_star == pytest.approx(0.5)
     assert suite.em == pytest.approx(0.5)
@@ -189,55 +185,54 @@ def test_aggregate_means_per_query_values():
 
 def test_aggregate_p_hat_over_ten_runs():
     records = [
-        record(run_id=i, indicator=1 if i < 6 else 0, exact=i < 6)
+        record(rep=i, indicator=1 if i < 6 else 0, exact=i < 6)
         for i in range(10)
     ]
-    pairs = [("SELECT 1", "SELECT 1")] * 10
-    suite = aggregate(records, pairs)
+    suite = aggregate(records)
     assert suite.p_hat == pytest.approx(0.6)
 
 
 def test_aggregate_empty_suite():
     with pytest.raises(EmptySuiteError):
-        aggregate([], [])
+        aggregate([])
 
 
 def test_aggregate_missing_generated_sql_counts_zero():
-    suite = aggregate([record()], [("SELECT 1", "")])
+    suite = aggregate([record(generated="")])
     assert suite.em == 0.0
 
 
 def test_aggregate_cvq_uses_mean_cost_over_all_runs():
     records = [
-        record(run_id=0, c_e2e=0.02),
-        record(run_id=1, indicator=0, exact=False, t_gen=0.0, t_e2e=0.0, c_e2e=0.04),
+        record(rep=0, c_e2e=0.02),
+        record(rep=1, indicator=0, exact=False, t_gen=0.0, t_e2e=0.0, c_e2e=0.04),
     ]
-    pairs = [("SELECT 1", "SELECT 1")] * 2
-    suite = aggregate(records, pairs)
+    suite = aggregate(records)
     # mean cost 0.03 over p_hat 0.5
     assert suite.cvq == pytest.approx(0.06)
 
 
 def test_aggregate_cvq_undefined_when_all_invalid():
-    records = [record(indicator=0, exact=False, t_gen=0.0, t_e2e=0.0)]
-    suite = aggregate(records, [("SELECT 1", "SELECT 2")])
+    records = [
+        record(indicator=0, exact=False, t_gen=0.0, t_e2e=0.0, generated="SELECT 2")
+    ]
+    suite = aggregate(records)
     assert suite.cvq is None
     assert suite.p_hat == 0.0
 
 
 def test_aggregate_vces_undefined_when_a_valid_record_cost_nothing():
     paid = record(c_e2e=0.01)
-    pairs = [("SELECT 1", "SELECT 1")] * 2
-    assert aggregate([paid, record(c_e2e=0.0)], pairs).vces is None
+    assert aggregate([paid, record(c_e2e=0.0)]).vces is None
     # an invalid record that cost nothing scores 0, as any invalid record
     unpaid_invalid = record(indicator=0, exact=False, c_e2e=0.0)
-    suite = aggregate([paid, unpaid_invalid], pairs)
+    suite = aggregate([paid, unpaid_invalid])
     assert suite.vces == pytest.approx(vces_per_query(paid) / 2)
 
 
 def test_aggregate_single_record_equals_per_query():
     r = record(precision=0.5, t_gold=1.0, t_gen=2.0, t_e2e=4.0, c_e2e=0.1)
-    suite = aggregate([r], [("SELECT 1", "SELECT 1")])
+    suite = aggregate([r])
     assert suite.ves == ves_per_query(r)
     assert suite.ves_star == ves_star_per_query(r)
     assert suite.vces == vces_per_query(r)
@@ -293,6 +288,44 @@ def test_record_valid_property():
     assert not record(indicator=0, exact=False, t_gen=0.0, t_e2e=0.0).valid
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(t_gold=math.nan), "t_gold must be finite: nan"),
+        (dict(t_gen=math.nan), "t_gen must be finite: nan"),
+        (dict(t_e2e=math.inf), "t_e2e must be finite: inf"),
+        (dict(c_e2e=math.nan), "c_e2e must be finite: nan"),
+        (dict(precision=math.nan), "precision must be finite: nan"),
+        (dict(case_id=7), "case_id must be str: 7"),
+        (dict(exact=1), "exact must be bool: 1"),
+        (dict(c_e2e="0.01"), "c_e2e must be float: '0.01'"),
+        (dict(stage_cost={"run": math.nan}), "stage_cost values must be finite"),
+        (dict(stage_seconds={"run": -1.0}), "stage_seconds values must be finite"),
+    ],
+)
+def test_record_refuses_what_a_report_cannot_render(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record(**overrides)
+
+
+def test_load_records_names_the_episode_and_its_missing_and_unknown_fields(tmp_path):
+    good = record().to_json_dict()
+    bad = {**good, "note": "x"}
+    del bad["t_gen"]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps({"episodes": [good, bad]}))
+    expected = (
+        f"records {path}: episode 1: missing fields ['t_gen'], unknown fields ['note']"
+    )
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_records(path)
+    path.write_text(json.dumps({"episodes": [good, [1, 2]]}))
+    with pytest.raises(ValueError, match="episode 1: not a JSON object"):
+        load_records(path)
+    path.write_text(json.dumps({"episodes": [good]}))
+    assert load_records(path) == [record()]
+
+
 # --- property tests ---
 
 _records = st.builds(
@@ -314,17 +347,7 @@ def test_prop_ves_star_at_most_ves(r):
 
 @given(_records, st.floats(min_value=0.1, max_value=10.0))
 def test_prop_cost_scaling(r, k):
-    scaled = MetricRecord(
-        case_id=r.case_id,
-        run_id=r.run_id,
-        indicator=r.indicator,
-        precision=r.precision,
-        t_gold=r.t_gold,
-        t_gen=r.t_gen,
-        t_e2e=r.t_e2e,
-        c_e2e=r.c_e2e * k,
-        exact=r.exact,
-    )
+    scaled = dataclasses.replace(r, c_e2e=r.c_e2e * k)
     assert vces_per_query(scaled) == pytest.approx(vces_per_query(r) / k, rel=1e-9)
     assert ves_per_query(scaled) == ves_per_query(r)
     assert ves_star_per_query(scaled) == ves_star_per_query(r)
@@ -332,16 +355,8 @@ def test_prop_cost_scaling(r, k):
 
 @given(_records, st.floats(min_value=0.1, max_value=10.0))
 def test_prop_joint_time_scaling(r, k):
-    scaled = MetricRecord(
-        case_id=r.case_id,
-        run_id=r.run_id,
-        indicator=r.indicator,
-        precision=r.precision,
-        t_gold=r.t_gold * k,
-        t_gen=r.t_gen * k,
-        t_e2e=r.t_e2e * k,
-        c_e2e=r.c_e2e,
-        exact=r.exact,
+    scaled = dataclasses.replace(
+        r, t_gold=r.t_gold * k, t_gen=r.t_gen * k, t_e2e=r.t_e2e * k
     )
     assert ves_per_query(scaled) == pytest.approx(ves_per_query(r), rel=1e-9)
     assert ves_star_per_query(scaled) == pytest.approx(

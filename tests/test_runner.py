@@ -26,15 +26,20 @@ from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
 from bigsqlbench.metrics import EpisodeResult, load_records
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import PlanValidationError, RunPlan, execute_plan, validate_plan
-from tests.conftest import modules_after
+from tests.conftest import (
+    PINNED_REPORT,
+    count_registrations,
+    episode,
+    mismatch_entry,
+    modules_after,
+    snapshot_files,
+    two_model_episodes,
+)
 from tests.oracles import trace_to_jsonl_asdict
-from tests.test_engine import count_registrations, snapshot_files
 
 
 PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
 PINNED_TRACES = Path(__file__).parent / "data" / "mini_traces_untimed.json"
-# every report format rendered from two_model_episodes()
-PINNED_REPORT = Path(__file__).parent / "data" / "report_two_models"
 TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds", "stage_percentages")
 
 
@@ -275,20 +280,20 @@ def test_full_mini_matrix_offline(mini_plan):
     assert len(per_backend["replay-beta"]) == 10
 
     alpha = per_backend["replay-alpha"]
-    assert all(ep.record.indicator == 1 for ep in alpha)
+    assert all(ep.indicator == 1 for ep in alpha)
     assert all(ep.outcome == "completed" for ep in alpha)
 
     beta_by_case = {}
     for ep in per_backend["replay-beta"]:
         beta_by_case.setdefault(ep.case_id, []).append(ep)
-    assert all(e.record.indicator == 1 for e in beta_by_case["orders_count"])
+    assert all(e.indicator == 1 for e in beta_by_case["orders_count"])
     assert all(
-        e.record.precision == pytest.approx(0.5)
+        e.precision == pytest.approx(0.5)
         for e in beta_by_case["orders_count"]
     )
-    assert all(e.record.indicator == 0 for e in beta_by_case["category_quantity"])
-    assert all(e.record.indicator == 0 for e in beta_by_case["top_customer"])
-    assert all(e.record.indicator == 1 for e in beta_by_case["pricey_products"])
+    assert all(e.indicator == 0 for e in beta_by_case["category_quantity"])
+    assert all(e.indicator == 0 for e in beta_by_case["top_customer"])
+    assert all(e.indicator == 1 for e in beta_by_case["pricey_products"])
 
 
 def test_mini_records_match_pinned_untimed_copy(mini_plan):
@@ -591,7 +596,7 @@ def by_cell(output):
 def test_golden_changed_between_runs_into_one_dir_is_seen(mini_copy):
     golden_file = mini_copy.output_dir / "goldens" / "pricey_products@sf1.json"
     first = by_cell(execute_plan(mini_copy))
-    assert first["replay-alpha", "pricey_products", 0].record.indicator == 1
+    assert first["replay-alpha", "pricey_products", 0].indicator == 1
     set_golden(mini_copy, "pricey_products",
                "SELECT name FROM products WHERE price > 1000")
     second = execute_plan(mini_copy)
@@ -600,7 +605,7 @@ def test_golden_changed_between_runs_into_one_dir_is_seen(mini_copy):
     for ep in second.episodes:
         if ep.case_id == "pricey_products":
             assert ep.golden_sql.endswith("price > 1000")
-            assert (ep.record.indicator, ep.record.exact) == (0, False)
+            assert (ep.indicator, ep.exact) == (0, False)
             assert ep.t_gold == written["t_gold"]
     records = json.loads((mini_copy.output_dir / "records.json").read_text())
     assert {ep["indicator"] for ep in records["episodes"]
@@ -653,11 +658,11 @@ def test_blob_results_are_compared_and_logged(mini_copy):
     for rep in range(2):
         verbatim = cells["replay-alpha", "pricey_products", rep]
         assert verbatim.outcome == "completed"
-        assert (verbatim.record.indicator, verbatim.record.exact) == (1, True)
+        assert (verbatim.indicator, verbatim.exact) == (1, True)
         blob = cells["replay-beta", "orders_count", rep]
         assert blob.outcome == "completed"
-        assert (blob.record.indicator, blob.record.exact) == (0, False)
-    assert cells["replay-beta", "pricey_products", 0].record.indicator == 0
+        assert (blob.indicator, blob.exact) == (0, False)
+    assert cells["replay-beta", "pricey_products", 0].indicator == 0
     trace = Path(cells["replay-alpha", "pricey_products", 0].trace_path).read_text()
     outcome = json.loads(trace.splitlines()[-1])
     assert {row[1] for row in outcome["final_result"]["rows"]} == {"00ff"}
@@ -721,13 +726,6 @@ def test_large_result_trace_is_cut_and_verdicts_kept(sf_tiny_dir, tmp_path):
         .read_text().splitlines()[-1]
     )["final_result"]
     assert "row_count" not in short and len(short["rows"]) == 10
-
-
-def mismatch_entry(script: Path, index: int) -> None:
-    """Give entry `index` of a replay script a fingerprint no request has."""
-    entries = [json.loads(line) for line in script.read_text().splitlines()]
-    entries[index]["fingerprint"] = "0" * 64
-    script.write_text("".join(json.dumps(e) + "\n" for e in entries))
 
 
 def harness_errors(output) -> dict[int, EpisodeResult]:
@@ -811,7 +809,7 @@ def test_comparison_fault_is_harness_error_for_that_cell_only(
     faulted = [ep for ep in output.episodes if ep.outcome == "harness-error"]
     assert len(faulted) == 1
     assert faulted[0].error == "harness error: comparison blew up"
-    assert faulted[0].record.indicator == 0 and not faulted[0].record.exact
+    assert faulted[0].indicator == 0 and not faulted[0].exact
     assert faulted[0].precision == 0.0 and faulted[0].c_e2e > 0
     # the trace is the agent's account, which finished
     trace = trace_from_jsonl(Path(faulted[0].trace_path).read_text())
@@ -826,11 +824,11 @@ def test_episode_costs_match_token_stubs(mini_plan):
     for ep in output.episodes:
         if ep.model == "replay-alpha":
             # 6700 in @ 2.5/M + 320 out @ 10/M
-            assert ep.record.c_e2e == pytest.approx(0.01995)
+            assert ep.c_e2e == pytest.approx(0.01995)
         else:
             # 4700 in @ 0.5/M + 250 out @ 3/M
-            assert ep.record.c_e2e == pytest.approx(0.00310)
-        assert ep.record.c_e2e == pytest.approx(sum(ep.stage_cost.values()))
+            assert ep.c_e2e == pytest.approx(0.00310)
+        assert ep.c_e2e == pytest.approx(sum(ep.stage_cost.values()))
 
 
 def test_rerun_reproduces_records_modulo_timing(mini_plan, tmp_path):
@@ -840,9 +838,9 @@ def test_rerun_reproduces_records_modulo_timing(mini_plan, tmp_path):
 
     def key(ep):
         return (
-            ep.model, ep.case_id, ep.repetition, ep.record.indicator,
-            ep.record.exact, round(ep.record.precision, 12),
-            round(ep.record.c_e2e, 12), ep.generated_sql, ep.outcome,
+            ep.model, ep.case_id, ep.repetition, ep.indicator,
+            ep.exact, round(ep.precision, 12),
+            round(ep.c_e2e, 12), ep.generated_sql, ep.outcome,
         )
 
     assert [key(e) for e in first.episodes] == [key(e) for e in second.episodes]
@@ -852,7 +850,7 @@ def test_exhausted_episode_records_indicator_zero(mini_plan):
     mini_plan.agent = AgentConfig(max_iterations=2, sample_rows=2)
     output = execute_plan(mini_plan)
     assert all(ep.outcome == "exhausted" for ep in output.episodes)
-    assert all(ep.record.indicator == 0 for ep in output.episodes)
+    assert all(ep.indicator == 0 for ep in output.episodes)
     assert all(ep.generated_sql == "" for ep in output.episodes)
 
 
@@ -873,8 +871,8 @@ def test_budget_overshoot_is_at_most_concurrency_minus_one(mini_plan, concurrenc
     mini_plan.concurrency = concurrency
     mini_plan.max_spend_usd = 0.1
     output = execute_plan(mini_plan)
-    cost = output.episodes[0].record.c_e2e
-    assert all(ep.record.c_e2e == cost for ep in output.episodes)
+    cost = output.episodes[0].c_e2e
+    assert all(ep.c_e2e == cost for ep in output.episodes)
     # the episode that brings spend to the ceiling, counted in completion order
     crossing = math.ceil(mini_plan.max_spend_usd / cost)
     assert crossing == 6
@@ -888,7 +886,6 @@ def test_records_json_round_trip(mini_plan):
     output = execute_plan(mini_plan)
     loaded = load_records(output.records_path)
     assert loaded == output.episodes
-    assert [ep.record for ep in loaded] == [ep.record for ep in output.episodes]
     first = json.loads(output.records_path.read_text())["episodes"][0]
     assert list(first) == [
         "model", "case_id", "repetition", "scale_factor", "indicator", "exact",
@@ -1238,40 +1235,6 @@ def test_denied_goldens_become_unusable_cases(mini_copy, tmp_path):
 # --- report assembly ---
 
 
-def episode(model, case_id, rep=0, sf=1.0, indicator=1, precision=1.0,
-            t_gold=0.002, t_gen=0.001, t_e2e=0.5, c_e2e=0.01, exact=True,
-            stage_seconds=None, stage_cost=None, generated="SELECT 1"):
-    seconds = stage_seconds or {
-        "list": 0.1, "schema": 0.1, "check": 0.2, "run": 0.1, "finalize": 0.0,
-    }
-    total = sum(seconds.values())
-    return EpisodeResult(
-        model=model, case_id=case_id, repetition=rep, scale_factor=sf,
-        indicator=indicator, exact=exact, precision=precision, t_gold=t_gold,
-        t_gen=t_gen, t_e2e=t_e2e, c_e2e=c_e2e,
-        outcome="completed", golden_sql="SELECT 1",
-        generated_sql=generated,
-        stage_seconds=seconds,
-        stage_percentages={k: 100.0 * v / total for k, v in seconds.items()},
-        stage_cost=stage_cost or {
-            "list": 0.002, "schema": 0.002, "check": 0.004, "run": 0.002,
-        },
-    )
-
-
-def two_model_episodes():
-    fast = [episode("fast", f"q{i}", t_e2e=0.4, c_e2e=0.01) for i in range(4)]
-    slow = [
-        episode("slow", f"q{i}", t_e2e=0.9, c_e2e=0.03,
-                stage_seconds={"list": 0.2, "schema": 0.2, "check": 0.3,
-                               "run": 0.2, "finalize": 0.0},
-                stage_cost={"list": 0.006, "schema": 0.006, "check": 0.012,
-                            "run": 0.006})
-        for i in range(4)
-    ]
-    return fast + slow
-
-
 def test_report_best_model_normalized_to_exactly_one():
     report = build_report(two_model_episodes())
     best_row = report["table2"][0]
@@ -1318,12 +1281,11 @@ def test_report_ranking_invariant_under_common_time_scaling():
     base = two_model_episodes()
     scaled = []
     for ep in base:
-        r = ep.record
         scaled.append(
             episode(
                 ep.model, ep.case_id, rep=ep.repetition,
-                t_gold=r.t_gold * 7, t_gen=r.t_gen * 7, t_e2e=r.t_e2e * 7,
-                c_e2e=r.c_e2e,
+                t_gold=ep.t_gold * 7, t_gen=ep.t_gen * 7, t_e2e=ep.t_e2e * 7,
+                c_e2e=ep.c_e2e,
                 stage_seconds={k: v * 7 for k, v in ep.stage_seconds.items()},
                 stage_cost=ep.stage_cost,
             )
