@@ -21,6 +21,8 @@ from .llmclient import (
     LlmBackend,
     LlmTransportError,
     ReplayExhaustedError,
+    check_exchange,
+    json_lines,
 )
 from .metrics import STAGES
 from .resultset import ResultTable, json_cell
@@ -41,6 +43,8 @@ OUTCOME_LLM_ERROR = "llm-error"
 # a fault that is not the model's: a replayed request that no longer matches
 # its recording, or a bug in the harness
 OUTCOME_HARNESS_ERROR = "harness-error"
+OUTCOMES = (OUTCOME_COMPLETED, OUTCOME_EXHAUSTED, OUTCOME_TOOL_ERROR,
+            OUTCOME_LLM_ERROR, OUTCOME_HARNESS_ERROR)
 
 DEFAULT_OBSERVATION_CAP = 4000
 TRUNCATION_MARKER = "\n...[observation truncated]"
@@ -481,7 +485,7 @@ def run_agent(
                 trace.outcome, trace.error = OUTCOME_LLM_ERROR, str(exc)
                 return trace
 
-            exchanges = [_exchange_record(exchange)]
+            exchanges = [exchange.to_record()]
             try:
                 step = parse_controller_reply(exchange)
             except ActionParseError as exc:
@@ -525,7 +529,7 @@ def run_agent(
                     checker_exchange = tool_check_query(
                         llm, _sql_argument(step.action_input)
                     )
-                    exchanges.append(_exchange_record(checker_exchange))
+                    exchanges.append(checker_exchange.to_record())
                     observation = checker_exchange.response_text
                 elif action == "run_query":
                     run_sql = _sql_argument(step.action_input)
@@ -559,18 +563,6 @@ def run_agent(
     return trace
 
 
-def _exchange_record(exchange: ChatExchange) -> dict[str, Any]:
-    return {
-        "fingerprint": exchange.fingerprint,
-        "response": exchange.response_json_dict(),
-        "usage": {
-            "input_tokens": exchange.input_tokens,
-            "output_tokens": exchange.output_tokens,
-        },
-        "estimated": exchange.estimated,
-    }
-
-
 def stage_breakdown(trace: AgentTrace) -> StageBreakdown:
     """Attribute each iteration's wall-clock to its tool's stage.
 
@@ -591,10 +583,9 @@ def stage_breakdown(trace: AgentTrace) -> StageBreakdown:
 # --- episode log serialization ------------------------------------------------
 
 _ITERATION_FIELDS = tuple(f.name for f in fields(Iteration))
+_CLOCK_FIELDS = ("started_at", "ended_at", "engine_seconds")
 _UNTIMED_ITERATION_FIELDS = tuple(
-    name
-    for name in _ITERATION_FIELDS
-    if name not in ("started_at", "ended_at", "engine_seconds")
+    name for name in _ITERATION_FIELDS if name not in _CLOCK_FIELDS
 )
 
 
@@ -658,34 +649,93 @@ def _logged_result(table: ResultTable) -> dict[str, Any]:
     return cut
 
 
+# The fields of each trace line but `type`, each with the JSON type the
+# writer gives it; an untimed trace's iterations leave out `_CLOCK_FIELDS`.
+_LINE_FIELDS: dict[str, dict[str, str]] = {
+    "meta": {"question": "a string", "model_id": "a string"},
+    "iteration": {
+        "index": "an int", "thought": "a string", "action": "null or a string",
+        "action_input": "an object", "observation": "a string",
+        "started_at": "a number", "ended_at": "a number",
+        "input_tokens": "an int", "output_tokens": "an int",
+        "engine_seconds": "a number", "engine_bytes": "an int",
+        "exchanges": "a list",
+    },
+    "outcome": {
+        "outcome": "a string", "final_sql": "null or a string",
+        "final_answer": "null or a string", "error": "null or a string",
+        "final_result": "null or an object",
+    },
+}
+_JSON_TYPES: dict[str, Any] = {
+    "a string": str, "null or a string": (str, type(None)), "an int": int,
+    "a number": (int, float), "an object": dict,
+    "null or an object": (dict, type(None)), "a list": list,
+}
+
+
+def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str, Any]]:
+    """The `type` and other fields of trace line `number`, which must be one
+    `trace_to_jsonl` could write, else ValueError naming the line.  The
+    fields of an iteration are `Iteration` arguments (an untimed one's clock
+    fields read as 0.0); an outcome's `final_result` is a ResultTable, or
+    None when the line holds none or a result cut to a prefix of its rows."""
+    kind = record.get("type")
+    if kind not in _LINE_FIELDS:
+        raise ValueError(
+            f"line {number}: type {kind!r} is not meta, iteration or outcome"
+        )
+    types = _LINE_FIELDS[kind]
+    values = {name: value for name, value in record.items() if name != "type"}
+    optional = _CLOCK_FIELDS if kind == "iteration" else ()
+    missing = [n for n in types if n not in values and n not in optional]
+    unknown = [n for n in values if n not in types]
+    if missing or unknown:
+        raise ValueError(
+            f"line {number}: missing fields {missing}, unknown fields {unknown}"
+        )
+    for name, value in values.items():
+        expected = types[name]
+        # the writer writes no bool, which isinstance would take for an int
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
+            raise ValueError(f"line {number}: `{name}` is not {expected}")
+    if kind == "iteration":
+        for exchange in values["exchanges"]:
+            check_exchange(exchange, number)
+        for name in _CLOCK_FIELDS:
+            values.setdefault(name, 0.0)
+    elif kind == "outcome":
+        if values["outcome"] not in OUTCOMES:
+            raise ValueError(
+                f"line {number}: `outcome` {values['outcome']!r} is not one of "
+                f"{', '.join(OUTCOMES)}"
+            )
+        table = values["final_result"]
+        if table is not None:
+            try:
+                result = ResultTable.from_json_dict(table)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(
+                    f"line {number}: `final_result` is not a result table: {exc!r}"
+                ) from None
+            values["final_result"] = None if "row_count" in table else result
+    return kind, values
+
+
 def trace_from_jsonl(text: str) -> AgentTrace:
-    """Rebuild an AgentTrace from its episode log.
+    """Rebuild an AgentTrace from its episode log, each line read by
+    `read_trace_line`.
 
     A trace holds the whole result only when its rows fit the observation
     budget; an outcome line cut to a prefix (it carries `row_count`) reads
     back with `final_result` None, never as the prefix.
     """
     trace = AgentTrace()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        kind = record.pop("type", None)
-        if kind == "meta":
-            trace.question = record.get("question", "")
-            trace.model_id = record.get("model_id", "")
-        elif kind == "iteration":
-            record.setdefault("started_at", 0.0)
-            record.setdefault("ended_at", 0.0)
-            record.setdefault("engine_seconds", 0.0)
-            trace.iterations.append(Iteration(**record))
-        elif kind == "outcome":
-            trace.outcome = record.get("outcome", OUTCOME_EXHAUSTED)
-            trace.final_sql = record.get("final_sql")
-            trace.final_answer = record.get("final_answer")
-            trace.error = record.get("error")
-            table = record.get("final_result")
-            if table is not None and "row_count" not in table:
-                trace.final_result = ResultTable.from_json_dict(table)
+    for number, record in json_lines(text.splitlines()):
+        kind, values = read_trace_line(record, number)
+        if kind == "iteration":
+            trace.iterations.append(Iteration(**values))
+        else:  # a meta or outcome line sets the trace fields it names
+            for name, value in values.items():
+                setattr(trace, name, value)
     return trace

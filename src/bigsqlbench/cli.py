@@ -185,19 +185,22 @@ def _cmd_data_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+_HANDLERS = {
+    "plan": _cmd_plan_validate,
+    "run": _cmd_run,
+    "report": _cmd_report,
+    "goldens": _cmd_goldens_materialize,
+    "data": _cmd_data_generate,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "plan":
-        return _cmd_plan_validate(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "goldens":
-        return _cmd_goldens_materialize(args)
-    if args.command == "data":
-        return _cmd_data_generate(args)
-    return 1
+    try:
+        return _HANDLERS[args.command](args)
+    except OSError as exc:  # say, an output path that is a file
+        print(f"error: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 _WS_RE = re.compile(r"\s+")
 
@@ -69,8 +69,17 @@ class ChatExchange:
     # for a replayed one (None when the script has none)
     fingerprint: str | None = None
 
-    def response_json_dict(self) -> dict[str, Any]:
-        return {"text": self.response_text, "tool_call": self.tool_call}
+    def to_record(self) -> dict[str, Any]:
+        """The exchange as a trace's iteration line records it."""
+        return {
+            "fingerprint": self.fingerprint,
+            "response": {"text": self.response_text, "tool_call": self.tool_call},
+            "usage": {
+                "input_tokens": self.input_tokens,
+                "output_tokens": self.output_tokens,
+            },
+            "estimated": self.estimated,
+        }
 
 
 def fingerprint_messages(messages: Sequence[dict[str, str]]) -> str:
@@ -141,48 +150,32 @@ class ReplayBackend(LlmBackend):
 
     @classmethod
     def from_path(cls, path: str | Path, model_id: str = "replay") -> "ReplayBackend":
-        """Load a script file; episode logs expand to their embedded exchanges.
+        """Load a script file; episode traces expand to their embedded exchanges.
 
-        A line must be a JSON `response` record or an episode log's `meta`,
-        `iteration` or `outcome` line; any other line raises ValueError
-        naming its line number, since replaying without it would blame the
-        model for a broken script.  So does a record replay cannot serve (see
-        `_check_exchange`), and a `harness-error` outcome line: replaying
-        that trace would blame the model where the harness stopped.
+        A line with a `type` is a trace line, read by `agent.read_trace_line`;
+        any other line is a `response` record, checked by `check_exchange`.
+        A line that either refuses raises ValueError naming its number, since
+        replaying without it would blame the model for a broken script.  So
+        does a `harness-error` outcome line: replaying that trace would blame
+        the model where the harness stopped.
         """
+        # agent imports this module, so its reader is imported when first used
+        from .agent import OUTCOME_HARNESS_ERROR, read_trace_line
+
         entries: list[dict[str, Any]] = []
         with open(path) as handle:
-            for number, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line.rstrip())
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"line {number}: not JSON: {exc.msg} at column {exc.colno}"
-                    ) from None
-                if not isinstance(record, dict):
-                    raise ValueError(f"line {number}: not a JSON object")
-                kind = record.get("type")
-                if kind == "iteration":
-                    exchanges = record.get("exchanges", [])
-                    if not isinstance(exchanges, list):
-                        raise ValueError(f"line {number}: `exchanges` is not a list")
-                    for exchange in exchanges:
-                        _check_exchange(exchange, number)
-                    entries.extend(exchanges)
-                elif "response" in record:
-                    _check_exchange(record, number)
+            for number, record in json_lines(handle):
+                if "type" not in record:
+                    check_exchange(record, number)
                     entries.append(record)
-                elif kind == "outcome" and record.get("outcome") == "harness-error":
+                    continue
+                kind, values = read_trace_line(record, number)
+                if kind == "iteration":
+                    entries.extend(values["exchanges"])
+                elif kind == "outcome" and values["outcome"] == OUTCOME_HARNESS_ERROR:
                     raise ValueError(
                         f"line {number}: a trace cut short by a harness fault "
                         "(outcome harness-error) cannot be replayed"
-                    )
-                elif kind not in ("meta", "outcome"):
-                    raise ValueError(
-                        f"line {number} is neither a response record nor a "
-                        "meta, iteration or outcome line"
                     )
         return cls(entries, model_id=model_id)
 
@@ -217,7 +210,24 @@ class ReplayBackend(LlmBackend):
         )
 
 
-def _check_exchange(record: Any, number: int) -> None:
+def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any]]]:
+    """The numbered JSON objects of a JSON-lines file, blank lines skipped;
+    a line that is not a JSON object raises ValueError naming its number."""
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line.rstrip())
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"line {number}: not JSON: {exc.msg} at column {exc.colno}"
+            ) from None
+        if not isinstance(record, dict):
+            raise ValueError(f"line {number}: not a JSON object")
+        yield number, record
+
+
+def check_exchange(record: Any, number: int) -> None:
     """Raise ValueError naming line `number` unless `record` is an exchange
     `complete` can replay: an object whose `response` is an object, with a
     string `text` when present and a `tool_call` that is null or an object

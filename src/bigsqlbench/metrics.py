@@ -95,6 +95,9 @@ class EpisodeResult:
                         raise ValueError(f"{f.name} values must be finite and >= 0")
         if self.indicator not in (0, 1):
             raise ValueError(f"indicator must be 0 or 1, got {self.indicator}")
+        # strict equality implies containment
+        if self.exact and not self.indicator:
+            raise ValueError("an exact result must have indicator 1, got 0")
         if not 0.0 <= self.precision <= 1.0:
             raise ValueError(f"precision outside [0,1]: {self.precision}")
         if self.t_gold <= 0:

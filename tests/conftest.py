@@ -74,6 +74,14 @@ def two_model_episodes():
     return fast + slow
 
 
+def iteration_line(**fields) -> str:
+    """An untimed trace's iteration line, with `fields` replacing its own."""
+    line = {"type": "iteration", "index": 0, "thought": "", "action": None,
+            "action_input": {}, "observation": "", "input_tokens": 0,
+            "output_tokens": 0, "engine_bytes": 0, "exchanges": []}
+    return json.dumps({**line, **fields})
+
+
 def mismatch_entry(script: Path, index: int) -> None:
     """Give entry `index` of a replay script a fingerprint no request has."""
     entries = [json.loads(line) for line in script.read_text().splitlines()]

@@ -75,7 +75,7 @@ def _random_records(rng, n):
             t_gold=rng.uniform(1e-3, 10.0),
             t_e2e=t_gen + rng.uniform(0.0, 100.0),
             c_e2e=rng.uniform(1e-5, 1.0),
-            exact=rng.random() < 0.5,
+            exact=rng.random() < 0.5 and indicator == 1,
         )
         golden = "SELECT " + "".join(rng.choices(string.ascii_lowercase, k=8))
         generated = golden if rng.random() < 0.5 else golden + "_x"

@@ -29,6 +29,7 @@ from bigsqlbench.agent import (
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import ChatExchange, ReplayBackend, ReplayMismatchError
 from bigsqlbench.resultset import ResultTable, json_cell
+from tests.conftest import iteration_line
 from tests.oracles import trace_to_jsonl_asdict
 
 
@@ -505,6 +506,28 @@ json_values = st.recursive(
     max_leaves=8,
 )
 json_objects = st.dictionaries(st.text(max_size=8), json_values, max_size=4)
+counts = st.integers(0, 10**6)
+# every shape of record `llmclient.check_exchange` accepts
+exchange_records = st.fixed_dictionaries(
+    {
+        "response": st.fixed_dictionaries(
+            {},
+            optional={
+                "text": st.text(),
+                "tool_call": st.none()
+                | st.fixed_dictionaries({"name": st.text(), "arguments": json_objects}),
+            },
+        )
+    },
+    optional={
+        "fingerprint": st.none() | st.text(),
+        "usage": st.none()
+        | st.fixed_dictionaries(
+            {}, optional={"input_tokens": counts, "output_tokens": counts}
+        ),
+        "estimated": st.booleans(),
+    },
+)
 
 iterations = st.builds(
     Iteration,
@@ -515,17 +538,19 @@ iterations = st.builds(
     observation=st.text(),
     started_at=st.floats(),
     ended_at=st.floats(),
-    input_tokens=st.integers(0, 10**6),
-    output_tokens=st.integers(0, 10**6),
+    input_tokens=counts,
+    output_tokens=counts,
     engine_seconds=st.floats(),
     engine_bytes=st.integers(0, 10**9),
-    exchanges=st.lists(json_objects, max_size=3),
+    exchanges=st.lists(exchange_records, max_size=3),
 )
 
 traces = st.builds(
     AgentTrace,
     iterations=st.lists(iterations, max_size=4),
-    outcome=st.sampled_from(["completed", "exhausted", "tool-error", "llm-error"]),
+    outcome=st.sampled_from(
+        ["completed", "exhausted", "tool-error", "llm-error", "harness-error"]
+    ),
     final_sql=st.none() | st.text(),
     final_result=st.none()
     | st.just(ResultTable.build([("n", "integer"), ("s", "text")], [(1, "é"), (None, "x")])),
@@ -541,6 +566,68 @@ traces = st.builds(
 def test_trace_jsonl_bytes_match_asdict_oracle(trace, include_timing):
     expected = trace_to_jsonl_asdict(trace, include_timing)
     assert trace_to_jsonl(trace, include_timing).encode() == expected.encode()
+
+
+@settings(deadline=None)
+@given(trace=traces)
+def test_the_reader_reads_back_whatever_the_writer_writes(trace):
+    for include_timing in (True, False):
+        text = trace_to_jsonl(trace, include_timing)
+        assert trace_to_jsonl(trace_from_jsonl(text), include_timing) == text
+
+
+META_LINE = '{"type": "meta", "question": "q", "model_id": "m"}'
+
+
+def outcome_line(**fields):
+    line = {"type": "outcome", "outcome": "completed", "final_sql": None,
+            "final_answer": None, "error": None, "final_result": None}
+    return json.dumps({**line, **fields})
+
+
+# line 3 of a trace whose other lines are well formed, and its refusal; a
+# `harness-error` trace reads (test_runner) but does not replay (test_cli)
+MALFORMED_LINES = {
+    "misspelt_type": ('{"type": "iteratoin"}',
+                      "type 'iteratoin' is not meta, iteration or outcome"),
+    "exchanges_not_a_list": (iteration_line(exchanges=5), "`exchanges` is not a list"),
+    "no_exchanges": (iteration_line().replace(', "exchanges": []', ""),
+                     "missing fields ['exchanges'], unknown fields []"),
+    "string_input_tokens": (iteration_line(input_tokens="5"),
+                            "`input_tokens` is not an int"),
+    "bool_index": (iteration_line(index=True), "`index` is not an int"),
+    "unreplayable_exchange": (
+        iteration_line(exchanges=[{"response": {"text": "x"},
+                                   "usage": {"input_tokens": -1}}]),
+        "`usage.input_tokens` is not an int >= 0"),
+    "unknown_field": (iteration_line(note=1),
+                      "missing fields [], unknown fields ['note']"),
+    "int_question": ('{"type": "meta", "question": 7, "model_id": "m"}',
+                     "`question` is not a string"),
+    "unknown_outcome": (
+        outcome_line(outcome="finished"),
+        "`outcome` 'finished' is not one of completed, exhausted, tool-error, "
+        "llm-error, harness-error"),
+    "bad_final_result": (outcome_line(final_result={"rows": [[1]]}),
+                         "`final_result` is not a result table: KeyError('columns')"),
+    "not_json": ('{"type": "meta",', "not JSON: Expecting property name enclosed "
+                 "in double quotes at column 17"),
+    "not_an_object": ("[1]", "not a JSON object"),
+}
+
+
+@pytest.mark.parametrize(
+    "line, problem", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys()
+)
+def test_reading_and_replaying_refuse_a_malformed_line_alike(tmp_path, line, problem):
+    text = "\n".join([META_LINE, iteration_line(), line, outcome_line()]) + "\n"
+    path = tmp_path / "episode.jsonl"
+    path.write_text(text)
+    with pytest.raises(ValueError) as read:
+        trace_from_jsonl(text)
+    with pytest.raises(ValueError) as replayed:
+        ReplayBackend.from_path(path)
+    assert str(read.value) == str(replayed.value) == f"line 3: {problem}"
 
 
 # --- large results in the outcome line ---

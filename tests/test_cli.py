@@ -13,6 +13,7 @@ from tests.conftest import (
     PINNED_REPORT,
     REPO_ROOT,
     count_registrations,
+    iteration_line,
     mismatch_entry,
     modules_after,
     package_modules,
@@ -193,10 +194,10 @@ def _unknown_pricing_key(plan, suite, monkeypatch):
 
 def _script_line_without_exchange(plan, suite, monkeypatch):
     path = suite / "replays" / "alpha" / "orders_count.jsonl"
-    path.write_text('{"foo": 1}\n')
+    path.write_text('{"type": "foo"}\n')
     return (
         f"backend 'replay-alpha': replay script {path} failed to load: "
-        "line 1 is neither a response record nor a meta, iteration or outcome line"
+        "line 1: type 'foo' is not meta, iteration or outcome"
     )
 
 
@@ -211,7 +212,8 @@ def _response_not_an_object(plan, suite, monkeypatch):
 
 def _exchanges_not_a_list(plan, suite, monkeypatch):
     path = suite / "replays" / "beta" / "orders_count.jsonl"
-    path.write_text('{"type": "meta"}\n{"type": "iteration", "exchanges": 5}\n')
+    meta = '{"type": "meta", "question": "", "model_id": ""}'
+    path.write_text(meta + "\n" + iteration_line(exchanges=5) + "\n")
     return (
         f"backend 'replay-beta': replay script {path} failed to load: "
         "line 2: `exchanges` is not a list"
@@ -378,6 +380,36 @@ def test_report_refuses_unreadable_records_in_one_line(
     assert out.startswith(f"records invalid: records {path}: ") and cause in out, out
     assert out.count("\n") == 1
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda suite, records, out: [
+            "report", "--records", str(records), "--output-dir", out],
+        lambda suite, records, out: [
+            "run", "--plan", str(suite / "plan.json"), "--output-dir", out],
+        lambda suite, records, out: [
+            "goldens", "materialize", "--suite", str(suite), "--cache-dir", out],
+        lambda suite, records, out: [
+            "data", "generate", "--scale-factor", "0.001", "--output-dir", out],
+    ],
+    ids=["report", "run", "goldens_materialize", "data_generate"],
+)
+def test_an_output_path_that_is_a_file_is_refused_in_one_line(
+    tmp_path, mini_suite_dir, capsys, command
+):
+    records = tmp_path / "records.json"
+    records.write_text(
+        json.dumps({"episodes": [e.to_json_dict() for e in two_model_episodes()]})
+    )
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file\n")
+    assert main(command(mini_suite_dir, records, str(blocked))) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("error: ") and str(blocked) in out, out
+    assert out.count("\n") == 1 and err == ""
+    assert blocked.read_text() == "a file\n"
 
 
 def test_data_generate_prints_counts(tmp_path, capsys):

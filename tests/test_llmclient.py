@@ -19,6 +19,7 @@ from bigsqlbench.llmclient import (
     estimate_tokens,
     fingerprint_messages,
 )
+from tests.conftest import iteration_line
 
 MESSAGES = [
     {"role": "system", "content": "be terse"},
@@ -88,8 +89,10 @@ def test_replay_estimates_missing_usage():
 
 def test_replay_script_line_without_exchange_is_rejected(tmp_path):
     path = tmp_path / "script.jsonl"
-    path.write_text(json.dumps(script_entry("ok")) + "\n\n" + '{"foo": 1}\n')
-    with pytest.raises(ValueError, match="^line 3 is neither a response record"):
+    path.write_text(json.dumps(script_entry("ok")) + "\n\n" + '{"type": "foo"}\n')
+    with pytest.raises(
+        ValueError, match="^line 3: type 'foo' is not meta, iteration or outcome$"
+    ):
         ReplayBackend.from_path(path)
     unreplayable = {
         '{"response": "hello"}': "`response` is not an object",
@@ -97,7 +100,7 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
         '{"response": {"text": "x", "tool_call": ["list_tables"]}}':
             "`response.tool_call` is neither null nor an object with a string `name`",
         "[1, 2]": "not a JSON object",
-        '{"type": "iteration", "exchanges": 5}': "`exchanges` is not a list",
+        iteration_line(exchanges=5): "`exchanges` is not a list",
         '{"response": {"text": "x"}, "fingerprint": 5}':
             "`fingerprint` is neither null nor a string",
         '{"response": {"text": "x"}, "usage": 7}':
@@ -108,9 +111,10 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
         '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
         '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '
         '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
-        '{"type": "iteration", "exchanges": [{"response": {"text": "x"}, '
-        '"usage": {"input_tokens": 1, "output_tokens": true}}]}':
-            "`usage.output_tokens` is not an int >= 0",
+        iteration_line(exchanges=[
+            {"response": {"text": "x"},
+             "usage": {"input_tokens": 1, "output_tokens": True}},
+        ]): "`usage.output_tokens` is not an int >= 0",
         '{"response": {"text": "x"},': "not JSON: Expecting property name "
             "enclosed in double quotes at column 28",
     }
@@ -295,9 +299,14 @@ def test_http_sends_bearer_token(stub_server, monkeypatch):
     assert headers["Content-Type"] == "application/json"
 
 
-def test_chat_exchange_response_dict():
-    exchange = ChatExchange(response_text="t", tool_call={"name": "x", "arguments": {}})
-    assert exchange.response_json_dict() == {
-        "text": "t",
-        "tool_call": {"name": "x", "arguments": {}},
+def test_chat_exchange_to_record():
+    exchange = ChatExchange(
+        response_text="t", tool_call={"name": "x", "arguments": {}},
+        input_tokens=3, output_tokens=1, fingerprint="ab",
+    )
+    assert exchange.to_record() == {
+        "fingerprint": "ab",
+        "response": {"text": "t", "tool_call": {"name": "x", "arguments": {}}},
+        "usage": {"input_tokens": 3, "output_tokens": 1},
+        "estimated": False,
     }

@@ -301,6 +301,8 @@ def test_record_valid_property():
         (dict(c_e2e="0.01"), "c_e2e must be float: '0.01'"),
         (dict(stage_cost={"run": math.nan}), "stage_cost values must be finite"),
         (dict(stage_seconds={"run": -1.0}), "stage_seconds values must be finite"),
+        (dict(indicator=0, exact=True, t_gen=0.0),
+         "an exact result must have indicator 1, got 0"),
     ],
 )
 def test_record_refuses_what_a_report_cannot_render(overrides, message):
@@ -329,14 +331,16 @@ def test_load_records_names_the_episode_and_its_missing_and_unknown_fields(tmp_p
 # --- property tests ---
 
 _records = st.builds(
-    record,
-    indicator=st.sampled_from([0, 1]),
+    lambda verdict, **measured: record(
+        indicator=verdict[0], exact=verdict[1], **measured
+    ),
+    # (indicator, exact): strict equality implies containment
+    verdict=st.sampled_from([(0, False), (1, False), (1, True)]),
     precision=st.floats(min_value=0.0, max_value=1.0),
     t_gold=st.floats(min_value=1e-3, max_value=100.0),
     t_gen=st.floats(min_value=1e-3, max_value=100.0),
     t_e2e=st.floats(min_value=100.0, max_value=1000.0),
     c_e2e=st.floats(min_value=1e-6, max_value=10.0),
-    exact=st.booleans(),
 )
 
 
