@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "agent": ("AgentConfig", "AgentTrace", "run_agent", "stage_breakdown"),
     "costmodel": (
-        "CostLedger", "EnginePricing", "PricingConfig", "PricingEntry",
-        "compose_ledger", "engine_cost", "llm_cost",
+        "EnginePricing", "PricingConfig", "PricingEntry", "compose_ledger",
+        "engine_cost", "llm_cost",
     ),
     "engine": ("EmbeddedEngine", "EngineConfig", "Sessions"),
     "llmclient": ("HttpBackend", "ReplayBackend"),

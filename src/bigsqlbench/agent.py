@@ -24,7 +24,7 @@ from .llmclient import (
     check_exchange,
     json_lines,
 )
-from .metrics import STAGES
+from .metrics import StageUsage
 from .resultset import ResultTable, json_cell
 
 _TOOL_STAGE = {
@@ -214,14 +214,6 @@ class AgentTrace:
             for it in self.iterations
             for ex in it.exchanges
         )
-
-
-@dataclass
-class StageBreakdown:
-    """Wall-clock seconds and share of end-to-end time per stage."""
-
-    seconds: dict[str, float]
-    percentages: dict[str, float]
 
 
 def stage_for_action(action: str | None) -> str:
@@ -563,21 +555,22 @@ def run_agent(
     return trace
 
 
-def stage_breakdown(trace: AgentTrace) -> StageBreakdown:
-    """Attribute each iteration's wall-clock to its tool's stage.
+def stage_breakdown(trace: AgentTrace) -> dict[str, StageUsage]:
+    """Each stage's usage, in the order the stages first ran.
 
-    An iteration's full duration (LLM thinking plus tool execution) belongs
-    to the stage of the tool it called; tool-free turns go to finalize.
+    An iteration's duration (LLM thinking plus tool execution), tokens and
+    engine use go to the stage of the tool it called, a tool-free turn's to
+    finalize; a check iteration's tokens include its checker call.
     """
-    seconds = {stage: 0.0 for stage in STAGES}
+    stages: dict[str, StageUsage] = {}
     for it in trace.iterations:
-        seconds[stage_for_action(it.action)] += it.duration
-    e2e = trace.e2e_seconds
-    if e2e > 0:
-        percentages = {s: 100.0 * v / e2e for s, v in seconds.items()}
-    else:
-        percentages = {s: 0.0 for s in STAGES}
-    return StageBreakdown(seconds=seconds, percentages=percentages)
+        usage = stages.setdefault(stage_for_action(it.action), StageUsage())
+        usage.seconds += it.duration
+        usage.input_tokens += it.input_tokens
+        usage.output_tokens += it.output_tokens
+        usage.engine_seconds += it.engine_seconds
+        usage.engine_bytes += it.engine_bytes
+    return stages
 
 
 # --- episode log serialization ------------------------------------------------
@@ -712,13 +705,22 @@ def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str,
             )
         table = values["final_result"]
         if table is not None:
+            kept = {name: value for name, value in table.items() if name != "row_count"}
             try:
-                result = ResultTable.from_json_dict(table)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                result = ResultTable.from_json_dict(kept)
+            except (KeyError, ValueError) as exc:
                 raise ValueError(
                     f"line {number}: `final_result` is not a result table: {exc!r}"
                 ) from None
-            values["final_result"] = None if "row_count" in table else result
+            if "row_count" in table:  # a cut result
+                count = table["row_count"]
+                if type(count) is not int or count <= result.n_rows:
+                    raise ValueError(
+                        f"line {number}: `final_result.row_count` is not an int "
+                        f"above the {result.n_rows} rows kept"
+                    )
+                result = None
+            values["final_result"] = result
     return kind, values
 
 

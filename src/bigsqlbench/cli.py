@@ -149,11 +149,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
     from .engine import Sessions
-    from .suite import GoldenMaterializationError, load_suite
+    from .suite import GoldenMaterializationError, ManifestError, load_suite
 
     failures = 0
     with Sessions() as sessions:
-        for case in load_suite(args.suite, args.scale_factor, sessions):
+        try:
+            cases = load_suite(args.suite, args.scale_factor, sessions)
+        except ManifestError as exc:
+            print(f"suite invalid: {exc}")
+            return 1
+        for case in cases:
             if not case.usable:
                 print(f"{case.case_id}: UNUSABLE ({case.error})")
                 failures += 1

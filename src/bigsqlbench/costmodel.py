@@ -1,8 +1,8 @@
 """Composes an episode's dollar cost from token usage and engine runtime.
 
 Pricing is declarative config: per-model token rates plus one engine pricing
-rule (per second of runtime, per byte scanned, or free).  A cost ledger
-splits the spend per agent stage so reports can attribute it.
+rule (per second of runtime, per byte scanned, or free).  Each agent
+stage's usage is priced on its own, so reports can attribute the spend.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-if TYPE_CHECKING:
-    from .agent import AgentTrace
+from .metrics import StageUsage
 
 logger = logging.getLogger(__name__)
 
@@ -103,39 +102,6 @@ def _reject_unknown_keys(
         raise ValueError(f"unknown key {', '.join(map(repr, unknown))}{where}")
 
 
-@dataclass
-class StageCost:
-    """Token usage, engine usage, and their costs for one agent stage."""
-
-    stage: str
-    input_tokens: int = 0
-    output_tokens: int = 0
-    llm_cost: float = 0.0
-    engine_seconds: float = 0.0
-    engine_bytes: int = 0
-    engine_cost: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.llm_cost + self.engine_cost
-
-
-@dataclass
-class CostLedger:
-    """Per-stage cost entries; the grand total is the episode's C_e2e."""
-
-    stages: dict[str, StageCost] = field(default_factory=dict)
-
-    def stage(self, name: str) -> StageCost:
-        if name not in self.stages:
-            self.stages[name] = StageCost(stage=name)
-        return self.stages[name]
-
-    @property
-    def total(self) -> float:
-        return sum(s.total for s in self.stages.values())
-
-
 def llm_cost(entry: PricingEntry, input_tokens: int, output_tokens: int) -> float:
     """Token spend in dollars for one model at its per-million-token rates."""
     if input_tokens < 0 or output_tokens < 0:
@@ -170,29 +136,12 @@ def engine_cost(
 
 
 def compose_ledger(
-    trace: "AgentTrace",
-    pricing: PricingEntry,
-    engine: EnginePricing,
-) -> CostLedger:
-    """Bill every iteration's tokens and engine usage to its stage.
-
-    The checker call inside a check iteration is already folded into that
-    iteration's token counts, so it lands in the check stage.
-    """
-    from .agent import stage_for_action
-
-    ledger = CostLedger()
-    for it in trace.iterations:
-        stage = ledger.stage(stage_for_action(it.action))
-        stage.input_tokens += it.input_tokens
-        stage.output_tokens += it.output_tokens
-        stage.engine_seconds += it.engine_seconds
-        if it.engine_bytes:
-            stage.engine_bytes += it.engine_bytes
-
-    for stage in ledger.stages.values():
-        stage.llm_cost = llm_cost(pricing, stage.input_tokens, stage.output_tokens)
-        stage.engine_cost = engine_cost(
-            engine, stage.engine_seconds, stage.engine_bytes or None
-        )
-    return ledger
+    stages: dict[str, StageUsage], pricing: PricingEntry, engine: EnginePricing
+) -> dict[str, float]:
+    """Each stage's dollars, its token spend plus its engine spend, in the
+    order of `stages`."""
+    return {
+        name: llm_cost(pricing, usage.input_tokens, usage.output_tokens)
+        + engine_cost(engine, usage.engine_seconds, usage.engine_bytes or None)
+        for name, usage in stages.items()
+    }

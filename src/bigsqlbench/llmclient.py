@@ -227,6 +227,11 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any]]]:
         yield number, record
 
 
+def _is_count(value: Any) -> bool:
+    """A token count as a trace holds it: an int >= 0, and not a bool."""
+    return type(value) is int and value >= 0
+
+
 def check_exchange(record: Any, number: int) -> None:
     """Raise ValueError naming line `number` unless `record` is an exchange
     `complete` can replay: an object whose `response` is an object, with a
@@ -258,8 +263,7 @@ def check_exchange(record: Any, number: int) -> None:
         problem = "`usage` is neither null nor an object"
     else:
         for key in ("input_tokens", "output_tokens"):
-            count = (usage or {}).get(key, 0)
-            if type(count) is not int or count < 0:  # bool is not a count
+            if not _is_count((usage or {}).get(key, 0)):
                 raise ValueError(f"line {number}: `usage.{key}` is not an int >= 0")
         return
     raise ValueError(f"line {number}: {problem}")
@@ -390,6 +394,8 @@ class HttpBackend(LlmBackend):
         counts = None
         if "prompt_tokens" in usage and "completion_tokens" in usage:
             counts = (usage["prompt_tokens"], usage["completion_tokens"])
+            if not all(map(_is_count, counts)):
+                raise ValueError(f"usage counts {counts} are not ints >= 0")
         return _exchange(
             messages, text, tool_call, counts, False, fingerprint_messages(messages)
         )

@@ -20,6 +20,19 @@ from typing import Any, Iterable
 # the stages an episode's time and cost are attributed to, in report order
 STAGES = ("list", "schema", "check", "run", "finalize")
 
+
+@dataclass
+class StageUsage:
+    """What one stage of an episode used, summed over its iterations: their
+    wall-clock seconds, tokens, and engine seconds and bytes."""
+
+    seconds: float = 0.0
+    input_tokens: int = 0
+    output_tokens: int = 0
+    engine_seconds: float = 0.0
+    engine_bytes: int = 0
+
+
 SQL_KEYWORDS = frozenset(
     """
     select from where group by order having join inner left right full outer

@@ -20,6 +20,8 @@ from typing import Any, Iterable, Sequence
 logger = logging.getLogger(__name__)
 
 TYPE_TAGS = ("integer", "float", "text", "bool", "date", "blob", "null")
+# the types json.loads gives a cell that is neither a list nor an object
+_JSON_SCALARS = frozenset({type(None), bool, int, float, str})
 
 _IDENTIFIER_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -146,10 +148,26 @@ class ResultTable:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ResultTable":
-        """Inverse of to_json_dict; a blob column's hex text cells (see
-        `json_cell`) are read back as bytes."""
-        cols = tuple(Column(c["name"], c["type"]) for c in data["columns"])
-        rows = tuple(tuple(r) for r in data["rows"])
+        """Inverse of to_json_dict, refusing what it cannot have written with
+        KeyError (a missing key) or ValueError; a blob column's hex text
+        cells (see `json_cell`) are read back as bytes."""
+        columns, rows = data["columns"], data["rows"]
+        if len(data) != 2:
+            raise ValueError(f"keys {sorted(data)} are not columns and rows")
+        if not isinstance(columns, list) or not all(
+            isinstance(c, dict) and c.keys() == {"name", "type"}
+            and isinstance(c["name"], str) for c in columns
+        ):
+            raise ValueError("columns are not a list of a string name and a type")
+        cols = tuple(Column(c["name"], c["type"]) for c in columns)
+        if not isinstance(rows, list):
+            raise ValueError("rows are not a list")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(cols) or not all(
+                type(v) in _JSON_SCALARS for v in row
+            ):
+                raise ValueError(f"row {i} is not a list of {len(cols)} JSON scalars")
+        rows = tuple(tuple(r) for r in rows)
         blob = [c.type_tag == "blob" for c in cols]
         if any(blob):
             rows = tuple(

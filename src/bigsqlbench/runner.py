@@ -27,15 +27,10 @@ from .agent import (
     stage_breakdown,
     trace_to_jsonl,
 )
-from .costmodel import (
-    CostLedger,
-    PricingConfig,
-    _reject_unknown_keys,
-    compose_ledger,
-)
+from .costmodel import PricingConfig, _reject_unknown_keys, compose_ledger
 from .engine import Sessions
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
-from .metrics import EpisodeResult
+from .metrics import STAGES, EpisodeResult
 from .resultset import (
     ResultTable,
     UndefinedPrecisionError,
@@ -683,10 +678,11 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
 
     golden = spec.golden
     generated = trace.final_result
-    ledger = CostLedger()
+    stages = stage_breakdown(trace)
+    stage_cost: dict[str, float] = {}
     indicator, precision, exact = 0, 0.0, False
     try:
-        ledger = compose_ledger(trace, pricing, run.plan.pricing.engine)
+        stage_cost = compose_ledger(stages, pricing, run.plan.pricing.engine)
         if generated is not None:
             indicator = containment_indicator(golden, generated, ordered=case.ordered)
             try:
@@ -706,7 +702,8 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
         )
 
     t_gen = trace.generated_runtime
-    breakdown = stage_breakdown(trace)
+    e2e = trace.e2e_seconds
+    seconds = {s: stages[s].seconds if s in stages else 0.0 for s in STAGES}
 
     trace_path = None
     trace_file = spec.trace_dir / f"{case.case_id}_r{spec.repetition}.jsonl"
@@ -730,14 +727,16 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
         precision=precision,
         t_gold=spec.golden_t,
         t_gen=t_gen,
-        t_e2e=max(trace.e2e_seconds, t_gen),
-        c_e2e=ledger.total,
+        t_e2e=max(e2e, t_gen),
+        c_e2e=sum(stage_cost.values()),
         outcome=outcome,
         golden_sql=case.golden_sql,
         generated_sql=trace.final_sql or "",
-        stage_seconds=dict(breakdown.seconds),
-        stage_percentages=dict(breakdown.percentages),
-        stage_cost={name: entry.total for name, entry in ledger.stages.items()},
+        stage_seconds=seconds,
+        stage_percentages={
+            s: 100.0 * v / e2e if e2e > 0 else 0.0 for s, v in seconds.items()
+        },
+        stage_cost=stage_cost,
         trace_path=trace_path,
         error=error,
         estimated_usage=trace.uses_estimated_tokens,

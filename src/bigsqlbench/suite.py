@@ -15,6 +15,7 @@ import functools
 import json
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -82,7 +83,7 @@ def load_suite(
     for the caller; without it, on sessions of the load's own.  Per-case
     failures (missing database, data that fails to register, SQL that does
     not compile or that the read-only session denies) are recorded on the
-    case, never raised.
+    case, never raised; a case id used by two cases raises ManifestError.
     """
     if sessions is None:
         with Sessions() as own:
@@ -108,12 +109,17 @@ def load_suite(
             "manifest must be a JSON array of cases or an object with 'cases'"
         )
 
-    cases: list[QueryCase] = []
-    for i, raw in enumerate(raw_cases):
-        case = _parse_case(raw, i, databases_dir, scale_factor)
+    cases = [
+        _parse_case(raw, i, databases_dir, scale_factor)
+        for i, raw in enumerate(raw_cases)
+    ]
+    # a case id names the case's trace, script and golden files
+    for case_id, count in Counter(case.case_id for case in cases).items():
+        if count > 1:
+            raise ManifestError(f"case id {case_id!r} is used by {count} cases")
+    for case in cases:
         if case.error is None:
             _validate_case(case, sessions)
-        cases.append(case)
     return cases
 
 

@@ -217,3 +217,50 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
     }
     lines.append(json.dumps(outcome, sort_keys=True, default=json_cell))
     return "\n".join(lines) + "\n"
+
+
+# the stage each tool bills to; any other action, None included, is finalize
+_TOOL_STAGES = {"list_tables": "list", "get_schema": "schema",
+                "check_query": "check", "run_query": "run"}
+
+
+def _oracle_stage(action) -> str:
+    return _TOOL_STAGES.get(action, "finalize")
+
+
+def stage_tokens_oracle(iterations) -> dict[str, tuple[int, int]]:
+    """(input, output) tokens per stage, in the order the stages first ran,
+    each a naive sum over that stage's iterations."""
+    order = dict.fromkeys(_oracle_stage(it.action) for it in iterations)
+    tokens = {}
+    for stage in order:
+        mine = [it for it in iterations if _oracle_stage(it.action) == stage]
+        tokens[stage] = (
+            sum(it.input_tokens for it in mine), sum(it.output_tokens for it in mine)
+        )
+    return tokens
+
+
+def stage_cost_oracle(iterations, pricing, engine) -> dict[str, float]:
+    """Each stage's dollars by brute force: its naive token sums at the
+    per-million rates, plus its engine use, summed left to right as the
+    iterations ran, under the engine rule."""
+    cost = {}
+    for stage, (input_tokens, output_tokens) in stage_tokens_oracle(iterations).items():
+        engine_seconds, engine_bytes = 0.0, 0
+        for it in iterations:
+            if _oracle_stage(it.action) == stage:
+                engine_seconds += it.engine_seconds
+                engine_bytes += it.engine_bytes
+        if engine.mode == "per-second":
+            engine_dollars = engine.rate * engine_seconds
+        elif engine.mode == "per-byte-scanned" and engine_bytes:
+            engine_dollars = engine.rate * engine_bytes
+        else:
+            engine_dollars = 0.0
+        cost[stage] = (
+            input_tokens * pricing.input_per_mtok / 1e6
+            + output_tokens * pricing.output_per_mtok / 1e6
+            + engine_dollars
+        )
+    return cost

@@ -273,7 +273,9 @@ def test_acceptance_5_deterministic_episode(mini_suite_dir):
     ]
     assert sum(1 for it in trace.iterations if it.action == "run_query") == 1
     breakdown = stage_breakdown(trace)
-    assert sum(breakdown.percentages.values()) == pytest.approx(100.0, abs=0.1)
+    assert list(breakdown) == ["list", "schema", "check", "run"]
+    seconds = sum(usage.seconds for usage in breakdown.values())
+    assert 100.0 * seconds / trace.e2e_seconds == pytest.approx(100.0, abs=0.1)
 
     rerun = _shop_episode(mini_suite_dir)
     first = trace_to_jsonl(trace, include_timing=False).encode()
@@ -288,7 +290,9 @@ def test_acceptance_5_deterministic_episode(mini_suite_dir):
 def test_acceptance_6_cost_accounting(mini_suite_dir):
     trace = _shop_episode(mini_suite_dir)
     pricing = PricingEntry("replay-alpha", input_per_mtok=2.5, output_per_mtok=10.0)
-    ledger = compose_ledger(trace, pricing, EnginePricing("free", 0.0))
+    stage_cost = compose_ledger(
+        stage_breakdown(trace), pricing, EnginePricing("free", 0.0)
+    )
 
     # spreadsheet: per-stage token stubs from the recorded dialogue
     expected_stage = {
@@ -298,13 +302,13 @@ def test_acceptance_6_cost_accounting(mini_suite_dir):
         "run": 1800 * 2.5 / 1e6 + 70 * 10.0 / 1e6,
     }
     for stage, expected in expected_stage.items():
-        assert ledger.stages[stage].llm_cost == expected
+        assert stage_cost[stage] == expected
     hand_total = (
         expected_stage["list"] + expected_stage["schema"]
         + expected_stage["check"] + expected_stage["run"]
     )
-    assert ledger.total == hand_total
-    assert ledger.total == sum(s.total for s in ledger.stages.values())
+    assert list(stage_cost) == list(expected_stage)
+    assert sum(stage_cost.values()) == hand_total
 
     # per-million-token price points on one million tokens, exact
     assert llm_cost(PricingEntry("a", 0.5, 3.0), 1_000_000, 1_000_000) == 3.50
@@ -360,10 +364,11 @@ def _scale_episode(engine):
     llm = ReplayBackend(_SCALE_SCRIPT, model_id="fixed-agent")
     trace = run_agent("pricing summary", AgentConfig(), llm, engine)
     assert trace.outcome == "completed"
-    share = stage_breakdown(trace).percentages["run"]
+    stages = stage_breakdown(trace)
+    share = 100.0 * stages["run"].seconds / trace.e2e_seconds
     pricing = PricingEntry("fixed-agent", 2.5, 10.0)
-    ledger = compose_ledger(trace, pricing, EnginePricing("per-second", 0.10))
-    return share, ledger.total
+    stage_cost = compose_ledger(stages, pricing, EnginePricing("per-second", 0.10))
+    return share, sum(stage_cost.values())
 
 
 @criterion(8, "larger scale grows the run-stage share and the expected cost")

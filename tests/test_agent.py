@@ -410,6 +410,15 @@ def stub_iteration(index, action, start, end):
     )
 
 
+def shares(trace):
+    """Each stage's percentage of end-to-end time, as a record's
+    `stage_percentages` holds them."""
+    return {
+        stage: 100.0 * usage.seconds / trace.e2e_seconds
+        for stage, usage in stage_breakdown(trace).items()
+    }
+
+
 def test_stage_breakdown_stubbed_durations():
     trace = AgentTrace(
         iterations=[
@@ -419,31 +428,28 @@ def test_stage_breakdown_stubbed_durations():
             stub_iteration(3, "run_query", 8.0, 10.0),
         ]
     )
-    bd = stage_breakdown(trace)
-    assert bd.percentages["list"] == pytest.approx(10.0)
-    assert bd.percentages["schema"] == pytest.approx(10.0)
-    assert bd.percentages["check"] == pytest.approx(60.0)
-    assert bd.percentages["run"] == pytest.approx(20.0)
-    assert sum(bd.percentages.values()) == pytest.approx(100.0, abs=0.1)
+    pct = shares(trace)
+    assert list(pct) == ["list", "schema", "check", "run"]
+    assert pct["list"] == pytest.approx(10.0)
+    assert pct["schema"] == pytest.approx(10.0)
+    assert pct["check"] == pytest.approx(60.0)
+    assert pct["run"] == pytest.approx(20.0)
+    assert sum(pct.values()) == pytest.approx(100.0, abs=0.1)
 
 
 def test_stage_breakdown_single_iteration_is_all_of_e2e():
     trace = AgentTrace(iterations=[stub_iteration(0, "run_query", 0.0, 3.0)])
-    bd = stage_breakdown(trace)
-    assert bd.percentages["run"] == pytest.approx(100.0)
+    assert shares(trace) == {"run": pytest.approx(100.0)}
 
 
 def test_stage_breakdown_empty_trace():
-    bd = stage_breakdown(AgentTrace())
-    assert all(v == 0.0 for v in bd.seconds.values())
-    assert all(v == 0.0 for v in bd.percentages.values())
+    assert stage_breakdown(AgentTrace()) == {}
 
 
 def test_stage_breakdown_live_percentages_sum_to_100(shop_engine):
     llm = ReplayBackend(FOUR_TOOL_SCRIPT)
     trace = run_agent("q", AgentConfig(), llm, shop_engine)
-    bd = stage_breakdown(trace)
-    assert sum(bd.percentages.values()) == pytest.approx(100.0, abs=0.1)
+    assert sum(shares(trace).values()) == pytest.approx(100.0, abs=0.1)
 
 
 # --- determinism and serialization ---
@@ -585,6 +591,32 @@ def outcome_line(**fields):
     return json.dumps({**line, **fields})
 
 
+TWO_COLUMNS = {
+    "columns": [{"name": "a", "type": "text"}, {"name": "b", "type": "text"}],
+    "rows": [["x", "y"]],
+}
+NOT_A_TABLE = "`final_result` is not a result table: "
+ROW_COUNT = "`final_result.row_count` is not an int above the 1 rows kept"
+# edits to a well-formed `final_result`, and the refusal of each
+BAD_RESULTS = {
+    "string_row": ({"rows": ["xy"]}, NOT_A_TABLE
+                   + "ValueError('row 0 is not a list of 2 JSON scalars')"),
+    "list_cell": ({"rows": [[["x"], "y"]]}, NOT_A_TABLE
+                  + "ValueError('row 0 is not a list of 2 JSON scalars')"),
+    "short_row": ({"rows": [["x", "y"], ["x"]]}, NOT_A_TABLE
+                  + "ValueError('row 1 is not a list of 2 JSON scalars')"),
+    "unknown_result_key": ({"note": 1}, NOT_A_TABLE + "ValueError(\"keys "
+                           "['columns', 'note', 'rows'] are not columns and rows\")"),
+    "unknown_column_key": (
+        {"columns": [{"name": "a", "type": "text", "width": 3}], "rows": []},
+        NOT_A_TABLE
+        + "ValueError('columns are not a list of a string name and a type')"),
+    "unknown_type_tag": ({"columns": [{"name": "a", "type": "varchar"}], "rows": []},
+                         NOT_A_TABLE + "ValueError(\"unknown type tag: 'varchar'\")"),
+    "string_row_count": ({"row_count": "5"}, ROW_COUNT),
+    "row_count_of_the_rows_kept": ({"row_count": 1}, ROW_COUNT),
+    "row_count_zero": ({"row_count": 0}, ROW_COUNT),
+}
 # line 3 of a trace whose other lines are well formed, and its refusal; a
 # `harness-error` trace reads (test_runner) but does not replay (test_cli)
 MALFORMED_LINES = {
@@ -610,6 +642,8 @@ MALFORMED_LINES = {
         "llm-error, harness-error"),
     "bad_final_result": (outcome_line(final_result={"rows": [[1]]}),
                          "`final_result` is not a result table: KeyError('columns')"),
+    **{name: (outcome_line(final_result={**TWO_COLUMNS, **result}), problem)
+       for name, (result, problem) in BAD_RESULTS.items()},
     "not_json": ('{"type": "meta",', "not JSON: Expecting property name enclosed "
                  "in double quotes at column 17"),
     "not_an_object": ("[1]", "not a JSON object"),

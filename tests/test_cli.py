@@ -258,13 +258,23 @@ def _repeated_scale_factor(plan, suite, monkeypatch):
     return "scale factor 1 is listed 2 times"
 
 
+def _repeated_case_id(plan, suite, monkeypatch):
+    # two episodes would write one trace file, replay one script and
+    # materialize one golden
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest["cases"][1]["case_id"] = "orders_count"
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    return "suite failed to load: case id 'orders_count' is used by 2 cases"
+
+
 @pytest.mark.parametrize(
     "defect",
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
      _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
      _response_not_an_object, _exchanges_not_a_list, _usage_not_an_object,
      _estimated_not_a_boolean, _zero_concurrency, _negative_max_spend,
-     _repeated_backend_name, _repeated_scale_factor, _unset_key, _empty_key],
+     _repeated_backend_name, _repeated_scale_factor, _repeated_case_id, _unset_key,
+     _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(
@@ -465,6 +475,25 @@ def test_goldens_materialize_cli(tmp_path, mini_suite_dir, capsys):
     )
     assert code == 0
     assert len(list((tmp_path / "goldens").glob("*.json"))) == 5
+
+
+def test_goldens_materialize_refuses_a_bad_suite_in_one_line(
+    tmp_path, mini_suite_dir, capsys
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest["cases"][1]["case_id"] = "orders_count"
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    for path, problem in [
+        (tmp_path / "absent", f"manifest not found: {tmp_path / 'absent'}"),
+        (suite, "case id 'orders_count' is used by 2 cases"),
+    ]:
+        code = main(["goldens", "materialize", "--suite", str(path),
+                     "--cache-dir", str(tmp_path / "goldens")])
+        assert code == 1
+        assert capsys.readouterr().out == f"suite invalid: {problem}\n"
+    assert not (tmp_path / "goldens").exists()
 
 
 def test_goldens_materialize_shares_one_session_per_data_directory(

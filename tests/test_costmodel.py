@@ -4,8 +4,9 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bigsqlbench.agent import AgentTrace, Iteration
+from bigsqlbench.agent import AgentTrace, Iteration, stage_breakdown
 from bigsqlbench.costmodel import (
     EnginePricing,
     MissingPricingError,
@@ -15,6 +16,8 @@ from bigsqlbench.costmodel import (
     engine_cost,
     llm_cost,
 )
+
+from .oracles import stage_cost_oracle, stage_tokens_oracle
 
 FLASH = PricingEntry("flash", input_per_mtok=0.5, output_per_mtok=3.0)
 HEAVY = PricingEntry("heavy", input_per_mtok=2.5, output_per_mtok=10.0)
@@ -177,19 +180,22 @@ def test_pricing_config_rejects_nan_and_negative_prices(tmp_path, edit, message)
 # --- compose_ledger ---
 
 
+def priced(trace, pricing, engine):
+    """Each stage's dollars, as an episode record's `stage_cost` holds them."""
+    return compose_ledger(stage_breakdown(trace), pricing, engine)
+
+
 def test_ledger_zero_tokens_free_engine():
     trace = AgentTrace(iterations=[iteration(0, "list_tables", 0, 0)])
-    ledger = compose_ledger(trace, FLASH, EnginePricing())
-    assert ledger.total == 0.0
+    cost = priced(trace, FLASH, EnginePricing())
+    assert cost == {"list": 0.0}
 
 
 def test_ledger_single_stage_equals_stage_cost():
     trace = AgentTrace(iterations=[iteration(0, "run_query", 1000, 200, 2.0)])
-    ledger = compose_ledger(trace, FLASH, EnginePricing("per-second", 0.01))
-    stage = ledger.stages["run"]
-    assert ledger.total == pytest.approx(stage.total)
-    assert stage.llm_cost == pytest.approx(llm_cost(FLASH, 1000, 200))
-    assert stage.engine_cost == pytest.approx(0.02)
+    cost = priced(trace, FLASH, EnginePricing("per-second", 0.01))
+    assert list(cost) == ["run"]
+    assert cost["run"] == pytest.approx(llm_cost(FLASH, 1000, 200) + 0.02)
 
 
 def test_ledger_four_stage_hand_summed():
@@ -202,13 +208,13 @@ def test_ledger_four_stage_hand_summed():
             iteration(3, "run_query", 4_000_000, 400_000),
         ]
     )
-    ledger = compose_ledger(trace, HEAVY, EnginePricing())
+    cost = priced(trace, HEAVY, EnginePricing())
     # in: 10M * 2.5/M = 25.0; out: 1M * 10/M = 10.0
-    assert ledger.total == 35.0
-    assert ledger.stages["list"].llm_cost == 2.5 + 1.0
-    assert ledger.stages["schema"].llm_cost == 5.0 + 2.0
-    assert ledger.stages["check"].llm_cost == 7.5 + 3.0
-    assert ledger.stages["run"].llm_cost == 10.0 + 4.0
+    assert sum(cost.values()) == 35.0
+    assert cost["list"] == 2.5 + 1.0
+    assert cost["schema"] == 5.0 + 2.0
+    assert cost["check"] == 7.5 + 3.0
+    assert cost["run"] == 10.0 + 4.0
 
 
 def test_ledger_total_equals_sum_of_stage_entries():
@@ -219,11 +225,11 @@ def test_ledger_total_equals_sum_of_stage_entries():
             iteration(2, None, 11, 22),
         ]
     )
-    ledger = compose_ledger(trace, FLASH, EnginePricing("per-second", 0.001))
-    assert ledger.total == pytest.approx(
-        sum(s.total for s in ledger.stages.values())
+    cost = priced(trace, FLASH, EnginePricing("per-second", 0.001))
+    assert sum(cost.values()) == pytest.approx(
+        llm_cost(FLASH, 123 + 678 + 11, 45 + 90 + 22) + 0.001 * 1.5
     )
-    assert "finalize" in ledger.stages
+    assert list(cost) == ["list", "run", "finalize"]
 
 
 def test_ledger_total_invariant_under_stage_partitioning():
@@ -234,9 +240,9 @@ def test_ledger_total_invariant_under_stage_partitioning():
         iteration(2, "check_query", 300, 30),
         iteration(3, "run_query", 400, 40),
     ]
-    split = compose_ledger(AgentTrace(iterations=iterations), FLASH, EnginePricing())
+    split = priced(AgentTrace(iterations=iterations), FLASH, EnginePricing())
     merged_tokens = llm_cost(FLASH, 1000, 100)
-    assert split.total == pytest.approx(merged_tokens)
+    assert sum(split.values()) == pytest.approx(merged_tokens)
 
 
 def test_ledger_total_at_least_each_stage():
@@ -246,15 +252,79 @@ def test_ledger_total_at_least_each_stage():
             iteration(1, "run_query", 700, 70),
         ]
     )
-    ledger = compose_ledger(trace, FLASH, EnginePricing())
-    for stage in ledger.stages.values():
-        assert ledger.total >= stage.total
+    cost = priced(trace, FLASH, EnginePricing())
+    for dollars in cost.values():
+        assert sum(cost.values()) >= dollars
 
 
 def test_ledger_bills_every_token_exactly_once():
     trace = AgentTrace(
         iterations=[iteration(i, "check_query", 100 + i, 10 + i) for i in range(5)]
     )
-    ledger = compose_ledger(trace, FLASH, EnginePricing())
-    assert ledger.stages["check"].input_tokens == sum(100 + i for i in range(5))
-    assert ledger.stages["check"].output_tokens == sum(10 + i for i in range(5))
+    stages = stage_breakdown(trace)
+    assert stages["check"].input_tokens == sum(100 + i for i in range(5))
+    assert stages["check"].output_tokens == sum(10 + i for i in range(5))
+    assert compose_ledger(stages, FLASH, EnginePricing()) == {
+        "check": llm_cost(FLASH, 510, 60)
+    }
+
+
+ACTIONS = ["list_tables", "get_schema", "check_query", "run_query",
+           "final_answer", None, "drop_tables"]
+
+
+@st.composite
+def tiled_traces(draw):
+    """Traces whose iterations tile the episode, as `run_agent` times them."""
+    clock = draw(st.floats(0, 1e6))
+    iterations = []
+    for index in range(draw(st.integers(0, 12))):
+        ended = clock + draw(st.floats(0, 100))
+        iterations.append(Iteration(
+            index=index, thought="", action=draw(st.sampled_from(ACTIONS)),
+            action_input={}, observation="", started_at=clock, ended_at=ended,
+            input_tokens=draw(st.integers(0, 10**7)),
+            output_tokens=draw(st.integers(0, 10**7)),
+            engine_seconds=draw(st.floats(0, 100)),
+            engine_bytes=draw(st.integers(0, 10**12)),
+        ))
+        clock = ended
+    return AgentTrace(iterations=iterations)
+
+
+rates = st.floats(0, 100)
+engines = st.one_of(
+    st.just(EnginePricing()),
+    st.builds(EnginePricing, st.just("per-second"), rates),
+    st.builds(EnginePricing, st.just("per-byte-scanned"), st.floats(0, 1e-6)),
+)
+
+
+@settings(deadline=None)
+@given(
+    trace=tiled_traces(),
+    pricing=st.builds(PricingEntry, st.just("m"), rates, rates),
+    engine=engines,
+)
+def test_one_walk_bills_each_stage_as_the_brute_force_oracle(trace, pricing, engine):
+    stages = stage_breakdown(trace)
+    stage_cost = compose_ledger(stages, pricing, engine)
+    oracle = stage_cost_oracle(trace.iterations, pricing, engine)
+
+    # every token billed exactly once, to the stage of its iteration
+    tokens = {s: (u.input_tokens, u.output_tokens) for s, u in stages.items()}
+    assert tokens == stage_tokens_oracle(trace.iterations)
+    assert sum(u.input_tokens for u in stages.values()) == sum(
+        it.input_tokens for it in trace.iterations
+    )
+    assert sum(u.output_tokens for u in stages.values()) == sum(
+        it.output_tokens for it in trace.iterations
+    )
+    # the stages in the order they first ran, each priced as the oracle does
+    assert list(stage_cost) == list(oracle)
+    assert stage_cost == oracle
+    # c_e2e, stage_cost summed in that order, is the oracle's to the bit
+    assert sum(stage_cost.values()) == sum(oracle.values())
+    assert math.isclose(
+        sum(u.seconds for u in stages.values()), trace.e2e_seconds, rel_tol=1e-9
+    )

@@ -245,6 +245,25 @@ def test_http_malformed_body_ends_episode_as_llm_error(stub_server):
     assert "malformed" in trace.error
 
 
+@pytest.mark.parametrize(
+    "key, count",
+    [("prompt_tokens", -5), ("prompt_tokens", 7.9), ("prompt_tokens", True),
+     ("completion_tokens", -1), ("completion_tokens", "3")],
+)
+def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, count):
+    # the rule `check_exchange` applies to a trace's usage, so every
+    # exchange a live run records can be read back and replayed
+    body = _ok_body()
+    body["usage"][key] = count
+    stub_server.script.append((200, body))
+    with EmbeddedEngine(EngineConfig()) as engine:
+        trace = run_agent("q?", AgentConfig(), _backend(stub_server), engine)
+    assert trace.outcome == OUTCOME_LLM_ERROR
+    assert trace.error.startswith("malformed llm response: ValueError(")
+    assert "usage counts " in trace.error
+    assert len(stub_server.requests) == 1
+
+
 def test_http_estimates_missing_usage(stub_server):
     stub_server.script.append((200, _ok_body("xxxx" * 5, usage=False)))
     exchange = _backend(stub_server).complete(MESSAGES)

@@ -23,7 +23,7 @@ from bigsqlbench.cli import REPORT_FORMATS
 from bigsqlbench.costmodel import EnginePricing
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
 from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
-from bigsqlbench.metrics import EpisodeResult, load_records
+from bigsqlbench.metrics import STAGES, EpisodeResult, load_records
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import PlanValidationError, RunPlan, execute_plan, validate_plan
 from tests.conftest import (
@@ -35,7 +35,7 @@ from tests.conftest import (
     snapshot_files,
     two_model_episodes,
 )
-from tests.oracles import trace_to_jsonl_asdict
+from tests.oracles import stage_tokens_oracle, trace_to_jsonl_asdict
 
 
 PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
@@ -829,6 +829,16 @@ def test_episode_costs_match_token_stubs(mini_plan):
             # 4700 in @ 0.5/M + 250 out @ 3/M
             assert ep.c_e2e == pytest.approx(0.00310)
         assert ep.c_e2e == pytest.approx(sum(ep.stage_cost.values()))
+
+
+def test_records_time_every_stage_and_cost_the_stages_run(mini_plan):
+    for ep in execute_plan(mini_plan).episodes:
+        trace = trace_from_jsonl(Path(ep.trace_path).read_text())
+        assert list(ep.stage_seconds) == list(ep.stage_percentages) == list(STAGES)
+        assert sum(ep.stage_seconds.values()) == pytest.approx(trace.e2e_seconds)
+        assert sum(ep.stage_percentages.values()) == pytest.approx(100.0, abs=0.1)
+        assert list(ep.stage_cost) == list(stage_tokens_oracle(trace.iterations))
+        assert ep.c_e2e == sum(ep.stage_cost.values())
 
 
 def test_rerun_reproduces_records_modulo_timing(mini_plan, tmp_path):

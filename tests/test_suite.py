@@ -194,6 +194,22 @@ def test_manifest_parse_error(tmp_path):
         load_suite(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "ids, repeated",
+    [(["a", "b", "a"], "a"), (["q0002", None], "q0002")],
+    ids=["given_twice", "given_and_defaulted"],
+)
+def test_manifest_repeating_a_case_id_is_refused(tmp_path, ids, repeated):
+    cases = [{"question": "q", "SQL": "SELECT 1", "db_id": "shop"} for _ in ids]
+    for case, case_id in zip(cases, ids):
+        if case_id is not None:
+            case["case_id"] = case_id
+    (tmp_path / "manifest.json").write_text(json.dumps({"cases": cases}))
+    message = f"^case id '{repeated}' is used by 2 cases$"
+    with pytest.raises(ManifestError, match=message):
+        load_suite(tmp_path)
+
+
 def test_manifest_missing(tmp_path):
     with pytest.raises(ManifestError):
         load_suite(tmp_path / "absent")
