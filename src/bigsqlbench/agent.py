@@ -694,7 +694,7 @@ def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str,
             raise ValueError(f"line {number}: `{name}` is not {expected}")
     if kind == "iteration":
         for exchange in values["exchanges"]:
-            check_exchange(exchange, number)
+            check_exchange(exchange, f"line {number}")
         for name in _CLOCK_FIELDS:
             values.setdefault(name, 0.0)
     elif kind == "outcome":

@@ -181,12 +181,12 @@ def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
 def _cmd_data_generate(args: argparse.Namespace) -> int:
     from .suite import format_sf, warehouse_schema
 
-    dataset = generate_scaled_data(
+    row_counts = generate_scaled_data(
         warehouse_schema(), args.scale_factor, args.seed, args.output_dir
     )
-    for table, count in dataset.row_counts.items():
+    for table, count in row_counts.items():
         print(f"{table}: {count} rows")
-    print(f"generated sf={format_sf(args.scale_factor)} under {dataset.out_dir}")
+    print(f"generated sf={format_sf(args.scale_factor)} under {args.output_dir}")
     return 0
 
 

@@ -20,10 +20,6 @@ from typing import Any, Iterable, Iterator, Sequence
 
 _WS_RE = re.compile(r"\s+")
 
-DEFAULT_TEMPERATURE = 0.0
-DEFAULT_TOP_P = 1.0
-DEFAULT_MAX_TOKENS = 4096
-
 
 class LlmTransportError(RuntimeError):
     """Provider unreachable, refused the request, or sent a malformed body."""
@@ -41,9 +37,9 @@ class ReplayExhaustedError(RuntimeError):
 class SamplingConfig:
     """Sampling knobs; None means the field is omitted from the request."""
 
-    temperature: float | None = DEFAULT_TEMPERATURE
-    top_p: float | None = DEFAULT_TOP_P
-    max_tokens: int | None = DEFAULT_MAX_TOKENS
+    temperature: float | None = 0.0
+    top_p: float | None = 1.0
+    max_tokens: int | None = 4096
 
     def to_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {}
@@ -166,7 +162,7 @@ class ReplayBackend(LlmBackend):
         with open(path) as handle:
             for number, record in json_lines(handle):
                 if "type" not in record:
-                    check_exchange(record, number)
+                    check_exchange(record, f"line {number}")
                     entries.append(record)
                     continue
                 kind, values = read_trace_line(record, number)
@@ -227,21 +223,16 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any]]]:
         yield number, record
 
 
-def _is_count(value: Any) -> bool:
-    """A token count as a trace holds it: an int >= 0, and not a bool."""
-    return type(value) is int and value >= 0
-
-
-def check_exchange(record: Any, number: int) -> None:
-    """Raise ValueError naming line `number` unless `record` is an exchange
-    `complete` can replay: an object whose `response` is an object, with a
-    string `text` when present and a `tool_call` that is null or an object
-    with a string `name`; whose `fingerprint` is absent, null or a string;
-    whose `estimated` is absent or a boolean; and whose `usage` is absent,
-    null or an object in which `input_tokens` and `output_tokens`, when
-    present, are ints >= 0."""
+def check_exchange(record: Any, where: str) -> None:
+    """Raise ValueError starting with `where` (say "line 3") unless `record`
+    is an exchange `complete` can replay: an object whose `response` is an
+    object, with a string `text` when present and a `tool_call` that is null
+    or an object with a string `name`; whose `fingerprint` is absent, null
+    or a string; whose `estimated` is absent or a boolean; and whose `usage`
+    is absent, null or an object in which `input_tokens` and
+    `output_tokens`, when present, are ints >= 0 (and not bools)."""
     if not isinstance(record, dict):
-        raise ValueError(f"line {number}: an exchange is not an object")
+        raise ValueError(f"{where}: an exchange is not an object")
     response = record.get("response")
     tool_call = response.get("tool_call") if isinstance(response, dict) else None
     usage = record.get("usage")
@@ -263,10 +254,11 @@ def check_exchange(record: Any, number: int) -> None:
         problem = "`usage` is neither null nor an object"
     else:
         for key in ("input_tokens", "output_tokens"):
-            if not _is_count((usage or {}).get(key, 0)):
-                raise ValueError(f"line {number}: `usage.{key}` is not an int >= 0")
+            count = (usage or {}).get(key, 0)
+            if type(count) is not int or count < 0:
+                raise ValueError(f"{where}: `usage.{key}` is not an int >= 0")
         return
-    raise ValueError(f"line {number}: {problem}")
+    raise ValueError(f"{where}: {problem}")
 
 
 # Besides 5xx, the statuses that may succeed when sent again.
@@ -394,8 +386,12 @@ class HttpBackend(LlmBackend):
         counts = None
         if "prompt_tokens" in usage and "completion_tokens" in usage:
             counts = (usage["prompt_tokens"], usage["completion_tokens"])
-            if not all(map(_is_count, counts)):
-                raise ValueError(f"usage counts {counts} are not ints >= 0")
+        # the rule a trace's exchange keeps, so that the trace reads back
+        check_exchange(
+            {"response": {"text": text, "tool_call": tool_call},
+             "usage": dict(zip(("input_tokens", "output_tokens"), counts or ()))},
+            f"reply with usage counts {counts}",
+        )
         return _exchange(
             messages, text, tool_call, counts, False, fingerprint_messages(messages)
         )

@@ -98,13 +98,16 @@ class EpisodeResult:
     def __post_init__(self) -> None:
         for f in self.__dataclass_fields__.values():
             value = getattr(self, f.name)
-            if not isinstance(value, _FIELD_TYPES[f.type]):
+            # no writer writes a bool for a number, which isinstance would take
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
                 raise ValueError(f"{f.name} must be {f.type}: {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite: {value}")
             if f.type == "dict[str, float]":
                 for x in value.values():
-                    if not (isinstance(x, (int, float)) and 0 <= x < math.inf):
+                    if type(x) not in (int, float) or not 0 <= x < math.inf:
                         raise ValueError(f"{f.name} values must be finite and >= 0")
         if self.indicator not in (0, 1):
             raise ValueError(f"indicator must be 0 or 1, got {self.indicator}")

@@ -17,7 +17,7 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .agent import (
     OUTCOME_HARNESS_ERROR,
@@ -27,7 +27,7 @@ from .agent import (
     stage_breakdown,
     trace_to_jsonl,
 )
-from .costmodel import PricingConfig, _reject_unknown_keys, compose_ledger
+from .costmodel import PricingConfig, compose_ledger, from_json_object
 from .engine import Sessions
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
 from .metrics import STAGES, EpisodeResult
@@ -57,9 +57,9 @@ class PlanValidationError(ValueError):
 class BackendSpec:
     """One model endpoint (or replay stand-in) participating in a run."""
 
-    name: str
     kind: str
     model_id: str
+    name: str = ""  # empty (or null in a plan file): named by its model_id
     scripts_dir: Path | None = None
     endpoint: str | None = None
     api_key_env: str | None = None
@@ -67,15 +67,18 @@ class BackendSpec:
     rate_limit_per_sec: float | None = None
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
 
+    def __post_init__(self) -> None:
+        self.name = self.name or self.model_id
+
 
 @dataclass
 class RunPlan:
     """Everything one evaluation run needs, loadable from a JSON file."""
 
     suite: Path
-    backends: list[BackendSpec]
     pricing: PricingConfig
-    output_dir: Path
+    backends: list[BackendSpec] = field(default_factory=list)
+    output_dir: Path = Path("out")
     repetitions: int = 1
     scale_factors: list[float] = field(default_factory=lambda: [1.0])
     concurrency: int = 4
@@ -87,85 +90,47 @@ class RunPlan:
     def from_json_file(cls, path: str | Path) -> "RunPlan":
         """Read a plan; a plan or pricing file that cannot be read, parsed
         or understood raises PlanValidationError("plan <path>: <cause>")."""
+        base = Path(path).parent  # what a relative path is relative to
+
+        def backend(i: int, raw: Any) -> BackendSpec:
+            return from_json_object(
+                BackendSpec, raw, f"backends[{i}]",
+                scripts_dir=lambda p: base / p if p else None,
+                supports_tools=bool,
+                rate_limit_per_sec=_optional(float),
+                sampling=lambda section: from_json_object(
+                    SamplingConfig, section, f"backends[{i}].sampling",
+                    temperature=_optional(float), top_p=_optional(float),
+                    max_tokens=_optional(int),
+                ),
+            )
+
         try:
-            return cls._from_json(Path(path))
+            plan = from_json_object(
+                cls, json.loads(Path(path).read_text()),
+                suite=lambda p: base / p,
+                pricing=lambda p: PricingConfig.from_json_file(base / p),
+                backends=lambda raws: [backend(i, raw) for i, raw in enumerate(raws)],
+                repetitions=int,
+                scale_factors=lambda sfs: [float(sf) for sf in sfs],
+                concurrency=int,
+                seed=int,
+                max_spend_usd=_optional(float),
+                agent=lambda section: from_json_object(
+                    AgentConfig, section, "agent", max_iterations=int, sample_rows=int
+                ),
+            )
         except KeyError as exc:
             raise PlanValidationError(f"plan {path}: missing key {exc}") from exc
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise PlanValidationError(f"plan {path}: {exc}") from exc
-
-    @classmethod
-    def _from_json(cls, plan_path: Path) -> "RunPlan":
-        base = plan_path.parent
-        data = json.loads(plan_path.read_text())
-
-        def resolve(p: str) -> Path:
-            candidate = Path(p)
-            return candidate if candidate.is_absolute() else (base / candidate)
-
-        backends = []
-        for i, raw in enumerate(data.get("backends", [])):
-            sampling_raw = raw.get("sampling", {})
-            _reject_unknown_keys(raw, _BACKEND_KEYS, f" in backends[{i}]")
-            _reject_unknown_keys(
-                sampling_raw, _SAMPLING_KEYS, f" in backends[{i}].sampling"
-            )
-            backends.append(
-                BackendSpec(
-                    name=raw.get("name") or raw["model_id"],
-                    kind=raw["kind"],
-                    model_id=raw["model_id"],
-                    scripts_dir=(
-                        resolve(raw["scripts_dir"]) if raw.get("scripts_dir") else None
-                    ),
-                    endpoint=raw.get("endpoint"),
-                    api_key_env=raw.get("api_key_env"),
-                    supports_tools=bool(raw.get("supports_tools", False)),
-                    rate_limit_per_sec=_optional_float(raw, "rate_limit_per_sec"),
-                    sampling=SamplingConfig(
-                        temperature=sampling_raw.get("temperature", 0.0),
-                        top_p=sampling_raw.get("top_p", 1.0),
-                        max_tokens=sampling_raw.get("max_tokens", 4096),
-                    ),
-                )
-            )
-        agent_raw = data.get("agent", {})
-        agent = AgentConfig(
-            max_iterations=int(agent_raw.get("max_iterations", 15)),
-            sample_rows=int(agent_raw.get("sample_rows", 3)),
-        )
-        _reject_unknown_keys(agent_raw, _AGENT_KEYS, " in agent")
-        _reject_unknown_keys(data, _PLAN_KEYS, "")
-        return cls(
-            suite=resolve(data["suite"]),
-            backends=backends,
-            pricing=PricingConfig.from_json_file(resolve(data["pricing"])),
-            output_dir=resolve(data.get("output_dir", "out")),
-            repetitions=int(data.get("repetitions", 1)),
-            scale_factors=[float(sf) for sf in data.get("scale_factors", [1.0])],
-            concurrency=int(data.get("concurrency", 4)),
-            seed=int(data.get("seed", 0)),
-            max_spend_usd=_optional_float(data, "max_spend_usd"),
-            agent=agent,
-        )
+        plan.output_dir = base / plan.output_dir  # the default `out` too
+        return plan
 
 
-# the keys RunPlan._from_json reads; any other key is a plan error, so that a
-# misspelt one (say "max_spend") is not silently ignored
-_PLAN_KEYS = (
-    "suite", "backends", "pricing", "output_dir", "repetitions", "scale_factors",
-    "concurrency", "seed", "max_spend_usd", "agent",
-)
-_BACKEND_KEYS = (
-    "name", "kind", "model_id", "scripts_dir", "endpoint", "api_key_env",
-    "supports_tools", "rate_limit_per_sec", "sampling",
-)
-_SAMPLING_KEYS = ("temperature", "top_p", "max_tokens")
-_AGENT_KEYS = ("max_iterations", "sample_rows")
-
-
-def _optional_float(raw: dict[str, Any], key: str) -> float | None:
-    return None if raw.get(key) is None else float(raw[key])
+def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """`convert`, with null read as None."""
+    return lambda value: None if value is None else convert(value)
 
 
 @dataclass
@@ -711,7 +676,8 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
     if problem is None:
         try:
             trace_file.write_text(trace_to_jsonl(trace))
-            trace_path = str(trace_file)
+            # relative to records.json, so that a run directory can be moved
+            trace_path = trace_file.relative_to(run.plan.output_dir).as_posix()
         except OSError as exc:
             problem = exc
     if problem is not None:

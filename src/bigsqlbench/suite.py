@@ -16,7 +16,7 @@ import json
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -40,10 +40,6 @@ class ManifestError(ValueError):
 
 class ScaleFactorError(ValueError):
     """Requested scale factor outside the supported desk-scale range."""
-
-
-class SchemaAnnotationError(ValueError):
-    """Generator schema lacks the key annotations needed for integrity."""
 
 
 class GoldenMaterializationError(RuntimeError):
@@ -126,6 +122,8 @@ def load_suite(
 def _parse_case(
     raw: dict, index: int, databases_dir: Path, scale_factor: float | None
 ) -> QueryCase:
+    if not isinstance(raw, dict):
+        raise ManifestError(f"case {index} is not a JSON object")
     case_id = str(raw.get("case_id") or f"q{index + 1:04d}")
     question = str(raw.get("question", "")).strip()
     sql = str(raw.get("SQL") or raw.get("sql") or "").strip()
@@ -203,14 +201,13 @@ RowBuilder = Callable[[random.Random, int, dict[str, int]], Iterator[list[str]]]
 
 @dataclass(frozen=True)
 class TableDef:
-    """One generated table: schema, base cardinality, and key annotations."""
+    """One generated table: schema, base cardinality, and its row builder."""
 
     name: str
     columns: tuple[ColumnSchema, ...]
     base_rows: int
+    builder: RowBuilder
     fixed: bool = False
-    foreign_keys: dict[str, str] = field(default_factory=dict)
-    builder: RowBuilder | None = None
 
     def row_count(self, scale_factor: float) -> int:
         if self.fixed:
@@ -222,17 +219,6 @@ class TableDef:
 class DatasetSchema:
     name: str
     tables: tuple[TableDef, ...]
-
-
-@dataclass(frozen=True)
-class ScaledDataset:
-    """Provenance of one generated dataset; identical inputs give identical files."""
-
-    schema_name: str
-    scale_factor: float
-    seed: int
-    row_counts: dict[str, int]
-    out_dir: Path
 
 
 _EPOCH = datetime.date(1992, 1, 1)
@@ -456,7 +442,6 @@ def warehouse_schema() -> DatasetSchema:
                       ("n_regionkey", "integer"), ("n_comment", "text")),
                 base_rows=25,
                 fixed=True,
-                foreign_keys={"n_regionkey": "region.r_regionkey"},
                 builder=_build_nation,
             ),
             TableDef(
@@ -466,7 +451,6 @@ def warehouse_schema() -> DatasetSchema:
                       ("s_phone", "text"), ("s_acctbal", "float"),
                       ("s_comment", "text")),
                 base_rows=10_000,
-                foreign_keys={"s_nationkey": "nation.n_nationkey"},
                 builder=_build_supplier,
             ),
             TableDef(
@@ -476,7 +460,6 @@ def warehouse_schema() -> DatasetSchema:
                       ("c_phone", "text"), ("c_acctbal", "float"),
                       ("c_mktsegment", "text"), ("c_comment", "text")),
                 base_rows=150_000,
-                foreign_keys={"c_nationkey": "nation.n_nationkey"},
                 builder=_build_customer,
             ),
             TableDef(
@@ -495,10 +478,6 @@ def warehouse_schema() -> DatasetSchema:
                       ("ps_availqty", "integer"), ("ps_supplycost", "float"),
                       ("ps_comment", "text")),
                 base_rows=800_000,
-                foreign_keys={
-                    "ps_partkey": "part.p_partkey",
-                    "ps_suppkey": "supplier.s_suppkey",
-                },
                 builder=_build_partsupp,
             ),
             TableDef(
@@ -509,7 +488,6 @@ def warehouse_schema() -> DatasetSchema:
                       ("o_clerk", "text"), ("o_shippriority", "integer"),
                       ("o_comment", "text")),
                 base_rows=1_500_000,
-                foreign_keys={"o_custkey": "customer.c_custkey"},
                 builder=_build_orders,
             ),
             TableDef(
@@ -523,11 +501,6 @@ def warehouse_schema() -> DatasetSchema:
                       ("l_receiptdate", "date"), ("l_shipinstruct", "text"),
                       ("l_shipmode", "text"), ("l_comment", "text")),
                 base_rows=6_000_000,
-                foreign_keys={
-                    "l_orderkey": "orders.o_orderkey",
-                    "l_partkey": "part.p_partkey",
-                    "l_suppkey": "supplier.s_suppkey",
-                },
                 builder=_build_lineitem,
             ),
         ),
@@ -539,8 +512,9 @@ def generate_scaled_data(
     scale_factor: float,
     seed: int,
     out_dir: str | Path,
-) -> ScaledDataset:
-    """Write CSV + schema sidecar files for every table at the given scale.
+) -> dict[str, int]:
+    """Write CSV + schema sidecar files for every table at the given scale,
+    and return each table's row count.
 
     Scalable table cardinalities are round(base * scale_factor); fixed tables
     keep their base count at every scale.  Generation is deterministic in
@@ -551,14 +525,6 @@ def generate_scaled_data(
             f"scale factor {scale_factor} outside "
             f"[{MIN_SCALE_FACTOR}, {MAX_SCALE_FACTOR}]"
         )
-    if not any(t.foreign_keys for t in schema.tables):
-        raise SchemaAnnotationError(
-            f"schema {schema.name!r} declares no key relationships"
-        )
-    for table in schema.tables:
-        if table.builder is None:
-            raise SchemaAnnotationError(f"table {table.name!r} has no row builder")
-
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     counts = {t.name: t.row_count(scale_factor) for t in schema.tables}
@@ -573,10 +539,4 @@ def generate_scaled_data(
             out_path / f"{table.name}.schema",
             TableSchema(table.name, table.columns),
         )
-    return ScaledDataset(
-        schema_name=schema.name,
-        scale_factor=scale_factor,
-        seed=seed,
-        row_counts=counts,
-        out_dir=out_path,
-    )
+    return counts

@@ -114,7 +114,14 @@ def bad_plan_files(tmp_path, mini_suite_dir) -> list[tuple]:
          "invalid literal for int()"),
         ("no_pricing_file.json", json.dumps({**plan, "pricing": "nowhere.json"}),
          "No such file or directory: '" + str(tmp_path / "nowhere.json")),
-        ("list.json", "[]", "'list' object has no attribute 'get'"),
+        ("list.json", "[]", "not a JSON object"),
+        ("int_agent.json", json.dumps({**plan, "agent": 5}),
+         "`agent` is not a JSON object"),
+        ("str_backend.json", json.dumps({**plan, "backends": ["alpha"]}),
+         "`backends[0]` is not a JSON object"),
+        ("null_sampling.json",
+         json.dumps({**plan, "backends": [{**plan["backends"][0], "sampling": None}]}),
+         "`backends[0].sampling` is not a JSON object"),
     ]:
         (tmp_path / name).write_text(text)
         cases.append((tmp_path / name, cause))
@@ -267,14 +274,21 @@ def _repeated_case_id(plan, suite, monkeypatch):
     return "suite failed to load: case id 'orders_count' is used by 2 cases"
 
 
+def _case_not_an_object(plan, suite, monkeypatch):
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest["cases"].append("x")
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    return "suite failed to load: case 5 is not a JSON object"
+
+
 @pytest.mark.parametrize(
     "defect",
     [_missing_script, _malformed_script, _missing_scripts_dir, _unpriced_model,
      _unknown_key, _unknown_pricing_key, _script_line_without_exchange,
      _response_not_an_object, _exchanges_not_a_list, _usage_not_an_object,
      _estimated_not_a_boolean, _zero_concurrency, _negative_max_spend,
-     _repeated_backend_name, _repeated_scale_factor, _repeated_case_id, _unset_key,
-     _empty_key],
+     _repeated_backend_name, _repeated_scale_factor, _repeated_case_id,
+     _case_not_an_object, _unset_key, _empty_key],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(
@@ -485,9 +499,13 @@ def test_goldens_materialize_refuses_a_bad_suite_in_one_line(
     manifest = json.loads((suite / "manifest.json").read_text())
     manifest["cases"][1]["case_id"] = "orders_count"
     (suite / "manifest.json").write_text(json.dumps(manifest))
+    not_object = tmp_path / "not_object"
+    not_object.mkdir()
+    (not_object / "manifest.json").write_text(json.dumps({"cases": ["x"]}))
     for path, problem in [
         (tmp_path / "absent", f"manifest not found: {tmp_path / 'absent'}"),
         (suite, "case id 'orders_count' is used by 2 cases"),
+        (not_object, "case 0 is not a JSON object"),
     ]:
         code = main(["goldens", "materialize", "--suite", str(path),
                      "--cache-dir", str(tmp_path / "goldens")])

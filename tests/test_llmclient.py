@@ -6,7 +6,13 @@ import time
 
 import pytest
 
-from bigsqlbench.agent import OUTCOME_LLM_ERROR, AgentConfig, run_agent
+from bigsqlbench.agent import (
+    OUTCOME_LLM_ERROR,
+    AgentConfig,
+    run_agent,
+    trace_from_jsonl,
+    trace_to_jsonl,
+)
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import (
     ChatExchange,
@@ -262,6 +268,30 @@ def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, cou
     assert trace.error.startswith("malformed llm response: ValueError(")
     assert "usage counts " in trace.error
     assert len(stub_server.requests) == 1
+
+
+@pytest.mark.parametrize(
+    "message, problem",
+    [
+        ({"content": [{"type": "text", "text": "hi"}]}, "`response.text`"),
+        ({"content": "", "tool_calls": [{"function": {"name": 5}}]},
+         "`response.tool_call`"),
+    ],
+    ids=["list-content", "int-tool-name"],
+)
+def test_http_reply_that_is_no_trace_exchange_is_llm_error(
+    stub_server, message, problem
+):
+    # the rule `check_exchange` applies, so the trace of the episode reads back
+    body = {"choices": [{"message": message}],
+            "usage": {"prompt_tokens": 12, "completion_tokens": 3}}
+    stub_server.script.append((200, body))
+    with EmbeddedEngine(EngineConfig()) as engine:
+        trace = run_agent("q?", AgentConfig(), _backend(stub_server), engine)
+    assert trace.outcome == OUTCOME_LLM_ERROR
+    assert trace.error.startswith("malformed llm response: ValueError(")
+    assert problem in trace.error
+    assert trace_from_jsonl(trace_to_jsonl(trace)).outcome == OUTCOME_LLM_ERROR
 
 
 def test_http_estimates_missing_usage(stub_server):

@@ -303,6 +303,13 @@ def test_record_valid_property():
         (dict(stage_seconds={"run": -1.0}), "stage_seconds values must be finite"),
         (dict(indicator=0, exact=True, t_gen=0.0),
          "an exact result must have indicator 1, got 0"),
+        (dict(rep=True), "repetition must be int: True"),
+        (dict(indicator=True), "indicator must be int: True"),
+        (dict(sf=True), "scale_factor must be float: True"),
+        (dict(t_gold=True), "t_gold must be float: True"),
+        (dict(c_e2e=False), "c_e2e must be float: False"),
+        (dict(stage_seconds={"run": True}), "stage_seconds values must be finite"),
+        (dict(stage_cost={"run": False}), "stage_cost values must be finite"),
     ],
 )
 def test_record_refuses_what_a_report_cannot_render(overrides, message):

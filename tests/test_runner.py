@@ -20,7 +20,7 @@ from bigsqlbench import report as report_module
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.cli import REPORT_FORMATS
-from bigsqlbench.costmodel import EnginePricing
+from bigsqlbench.costmodel import EnginePricing, PricingConfig
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
 from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
 from bigsqlbench.metrics import STAGES, EpisodeResult, load_records
@@ -44,12 +44,11 @@ TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds", "stage_percentages
 
 
 def untimed_records_text(output_dir: Path) -> str:
-    """records.json minus clock-derived fields, trace paths made relative."""
+    """records.json minus clock-derived fields."""
     records = json.loads((output_dir / "records.json").read_text())
     for ep in records["episodes"]:
         for name in TIMING_FIELDS:
             del ep[name]
-        ep["trace_path"] = Path(ep["trace_path"]).relative_to(output_dir).as_posix()
     return json.dumps(records, indent=2) + "\n"
 
 
@@ -238,6 +237,44 @@ def test_unknown_plan_key_rejected(mini_suite_dir, tmp_path, edit, message):
     with pytest.raises(PlanValidationError) as raised:
         RunPlan.from_json_file(plan_path)
     assert str(raised.value) == f"plan {plan_path}: {message}"
+
+
+def test_sampling_values_are_read_as_numbers(mini_suite_dir, tmp_path):
+    def strings(data):
+        data["backends"][0]["sampling"] = {
+            "temperature": "0.5", "top_p": None, "max_tokens": "64",
+        }
+
+    plan = RunPlan.from_json_file(write_plan(mini_suite_dir, tmp_path, strings))
+    payload = plan.backends[0].sampling.to_payload()
+    assert payload == {"temperature": 0.5, "max_tokens": 64}
+    assert type(payload["temperature"]) is float and type(payload["max_tokens"]) is int
+
+    def word(data):
+        data["backends"][0]["sampling"] = {"temperature": "hot"}
+
+    plan_path = write_plan(mini_suite_dir, tmp_path, word)
+    with pytest.raises(PlanValidationError, match="could not convert string to float"):
+        RunPlan.from_json_file(plan_path)
+
+
+def test_plan_without_optional_keys_reads_to_the_dataclass_defaults(
+    mini_suite_dir, tmp_path
+):
+    (tmp_path / "plan.json").write_text(json.dumps({
+        "suite": str(mini_suite_dir),
+        "pricing": str(mini_suite_dir / "pricing.json"),
+        "backends": [{"kind": "replay", "model_id": "replay-alpha"}],
+    }))
+    plan = RunPlan.from_json_file(tmp_path / "plan.json")
+    assert plan == RunPlan(
+        suite=mini_suite_dir,
+        pricing=PricingConfig.from_json_file(mini_suite_dir / "pricing.json"),
+        backends=[runner.BackendSpec(kind="replay", model_id="replay-alpha")],
+        output_dir=tmp_path / "out",
+    )
+    # a backend without a name is named by its model id
+    assert plan.backends[0].name == "replay-alpha"
 
 
 def test_every_plan_key_read_is_accepted(mini_suite_dir, tmp_path):
@@ -445,7 +482,8 @@ def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
     for ep in output.episodes:
         assert ep.outcome == "completed"
         untimed = trace_to_jsonl(
-            trace_from_jsonl(Path(ep.trace_path).read_text()), include_timing=False
+            trace_from_jsonl((mini_plan.output_dir / ep.trace_path).read_text()),
+            include_timing=False,
         )
         cells.setdefault((ep.model, ep.case_id), set()).add(untimed)
     assert len(cells) == 10
@@ -663,7 +701,8 @@ def test_blob_results_are_compared_and_logged(mini_copy):
         assert blob.outcome == "completed"
         assert (blob.indicator, blob.exact) == (0, False)
     assert cells["replay-beta", "pricey_products", 0].indicator == 0
-    trace = Path(cells["replay-alpha", "pricey_products", 0].trace_path).read_text()
+    alpha = cells["replay-alpha", "pricey_products", 0]
+    trace = (mini_copy.output_dir / alpha.trace_path).read_text()
     outcome = json.loads(trace.splitlines()[-1])
     assert {row[1] for row in outcome["final_result"]["rows"]} == {"00ff"}
     golden = json.loads(
@@ -716,13 +755,13 @@ def test_large_result_trace_is_cut_and_verdicts_kept(sf_tiny_dir, tmp_path):
                 for ep in records["episodes"]}
     assert verdicts == {("gold", 1, True, 1.0), ("short", 0, False, 1.0)}
     gold = by_cell(output)["gold", "all_lines", 0]
-    trace = Path(gold.trace_path)
+    trace = output.records_path.parent / gold.trace_path
     assert trace.stat().st_size < 16 * 1024
     logged = json.loads(trace.read_text().splitlines()[-1])["final_result"]
     assert logged["row_count"] == 6000 and 0 < len(logged["rows"]) < 6000
     # the short result fits, so its trace holds it whole
     short = json.loads(
-        Path(by_cell(output)["short", "all_lines", 0].trace_path)
+        (output.records_path.parent / by_cell(output)["short", "all_lines", 0].trace_path)
         .read_text().splitlines()[-1]
     )["final_result"]
     assert "row_count" not in short and len(short["rows"]) == 10
@@ -755,7 +794,8 @@ def test_replay_mismatch_at_the_checker_bills_the_exchanges_made(
             {"list": 0.0036, "schema": 0.0043, "check": 0.0049}
         )
         lines = [json.loads(line)
-                 for line in Path(ep.trace_path).read_text().splitlines()]
+                 for line in (mini_copy.output_dir / ep.trace_path).read_text()
+                 .splitlines()]
         assert [line["type"] for line in lines] == ["meta"] + ["iteration"] * 3 + [
             "outcome"
         ]
@@ -788,7 +828,7 @@ def test_replay_mismatch_at_the_controller_keeps_the_finished_iterations(
     for ep in faulted.values():
         assert ep.c_e2e == pytest.approx(0.0036 + 0.0043)
         assert set(ep.stage_cost) == {"list", "schema"}
-        trace = trace_from_jsonl(Path(ep.trace_path).read_text())
+        trace = trace_from_jsonl((mini_copy.output_dir / ep.trace_path).read_text())
         assert [it.action for it in trace.iterations] == ["list_tables", "get_schema"]
         assert (trace.outcome, trace.error) == (ep.outcome, ep.error)
 
@@ -812,7 +852,7 @@ def test_comparison_fault_is_harness_error_for_that_cell_only(
     assert faulted[0].indicator == 0 and not faulted[0].exact
     assert faulted[0].precision == 0.0 and faulted[0].c_e2e > 0
     # the trace is the agent's account, which finished
-    trace = trace_from_jsonl(Path(faulted[0].trace_path).read_text())
+    trace = trace_from_jsonl((mini_plan.output_dir / faulted[0].trace_path).read_text())
     assert (trace.outcome, trace.error) == ("completed", None)
     [logged] = logged_faults(caplog)
     assert "Traceback" in logged and "comparison blew up" in logged
@@ -833,7 +873,7 @@ def test_episode_costs_match_token_stubs(mini_plan):
 
 def test_records_time_every_stage_and_cost_the_stages_run(mini_plan):
     for ep in execute_plan(mini_plan).episodes:
-        trace = trace_from_jsonl(Path(ep.trace_path).read_text())
+        trace = trace_from_jsonl((mini_plan.output_dir / ep.trace_path).read_text())
         assert list(ep.stage_seconds) == list(ep.stage_percentages) == list(STAGES)
         assert sum(ep.stage_seconds.values()) == pytest.approx(trace.e2e_seconds)
         assert sum(ep.stage_percentages.values()) == pytest.approx(100.0, abs=0.1)
@@ -1040,7 +1080,7 @@ def test_trace_files_written(mini_plan):
     output = execute_plan(mini_plan)
     for ep in output.episodes:
         assert ep.trace_path is not None
-        first_line = Path(ep.trace_path).read_text().splitlines()[0]
+        first_line = (mini_plan.output_dir / ep.trace_path).read_text().splitlines()[0]
         assert json.loads(first_line)["type"] == "meta"
 
 
@@ -1060,7 +1100,9 @@ def test_each_trace_directory_created_once_per_run(mini_plan, monkeypatch):
     assert sorted(p for p in made if p.parent.parent == traces) == [
         traces / "replay-alpha" / "sf1", traces / "replay-beta" / "sf1",
     ]
-    assert all(Path(ep.trace_path).is_file() for ep in output.episodes)
+    assert all(
+        (mini_plan.output_dir / ep.trace_path).is_file() for ep in output.episodes
+    )
 
 
 # --- engine sessions ---
@@ -1142,7 +1184,7 @@ def test_sessions_closed_after_harness_error(
     [faulted] = [ep for ep in output.episodes if ep.outcome == "harness-error"]
     assert faulted.error == "harness error: agent blew up"
     # the trace says so too, with no iteration, and costs nothing
-    trace = trace_from_jsonl(Path(faulted.trace_path).read_text())
+    trace = trace_from_jsonl((mini_plan.output_dir / faulted.trace_path).read_text())
     assert (trace.outcome, trace.error) == (faulted.outcome, faulted.error)
     assert trace.iterations == [] and faulted.c_e2e == 0.0
     [logged] = logged_faults(caplog)
@@ -1174,7 +1216,7 @@ def poison_script(sql: str) -> list[dict]:
              "usage": {"input_tokens": 10, "output_tokens": 5}}]
 
 
-def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeypatch):
+def test_reused_session_gives_fresh_session_results(mini_plan, monkeypatch):
     # a small row cap, so that a recursive CTE overflows in its first fetch
     monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 100)
     case = next(c for c in runner.load_suite(mini_plan.suite)
@@ -1186,7 +1228,9 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
         backend.scripts_dir / "pricey_products.jsonl"
     ).entries
 
-    def spec(script, trace_dir):
+    def spec(script, name):
+        # a record's trace path is relative to the run's output directory
+        trace_dir = mini_plan.output_dir / name
         trace_dir.mkdir(parents=True, exist_ok=True)
         return runner._EpisodeSpec(backend, case, 0, 1.0, golden, t_gold,
                                    script, trace_dir)
@@ -1205,20 +1249,21 @@ def test_reused_session_gives_fresh_session_results(mini_plan, tmp_path, monkeyp
     with Sessions() as shared:
         for i, sql in enumerate(poisons):
             poisoned = runner._run_episode(
-                run_on(shared), spec(poison_script(sql), tmp_path / f"p{i}")
+                run_on(shared), spec(poison_script(sql), f"p{i}")
             )
             assert poisoned.outcome == "tool-error"
         assert "row cap" in poisoned.error
-        reused = runner._run_episode(run_on(shared), spec(script, tmp_path / "reused"))
+        reused = runner._run_episode(run_on(shared), spec(script, "reused"))
         assert len(shared._sessions) == 1
     with Sessions() as fresh_sessions:
         fresh = runner._run_episode(
-            run_on(fresh_sessions), spec(script, tmp_path / "fresh")
+            run_on(fresh_sessions), spec(script, "fresh")
         )
 
     def verdict(ep):
         untimed = trace_to_jsonl(
-            trace_from_jsonl(Path(ep.trace_path).read_text()), include_timing=False
+            trace_from_jsonl((mini_plan.output_dir / ep.trace_path).read_text()),
+            include_timing=False,
         )
         return (ep.outcome, ep.indicator, ep.exact, ep.precision,
                 ep.generated_sql, untimed)

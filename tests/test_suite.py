@@ -10,15 +10,11 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from bigsqlbench.engine import ColumnSchema
 from bigsqlbench.resultset import tables_equal_exact
 from bigsqlbench.suite import (
     GoldenMaterializationError,
     ManifestError,
     ScaleFactorError,
-    SchemaAnnotationError,
-    DatasetSchema,
-    TableDef,
     _below,
     format_sf,
     generate_scaled_data,
@@ -210,6 +206,13 @@ def test_manifest_repeating_a_case_id_is_refused(tmp_path, ids, repeated):
         load_suite(tmp_path)
 
 
+@pytest.mark.parametrize("manifest", [{"cases": ["x"]}, [5]], ids=["cases", "bare"])
+def test_manifest_case_that_is_not_an_object_is_refused(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="^case 0 is not a JSON object$"):
+        load_suite(tmp_path)
+
+
 def test_manifest_missing(tmp_path):
     with pytest.raises(ManifestError):
         load_suite(tmp_path / "absent")
@@ -298,23 +301,6 @@ def test_below_refuses_an_empty_range(n):
         _below(random.Random(0).getrandbits, n)
 
 
-def test_table_without_builder_writes_no_file(tmp_path):
-    def keys(rng, count, counts):
-        return ([str(i)] for i in range(count))
-
-    schema = DatasetSchema(
-        name="partial",
-        tables=(
-            TableDef("a", (ColumnSchema("k", "integer"),), base_rows=3, builder=keys),
-            TableDef("b", (ColumnSchema("a_k", "integer"),), base_rows=3,
-                     foreign_keys={"a_k": "a.k"}),
-        ),
-    )
-    with pytest.raises(SchemaAnnotationError, match="'b' has no row builder"):
-        generate_scaled_data(schema, 0.01, seed=0, out_dir=tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_different_seeds_differ(tmp_path):
     schema = warehouse_schema()
     a = tmp_path / "a"
@@ -350,15 +336,6 @@ def test_unsupported_scale_factor(tmp_path):
         generate_scaled_data(warehouse_schema(), 2.0, seed=0, out_dir=tmp_path)
     with pytest.raises(ScaleFactorError):
         generate_scaled_data(warehouse_schema(), 0.0001, seed=0, out_dir=tmp_path)
-
-
-def test_schema_without_keys_rejected(tmp_path):
-    bare = DatasetSchema(
-        name="bare",
-        tables=(TableDef("t", (), base_rows=10, builder=lambda r, c, n: iter(())),),
-    )
-    with pytest.raises(SchemaAnnotationError):
-        generate_scaled_data(bare, 0.01, seed=0, out_dir=tmp_path)
 
 
 def test_format_sf():
