@@ -24,7 +24,7 @@ from .llmclient import (
     check_exchange,
     json_lines,
 )
-from .metrics import StageUsage
+from .metrics import StageUsage, read_fields, read_json
 from .resultset import ResultTable, json_cell
 
 _TOOL_STAGE = {
@@ -581,6 +581,17 @@ _UNTIMED_ITERATION_FIELDS = tuple(
     name for name in _ITERATION_FIELDS if name not in _CLOCK_FIELDS
 )
 
+# The fields of each trace line but `type`, which `read_trace_line` reads by
+# their annotations in the dataclass that holds them; an untimed trace's
+# iterations leave out `_CLOCK_FIELDS`.
+_LINES: dict[str, tuple[type, tuple[str, ...]]] = {
+    "meta": (AgentTrace, ("question", "model_id")),
+    "iteration": (Iteration, _ITERATION_FIELDS),
+    "outcome": (
+        AgentTrace, ("outcome", "final_sql", "final_answer", "error", "final_result")
+    ),
+}
+
 
 def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
     """Serialize an episode to JSON lines: meta, one line per iteration, outcome.
@@ -588,12 +599,8 @@ def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
     With include_timing=False all clock-derived fields are dropped, giving a
     stable byte representation for replay comparison.
     """
-    lines = [
-        json.dumps(
-            {"type": "meta", "question": trace.question, "model_id": trace.model_id},
-            sort_keys=True,
-        )
-    ]
+    meta = {name: getattr(trace, name) for name in _LINES["meta"][1]}
+    lines = [json.dumps({"type": "meta", **meta}, sort_keys=True)]
     # json.dumps only reads the nested action_input/exchanges values, so they
     # go in as they are, not deep-copied
     names = _ITERATION_FIELDS if include_timing else _UNTIMED_ITERATION_FIELDS
@@ -601,16 +608,10 @@ def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
         record = {name: getattr(it, name) for name in names}
         record["type"] = "iteration"
         lines.append(json.dumps(record, sort_keys=True))
-    outcome = {
-        "type": "outcome",
-        "outcome": trace.outcome,
-        "final_sql": trace.final_sql,
-        "final_answer": trace.final_answer,
-        "error": trace.error,
-        "final_result": (
-            _logged_result(trace.final_result) if trace.final_result else None
-        ),
-    }
+    outcome = {name: getattr(trace, name) for name in _LINES["outcome"][1]}
+    outcome.update(type="outcome", final_result=(
+        trace.final_result and _logged_result(trace.final_result)
+    ))
     lines.append(json.dumps(outcome, sort_keys=True, default=json_cell))
     return "\n".join(lines) + "\n"
 
@@ -642,31 +643,6 @@ def _logged_result(table: ResultTable) -> dict[str, Any]:
     return cut
 
 
-# The fields of each trace line but `type`, each with the JSON type the
-# writer gives it; an untimed trace's iterations leave out `_CLOCK_FIELDS`.
-_LINE_FIELDS: dict[str, dict[str, str]] = {
-    "meta": {"question": "a string", "model_id": "a string"},
-    "iteration": {
-        "index": "an int", "thought": "a string", "action": "null or a string",
-        "action_input": "an object", "observation": "a string",
-        "started_at": "a number", "ended_at": "a number",
-        "input_tokens": "an int", "output_tokens": "an int",
-        "engine_seconds": "a number", "engine_bytes": "an int",
-        "exchanges": "a list",
-    },
-    "outcome": {
-        "outcome": "a string", "final_sql": "null or a string",
-        "final_answer": "null or a string", "error": "null or a string",
-        "final_result": "null or an object",
-    },
-}
-_JSON_TYPES: dict[str, Any] = {
-    "a string": str, "null or a string": (str, type(None)), "an int": int,
-    "a number": (int, float), "an object": dict,
-    "null or an object": (dict, type(None)), "a list": list,
-}
-
-
 def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str, Any]]:
     """The `type` and other fields of trace line `number`, which must be one
     `trace_to_jsonl` could write, else ValueError naming the line.  The
@@ -674,54 +650,50 @@ def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str,
     fields read as 0.0); an outcome's `final_result` is a ResultTable, or
     None when the line holds none or a result cut to a prefix of its rows."""
     kind = record.get("type")
-    if kind not in _LINE_FIELDS:
+    if kind not in _LINES:
         raise ValueError(
             f"line {number}: type {kind!r} is not meta, iteration or outcome"
         )
-    types = _LINE_FIELDS[kind]
-    values = {name: value for name, value in record.items() if name != "type"}
-    optional = _CLOCK_FIELDS if kind == "iteration" else ()
-    missing = [n for n in types if n not in values and n not in optional]
-    unknown = [n for n in values if n not in types]
-    if missing or unknown:
-        raise ValueError(
-            f"line {number}: missing fields {missing}, unknown fields {unknown}"
-        )
-    for name, value in values.items():
-        expected = types[name]
-        # the writer writes no bool, which isinstance would take for an int
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
-            raise ValueError(f"line {number}: `{name}` is not {expected}")
-    if kind == "iteration":
-        for exchange in values["exchanges"]:
-            check_exchange(exchange, f"line {number}")
-        for name in _CLOCK_FIELDS:
-            values.setdefault(name, 0.0)
-    elif kind == "outcome":
-        if values["outcome"] not in OUTCOMES:
-            raise ValueError(
-                f"line {number}: `outcome` {values['outcome']!r} is not one of "
-                f"{', '.join(OUTCOMES)}"
-            )
-        table = values["final_result"]
-        if table is not None:
-            kept = {name: value for name, value in table.items() if name != "row_count"}
-            try:
-                result = ResultTable.from_json_dict(kept)
-            except (KeyError, ValueError) as exc:
+    cls, names = _LINES[kind]
+    raw = {name: value for name, value in record.items() if name != "type"}
+    try:
+        if kind == "iteration":
+            values = read_fields(cls, raw, names, _CLOCK_FIELDS)
+            for i, exchange in enumerate(values["exchanges"]):
+                check_exchange(exchange, f"exchanges[{i}]")
+            for name in _CLOCK_FIELDS:
+                values.setdefault(name, 0.0)
+        else:
+            values = read_fields(cls, raw, names, final_result=_read_final_result)
+            if kind == "outcome" and values["outcome"] not in OUTCOMES:
                 raise ValueError(
-                    f"line {number}: `final_result` is not a result table: {exc!r}"
-                ) from None
-            if "row_count" in table:  # a cut result
-                count = table["row_count"]
-                if type(count) is not int or count <= result.n_rows:
-                    raise ValueError(
-                        f"line {number}: `final_result.row_count` is not an int "
-                        f"above the {result.n_rows} rows kept"
-                    )
-                result = None
-            values["final_result"] = result
+                    f"`outcome` {values['outcome']!r} is not one of {', '.join(OUTCOMES)}"
+                )
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
     return kind, values
+
+
+def _read_final_result(table: Any) -> ResultTable | None:
+    """An outcome line's `final_result`: None for null or a result cut to a
+    prefix of its rows, which carries the `row_count` of the whole."""
+    table = read_json(dict[str, Any] | None, table, "final_result")
+    if table is None:
+        return None
+    kept = {name: value for name, value in table.items() if name != "row_count"}
+    try:
+        result = ResultTable.from_json_dict(kept)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"`final_result` is not a result table: {exc!r}") from None
+    if "row_count" in table:  # a cut result
+        count = table["row_count"]
+        if type(count) is not int or count <= result.n_rows:
+            raise ValueError(
+                f"`final_result.row_count` is not an int above the {result.n_rows} "
+                "rows kept"
+            )
+        return None
+    return result
 
 
 def trace_from_jsonl(text: str) -> AgentTrace:

@@ -3,18 +3,16 @@
 Pricing is declarative config: per-model token rates plus one engine pricing
 rule (per second of runtime, per byte scanned, or free).  Each agent
 stage's usage is priced on its own, so reports can attribute the spend.
-`from_json_object` reads pricing and plan files into their dataclasses.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
 
-from .metrics import StageUsage
+from .metrics import StageUsage, from_json_object, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -72,41 +70,14 @@ class PricingConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "PricingConfig":
-        def entry(i: int, raw: Any) -> PricingEntry:
-            return from_json_object(PricingEntry, raw, f"models[{i}]",
-                                    input_per_mtok=float, output_per_mtok=float)
-
+        """Read a pricing file: `models` is a list of `PricingEntry` objects,
+        keyed here by their `id`."""
         return from_json_object(
             cls, json.loads(Path(path).read_text()),
             models=lambda raws: {
-                e.id: e for e in (entry(i, raw) for i, raw in enumerate(raws))
+                entry.id: entry for entry in read_json(list[PricingEntry], raws, "models")
             },
-            engine=lambda raw: from_json_object(EnginePricing, raw, "engine", rate=float),
         )
-
-
-def from_json_object(cls: type, raw: Any, where: str = "", **convert: Callable) -> Any:
-    """The dataclass `cls` built from `raw`, one JSON object of a plan or
-    pricing file named `where` in errors ("" for the file itself): each key
-    names a field, read through `convert[key]` when there is one, and an
-    absent key takes the field's default, so each setting is declared once.
-    A misspelt key raises ValueError, as does a `raw` that is no object;
-    a missing field without a default raises KeyError."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"`{where}` is not a JSON object" if where else
-                         "not a JSON object")
-    known = {f.name: f for f in fields(cls)}
-    unknown = [key for key in raw if key not in known]
-    if unknown:
-        in_where = f" in {where}" if where else ""
-        raise ValueError(f"unknown key {', '.join(map(repr, unknown))}{in_where}")
-    for name, f in known.items():
-        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise KeyError(name)
-    return cls(**{
-        key: convert[key](value) if key in convert else value
-        for key, value in raw.items()
-    })
 
 
 def llm_cost(entry: PricingEntry, input_tokens: int, output_tokens: int) -> float:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
+from .metrics import from_json_object
+
 _WS_RE = re.compile(r"\s+")
 
 
@@ -149,7 +151,7 @@ class ReplayBackend(LlmBackend):
         """Load a script file; episode traces expand to their embedded exchanges.
 
         A line with a `type` is a trace line, read by `agent.read_trace_line`;
-        any other line is a `response` record, checked by `check_exchange`.
+        any other line is an exchange record, checked by `check_exchange`.
         A line that either refuses raises ValueError naming its number, since
         replaying without it would blame the model for a broken script.  So
         does a `harness-error` outcome line: replaying that trace would blame
@@ -162,7 +164,10 @@ class ReplayBackend(LlmBackend):
         with open(path) as handle:
             for number, record in json_lines(handle):
                 if "type" not in record:
-                    check_exchange(record, f"line {number}")
+                    try:
+                        check_exchange(record)
+                    except ValueError as exc:
+                        raise ValueError(f"line {number}: {exc}") from None
                     entries.append(record)
                     continue
                 kind, values = read_trace_line(record, number)
@@ -223,42 +228,45 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any]]]:
         yield number, record
 
 
-def check_exchange(record: Any, where: str) -> None:
-    """Raise ValueError starting with `where` (say "line 3") unless `record`
-    is an exchange `complete` can replay: an object whose `response` is an
-    object, with a string `text` when present and a `tool_call` that is null
-    or an object with a string `name`; whose `fingerprint` is absent, null
-    or a string; whose `estimated` is absent or a boolean; and whose `usage`
-    is absent, null or an object in which `input_tokens` and
-    `output_tokens`, when present, are ints >= 0 (and not bools)."""
-    if not isinstance(record, dict):
-        raise ValueError(f"{where}: an exchange is not an object")
-    response = record.get("response")
-    tool_call = response.get("tool_call") if isinstance(response, dict) else None
-    usage = record.get("usage")
-    if not isinstance(response, dict):
-        problem = "`response` is not an object"
-    elif not isinstance(response.get("text", ""), str):
-        problem = "`response.text` is not a string"
-    elif tool_call is not None and not (
-        isinstance(tool_call, dict) and isinstance(tool_call.get("name"), str)
-    ):
-        problem = (
-            "`response.tool_call` is neither null nor an object with a string `name`"
-        )
-    elif not isinstance(record.get("fingerprint"), (str, type(None))):
-        problem = "`fingerprint` is neither null nor a string"
-    elif not isinstance(record.get("estimated", False), bool):
-        problem = "`estimated` is not a boolean"
-    elif not isinstance(usage, (dict, type(None))):
-        problem = "`usage` is neither null nor an object"
-    else:
-        for key in ("input_tokens", "output_tokens"):
-            count = (usage or {}).get(key, 0)
-            if type(count) is not int or count < 0:
-                raise ValueError(f"{where}: `usage.{key}` is not an int >= 0")
-        return
-    raise ValueError(f"{where}: {problem}")
+@dataclass(frozen=True)
+class _ToolCall:
+    name: str
+    arguments: Any = None
+
+
+@dataclass(frozen=True)
+class _Response:
+    text: str = ""
+    tool_call: _ToolCall | None = None
+
+
+@dataclass(frozen=True)
+class _Usage:
+    input_tokens: int = 0
+    output_tokens: int = 0
+
+
+@dataclass(frozen=True)
+class ExchangeRecord:
+    """The shape of an exchange as a replay script or a trace's iteration
+    line records it.  `complete` reads the record itself: usage lacking
+    either count is estimated, as a record without usage is."""
+
+    response: _Response
+    fingerprint: str | None = None
+    usage: _Usage | None = None
+    estimated: bool = False
+
+
+def check_exchange(record: Any, where: str = "") -> None:
+    """Raise ValueError naming the path unless `record`, at path `where` of
+    its line ("" for the line itself), is an exchange `complete` can
+    replay: an `ExchangeRecord` whose token counts are >= 0."""
+    usage = from_json_object(ExchangeRecord, record, where).usage or _Usage()
+    prefix = f"{where}." if where else ""
+    for key in ("input_tokens", "output_tokens"):
+        if getattr(usage, key) < 0:
+            raise ValueError(f"`{prefix}usage.{key}` is not an int >= 0")
 
 
 # Besides 5xx, the statuses that may succeed when sent again.
@@ -387,11 +395,13 @@ class HttpBackend(LlmBackend):
         if "prompt_tokens" in usage and "completion_tokens" in usage:
             counts = (usage["prompt_tokens"], usage["completion_tokens"])
         # the rule a trace's exchange keeps, so that the trace reads back
-        check_exchange(
-            {"response": {"text": text, "tool_call": tool_call},
-             "usage": dict(zip(("input_tokens", "output_tokens"), counts or ()))},
-            f"reply with usage counts {counts}",
-        )
+        try:
+            check_exchange(
+                {"response": {"text": text, "tool_call": tool_call},
+                 "usage": dict(zip(("input_tokens", "output_tokens"), counts or ()))}
+            )
+        except ValueError as exc:
+            raise ValueError(f"reply with usage counts {counts}: {exc}") from None
         return _exchange(
             messages, text, tool_call, counts, False, fingerprint_messages(messages)
         )

@@ -5,17 +5,22 @@ efficiency score) plus the end-to-end variants that fold in agent latency,
 column precision, and dollar cost, and the expected cost per valid query
 under a retry-until-success model; and the episode records (records.json)
 they are computed from, which `report` reads without loading the engine.
+`from_json_object` is the one reader of every JSON input file: plans,
+pricing, records, traces, replay scripts and manifests.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from statistics import fmean, pstdev
-from typing import Any, Iterable
+from typing import Any, Callable, Collection, Iterable
 
 # the stages an episode's time and cost are attributed to, in report order
 STAGES = ("list", "schema", "check", "run", "finalize")
@@ -58,9 +63,141 @@ class NormalizationError(ValueError):
     """Normalization to a best value of zero (or over no values)."""
 
 
-# the types a records.json value may take, by field annotation
-_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "int": int,
-                "float": (int, float), "bool": bool, "dict[str, float]": dict}
+# --- the one reader of JSON input files ----------------------------------------
+
+# How a JSON value reads into a field of one annotation: the types the value
+# may have (exactly, so a bool is never a number), their name in an error,
+# and what reads such a value on as (value, path, base), if anything.
+_Reading = tuple[tuple[type, ...], str, Callable[[Any, str, Path], Any] | None]
+
+
+_ANY: _Reading = ((dict, list, str, int, float, bool, type(None)), "a JSON value", None)
+_SCALARS: dict[Any, _Reading] = {
+    Any: _ANY, str: ((str,), "a string", None), int: ((int,), "an int", None),
+    bool: ((bool,), "a boolean", None),
+    float: ((float,), "a number", None),  # an int is read as one too (`_read`)
+    # a path is relative to the directory of its file
+    Path: ((str,), "a string", lambda value, path, base: base / value),
+}
+
+
+@functools.cache
+def _reading(tp: Any) -> _Reading:
+    """The reading of annotation `tp`: one of `_SCALARS`, `X | None`,
+    `list[X]`, `dict[str, X]` or a dataclass; no value reads as another."""
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and type(None) in args:
+        json_types, what, read = _reading(next(a for a in args if a is not type(None)))
+        return json_types + (type(None),), f"null or {what}", read and (
+            lambda value, path, base: None if value is None else read(value, path, base)
+        )
+    if origin is list:
+        item = _reading(args[0])
+        return (list,), "a list", lambda value, path, base: [
+            _read(item, x, f"{path}[{i}]", base) for i, x in enumerate(value)
+        ]
+    if origin is dict:
+        item = _reading(args[1])
+        kept = item[0] if item[2] is None else ()  # values kept as they are
+
+        def read_dict(value: dict, path: str, base: Path) -> dict:
+            if all(type(x) in kept for x in value.values()):
+                return value
+            return {key: _read(item, x, f"{path}.{key}", base) for key, x in value.items()}
+
+        return (dict,), "a JSON object", None if item is _ANY else read_dict
+    if is_dataclass(tp):
+        return (dict,), "a JSON object", (
+            lambda value, path, base: from_json_object(tp, value, path, base)
+        )
+    return (), f"a {tp}", None
+
+
+def _read(reading: _Reading, value: Any, path: str, base: Path) -> Any:
+    json_types, what, read = reading
+    if type(value) not in json_types:
+        if type(value) is int and float in json_types:
+            try:
+                return float(value)
+            except OverflowError:  # an int too large for a float
+                raise ValueError(f"`{path}` is out of range for a number") from None
+        raise ValueError(f"`{path}` is not {what}" if path else f"not {what}")
+    return value if read is None else read(value, path, base)
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[dict[str, _Reading], frozenset[str]]:
+    """The reading of each field of dataclass `cls`, from its annotation,
+    resolved once per class; and the fields that have a default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _reading(hints[f.name]) for f in fields(cls)}, frozenset(
+        f.name for f in fields(cls)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    )
+
+
+def read_json(tp: Any, value: Any, where: str = "", base: Path = Path()) -> Any:
+    """The JSON value at path `where` of a file ("" for the file itself) as
+    a field annotated `tp` holds it, or ValueError naming `where`."""
+    return _read(_reading(tp), value, where, base)
+
+
+def check_keys(
+    raw: Any, names: Collection[str], optional: Collection[str] = (), where: str = ""
+) -> None:
+    """Raise ValueError naming path `where` unless `raw` is a JSON object
+    whose keys are `names`, but for those in `optional` that it lacks."""
+    if type(raw) is not dict:
+        raise ValueError(f"`{where}` is not a JSON object" if where else
+                         "not a JSON object")
+    missing = [name for name in names if name not in raw and name not in optional]
+    unknown = [key for key in raw if key not in names]
+    if missing or unknown:
+        in_where = f" in {where}" if where else ""
+        raise ValueError("; ".join(
+            f"{fault} key {', '.join(map(repr, keys))}{in_where}"
+            for fault, keys in (("missing", missing), ("unknown", unknown)) if keys
+        ))
+
+
+def read_fields(
+    cls: type, raw: Any, names: Collection[str], optional: Collection[str] = (),
+    where: str = "", base: Path = Path(), **convert: Callable[[Any], Any],
+) -> dict[str, Any]:
+    """The fields `names` of dataclass `cls` in the JSON object `raw` at path
+    `where`, each read by its annotation or by `convert[name]`; ValueError
+    naming the path for a value of the wrong JSON type or, as `check_keys`
+    raises it, for a wrong key."""
+    check_keys(raw, names, optional, where)
+    readings, prefix = _fields(cls)[0], f"{where}." if where else ""
+    return {
+        key: convert[key](value) if key in convert
+        else _read(readings[key], value, prefix + key, base)
+        for key, value in raw.items()
+    }
+
+
+def from_json_object(
+    cls: type, raw: Any, where: str = "", base: Path = Path(),
+    **convert: Callable[[Any], Any],
+) -> Any:
+    """The dataclass `cls` read from the JSON object `raw` by `read_fields`:
+    an absent key takes the field's default, so each is declared once."""
+    readings, optional = _fields(cls)
+    return cls(**read_fields(cls, raw, readings, optional, where, base, **convert))
+
+
+def check_fields(obj: Any) -> None:
+    """Refuse, as `read_fields` does, a field of dataclass instance `obj`
+    that holds a value of the wrong JSON type; store a float field's int
+    as a float."""
+    here = Path()
+    for name, reading in _fields(type(obj))[0].items():
+        value = getattr(obj, name)
+        if type(value) not in reading[0] or reading[2] is not None:
+            setattr(obj, name, _read(reading, value, name, here))
 
 
 @dataclass
@@ -96,19 +233,12 @@ class EpisodeResult:
     estimated_usage: bool = False
 
     def __post_init__(self) -> None:
-        for f in self.__dataclass_fields__.values():
-            value = getattr(self, f.name)
-            # no writer writes a bool for a number, which isinstance would take
-            if not isinstance(value, _FIELD_TYPES[f.type]) or (
-                isinstance(value, bool) and f.type != "bool"
-            ):
-                raise ValueError(f"{f.name} must be {f.type}: {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite: {value}")
-            if f.type == "dict[str, float]":
-                for x in value.values():
-                    if type(x) not in (int, float) or not 0 <= x < math.inf:
-                        raise ValueError(f"{f.name} values must be finite and >= 0")
+        check_fields(self)
+        for name, value in vars(self).items():
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite: {value}")
+            if type(value) is dict and not all(0 <= x < math.inf for x in value.values()):
+                raise ValueError(f"{name} values must be finite and >= 0")
         if self.indicator not in (0, 1):
             raise ValueError(f"indicator must be 0 or 1, got {self.indicator}")
         # strict equality implies containment
@@ -135,18 +265,6 @@ class EpisodeResult:
     def to_json_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_json_dict(cls, data: Any) -> "EpisodeResult":
-        """One records.json episode; a missing or unknown field is refused."""
-        if not isinstance(data, dict):
-            raise ValueError("not a JSON object")
-        names = cls.__dataclass_fields__
-        if data.keys() != names.keys():
-            missing = [name for name in names if name not in data]
-            unknown = [key for key in data if key not in names]
-            raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
-        return cls(**data)
-
 
 def load_records(path: str | Path) -> list[EpisodeResult]:
     """Read back the episode results a run wrote to records.json; a file that
@@ -159,10 +277,12 @@ def load_records(path: str | Path) -> list[EpisodeResult]:
     episodes = data.get("episodes") if isinstance(data, dict) else None
     if not isinstance(episodes, list):
         raise ValueError(f"records {path}: `episodes` is not a list")
+    names = _fields(EpisodeResult)[0]  # every one: a run writes them all
     loaded = []
     for index, raw in enumerate(episodes):
         try:
-            loaded.append(EpisodeResult.from_json_dict(raw))
+            check_keys(raw, names)
+            loaded.append(EpisodeResult(**raw))  # whose constructor reads each field
         except ValueError as exc:
             raise ValueError(f"records {path}: episode {index}: {exc}") from None
     return loaded

@@ -17,7 +17,7 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .agent import (
     OUTCOME_HARNESS_ERROR,
@@ -27,10 +27,10 @@ from .agent import (
     stage_breakdown,
     trace_to_jsonl,
 )
-from .costmodel import PricingConfig, compose_ledger, from_json_object
+from .costmodel import PricingConfig, compose_ledger
 from .engine import Sessions
 from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
-from .metrics import STAGES, EpisodeResult
+from .metrics import STAGES, EpisodeResult, from_json_object, read_json
 from .resultset import (
     ResultTable,
     UndefinedPrecisionError,
@@ -59,7 +59,7 @@ class BackendSpec:
 
     kind: str
     model_id: str
-    name: str = ""  # empty (or null in a plan file): named by its model_id
+    name: str = ""  # empty: named by its model_id
     scripts_dir: Path | None = None
     endpoint: str | None = None
     api_key_env: str | None = None
@@ -91,46 +91,19 @@ class RunPlan:
         """Read a plan; a plan or pricing file that cannot be read, parsed
         or understood raises PlanValidationError("plan <path>: <cause>")."""
         base = Path(path).parent  # what a relative path is relative to
-
-        def backend(i: int, raw: Any) -> BackendSpec:
-            return from_json_object(
-                BackendSpec, raw, f"backends[{i}]",
-                scripts_dir=lambda p: base / p if p else None,
-                supports_tools=bool,
-                rate_limit_per_sec=_optional(float),
-                sampling=lambda section: from_json_object(
-                    SamplingConfig, section, f"backends[{i}].sampling",
-                    temperature=_optional(float), top_p=_optional(float),
-                    max_tokens=_optional(int),
-                ),
-            )
-
         try:
+            raw = json.loads(Path(path).read_text())
             plan = from_json_object(
-                cls, json.loads(Path(path).read_text()),
-                suite=lambda p: base / p,
-                pricing=lambda p: PricingConfig.from_json_file(base / p),
-                backends=lambda raws: [backend(i, raw) for i, raw in enumerate(raws)],
-                repetitions=int,
-                scale_factors=lambda sfs: [float(sf) for sf in sfs],
-                concurrency=int,
-                seed=int,
-                max_spend_usd=_optional(float),
-                agent=lambda section: from_json_object(
-                    AgentConfig, section, "agent", max_iterations=int, sample_rows=int
+                cls, raw, base=base,
+                pricing=lambda p: PricingConfig.from_json_file(
+                    read_json(Path, p, "pricing", base)
                 ),
             )
-        except KeyError as exc:
-            raise PlanValidationError(f"plan {path}: missing key {exc}") from exc
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise PlanValidationError(f"plan {path}: {exc}") from exc
-        plan.output_dir = base / plan.output_dir  # the default `out` too
+        if "output_dir" not in raw:  # the default `out` is beside the plan too
+            plan.output_dir = base / plan.output_dir
         return plan
-
-
-def _optional(convert: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """`convert`, with null read as None."""
-    return lambda value: None if value is None else convert(value)
 
 
 @dataclass
@@ -223,6 +196,10 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
         problems.append(f"max_spend_usd must be >= 0, got {plan.max_spend_usd}")
     if not plan.scale_factors:
         problems.append("scale_factors must be non-empty")
+    # a record refuses a scale factor that is not finite; none runs at <= 0
+    for sf in plan.scale_factors:
+        if not 0 < sf < math.inf:
+            problems.append(f"scale factor {format_sf(sf)} must be finite and > 0")
     # a scale factor and a backend name each name a directory of traces
     for sf, count in Counter(map(format_sf, plan.scale_factors)).items():
         if count > 1:

@@ -28,6 +28,7 @@ from .engine import (
     TableSchema,
     write_schema_file,
 )
+from .metrics import read_json
 from .resultset import ResultTable, json_cell
 
 MIN_SCALE_FACTOR = 0.001
@@ -95,20 +96,21 @@ def load_suite(
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
 
     if isinstance(data, list):
-        raw_cases = data
-        databases_dir = suite_dir / "databases"
-    elif isinstance(data, dict) and isinstance(data.get("cases"), list):
-        raw_cases = data["cases"]
-        databases_dir = suite_dir / data.get("databases_dir", "databases")
-    else:
+        data = {"cases": data}
+    if not (isinstance(data, dict) and isinstance(data.get("cases"), list)):
         raise ManifestError(
             "manifest must be a JSON array of cases or an object with 'cases'"
         )
-
-    cases = [
-        _parse_case(raw, i, databases_dir, scale_factor)
-        for i, raw in enumerate(raw_cases)
-    ]
+    try:
+        databases_dir = read_json(
+            Path, data.get("databases_dir", "databases"), "databases_dir", suite_dir
+        )
+        cases = [
+            _parse_case(raw, i, databases_dir, scale_factor)
+            for i, raw in enumerate(data["cases"])
+        ]
+    except ValueError as exc:  # a value of the wrong JSON type
+        raise ManifestError(str(exc)) from None
     # a case id names the case's trace, script and golden files
     for case_id, count in Counter(case.case_id for case in cases).items():
         if count > 1:
@@ -124,10 +126,14 @@ def _parse_case(
 ) -> QueryCase:
     if not isinstance(raw, dict):
         raise ManifestError(f"case {index} is not a JSON object")
-    case_id = str(raw.get("case_id") or f"q{index + 1:04d}")
-    question = str(raw.get("question", "")).strip()
-    sql = str(raw.get("SQL") or raw.get("sql") or "").strip()
-    db_id = str(raw.get("db_id", "")).strip()
+    # a text field absent, null or empty is missing
+    text = {key: read_json(str | None, raw.get(key), f"cases[{index}].{key}") or ""
+            for key in ("case_id", "question", "SQL", "sql", "db_id")}
+    ordered = read_json(bool, raw.get("ordered", False), f"cases[{index}].ordered")
+    case_id = text["case_id"] or f"q{index + 1:04d}"
+    question = text["question"].strip()
+    sql = (text["SQL"] or text["sql"]).strip()
+    db_id = text["db_id"].strip()
     if "{sf}" in db_id and scale_factor is not None:
         db_id = db_id.replace("{sf}", format_sf(scale_factor))
     case = QueryCase(
@@ -135,7 +141,7 @@ def _parse_case(
         nl_question=question,
         golden_sql=sql,
         database=db_id,
-        ordered=bool(raw.get("ordered", False)),
+        ordered=ordered,
     )
     if not question or not sql or not db_id:
         case.error = "case requires question, SQL, and db_id"

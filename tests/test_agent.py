@@ -624,16 +624,16 @@ MALFORMED_LINES = {
                       "type 'iteratoin' is not meta, iteration or outcome"),
     "exchanges_not_a_list": (iteration_line(exchanges=5), "`exchanges` is not a list"),
     "no_exchanges": (iteration_line().replace(', "exchanges": []', ""),
-                     "missing fields ['exchanges'], unknown fields []"),
+                     "missing key 'exchanges'"),
     "string_input_tokens": (iteration_line(input_tokens="5"),
                             "`input_tokens` is not an int"),
     "bool_index": (iteration_line(index=True), "`index` is not an int"),
     "unreplayable_exchange": (
         iteration_line(exchanges=[{"response": {"text": "x"},
                                    "usage": {"input_tokens": -1}}]),
-        "`usage.input_tokens` is not an int >= 0"),
+        "`exchanges[0].usage.input_tokens` is not an int >= 0"),
     "unknown_field": (iteration_line(note=1),
-                      "missing fields [], unknown fields ['note']"),
+                      "unknown key 'note'"),
     "int_question": ('{"type": "meta", "question": 7, "model_id": "m"}',
                      "`question` is not a string"),
     "unknown_outcome": (

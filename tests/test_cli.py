@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 
 import pytest
@@ -111,7 +112,7 @@ def bad_plan_files(tmp_path, mini_suite_dir) -> list[tuple]:
         ("no_suite.json", json.dumps({k: v for k, v in plan.items() if k != "suite"}),
          "missing key 'suite'"),
         ("bad_value.json", json.dumps({**plan, "repetitions": "two"}),
-         "invalid literal for int()"),
+         "`repetitions` is not an int"),
         ("no_pricing_file.json", json.dumps({**plan, "pricing": "nowhere.json"}),
          "No such file or directory: '" + str(tmp_path / "nowhere.json")),
         ("list.json", "[]", "not a JSON object"),
@@ -213,7 +214,7 @@ def _response_not_an_object(plan, suite, monkeypatch):
     path.write_text('{"response": "hello"}\n')
     return (
         f"backend 'replay-alpha': replay script {path} failed to load: "
-        "line 1: `response` is not an object"
+        "line 1: `response` is not a JSON object"
     )
 
 
@@ -232,7 +233,7 @@ def _usage_not_an_object(plan, suite, monkeypatch):
     path.write_text('{"response": {"text": "x"}, "usage": 7}\n')
     return (
         f"backend 'replay-alpha': replay script {path} failed to load: "
-        "line 1: `usage` is neither null nor an object"
+        "line 1: `usage` is not null or a JSON object"
     )
 
 
@@ -243,6 +244,36 @@ def _estimated_not_a_boolean(plan, suite, monkeypatch):
         f"backend 'replay-alpha': replay script {path} failed to load: "
         "line 1: `estimated` is not a boolean"
     )
+
+
+def _int_backend_name(plan, suite, monkeypatch):
+    plan["backends"][0]["name"] = 5  # would name a trace directory
+    return f"plan {suite / 'plan.json'}: `backends[0].name` is not a string"
+
+
+def _string_supports_tools(plan, suite, monkeypatch):
+    plan["backends"][0]["supports_tools"] = "false"  # bool("false") is True
+    return f"plan {suite / 'plan.json'}: `backends[0].supports_tools` is not a boolean"
+
+
+def _fractional_concurrency(plan, suite, monkeypatch):
+    plan["concurrency"] = 2.7
+    return f"plan {suite / 'plan.json'}: `concurrency` is not an int"
+
+
+def _nan_scale_factor(plan, suite, monkeypatch):
+    plan["scale_factors"] = [math.nan]  # a record refuses it
+    return "scale factor nan must be finite and > 0"
+
+
+def _negative_scale_factor(plan, suite, monkeypatch):
+    plan["scale_factors"] = [1.0, -1]
+    return "scale factor -1 must be finite and > 0"
+
+
+def _zero_scale_factor(plan, suite, monkeypatch):
+    plan["scale_factors"] = [0]
+    return "scale factor 0 must be finite and > 0"
 
 
 def _zero_concurrency(plan, suite, monkeypatch):
@@ -288,7 +319,9 @@ def _case_not_an_object(plan, suite, monkeypatch):
      _response_not_an_object, _exchanges_not_a_list, _usage_not_an_object,
      _estimated_not_a_boolean, _zero_concurrency, _negative_max_spend,
      _repeated_backend_name, _repeated_scale_factor, _repeated_case_id,
-     _case_not_an_object, _unset_key, _empty_key],
+     _case_not_an_object, _unset_key, _empty_key, _int_backend_name,
+     _string_supports_tools, _fractional_concurrency, _nan_scale_factor,
+     _negative_scale_factor, _zero_scale_factor],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(
@@ -387,8 +420,8 @@ def _records_file(text):
         (lambda tmp_path: tmp_path / "absent.json", "No such file or directory"),
         # the pinned untimed copy lacks the clock-derived fields
         (lambda tmp_path: REPO_ROOT / "tests" / "data" / "mini_records_untimed.json",
-         "episode 0: missing fields ['t_gold', 't_gen', 't_e2e', 'stage_seconds', "
-         "'stage_percentages'], unknown fields []"),
+         "episode 0: missing key 't_gold', 't_gen', 't_e2e', 'stage_seconds', "
+         "'stage_percentages'"),
         (_records_file('{"episodes": 5}'), "`episodes` is not a list"),
         (_records_file("{not json"), "Expecting property name"),
     ],
@@ -502,10 +535,31 @@ def test_goldens_materialize_refuses_a_bad_suite_in_one_line(
     not_object = tmp_path / "not_object"
     not_object.mkdir()
     (not_object / "manifest.json").write_text(json.dumps({"cases": ["x"]}))
+    # a field of the wrong type, read as text or truth before
+    mistyped = []
+    for name, edit, problem in [
+        ("int_databases_dir", lambda m: m.update(databases_dir=5),
+         "`databases_dir` is not a string"),
+        ("list_question", lambda m: m["cases"][1].update(question=["x"]),
+         "`cases[1].question` is not null or a string"),
+        ("int_case_id", lambda m: m["cases"][2].update(case_id=5),
+         "`cases[2].case_id` is not null or a string"),
+        ("string_ordered", lambda m: m["cases"][3].update(ordered="false"),
+         "`cases[3].ordered` is not a boolean"),
+        ("int_sql", lambda m: m["cases"][0].update(SQL=7),
+         "`cases[0].SQL` is not null or a string"),
+    ]:
+        copy = tmp_path / name
+        shutil.copytree(mini_suite_dir, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        edit(manifest)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        mistyped.append((copy, problem))
     for path, problem in [
         (tmp_path / "absent", f"manifest not found: {tmp_path / 'absent'}"),
         (suite, "case id 'orders_count' is used by 2 cases"),
         (not_object, "case 0 is not a JSON object"),
+        *mistyped,
     ]:
         code = main(["goldens", "materialize", "--suite", str(path),
                      "--cache-dir", str(tmp_path / "goldens")])

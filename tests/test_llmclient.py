@@ -101,26 +101,26 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
     ):
         ReplayBackend.from_path(path)
     unreplayable = {
-        '{"response": "hello"}': "`response` is not an object",
+        '{"response": "hello"}': "`response` is not a JSON object",
         '{"response": {"text": null}}': "`response.text` is not a string",
         '{"response": {"text": "x", "tool_call": ["list_tables"]}}':
-            "`response.tool_call` is neither null nor an object with a string `name`",
+            "`response.tool_call` is not null or a JSON object",
         "[1, 2]": "not a JSON object",
         iteration_line(exchanges=5): "`exchanges` is not a list",
         '{"response": {"text": "x"}, "fingerprint": 5}':
-            "`fingerprint` is neither null nor a string",
+            "`fingerprint` is not null or a string",
         '{"response": {"text": "x"}, "usage": 7}':
-            "`usage` is neither null nor an object",
+            "`usage` is not null or a JSON object",
         '{"response": {"text": "x"}, "estimated": "false"}':
             "`estimated` is not a boolean",
         '{"response": {"text": "x"}, "usage": {"input_tokens": "abc", '
-        '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
+        '"output_tokens": 1}}': "`usage.input_tokens` is not an int",
         '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '
         '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
         iteration_line(exchanges=[
             {"response": {"text": "x"},
              "usage": {"input_tokens": 1, "output_tokens": True}},
-        ]): "`usage.output_tokens` is not an int >= 0",
+        ]): "`exchanges[0].usage.output_tokens` is not an int",
         '{"response": {"text": "x"},': "not JSON: Expecting property name "
             "enclosed in double quotes at column 28",
     }
@@ -275,7 +275,7 @@ def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, cou
     [
         ({"content": [{"type": "text", "text": "hi"}]}, "`response.text`"),
         ({"content": "", "tool_calls": [{"function": {"name": 5}}]},
-         "`response.tool_call`"),
+         "`response.tool_call.name`"),
     ],
     ids=["list-content", "int-tool-name"],
 )

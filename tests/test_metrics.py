@@ -296,20 +296,20 @@ def test_record_valid_property():
         (dict(t_e2e=math.inf), "t_e2e must be finite: inf"),
         (dict(c_e2e=math.nan), "c_e2e must be finite: nan"),
         (dict(precision=math.nan), "precision must be finite: nan"),
-        (dict(case_id=7), "case_id must be str: 7"),
-        (dict(exact=1), "exact must be bool: 1"),
-        (dict(c_e2e="0.01"), "c_e2e must be float: '0.01'"),
+        (dict(case_id=7), "`case_id` is not a string"),
+        (dict(exact=1), "`exact` is not a boolean"),
+        (dict(c_e2e="0.01"), "`c_e2e` is not a number"),
         (dict(stage_cost={"run": math.nan}), "stage_cost values must be finite"),
         (dict(stage_seconds={"run": -1.0}), "stage_seconds values must be finite"),
         (dict(indicator=0, exact=True, t_gen=0.0),
          "an exact result must have indicator 1, got 0"),
-        (dict(rep=True), "repetition must be int: True"),
-        (dict(indicator=True), "indicator must be int: True"),
-        (dict(sf=True), "scale_factor must be float: True"),
-        (dict(t_gold=True), "t_gold must be float: True"),
-        (dict(c_e2e=False), "c_e2e must be float: False"),
-        (dict(stage_seconds={"run": True}), "stage_seconds values must be finite"),
-        (dict(stage_cost={"run": False}), "stage_cost values must be finite"),
+        (dict(rep=True), "`repetition` is not an int"),
+        (dict(indicator=True), "`indicator` is not an int"),
+        (dict(sf=True), "`scale_factor` is not a number"),
+        (dict(t_gold=True), "`t_gold` is not a number"),
+        (dict(c_e2e=False), "`c_e2e` is not a number"),
+        (dict(stage_seconds={"run": True}), "`stage_seconds.run` is not a number"),
+        (dict(stage_cost={"run": False}), "`stage_cost.run` is not a number"),
     ],
 )
 def test_record_refuses_what_a_report_cannot_render(overrides, message):
@@ -324,7 +324,7 @@ def test_load_records_names_the_episode_and_its_missing_and_unknown_fields(tmp_p
     path = tmp_path / "records.json"
     path.write_text(json.dumps({"episodes": [good, bad]}))
     expected = (
-        f"records {path}: episode 1: missing fields ['t_gen'], unknown fields ['note']"
+        f"records {path}: episode 1: missing key 't_gen'; unknown key 'note'"
     )
     with pytest.raises(ValueError, match=re.escape(expected)):
         load_records(path)

@@ -7,11 +7,14 @@ out of the breakdown without an error.  This check keeps renames honest.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
+from bigsqlbench.llmclient import ReplayBackend
+from bigsqlbench.runner import RunPlan
 from tests.conftest import REPO_ROOT
 
 
@@ -34,3 +37,23 @@ def test_every_perfbench_hook_target_exists():
     )
     assert completed.returncode == 0, completed.stderr
     assert json.loads(completed.stdout) == []
+
+
+def test_every_benchmark_input_reads(tmp_path, monkeypatch):
+    # perfbench writes `"rate": 0` and whole-number prices: a reader that
+    # refused them would fail every benchmark run before it started
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO_ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workloads.build(workload, 1, REPO_ROOT, tmp_path / name)
+        plan = RunPlan.from_json_file(inputs.plan)
+        assert [b.name for b in plan.backends] == [m.name for m in workload.models]
+        scripts = [path for backend in plan.backends
+                   for path in sorted(backend.scripts_dir.glob("*.jsonl"))]
+        assert scripts
+        for path in scripts:
+            assert ReplayBackend.from_path(path).entries, path

@@ -240,22 +240,32 @@ def test_unknown_plan_key_rejected(mini_suite_dir, tmp_path, edit, message):
 
 
 def test_sampling_values_are_read_as_numbers(mini_suite_dir, tmp_path):
-    def strings(data):
+    def numbers(data):
         data["backends"][0]["sampling"] = {
-            "temperature": "0.5", "top_p": None, "max_tokens": "64",
+            "temperature": 1, "top_p": None, "max_tokens": 64,
         }
 
-    plan = RunPlan.from_json_file(write_plan(mini_suite_dir, tmp_path, strings))
+    plan = RunPlan.from_json_file(write_plan(mini_suite_dir, tmp_path, numbers))
     payload = plan.backends[0].sampling.to_payload()
-    assert payload == {"temperature": 0.5, "max_tokens": 64}
+    assert payload == {"temperature": 1.0, "max_tokens": 64}
     assert type(payload["temperature"]) is float and type(payload["max_tokens"]) is int
 
-    def word(data):
-        data["backends"][0]["sampling"] = {"temperature": "hot"}
+    # a string is refused, never converted
+    for key, value, expected in [
+        ("temperature", "0.5", "null or a number"),
+        ("temperature", "hot", "null or a number"),
+        ("max_tokens", "64", "null or an int"),
+        ("max_tokens", 64.0, "null or an int"),
+    ]:
+        def text(data):
+            data["backends"][0]["sampling"] = {key: value}
 
-    plan_path = write_plan(mini_suite_dir, tmp_path, word)
-    with pytest.raises(PlanValidationError, match="could not convert string to float"):
-        RunPlan.from_json_file(plan_path)
+        plan_path = write_plan(mini_suite_dir, tmp_path, text)
+        with pytest.raises(PlanValidationError) as raised:
+            RunPlan.from_json_file(plan_path)
+        assert str(raised.value) == (
+            f"plan {plan_path}: `backends[0].sampling.{key}` is not {expected}"
+        )
 
 
 def test_plan_without_optional_keys_reads_to_the_dataclass_defaults(
