@@ -17,11 +17,10 @@ from typing import Any, Sequence
 
 from .engine import EmbeddedEngine, EngineError, SessionClosedError, TableNotFoundError
 from .llmclient import (
-    ChatExchange,
+    ExchangeRecord,
     LlmBackend,
     LlmTransportError,
     ReplayExhaustedError,
-    check_exchange,
     json_lines,
 )
 from .metrics import StageUsage, read_fields, read_json
@@ -164,7 +163,7 @@ class Iteration:
     output_tokens: int = 0
     engine_seconds: float = 0.0
     engine_bytes: int = 0
-    exchanges: list[dict[str, Any]] = field(default_factory=list)
+    exchanges: list[ExchangeRecord] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
@@ -209,11 +208,7 @@ class AgentTrace:
     @property
     def uses_estimated_tokens(self) -> bool:
         """True when any exchange lacked provider counts and was estimated."""
-        return any(
-            ex.get("estimated", False)
-            for it in self.iterations
-            for ex in it.exchanges
-        )
+        return any(ex.estimated for it in self.iterations for ex in it.exchanges)
 
 
 def stage_for_action(action: str | None) -> str:
@@ -268,7 +263,7 @@ def tool_get_schema(
     return "\n\n".join(sections)
 
 
-def tool_check_query(llm: LlmBackend, sql: str) -> ChatExchange:
+def tool_check_query(llm: LlmBackend, sql: str) -> ExchangeRecord:
     """Send the query to the checker model; its verdict text is the observation."""
     if not sql.strip():
         raise ToolError("check_query requires a non-empty sql string")
@@ -333,17 +328,17 @@ class ParsedStep:
 _UNPARSED = ParsedStep("", None, {}, None)  # an open iteration's reply until it parses
 
 
-def parse_controller_reply(exchange: ChatExchange) -> ParsedStep:
+def parse_controller_reply(exchange: ExchangeRecord) -> ParsedStep:
     """Decode a controller reply: structured tool call or the text protocol."""
-    if exchange.tool_call is not None:
-        arguments = exchange.tool_call.get("arguments")
+    text, tool_call = exchange.response.text, exchange.response.tool_call
+    if tool_call is not None:
+        arguments = tool_call.arguments
         return ParsedStep(
-            thought=exchange.response_text.strip(),
-            action=exchange.tool_call.get("name"),
+            thought=text.strip(),
+            action=tool_call.name,
             action_input={} if arguments is None else _action_arguments(arguments),
             final_answer=None,
         )
-    text = exchange.response_text
     thought_match = _THOUGHT_RE.search(text)
     thought = thought_match.group(1).strip() if thought_match else ""
     action_match = _ACTION_RE.search(text)
@@ -405,13 +400,10 @@ def _tables_argument(args: dict[str, Any]) -> list[str]:
 
 
 def _sample_rows_argument(args: dict[str, Any], default: int) -> int:
-    value = args.get("sample_rows", default)
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ToolError(
-            f"get_schema: sample_rows is not an integer: {value!r}"
-        ) from exc
+        return read_json(int, args.get("sample_rows", default), "sample_rows")
+    except ValueError as exc:
+        raise ToolError(f"get_schema: {exc}") from None
 
 
 # --- the loop ----------------------------------------------------------------
@@ -442,7 +434,7 @@ def run_agent(
     # stage seconds sum to e2e and breakdown percentages sum to 100.
     started = time.perf_counter()
     # the exchanges of the open iteration, whose parsed reply is `step`
-    exchanges: list[dict[str, Any]] = []
+    exchanges: list[ExchangeRecord] = []
 
     def end_iteration(
         action: str | None, observation: str, engine_seconds: float = 0.0
@@ -459,8 +451,8 @@ def run_agent(
                 observation=observation,
                 started_at=started,
                 ended_at=ended,
-                input_tokens=sum(ex["usage"]["input_tokens"] for ex in exchanges),
-                output_tokens=sum(ex["usage"]["output_tokens"] for ex in exchanges),
+                input_tokens=sum(ex.usage.input_tokens for ex in exchanges),
+                output_tokens=sum(ex.usage.output_tokens for ex in exchanges),
                 engine_seconds=engine_seconds,
                 exchanges=exchanges,
             )
@@ -477,7 +469,7 @@ def run_agent(
                 trace.outcome, trace.error = OUTCOME_LLM_ERROR, str(exc)
                 return trace
 
-            exchanges = [exchange.to_record()]
+            exchanges = [exchange]
             try:
                 step = parse_controller_reply(exchange)
             except ActionParseError as exc:
@@ -490,7 +482,7 @@ def run_agent(
                 trace.outcome, trace.final_answer = OUTCOME_COMPLETED, step.final_answer
                 return trace
 
-            messages.append({"role": "assistant", "content": exchange.response_text})
+            messages.append({"role": "assistant", "content": exchange.response.text})
 
             action = step.action or ""
             if action not in _TOOL_STAGE:
@@ -521,8 +513,8 @@ def run_agent(
                     checker_exchange = tool_check_query(
                         llm, _sql_argument(step.action_input)
                     )
-                    exchanges.append(checker_exchange.to_record())
-                    observation = checker_exchange.response_text
+                    exchanges.append(checker_exchange)
+                    observation = checker_exchange.response.text
                 elif action == "run_query":
                     run_sql = _sql_argument(step.action_input)
                     run_result, engine_seconds = tool_run_query(engine, run_sql)
@@ -602,12 +594,12 @@ def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
     meta = {name: getattr(trace, name) for name in _LINES["meta"][1]}
     lines = [json.dumps({"type": "meta", **meta}, sort_keys=True)]
     # json.dumps only reads the nested action_input/exchanges values, so they
-    # go in as they are, not deep-copied
+    # go in as they are, not deep-copied; an exchange is written as its fields
     names = _ITERATION_FIELDS if include_timing else _UNTIMED_ITERATION_FIELDS
     for it in trace.iterations:
         record = {name: getattr(it, name) for name in names}
         record["type"] = "iteration"
-        lines.append(json.dumps(record, sort_keys=True))
+        lines.append(json.dumps(record, sort_keys=True, default=vars))
     outcome = {name: getattr(trace, name) for name in _LINES["outcome"][1]}
     outcome.update(type="outcome", final_result=(
         trace.final_result and _logged_result(trace.final_result)
@@ -645,10 +637,10 @@ def _logged_result(table: ResultTable) -> dict[str, Any]:
 
 def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str, Any]]:
     """The `type` and other fields of trace line `number`, which must be one
-    `trace_to_jsonl` could write, else ValueError naming the line.  The
-    fields of an iteration are `Iteration` arguments (an untimed one's clock
-    fields read as 0.0); an outcome's `final_result` is a ResultTable, or
-    None when the line holds none or a result cut to a prefix of its rows."""
+    `trace_to_jsonl` could write, else ValueError naming the line and path.
+    An iteration's fields are `Iteration` arguments (exchanges ExchangeRecords,
+    an untimed one's clock fields 0.0); an outcome's `final_result` is a
+    ResultTable, or None when the line holds none or a cut result."""
     kind = record.get("type")
     if kind not in _LINES:
         raise ValueError(
@@ -659,8 +651,6 @@ def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str,
     try:
         if kind == "iteration":
             values = read_fields(cls, raw, names, _CLOCK_FIELDS)
-            for i, exchange in enumerate(values["exchanges"]):
-                check_exchange(exchange, f"exchanges[{i}]")
             for name in _CLOCK_FIELDS:
                 values.setdefault(name, 0.0)
         else:
@@ -681,10 +671,7 @@ def _read_final_result(table: Any) -> ResultTable | None:
     if table is None:
         return None
     kept = {name: value for name, value in table.items() if name != "row_count"}
-    try:
-        result = ResultTable.from_json_dict(kept)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"`final_result` is not a result table: {exc!r}") from None
+    result = ResultTable.from_json_dict(kept, "final_result")
     if "row_count" in table:  # a cut result
         count = table["row_count"]
         if type(count) is not int or count <= result.n_rows:

@@ -14,11 +14,11 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .metrics import from_json_object
+from .metrics import Count, from_json_object
 
 _WS_RE = re.compile(r"\s+")
 
@@ -54,30 +54,37 @@ class SamplingConfig:
         return payload
 
 
-@dataclass
-class ChatExchange:
-    """One request/response turn with its token usage."""
+@dataclass(frozen=True)
+class _ToolCall:
+    name: str
+    arguments: Any = None
 
-    response_text: str
-    tool_call: dict[str, Any] | None = None
-    input_tokens: int = 0
-    output_tokens: int = 0
-    estimated: bool = False
-    # of the request: computed for a live exchange, copied from the script
-    # for a replayed one (None when the script has none)
+
+@dataclass(frozen=True)
+class _Response:
+    text: str = ""
+    tool_call: _ToolCall | None = None
+
+
+@dataclass(frozen=True)
+class _Usage:
+    input_tokens: Count | None = None
+    output_tokens: Count | None = None
+
+
+@dataclass(frozen=True)
+class ExchangeRecord:
+    """One request/response turn with its token usage: what `complete`
+    returns, an iteration holds and a script line (bare, or in a trace's
+    iteration line) is.  `complete` bills a usage lacking either count at
+    length/4 estimates, which a trace records as counts, flagged `estimated`.
+    The request's fingerprint is computed for a live exchange and copied
+    from the script for a replayed one."""
+
+    response: _Response
     fingerprint: str | None = None
-
-    def to_record(self) -> dict[str, Any]:
-        """The exchange as a trace's iteration line records it."""
-        return {
-            "fingerprint": self.fingerprint,
-            "response": {"text": self.response_text, "tool_call": self.tool_call},
-            "usage": {
-                "input_tokens": self.input_tokens,
-                "output_tokens": self.output_tokens,
-            },
-            "estimated": self.estimated,
-        }
+    usage: _Usage | None = None
+    estimated: bool = False
 
 
 def fingerprint_messages(messages: Sequence[dict[str, str]]) -> str:
@@ -98,25 +105,18 @@ def estimate_tokens(text: str) -> int:
     return max(1, len(text) // 4) if text else 0
 
 
-def _exchange(
-    messages: Sequence[dict[str, str]],
-    text: str,
-    tool_call: dict[str, Any] | None,
-    counts: tuple[Any, Any] | None,
-    estimated: bool,
-    fingerprint: str | None,
-) -> ChatExchange:
-    """An exchange billed with `counts` (input, output) when there are any,
-    else with length/4 estimates, flagged as estimated."""
-    if counts is None:
-        counts = (
-            sum(estimate_tokens(str(m.get("content", ""))) for m in messages),
-            estimate_tokens(text),
-        )
-        estimated = True
-    return ChatExchange(
-        text, tool_call, int(counts[0]), int(counts[1]), estimated, fingerprint
-    )
+def _billed(
+    record: ExchangeRecord, messages: Sequence[dict[str, str]]
+) -> ExchangeRecord:
+    """`record` billed by its usage when that has both counts, else by
+    length/4 estimates, flagged as estimated."""
+    usage = record.usage
+    if usage and usage.input_tokens is not None and usage.output_tokens is not None:
+        return record
+    return replace(record, estimated=True, usage=_Usage(
+        sum(estimate_tokens(str(m.get("content", ""))) for m in messages),
+        estimate_tokens(record.response.text),
+    ))
 
 
 class LlmBackend:
@@ -128,7 +128,7 @@ class LlmBackend:
         self,
         messages: Sequence[dict[str, str]],
         tool_schemas: Sequence[dict[str, Any]] | None = None,
-    ) -> ChatExchange:
+    ) -> ExchangeRecord:
         raise NotImplementedError
 
 
@@ -141,7 +141,7 @@ class ReplayBackend(LlmBackend):
     its list, each with its own cursor.
     """
 
-    def __init__(self, entries: list[dict[str, Any]], model_id: str = "replay"):
+    def __init__(self, entries: list[ExchangeRecord], model_id: str = "replay"):
         self.entries = entries
         self.model_id = model_id
         self._cursor = 0
@@ -151,7 +151,7 @@ class ReplayBackend(LlmBackend):
         """Load a script file; episode traces expand to their embedded exchanges.
 
         A line with a `type` is a trace line, read by `agent.read_trace_line`;
-        any other line is an exchange record, checked by `check_exchange`.
+        any other line is an `ExchangeRecord`, read by `from_json_object`.
         A line that either refuses raises ValueError naming its number, since
         replaying without it would blame the model for a broken script.  So
         does a `harness-error` outcome line: replaying that trace would blame
@@ -160,15 +160,14 @@ class ReplayBackend(LlmBackend):
         # agent imports this module, so its reader is imported when first used
         from .agent import OUTCOME_HARNESS_ERROR, read_trace_line
 
-        entries: list[dict[str, Any]] = []
+        entries: list[ExchangeRecord] = []
         with open(path) as handle:
             for number, record in json_lines(handle):
                 if "type" not in record:
                     try:
-                        check_exchange(record)
+                        entries.append(from_json_object(ExchangeRecord, record))
                     except ValueError as exc:
                         raise ValueError(f"line {number}: {exc}") from None
-                    entries.append(record)
                     continue
                 kind, values = read_trace_line(record, number)
                 if kind == "iteration":
@@ -184,14 +183,14 @@ class ReplayBackend(LlmBackend):
         self,
         messages: Sequence[dict[str, str]],
         tool_schemas: Sequence[dict[str, Any]] | None = None,
-    ) -> ChatExchange:
+    ) -> ExchangeRecord:
         if self._cursor >= len(self.entries):
             raise ReplayExhaustedError(
                 f"replay script exhausted after {len(self.entries)} exchanges"
             )
         entry = self.entries[self._cursor]
         self._cursor += 1
-        expected = entry.get("fingerprint")
+        expected = entry.fingerprint
         if expected:
             actual = fingerprint_messages(messages)
             if actual != expected:
@@ -199,16 +198,7 @@ class ReplayBackend(LlmBackend):
                     f"request fingerprint {actual[:12]} does not match recorded "
                     f"{expected[:12]} at exchange {self._cursor}"
                 )
-        response = entry.get("response", {})
-        usage = entry.get("usage") or {}
-        counts = None
-        if "input_tokens" in usage and "output_tokens" in usage:
-            counts = (usage["input_tokens"], usage["output_tokens"])
-        # a trace records its estimates as counts, flagged `estimated`
-        return _exchange(
-            messages, response.get("text", ""), response.get("tool_call"), counts,
-            entry.get("estimated", False), expected,
-        )
+        return _billed(entry, messages)
 
 
 def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -226,47 +216,6 @@ def json_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict[str, Any]]]:
         if not isinstance(record, dict):
             raise ValueError(f"line {number}: not a JSON object")
         yield number, record
-
-
-@dataclass(frozen=True)
-class _ToolCall:
-    name: str
-    arguments: Any = None
-
-
-@dataclass(frozen=True)
-class _Response:
-    text: str = ""
-    tool_call: _ToolCall | None = None
-
-
-@dataclass(frozen=True)
-class _Usage:
-    input_tokens: int = 0
-    output_tokens: int = 0
-
-
-@dataclass(frozen=True)
-class ExchangeRecord:
-    """The shape of an exchange as a replay script or a trace's iteration
-    line records it.  `complete` reads the record itself: usage lacking
-    either count is estimated, as a record without usage is."""
-
-    response: _Response
-    fingerprint: str | None = None
-    usage: _Usage | None = None
-    estimated: bool = False
-
-
-def check_exchange(record: Any, where: str = "") -> None:
-    """Raise ValueError naming the path unless `record`, at path `where` of
-    its line ("" for the line itself), is an exchange `complete` can
-    replay: an `ExchangeRecord` whose token counts are >= 0."""
-    usage = from_json_object(ExchangeRecord, record, where).usage or _Usage()
-    prefix = f"{where}." if where else ""
-    for key in ("input_tokens", "output_tokens"):
-        if getattr(usage, key) < 0:
-            raise ValueError(f"`{prefix}usage.{key}` is not an int >= 0")
 
 
 # Besides 5xx, the statuses that may succeed when sent again.
@@ -324,7 +273,7 @@ class HttpBackend(LlmBackend):
         self,
         messages: Sequence[dict[str, str]],
         tool_schemas: Sequence[dict[str, Any]] | None = None,
-    ) -> ChatExchange:
+    ) -> ExchangeRecord:
         payload: dict[str, Any] = {
             "model": self.model_id,
             "messages": list(messages),
@@ -375,10 +324,8 @@ class HttpBackend(LlmBackend):
 
     def _parse(
         self, data: dict[str, Any], messages: Sequence[dict[str, str]]
-    ) -> ChatExchange:
-        choice = data["choices"][0]
-        message = choice.get("message", {})
-        text = message.get("content") or ""
+    ) -> ExchangeRecord:
+        message = data["choices"][0].get("message", {})
         tool_call = None
         calls = message.get("tool_calls") or []
         if calls:
@@ -391,17 +338,14 @@ class HttpBackend(LlmBackend):
                     arguments = {"raw": arguments}
             tool_call = {"name": function.get("name", ""), "arguments": arguments}
         usage = data.get("usage") or {}
-        counts = None
-        if "prompt_tokens" in usage and "completion_tokens" in usage:
-            counts = (usage["prompt_tokens"], usage["completion_tokens"])
-        # the rule a trace's exchange keeps, so that the trace reads back
+        counts = (usage.get("prompt_tokens"), usage.get("completion_tokens"))
+        # read as a trace's exchange is, so that the trace reads back
         try:
-            check_exchange(
-                {"response": {"text": text, "tool_call": tool_call},
-                 "usage": dict(zip(("input_tokens", "output_tokens"), counts or ()))}
-            )
+            record = from_json_object(ExchangeRecord, {
+                "fingerprint": fingerprint_messages(messages),
+                "response": {"text": message.get("content") or "", "tool_call": tool_call},
+                "usage": {"input_tokens": counts[0], "output_tokens": counts[1]},
+            })
         except ValueError as exc:
             raise ValueError(f"reply with usage counts {counts}: {exc}") from None
-        return _exchange(
-            messages, text, tool_call, counts, False, fingerprint_messages(messages)
-        )
+        return _billed(record, messages)

@@ -72,8 +72,19 @@ _Reading = tuple[tuple[type, ...], str, Callable[[Any, str, Path], Any] | None]
 
 
 _ANY: _Reading = ((dict, list, str, int, float, bool, type(None)), "a JSON value", None)
+# the annotation of an int that must be >= 0, such as a token count
+Count = typing.NewType("Count", int)
+
+
+def _count(value: int, path: str, base: Path) -> int:
+    if value < 0:
+        raise ValueError(f"`{path}` is not an int >= 0")
+    return value
+
+
 _SCALARS: dict[Any, _Reading] = {
     Any: _ANY, str: ((str,), "a string", None), int: ((int,), "an int", None),
+    Count: ((int,), "an int >= 0", _count),
     bool: ((bool,), "a boolean", None),
     float: ((float,), "a number", None),  # an int is read as one too (`_read`)
     # a path is relative to the directory of its file

@@ -17,6 +17,8 @@ from itertools import chain, compress
 from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
+from .metrics import from_json_object
+
 logger = logging.getLogger(__name__)
 
 TYPE_TAGS = ("integer", "float", "text", "bool", "date", "blob", "null")
@@ -147,28 +149,21 @@ class ResultTable:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "ResultTable":
-        """Inverse of to_json_dict, refusing what it cannot have written with
-        KeyError (a missing key) or ValueError; a blob column's hex text
-        cells (see `json_cell`) are read back as bytes."""
-        columns, rows = data["columns"], data["rows"]
-        if len(data) != 2:
-            raise ValueError(f"keys {sorted(data)} are not columns and rows")
-        if not isinstance(columns, list) or not all(
-            isinstance(c, dict) and c.keys() == {"name", "type"}
-            and isinstance(c["name"], str) for c in columns
-        ):
-            raise ValueError("columns are not a list of a string name and a type")
-        cols = tuple(Column(c["name"], c["type"]) for c in columns)
-        if not isinstance(rows, list):
-            raise ValueError("rows are not a list")
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != len(cols) or not all(
-                type(v) in _JSON_SCALARS for v in row
-            ):
-                raise ValueError(f"row {i} is not a list of {len(cols)} JSON scalars")
-        rows = tuple(tuple(r) for r in rows)
-        blob = [c.type_tag == "blob" for c in cols]
+    def from_json_dict(cls, data: Any, where: str = "") -> "ResultTable":
+        """Inverse of to_json_dict for the JSON value at path `where` of its
+        file, refusing what it cannot have written with ValueError naming the
+        path; a blob column's hex text cells (see `json_cell`) are read back
+        as bytes."""
+        table = from_json_object(_JsonTable, data, where)
+        prefix = f"{where}." if where else ""
+        columns = tuple(Column(c.name, c.type) for c in table.columns)
+        for i, row in enumerate(table.rows):
+            if len(row) != len(columns) or not all(type(v) in _JSON_SCALARS for v in row):
+                raise ValueError(
+                    f"`{prefix}rows[{i}]` is not a list of {len(columns)} JSON scalars"
+                )
+        rows = tuple(tuple(r) for r in table.rows)
+        blob = [c.type_tag == "blob" for c in columns]
         if any(blob):
             rows = tuple(
                 tuple(
@@ -177,7 +172,21 @@ class ResultTable:
                 )
                 for row in rows
             )
-        return cls(cols, rows)
+        return cls(columns, rows)
+
+
+@dataclass(frozen=True)
+class _JsonColumn:
+    name: str
+    type: str
+
+
+@dataclass(frozen=True)
+class _JsonTable:
+    """A result table as `ResultTable.to_json_dict` writes it."""
+
+    columns: list[_JsonColumn]
+    rows: list[list[Any]]
 
 
 def _infer_tag(value: Any) -> str:

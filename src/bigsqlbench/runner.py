@@ -29,7 +29,13 @@ from .agent import (
 )
 from .costmodel import PricingConfig, compose_ledger
 from .engine import Sessions
-from .llmclient import HttpBackend, LlmBackend, ReplayBackend, SamplingConfig
+from .llmclient import (
+    ExchangeRecord,
+    HttpBackend,
+    LlmBackend,
+    ReplayBackend,
+    SamplingConfig,
+)
 from .metrics import STAGES, EpisodeResult, from_json_object, read_json
 from .resultset import (
     ResultTable,
@@ -176,7 +182,7 @@ class _Preflight:
     # the suite as loaded for each scale factor, in plan order
     cases: dict[float, list[QueryCase]]
     # (backend name, case id, repetition) -> the entries of its replay script
-    scripts: dict[tuple[str, str, int], list[dict[str, Any]]]
+    scripts: dict[tuple[str, str, int], list[ExchangeRecord]]
 
 
 def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
@@ -231,7 +237,7 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
         problems.append("suite has no usable cases")
 
     # Each script is read once per run, so an edit between runs is seen.
-    scripts: dict[tuple[str, str, int], list[dict[str, Any]]] = {}
+    scripts: dict[tuple[str, str, int], list[ExchangeRecord]] = {}
     for spec in plan.backends:
         if spec.model_id not in plan.pricing.models:
             problems.append(f"backend {spec.name!r} has no pricing entry")
@@ -252,7 +258,7 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
                 continue
             # file name -> its entries, None if it is missing or failed to
             # parse: each file is parsed, and each problem reported, once
-            by_name: dict[str, list[dict[str, Any]] | None] = {}
+            by_name: dict[str, list[ExchangeRecord] | None] = {}
             for case_id in usable:
                 for rep in range(plan.repetitions):
                     name = f"{case_id}_r{rep}.jsonl"
@@ -284,7 +290,7 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
 
 def _load_script(
     spec: BackendSpec, case_id: str, name: str, problems: list[str]
-) -> list[dict[str, Any]] | None:
+) -> list[ExchangeRecord] | None:
     """The entries of replay script `name` in spec's scripts_dir, or None
     with the reason appended to `problems`."""
     path = spec.scripts_dir / name
@@ -311,7 +317,7 @@ class _EpisodeSpec:
     golden: ResultTable
     golden_t: float
     # replay entries shared by every episode replaying one script; read-only
-    script: list[dict[str, Any]] | None
+    script: list[ExchangeRecord] | None
     trace_dir: Path
 
 

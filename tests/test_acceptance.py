@@ -21,10 +21,11 @@ import pytest
 from bigsqlbench.agent import AgentConfig, run_agent, stage_breakdown, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing, PricingEntry, compose_ledger, llm_cost
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
-from bigsqlbench.llmclient import ReplayBackend
+from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend
 from bigsqlbench.metrics import (
     aggregate,
     cvq,
+    from_json_object,
     ves_per_query,
     ves_star_per_query,
     vces_per_query,
@@ -339,7 +340,7 @@ def test_acceptance_7_structural_checks(sessions, sf_tiny_dir, sf_small_dir):
 
 # --- 8: data scale shifts run share and expected cost ---
 
-_SCALE_SCRIPT = [
+_SCALE_SCRIPT = [from_json_object(ExchangeRecord, entry) for entry in [
     {
         "response": {
             "text": "Thought: look around.\nAction: list_tables\nAction Input: {}",
@@ -357,7 +358,7 @@ _SCALE_SCRIPT = [
         },
         "usage": {"input_tokens": 1200, "output_tokens": 90},
     },
-]
+]]
 
 
 def _scale_episode(engine):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -27,18 +28,19 @@ from bigsqlbench.agent import (
     truncate_observation,
 )
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
-from bigsqlbench.llmclient import ChatExchange, ReplayBackend, ReplayMismatchError
+from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, ReplayMismatchError
+from bigsqlbench.metrics import from_json_object
 from bigsqlbench.resultset import ResultTable, json_cell
 from tests.conftest import iteration_line
 from tests.oracles import trace_to_jsonl_asdict
 
 
-def entry(text, in_tok=100, out_tok=10):
-    return {
+def entry(text, in_tok=100, out_tok=10, tool_call=None):
+    return from_json_object(ExchangeRecord, {
         "fingerprint": None,
-        "response": {"text": text, "tool_call": None},
+        "response": {"text": text, "tool_call": tool_call},
         "usage": {"input_tokens": in_tok, "output_tokens": out_tok},
-    }
+    })
 
 
 def action_text(tool, payload):
@@ -103,13 +105,13 @@ def test_tool_get_schema_unknown_table_inline_error(shop_engine):
 def test_tool_check_query_verbatim_verdict():
     checker = ReplayBackend([entry("query OK")])
     exchange = tool_check_query(checker, "SELECT 1")
-    assert exchange.response_text == "query OK"
+    assert exchange.response.text == "query OK"
 
 
 def test_tool_check_query_corrected_sql():
     checker = ReplayBackend([entry("SELECT name FROM t WHERE x = 'y'")])
     exchange = tool_check_query(checker, "SELECT name FROM t WHERE x = 'y")
-    assert "SELECT name" in exchange.response_text
+    assert "SELECT name" in exchange.response.text
 
 
 def test_tool_check_query_empty_sql():
@@ -136,7 +138,7 @@ def test_tool_run_query_invalid_sql(shop_engine):
 
 def test_parse_text_protocol_action():
     step = parse_controller_reply(
-        ChatExchange(response_text=action_text("run_query", {"sql": "SELECT 1"}))
+        entry(action_text("run_query", {"sql": "SELECT 1"}))
     )
     assert step.action == "run_query"
     assert step.action_input == {"sql": "SELECT 1"}
@@ -145,7 +147,7 @@ def test_parse_text_protocol_action():
 
 def test_parse_final_answer():
     step = parse_controller_reply(
-        ChatExchange(response_text="Thought: done.\nFinal Answer: 42 orders")
+        entry("Thought: done.\nFinal Answer: 42 orders")
     )
     assert step.final_answer == "42 orders"
     assert step.action is None
@@ -153,10 +155,7 @@ def test_parse_final_answer():
 
 def test_parse_structured_tool_call_takes_precedence():
     step = parse_controller_reply(
-        ChatExchange(
-            response_text="calling tool",
-            tool_call={"name": "list_tables", "arguments": {}},
-        )
+        entry("calling tool", tool_call={"name": "list_tables", "arguments": {}})
     )
     assert step.action == "list_tables"
 
@@ -167,8 +166,7 @@ def test_parse_structured_tool_call_takes_precedence():
 )
 @pytest.mark.parametrize("tool", ["get_schema", "run_query"])
 def test_structured_arguments_score_as_text_arguments(shop_engine, tool, arguments):
-    structured_entry = entry("")
-    structured_entry["response"]["tool_call"] = {"name": tool, "arguments": arguments}
+    structured_entry = entry("", tool_call={"name": tool, "arguments": arguments})
     text, structured = (
         run_agent("q", AgentConfig(max_iterations=1), ReplayBackend([e]), shop_engine)
         for e in (entry(action_text(tool, arguments)), structured_entry)
@@ -184,14 +182,12 @@ def test_structured_arguments_score_as_text_arguments(shop_engine, tool, argumen
 
 def test_parse_malformed_raises():
     with pytest.raises(ActionParseError):
-        parse_controller_reply(ChatExchange(response_text="just some prose"))
+        parse_controller_reply(entry("just some prose"))
 
 
 def test_parse_raw_action_input_fallback():
     step = parse_controller_reply(
-        ChatExchange(
-            response_text="Thought: t\nAction: run_query\nAction Input: SELECT 1"
-        )
+        entry("Thought: t\nAction: run_query\nAction Input: SELECT 1")
     )
     assert step.action_input == {"raw": "SELECT 1"}
 
@@ -251,13 +247,15 @@ def test_run_query_error_terminates_episode(shop_engine):
     assert trace.final_result is None
 
 
-@pytest.mark.parametrize("sample_rows", ["abc", None, float("inf")])
+# a malformed argument is the model's error, not a number of rows to serve
+@pytest.mark.parametrize("sample_rows", ["abc", None, float("inf"), True, 2.9, "2"])
 def test_non_integer_sample_rows_is_tool_error(shop_engine, sample_rows):
     args = {"tables": ["orders"], "sample_rows": sample_rows}
     script = [entry(action_text("get_schema", args))]
     trace = run_agent("bad args", AgentConfig(), ReplayBackend(script), shop_engine)
-    assert trace.outcome == "tool-error"
-    assert "sample_rows" in trace.error
+    assert (trace.outcome, trace.error) == (
+        "tool-error", "get_schema: `sample_rows` is not an int"
+    )
 
 
 def test_tables_argument_string_or_non_list(shop_engine):
@@ -296,8 +294,8 @@ def test_replay_exhaustion_is_llm_error(shop_engine):
     ids=["controller", "checker"],
 )
 def test_fingerprint_mismatch_is_raised_not_scored(shop_engine, index, actions):
-    script = [dict(e) for e in FOUR_TOOL_SCRIPT]
-    script[index]["fingerprint"] = "0" * 64
+    script = list(FOUR_TOOL_SCRIPT)
+    script[index] = dataclasses.replace(script[index], fingerprint="0" * 64)
     trace = run_agent("q", AgentConfig(), ReplayBackend(script), shop_engine)
     assert trace.outcome == "harness-error"
     assert isinstance(trace.fault, ReplayMismatchError)
@@ -360,9 +358,9 @@ def test_every_iteration_token_lands_in_one_stage(shop_engine):
 
 
 def test_estimated_usage_flag_propagates(shop_engine, tmp_path):
-    script = [
-        {"response": {"text": "Thought: done.\nFinal Answer: n/a", "tool_call": None}}
-    ]
+    script = [from_json_object(
+        ExchangeRecord, {"response": {"text": "Thought: done.\nFinal Answer: n/a"}}
+    )]
     trace = run_agent("q", AgentConfig(), ReplayBackend(script), shop_engine)
     assert trace.uses_estimated_tokens
     # and survives a replay of the episode's trace, which logs the estimates
@@ -513,7 +511,7 @@ json_values = st.recursive(
 )
 json_objects = st.dictionaries(st.text(max_size=8), json_values, max_size=4)
 counts = st.integers(0, 10**6)
-# every shape of record `llmclient.check_exchange` accepts
+# every shape of exchange record a script line may hold
 exchange_records = st.fixed_dictionaries(
     {
         "response": st.fixed_dictionaries(
@@ -533,7 +531,7 @@ exchange_records = st.fixed_dictionaries(
         ),
         "estimated": st.booleans(),
     },
-)
+).map(lambda record: from_json_object(ExchangeRecord, record))
 
 iterations = st.builds(
     Iteration,
@@ -595,24 +593,22 @@ TWO_COLUMNS = {
     "columns": [{"name": "a", "type": "text"}, {"name": "b", "type": "text"}],
     "rows": [["x", "y"]],
 }
-NOT_A_TABLE = "`final_result` is not a result table: "
 ROW_COUNT = "`final_result.row_count` is not an int above the 1 rows kept"
 # edits to a well-formed `final_result`, and the refusal of each
 BAD_RESULTS = {
-    "string_row": ({"rows": ["xy"]}, NOT_A_TABLE
-                   + "ValueError('row 0 is not a list of 2 JSON scalars')"),
-    "list_cell": ({"rows": [[["x"], "y"]]}, NOT_A_TABLE
-                  + "ValueError('row 0 is not a list of 2 JSON scalars')"),
-    "short_row": ({"rows": [["x", "y"], ["x"]]}, NOT_A_TABLE
-                  + "ValueError('row 1 is not a list of 2 JSON scalars')"),
-    "unknown_result_key": ({"note": 1}, NOT_A_TABLE + "ValueError(\"keys "
-                           "['columns', 'note', 'rows'] are not columns and rows\")"),
+    "string_row": ({"rows": ["xy"]}, "`final_result.rows[0]` is not a list"),
+    "list_cell": ({"rows": [[["x"], "y"]]},
+                  "`final_result.rows[0]` is not a list of 2 JSON scalars"),
+    "short_row": ({"rows": [["x", "y"], ["x"]]},
+                  "`final_result.rows[1]` is not a list of 2 JSON scalars"),
+    "unknown_result_key": ({"note": 1}, "unknown key 'note' in final_result"),
     "unknown_column_key": (
         {"columns": [{"name": "a", "type": "text", "width": 3}], "rows": []},
-        NOT_A_TABLE
-        + "ValueError('columns are not a list of a string name and a type')"),
+        "unknown key 'width' in final_result.columns[0]"),
+    "int_column_name": ({"columns": [{"name": 5, "type": "text"}], "rows": []},
+                        "`final_result.columns[0].name` is not a string"),
     "unknown_type_tag": ({"columns": [{"name": "a", "type": "varchar"}], "rows": []},
-                         NOT_A_TABLE + "ValueError(\"unknown type tag: 'varchar'\")"),
+                         "unknown type tag: 'varchar'"),
     "string_row_count": ({"row_count": "5"}, ROW_COUNT),
     "row_count_of_the_rows_kept": ({"row_count": 1}, ROW_COUNT),
     "row_count_zero": ({"row_count": 0}, ROW_COUNT),
@@ -641,7 +637,7 @@ MALFORMED_LINES = {
         "`outcome` 'finished' is not one of completed, exhausted, tool-error, "
         "llm-error, harness-error"),
     "bad_final_result": (outcome_line(final_result={"rows": [[1]]}),
-                         "`final_result` is not a result table: KeyError('columns')"),
+                         "missing key 'columns' in final_result"),
     **{name: (outcome_line(final_result={**TWO_COLUMNS, **result}), problem)
        for name, (result, problem) in BAD_RESULTS.items()},
     "not_json": ('{"type": "meta",', "not JSON: Expecting property name enclosed "

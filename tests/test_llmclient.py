@@ -7,6 +7,7 @@ import time
 import pytest
 
 from bigsqlbench.agent import (
+    DEFAULT_SYSTEM_PROMPT,
     OUTCOME_LLM_ERROR,
     AgentConfig,
     run_agent,
@@ -15,7 +16,7 @@ from bigsqlbench.agent import (
 )
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import (
-    ChatExchange,
+    ExchangeRecord,
     HttpBackend,
     LlmTransportError,
     ReplayBackend,
@@ -25,6 +26,7 @@ from bigsqlbench.llmclient import (
     estimate_tokens,
     fingerprint_messages,
 )
+from bigsqlbench.metrics import from_json_object
 from tests.conftest import iteration_line
 
 MESSAGES = [
@@ -34,11 +36,11 @@ MESSAGES = [
 
 
 def script_entry(text, in_tok=10, out_tok=5, fingerprint=None):
-    return {
+    return from_json_object(ExchangeRecord, {
         "fingerprint": fingerprint,
         "response": {"text": text, "tool_call": None},
         "usage": {"input_tokens": in_tok, "output_tokens": out_tok},
-    }
+    })
 
 
 # --- fingerprints ---
@@ -63,7 +65,7 @@ def test_fingerprint_sensitive_to_role_and_text():
 
 def test_replay_returns_recorded_responses_in_order():
     backend = ReplayBackend([script_entry(f"r{i}") for i in range(4)])
-    got = [backend.complete(MESSAGES).response_text for _ in range(4)]
+    got = [backend.complete(MESSAGES).response.text for _ in range(4)]
     assert got == ["r0", "r1", "r2", "r3"]
 
 
@@ -78,7 +80,7 @@ def test_replay_fingerprint_verified_when_present():
     good = fingerprint_messages(MESSAGES)
     backend = ReplayBackend([script_entry("ok", fingerprint=good)])
     exchange = backend.complete(MESSAGES)
-    assert (exchange.response_text, exchange.fingerprint) == ("ok", good)
+    assert (exchange.response.text, exchange.fingerprint) == ("ok", good)
 
     backend = ReplayBackend([script_entry("ok", fingerprint="deadbeef")])
     with pytest.raises(ReplayMismatchError):
@@ -86,16 +88,41 @@ def test_replay_fingerprint_verified_when_present():
 
 
 def test_replay_estimates_missing_usage():
-    backend = ReplayBackend([{"response": {"text": "x" * 40, "tool_call": None}}])
+    backend = ReplayBackend([from_json_object(
+        ExchangeRecord, {"response": {"text": "x" * 40, "tool_call": None}}
+    )])
     exchange = backend.complete(MESSAGES)
     assert exchange.estimated
-    assert exchange.output_tokens == 10
+    assert exchange.usage.output_tokens == 10
     assert exchange.fingerprint is None
+
+
+def test_replay_estimates_a_usage_with_one_count(tmp_path):
+    # a count left out is not a count of 0: both are estimated, flagged
+    text = "Thought: done.\nFinal Answer: " + "x" * 11  # 40 characters
+    entry = {"response": {"text": text}, "usage": {"input_tokens": 5}}
+    backend = ReplayBackend([from_json_object(ExchangeRecord, entry)] * 2)
+    exchange = backend.complete([{"role": "user", "content": "p" * 80}])
+    assert (exchange.usage.input_tokens, exchange.usage.output_tokens) == (20, 10)
+    assert exchange.estimated
+    # an episode bills those estimates, and its trace replays with them
+    prompt = sum(estimate_tokens(m) for m in (DEFAULT_SYSTEM_PROMPT, "q?"))
+    path = tmp_path / "episode.jsonl"
+    with EmbeddedEngine(EngineConfig()) as engine:
+        trace = run_agent("q?", AgentConfig(), backend, engine)
+        path.write_text(trace_to_jsonl(trace))
+        replayed = run_agent("q?", AgentConfig(), ReplayBackend.from_path(path), engine)
+    for episode in (trace, replayed):
+        [iteration] = episode.iterations
+        assert (iteration.input_tokens, iteration.output_tokens) == (prompt, 10)
+        assert episode.uses_estimated_tokens
+    assert replayed.iterations[0].exchanges == trace.iterations[0].exchanges
 
 
 def test_replay_script_line_without_exchange_is_rejected(tmp_path):
     path = tmp_path / "script.jsonl"
-    path.write_text(json.dumps(script_entry("ok")) + "\n\n" + '{"type": "foo"}\n')
+    first = json.dumps(script_entry("ok"), default=vars)
+    path.write_text(first + "\n\n" + '{"type": "foo"}\n')
     with pytest.raises(
         ValueError, match="^line 3: type 'foo' is not meta, iteration or outcome$"
     ):
@@ -114,18 +141,18 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
         '{"response": {"text": "x"}, "estimated": "false"}':
             "`estimated` is not a boolean",
         '{"response": {"text": "x"}, "usage": {"input_tokens": "abc", '
-        '"output_tokens": 1}}': "`usage.input_tokens` is not an int",
+        '"output_tokens": 1}}': "`usage.input_tokens` is not null or an int >= 0",
         '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '
         '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
         iteration_line(exchanges=[
             {"response": {"text": "x"},
              "usage": {"input_tokens": 1, "output_tokens": True}},
-        ]): "`exchanges[0].usage.output_tokens` is not an int",
+        ]): "`exchanges[0].usage.output_tokens` is not null or an int >= 0",
         '{"response": {"text": "x"},': "not JSON: Expecting property name "
             "enclosed in double quotes at column 28",
     }
     for line, problem in unreplayable.items():
-        path.write_text(json.dumps(script_entry("ok")) + "\n\n" + line + "\n")
+        path.write_text(first + "\n\n" + line + "\n")
         with pytest.raises(ValueError) as caught:
             ReplayBackend.from_path(path)
         assert str(caught.value) == f"line 3: {problem}", line
@@ -171,8 +198,8 @@ def _backend(server, **kwargs):
 def test_http_complete_parses_text_and_usage(stub_server):
     stub_server.script.append((200, _ok_body("result text")))
     exchange = _backend(stub_server).complete(MESSAGES)
-    assert exchange.response_text == "result text"
-    assert (exchange.input_tokens, exchange.output_tokens) == (12, 3)
+    assert exchange.response.text == "result text"
+    assert (exchange.usage.input_tokens, exchange.usage.output_tokens) == (12, 3)
     assert not exchange.estimated
     assert exchange.fingerprint == fingerprint_messages(MESSAGES)
     assert stub_server.requests[0]["model"] == "stub-model"
@@ -182,7 +209,7 @@ def test_http_complete_parses_text_and_usage(stub_server):
 def test_http_retries_transient_server_errors(stub_server):
     stub_server.script.extend([(500, {}), (500, {}), (200, _ok_body("ok"))])
     exchange = _backend(stub_server).complete(MESSAGES)
-    assert exchange.response_text == "ok"
+    assert exchange.response.text == "ok"
     assert len(stub_server.requests) == 3
 
 
@@ -206,7 +233,7 @@ def test_http_client_error_is_not_retried(stub_server, status):
 )
 def test_http_retries_timeout_and_rate_limit_statuses(stub_server, first):
     stub_server.script.extend([first, (200, _ok_body("ok"))])
-    assert _backend(stub_server).complete(MESSAGES).response_text == "ok"
+    assert _backend(stub_server).complete(MESSAGES).response.text == "ok"
     assert len(stub_server.requests) == 2
 
 
@@ -214,7 +241,7 @@ def test_http_429_waits_retry_after_not_backoff(stub_server):
     stub_server.script.extend([(429, {}, {"Retry-After": "0"}), (200, _ok_body("ok"))])
     started = time.perf_counter()
     exchange = _backend(stub_server, backoff_seconds=60.0).complete(MESSAGES)
-    assert exchange.response_text == "ok"
+    assert exchange.response.text == "ok"
     assert len(stub_server.requests) == 2
     assert time.perf_counter() - started < 30.0
 
@@ -257,8 +284,8 @@ def test_http_malformed_body_ends_episode_as_llm_error(stub_server):
      ("completion_tokens", -1), ("completion_tokens", "3")],
 )
 def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, count):
-    # the rule `check_exchange` applies to a trace's usage, so every
-    # exchange a live run records can be read back and replayed
+    # read as a trace's usage is, so that every exchange a live run records
+    # can be read back and replayed
     body = _ok_body()
     body["usage"][key] = count
     stub_server.script.append((200, body))
@@ -282,7 +309,7 @@ def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, cou
 def test_http_reply_that_is_no_trace_exchange_is_llm_error(
     stub_server, message, problem
 ):
-    # the rule `check_exchange` applies, so the trace of the episode reads back
+    # read as a trace's exchange is, so that the trace of the episode reads back
     body = {"choices": [{"message": message}],
             "usage": {"prompt_tokens": 12, "completion_tokens": 3}}
     stub_server.script.append((200, body))
@@ -298,7 +325,7 @@ def test_http_estimates_missing_usage(stub_server):
     stub_server.script.append((200, _ok_body("xxxx" * 5, usage=False)))
     exchange = _backend(stub_server).complete(MESSAGES)
     assert exchange.estimated
-    assert exchange.output_tokens == 5
+    assert exchange.usage.output_tokens == 5
 
 
 def test_http_structured_tool_call(stub_server):
@@ -324,10 +351,8 @@ def test_http_structured_tool_call(stub_server):
     exchange = _backend(stub_server, supports_tools=True).complete(
         MESSAGES, tool_schemas=[{"type": "function"}]
     )
-    assert exchange.tool_call == {
-        "name": "run_query",
-        "arguments": {"sql": "SELECT 1"},
-    }
+    tool_call = exchange.response.tool_call
+    assert (tool_call.name, tool_call.arguments) == ("run_query", {"sql": "SELECT 1"})
     assert "tools" in stub_server.requests[0]
 
 
@@ -347,15 +372,3 @@ def test_http_sends_bearer_token(stub_server, monkeypatch):
     assert headers["Authorization"] == "Bearer sk-test"
     assert headers["Content-Type"] == "application/json"
 
-
-def test_chat_exchange_to_record():
-    exchange = ChatExchange(
-        response_text="t", tool_call={"name": "x", "arguments": {}},
-        input_tokens=3, output_tokens=1, fingerprint="ab",
-    )
-    assert exchange.to_record() == {
-        "fingerprint": "ab",
-        "response": {"text": "t", "tool_call": {"name": "x", "arguments": {}}},
-        "usage": {"input_tokens": 3, "output_tokens": 1},
-        "estimated": False,
-    }

@@ -108,11 +108,7 @@ RESTRICTED = {
         max_size=3, unique_by=lambda entry: entry.id,
     ).map(lambda entries: {entry.id: entry for entry in entries}),
     (ExchangeRecord, "usage"): st.none() | st.builds(
-        _Usage, st.integers(min_value=0), st.integers(min_value=0)
-    ),
-    # an iteration holds its exchanges as the records a trace line writes
-    (Iteration, "exchanges"): st.deferred(
-        lambda: st.lists(instances(ExchangeRecord).map(to_json), max_size=2)
+        _Usage, *[st.none() | st.integers(min_value=0)] * 2
     ),
 }
 

@@ -22,8 +22,8 @@ from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.cli import REPORT_FORMATS
 from bigsqlbench.costmodel import EnginePricing, PricingConfig
 from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
-from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
-from bigsqlbench.metrics import STAGES, EpisodeResult, load_records
+from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, fingerprint_messages
+from bigsqlbench.metrics import STAGES, EpisodeResult, from_json_object, load_records
 from bigsqlbench.report import build_report, render_markdown, render_report
 from bigsqlbench.runner import PlanValidationError, RunPlan, execute_plan, validate_plan
 from tests.conftest import (
@@ -548,11 +548,10 @@ def stub_replies(scripts_dir: Path, case_ids: list[str]) -> list[tuple]:
     for case_id in case_ids:
         script = ReplayBackend.from_path(scripts_dir / f"{case_id}.jsonl")
         for entry in script.entries:
-            usage = entry["usage"]
             replies.append((200, {
-                "choices": [{"message": {"content": entry["response"]["text"]}}],
-                "usage": {"prompt_tokens": usage["input_tokens"],
-                          "completion_tokens": usage["output_tokens"]},
+                "choices": [{"message": {"content": entry.response.text}}],
+                "usage": {"prompt_tokens": entry.usage.input_tokens,
+                          "completion_tokens": entry.usage.output_tokens},
             }))
     return replies
 
@@ -581,7 +580,7 @@ def test_live_run_replays_from_its_traces_and_catches_prompt_drift(
     # every logged exchange carries the fingerprint of the request it answered
     trace_dir = mini_plan.output_dir / "traces" / live.name / "sf1"
     fingerprints = [
-        exchange["fingerprint"]
+        exchange.fingerprint
         for case_id in case_ids
         for it in trace_from_jsonl(
             (trace_dir / f"{case_id}_r0.jsonl").read_text()
@@ -986,10 +985,9 @@ def test_rate_limiter_spaces_out_calls():
     from bigsqlbench.llmclient import ReplayBackend, fingerprint_messages
     from bigsqlbench.runner import _RateLimiter, _ThrottledBackend
 
-    entries = [
-        {"response": {"text": "ok", "tool_call": None},
-         "usage": {"input_tokens": 1, "output_tokens": 1}}
-    ] * 4
+    entries = [from_json_object(ExchangeRecord, {
+        "response": {"text": "ok", "tool_call": None},
+        "usage": {"input_tokens": 1, "output_tokens": 1}})] * 4
     backend = _ThrottledBackend(ReplayBackend(entries), _RateLimiter(50.0))
     started = time.perf_counter()
     for _ in range(4):
@@ -1018,10 +1016,9 @@ def test_rate_limit_is_shared_by_worker_processes():
 
     rate, calls_per_worker = 40.0, 32
     limiter = _RateLimiter(rate)
-    entries = [
-        {"response": {"text": "ok", "tool_call": None},
-         "usage": {"input_tokens": 1, "output_tokens": 1}}
-    ] * calls_per_worker
+    entries = [from_json_object(ExchangeRecord, {
+        "response": {"text": "ok", "tool_call": None},
+        "usage": {"input_tokens": 1, "output_tokens": 1}})] * calls_per_worker
 
     def worker():
         backend = _ThrottledBackend(ReplayBackend(entries), limiter)
@@ -1220,10 +1217,11 @@ def test_sessions_closed_when_planning_fails(mini_plan, tmp_path, monkeypatch):
     assert len(opens(events())) == 1 and all_closed(events())
 
 
-def poison_script(sql: str) -> list[dict]:
+def poison_script(sql: str) -> list[ExchangeRecord]:
     text = f"Thought: try it.\nAction: run_query\nAction Input: {json.dumps({'sql': sql})}"
-    return [{"fingerprint": None, "response": {"text": text, "tool_call": None},
-             "usage": {"input_tokens": 10, "output_tokens": 5}}]
+    return [from_json_object(ExchangeRecord, {
+        "fingerprint": None, "response": {"text": text, "tool_call": None},
+        "usage": {"input_tokens": 10, "output_tokens": 5}})]
 
 
 def test_reused_session_gives_fresh_session_results(mini_plan, monkeypatch):
