@@ -129,6 +129,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    if not formats:
+        print(f"no format in --format {args.format!r}")
+        return 1
     for fmt in formats:
         if fmt not in REPORT_FORMATS:
             print(f"unknown format: {fmt}")
@@ -179,11 +182,15 @@ def _cmd_goldens_materialize(args: argparse.Namespace) -> int:
 
 
 def _cmd_data_generate(args: argparse.Namespace) -> int:
-    from .suite import format_sf, warehouse_schema
+    from .suite import ScaleFactorError, format_sf, warehouse_schema
 
-    row_counts = generate_scaled_data(
-        warehouse_schema(), args.scale_factor, args.seed, args.output_dir
-    )
+    try:
+        row_counts = generate_scaled_data(
+            warehouse_schema(), args.scale_factor, args.seed, args.output_dir
+        )
+    except ScaleFactorError as exc:
+        print(f"error: {exc}")
+        return 1
     for table, count in row_counts.items():
         print(f"{table}: {count} rows")
     print(f"generated sf={format_sf(args.scale_factor)} under {args.output_dir}")

@@ -1,11 +1,11 @@
 """Query engine: catalog introspection, timed execution, result capture.
 
 The engine embeds sqlite3 in-process and registers suite tables from CSV
-files with sidecar schemas.  A data directory is registered into a sqlite
-snapshot file owned by whoever registered it (a `Sessions`, or a lone
-session); every session over it opens that file read-only, under an
-authorizer that allows reading and nothing else, so a session keeps no state
-from one statement to the next.
+files with sidecar schemas.  `Sessions` is the one owner: it registers each
+data directory into a sqlite snapshot file, opens every session over it
+read-only, under an authorizer that allows reading and nothing else (so a
+session keeps no state from one statement to the next), and removes the
+snapshot when its block ends.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class SessionClosedError(EngineError):
 class EngineConfig:
     """Where the engine finds its data."""
 
-    data_dir: str | Path | None = None
+    data_dir: Path
 
 
 @dataclass(frozen=True)
@@ -92,27 +92,18 @@ class TableSchema:
 
 
 class EmbeddedEngine:
-    """In-process sqlite-backed session over a CSV + sidecar-schema data dir.
+    """In-process sqlite session over a registered data dir; `Sessions.get`
+    opens it over the snapshot it owns.
 
-    Sessions over a data dir can only read: an authorizer denies writes,
-    ATTACH/DETACH, TEMP objects, VACUUM, transactions, savepoints and every
-    pragma that sets a value, so one session can serve any number of
-    queries without one changing what the next sees.  Without a data dir
-    the session is a writable, empty in-memory database.
+    A session can only read: an authorizer denies writes, ATTACH/DETACH,
+    TEMP objects, VACUUM, transactions, savepoints and every pragma that
+    sets a value, so one session can serve any number of queries without
+    one changing what the next sees.
     """
 
-    def __init__(self, config: EngineConfig, snapshot: Path | None = None):
-        """With a data dir, open over `snapshot`, which its owner keeps; or
-        else register the data dir here and remove that snapshot in close()."""
+    def __init__(self, config: EngineConfig, snapshot: Path):
         self.config = config
-        self._conn: sqlite3.Connection | None = None
-        self._own_snapshot: Path | None = None
-        if config.data_dir is None:
-            self._conn = sqlite3.connect(":memory:", check_same_thread=False)
-            return
-        if snapshot is None:
-            snapshot = self._own_snapshot = register_snapshot(Path(config.data_dir))
-        self._conn = sqlite3.connect(
+        self._conn: sqlite3.Connection | None = sqlite3.connect(
             snapshot.as_uri() + "?mode=ro&immutable=1",
             uri=True,
             check_same_thread=False,
@@ -121,19 +112,10 @@ class EmbeddedEngine:
         self._conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
         self._conn.set_authorizer(_read_only)
 
-    def __enter__(self) -> "EmbeddedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
-        if self._own_snapshot is not None:
-            self._own_snapshot.unlink(missing_ok=True)
-            self._own_snapshot = None
 
     @property
     def conn(self) -> sqlite3.Connection:
@@ -235,8 +217,7 @@ class Sessions:
             snapshot = self._snapshots[data_dir]
             if isinstance(snapshot, RegistrationError):
                 raise snapshot
-            config = EngineConfig(data_dir=data_dir)
-            self._sessions[data_dir] = EmbeddedEngine(config, snapshot)
+            self._sessions[data_dir] = EmbeddedEngine(EngineConfig(data_dir), snapshot)
         return self._sessions[data_dir]
 
     def close(self) -> None:

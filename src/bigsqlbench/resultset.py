@@ -156,23 +156,28 @@ class ResultTable:
         as bytes."""
         table = from_json_object(_JsonTable, data, where)
         prefix = f"{where}." if where else ""
+        for i, c in enumerate(table.columns):
+            if c.type not in TYPE_TAGS:
+                raise ValueError(
+                    f"`{prefix}columns[{i}].type` is not one of {', '.join(TYPE_TAGS)}"
+                )
         columns = tuple(Column(c.name, c.type) for c in table.columns)
+        blob = [j for j, c in enumerate(columns) if c.type_tag == "blob"]
+        rows = []
         for i, row in enumerate(table.rows):
             if len(row) != len(columns) or not all(type(v) in _JSON_SCALARS for v in row):
                 raise ValueError(
                     f"`{prefix}rows[{i}]` is not a list of {len(columns)} JSON scalars"
                 )
-        rows = tuple(tuple(r) for r in table.rows)
-        blob = [c.type_tag == "blob" for c in columns]
-        if any(blob):
-            rows = tuple(
-                tuple(
-                    bytes.fromhex(v) if is_blob and isinstance(v, str) else v
-                    for is_blob, v in zip(blob, row)
-                )
-                for row in rows
-            )
-        return cls(columns, rows)
+            for j in blob:  # the reader built each row list, so it is ours to edit
+                if isinstance(row[j], str):
+                    try:
+                        row[j] = bytes.fromhex(row[j])
+                    except ValueError:
+                        cell = f"{prefix}rows[{i}][{j}]"
+                        raise ValueError(f"`{cell}` is not hex text") from None
+            rows.append(tuple(row))
+        return cls(columns, tuple(rows))
 
 
 @dataclass(frozen=True)

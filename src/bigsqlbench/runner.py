@@ -632,12 +632,15 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
     try:
         stage_cost = compose_ledger(stages, pricing, run.plan.pricing.engine)
         if generated is not None:
-            indicator = containment_indicator(golden, generated, ordered=case.ordered)
+            exact = tables_equal_exact(golden, generated, ordered=case.ordered)
+            # exact implies containment: its rows are not compared again
+            indicator = 1 if exact else containment_indicator(
+                golden, generated, ordered=case.ordered
+            )
             try:
                 precision = column_precision(golden, generated)
             except UndefinedPrecisionError:
                 precision = 0.0
-            exact = tables_equal_exact(golden, generated, ordered=case.ordered)
     except Exception as exc:  # harness fault: blame this cell, keep the run going
         indicator, precision, exact = 0, 0.0, False
         if fault is None:

@@ -69,7 +69,7 @@ class QueryCase:
 
 
 def load_suite(
-    path: str | Path, scale_factor: float | None = None, sessions: Sessions | None = None
+    path: str | Path, scale_factor: float | None, sessions: Sessions
 ) -> list[QueryCase]:
     """Parse a suite manifest and validate each golden query against the engine.
 
@@ -77,14 +77,11 @@ def load_suite(
     {"cases": [...]} wrapper.  A db_id may carry an "{sf}" placeholder that
     resolves against scale_factor, letting one manifest cover a scale sweep.
     The goldens compile on `sessions`, which keeps each database registered
-    for the caller; without it, on sessions of the load's own.  Per-case
-    failures (missing database, data that fails to register, SQL that does
-    not compile or that the read-only session denies) are recorded on the
-    case, never raised; a case id used by two cases raises ManifestError.
+    for the caller.  Per-case failures (missing database, data that fails to
+    register, SQL that does not compile or that the read-only session
+    denies) are recorded on the case, never raised; a case id used by two
+    cases raises ManifestError.
     """
-    if sessions is None:
-        with Sessions() as own:
-            return load_suite(path, scale_factor, own)
     root = Path(path)
     manifest_path = root / "manifest.json" if root.is_dir() else root
     suite_dir = manifest_path.parent

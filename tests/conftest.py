@@ -133,6 +133,12 @@ def sessions() -> Sessions:
         yield shared
 
 
+@pytest.fixture
+def shop_engine(sessions, mini_suite_dir):
+    """The shared session over the mini suite's `shop` database."""
+    return sessions.get(mini_suite_dir / "databases" / "shop")
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted (status, body[, headers])."""
 

@@ -20,7 +20,7 @@ import pytest
 
 from bigsqlbench.agent import AgentConfig, run_agent, stage_breakdown, trace_to_jsonl
 from bigsqlbench.costmodel import EnginePricing, PricingEntry, compose_ledger, llm_cost
-from bigsqlbench.engine import EmbeddedEngine, EngineConfig
+from bigsqlbench.engine import Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend
 from bigsqlbench.metrics import (
     aggregate,
@@ -256,12 +256,12 @@ def _shop_episode(mini_suite_dir):
         model_id="replay-alpha",
     )
     data_dir = mini_suite_dir / "databases" / "shop"
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
+    with Sessions() as own:
         return run_agent(
             "How many orders have been placed in total?",
             AgentConfig(sample_rows=2),
             llm,
-            engine,
+            own.get(data_dir),
         )
 
 

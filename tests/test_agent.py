@@ -27,7 +27,7 @@ from bigsqlbench.agent import (
     trace_to_jsonl,
     truncate_observation,
 )
-from bigsqlbench.engine import EmbeddedEngine, EngineConfig
+from bigsqlbench.engine import Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, ReplayMismatchError
 from bigsqlbench.metrics import from_json_object
 from bigsqlbench.resultset import ResultTable, json_cell
@@ -56,13 +56,6 @@ FOUR_TOOL_SCRIPT = [
 ]
 
 
-@pytest.fixture
-def shop_engine(mini_suite_dir):
-    data_dir = mini_suite_dir / "databases" / "shop"
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        yield engine
-
-
 # --- the four tools ---
 
 
@@ -70,16 +63,16 @@ def test_tool_list_tables_newline_separated(shop_engine):
     assert tool_list_tables(shop_engine) == "orders\nproducts"
 
 
-def test_tool_list_tables_empty_catalog(tmp_path):
-    with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        assert tool_list_tables(engine) == ""
+def test_tool_list_tables_empty_catalog(sessions, tmp_path):
+    assert tool_list_tables(sessions.get(tmp_path)) == ""
 
 
 def test_tool_list_tables_closed_session(tmp_path):
-    engine = EmbeddedEngine(EngineConfig(data_dir=tmp_path))
-    engine.close()
-    with pytest.raises(ToolError):
-        tool_list_tables(engine)
+    with Sessions() as own:
+        engine = own.get(tmp_path)
+        own.close()
+        with pytest.raises(ToolError):
+            tool_list_tables(engine)
 
 
 def test_tool_get_schema_ddl_only(shop_engine):
@@ -269,14 +262,12 @@ def test_tables_argument_string_or_non_list(shop_engine):
     assert "tables is not a list" in trace.error
 
 
-def test_engine_error_while_sampling_is_tool_error(mini_suite_dir, monkeypatch):
+def test_engine_error_while_sampling_is_tool_error(shop_engine, monkeypatch):
     # three sample rows overflow a one-row cap inside get_schema
     monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 1)
-    config = EngineConfig(data_dir=mini_suite_dir / "databases" / "shop")
     args = {"tables": ["orders"], "sample_rows": 3}
     script = [entry(action_text("get_schema", args))]
-    with EmbeddedEngine(config) as engine:
-        trace = run_agent("overflow", AgentConfig(), ReplayBackend(script), engine)
+    trace = run_agent("overflow", AgentConfig(), ReplayBackend(script), shop_engine)
     assert trace.outcome == "tool-error"
     assert "get_schema failed" in trace.error
 
@@ -462,8 +453,8 @@ def test_replay_reruns_identical_without_timestamps(mini_suite_dir):
     data_dir = mini_suite_dir / "databases" / "shop"
     traces = []
     for _ in range(2):
-        with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-            traces.append(run_scripted(engine))
+        with Sessions() as own:
+            traces.append(run_scripted(own.get(data_dir)))
     a = trace_to_jsonl(traces[0], include_timing=False)
     b = trace_to_jsonl(traces[1], include_timing=False)
     assert a.encode() == b.encode()
@@ -489,15 +480,13 @@ def test_blob_result_survives_the_trace_round_trip(shop_engine):
     assert restored.final_result == trace.final_result
 
 
-def test_episode_log_replays_as_script(shop_engine, tmp_path, mini_suite_dir):
+def test_episode_log_replays_as_script(shop_engine, tmp_path):
     trace = run_scripted(shop_engine)
     log_path = tmp_path / "episode.jsonl"
     log_path.write_text(trace_to_jsonl(trace))
 
     replay = ReplayBackend.from_path(log_path)
-    data_dir = mini_suite_dir / "databases" / "shop"
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        replayed = run_agent("how many orders?", AgentConfig(), replay, engine)
+    replayed = run_agent("how many orders?", AgentConfig(), replay, shop_engine)
     assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
         trace, include_timing=False
     )
@@ -607,8 +596,14 @@ BAD_RESULTS = {
         "unknown key 'width' in final_result.columns[0]"),
     "int_column_name": ({"columns": [{"name": 5, "type": "text"}], "rows": []},
                         "`final_result.columns[0].name` is not a string"),
-    "unknown_type_tag": ({"columns": [{"name": "a", "type": "varchar"}], "rows": []},
-                         "unknown type tag: 'varchar'"),
+    "unknown_type_tag": (
+        {"columns": [{"name": "a", "type": "varchar"}], "rows": []},
+        "`final_result.columns[0].type` is not one of integer, float, text, bool, "
+        "date, blob, null"),
+    "blob_not_hex": (
+        {"columns": [{"name": "a", "type": "text"}, {"name": "b", "type": "blob"}],
+         "rows": [["x", "00ff"], ["y", "zz"]]},
+        "`final_result.rows[1][1]` is not hex text"),
     "string_row_count": ({"row_count": "5"}, ROW_COUNT),
     "row_count_of_the_rows_kept": ({"row_count": 1}, ROW_COUNT),
     "row_count_zero": ({"row_count": 0}, ROW_COUNT),

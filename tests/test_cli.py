@@ -18,6 +18,7 @@ from tests.conftest import (
     mismatch_entry,
     modules_after,
     package_modules,
+    snapshot_files,
     two_model_episodes,
 )
 
@@ -395,6 +396,19 @@ def test_report_rejects_unknown_format(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("formats", ["", ",", " , "])
+def test_report_refuses_an_empty_format_list(tmp_path, capsys, formats):
+    records = tmp_path / "records.json"
+    records.write_text(
+        json.dumps({"episodes": [e.to_json_dict() for e in two_model_episodes()]})
+    )
+    out_dir = tmp_path / "report"
+    assert main(["report", "--records", str(records), "--format", formats,
+                 "--output-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().out == f"no format in --format {formats!r}\n"
+    assert not out_dir.exists()
+
+
 def test_report_rejects_empty_records(tmp_path):
     records = tmp_path / "records.json"
     records.write_text(json.dumps({"episodes": []}))
@@ -478,6 +492,21 @@ def test_data_generate_prints_counts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "region: 5 rows" in out
     assert "lineitem: 6000 rows" in out
+
+
+@pytest.mark.parametrize(
+    "scale_factor, shown", [("5", "5.0"), ("nan", "nan"), ("0.0001", "0.0001")]
+)
+def test_data_generate_refuses_a_scale_factor_out_of_range_in_one_line(
+    tmp_path, capsys, scale_factor, shown
+):
+    out_dir = tmp_path / "data"
+    assert main(["data", "generate", "--scale-factor", scale_factor,
+                 "--output-dir", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"error: scale factor {shown} outside [0.001, 1.0]\n"
+    assert err == ""
+    assert not out_dir.exists()
 
 
 def test_report_shows_vces_undefined_for_a_model_that_cost_nothing(
@@ -592,6 +621,38 @@ def test_goldens_materialize_shares_one_session_per_data_directory(
         with pytest.raises(SessionClosedError):
             engine.conn
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
+
+
+def test_no_snapshot_outlives_a_command(tmp_path, mini_suite_dir, monkeypatch):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    plan = json.loads((suite / "plan.json").read_text())
+    plan["output_dir"] = str(tmp_path / "out")
+    (suite / "plan.json").write_text(json.dumps(plan))
+    plan["backends"][0]["model_id"] = "not-priced"
+    (suite / "unpriced.json").write_text(json.dumps(plan))
+    broken = tmp_path / "broken"
+    shutil.copytree(suite, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    manifest["cases"][0]["SQL"] = "SELECT FROM WHERE"
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    loaded = count_registrations(monkeypatch)
+    before = snapshot_files()
+    for argv, code in [
+        (["plan", "validate", "--plan", suite / "plan.json"], 0),
+        (["plan", "validate", "--plan", suite / "unpriced.json"], 1),
+        (["run", "--plan", suite / "plan.json"], 0),
+        (["run", "--plan", suite / "unpriced.json"], 1),
+        (["goldens", "materialize", "--suite", suite, "--cache-dir", tmp_path / "g"],
+         0),
+        (["goldens", "materialize", "--suite", broken, "--cache-dir", tmp_path / "g"],
+         1),
+    ]:
+        registered = len(loaded)
+        assert main([str(arg) for arg in argv]) == code, argv
+        # the command registered the data, then removed its snapshot
+        assert len(loaded) > registered, argv
+        assert snapshot_files() == before, argv
 
 
 def test_goldens_materialize_reports_failed_golden_and_goes_on(

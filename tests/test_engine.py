@@ -17,8 +17,6 @@ from bigsqlbench import engine as engine_module
 from bigsqlbench.agent import ToolError, tool_get_schema, tool_list_tables, tool_run_query
 from bigsqlbench.engine import (
     ColumnSchema,
-    EmbeddedEngine,
-    EngineConfig,
     EngineError,
     RegistrationError,
     ResultOverflowError,
@@ -49,35 +47,33 @@ def test_open_session_registers_all_tables(tiny_engine):
     assert tiny_engine.list_tables() == WAREHOUSE_TABLES
 
 
-def test_open_session_empty_dir(tmp_path):
-    with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        assert engine.list_tables() == []
+def test_open_session_empty_dir(sessions, tmp_path):
+    assert sessions.get(tmp_path).list_tables() == []
 
 
-def test_open_session_missing_dir(tmp_path):
+def test_open_session_missing_dir(sessions, tmp_path):
     with pytest.raises(RegistrationError):
-        EmbeddedEngine(EngineConfig(data_dir=tmp_path / "nope"))
+        sessions.get(tmp_path / "nope")
 
 
-def test_malformed_data_file_names_the_file(tmp_path):
+def test_malformed_data_file_names_the_file(sessions, tmp_path):
     (tmp_path / "t.schema").write_text("a integer\n")
     (tmp_path / "t.csv").write_text("a\nnot_a_number\n")
     with pytest.raises(RegistrationError, match="t.csv"):
-        EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+        sessions.get(tmp_path)
 
 
-def test_header_mismatch_rejected(tmp_path):
+def test_header_mismatch_rejected(sessions, tmp_path):
     (tmp_path / "t.schema").write_text("a integer\n")
     (tmp_path / "t.csv").write_text("wrong\n1\n")
     with pytest.raises(RegistrationError):
-        EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+        sessions.get(tmp_path)
 
 
-def test_single_table_catalog(tmp_path):
+def test_single_table_catalog(sessions, tmp_path):
     (tmp_path / "t.schema").write_text("x integer\n")
     (tmp_path / "t.csv").write_text("x\n7\n")
-    with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        assert engine.list_tables() == ["t"]
+    assert sessions.get(tmp_path).list_tables() == ["t"]
 
 
 def test_get_create_table_contains_columns(tiny_engine):
@@ -93,11 +89,12 @@ def test_get_create_table_unknown(tiny_engine):
 
 def test_ddl_round_trips_column_list(tiny_engine):
     ddl = tiny_engine.get_create_table("region")
-    with EmbeddedEngine(EngineConfig()) as fresh:
-        fresh.conn.execute(ddl)
-        result, _ = fresh.execute_timed("SELECT * FROM region")
-        original, _ = tiny_engine.execute_timed("SELECT * FROM region LIMIT 0")
-        assert result.column_names == original.column_names
+    with closing(sqlite3.connect(":memory:")) as fresh:
+        fresh.execute(ddl)
+        cursor = fresh.execute("SELECT * FROM region")
+        names = tuple(d[0] for d in cursor.description)
+    original, _ = tiny_engine.execute_timed("SELECT * FROM region LIMIT 0")
+    assert names == original.column_names
 
 
 def test_fixed_region_has_five_rows(tiny_engine):
@@ -123,43 +120,44 @@ def test_repeated_execution_is_deterministic(tiny_engine):
     assert tables_equal_exact(first, second)
 
 
-def test_row_cap_overflow(tmp_path, monkeypatch):
+def test_row_cap_overflow(sessions, tmp_path, monkeypatch):
     (tmp_path / "t.schema").write_text("x integer\n")
     (tmp_path / "t.csv").write_text("x\n" + "\n".join(str(i) for i in range(50)) + "\n")
     monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 10)
-    config = EngineConfig(data_dir=tmp_path)
-    with EmbeddedEngine(config) as engine:
-        with pytest.raises(ResultOverflowError):
-            engine.execute_timed("SELECT * FROM t")
+    with pytest.raises(ResultOverflowError):
+        sessions.get(tmp_path).execute_timed("SELECT * FROM t")
 
 
 def test_closed_session_raises(tmp_path):
-    engine = EmbeddedEngine(EngineConfig(data_dir=tmp_path))
-    engine.close()
-    with pytest.raises(SessionClosedError):
-        engine.list_tables()
+    with Sessions() as own:
+        engine = own.get(tmp_path)
+        own.close()
+        with pytest.raises(SessionClosedError):
+            engine.list_tables()
 
 
-def test_catalog_ops_do_not_reread_data_files(tmp_path):
+def test_catalog_ops_do_not_reread_data_files(sessions, tmp_path):
     (tmp_path / "t.schema").write_text("x integer\n")
     (tmp_path / "t.csv").write_text("x\n1\n2\n")
-    with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        (tmp_path / "t.csv").unlink()
-        (tmp_path / "t.schema").unlink()
-        assert engine.list_tables() == ["t"]
-        assert "x" in engine.get_create_table("t")
+    engine = sessions.get(tmp_path)
+    (tmp_path / "t.csv").unlink()
+    (tmp_path / "t.schema").unlink()
+    assert engine.list_tables() == ["t"]
+    assert "x" in engine.get_create_table("t")
 
 
-def test_runtime_nondecreasing_in_data_size():
+def test_runtime_nondecreasing_in_data_size(sessions, tmp_path):
     sql = "SELECT SUM(v * 1.5), COUNT(*) FROM t WHERE v > 0.1"
     timings = {}
     for k in (1, 10):
-        with EmbeddedEngine(EngineConfig()) as engine:
-            engine.conn.execute("CREATE TABLE t (v REAL)")
-            rows = [((i % 997) / 997.0,) for i in range(10_000 * k)]
-            engine.conn.executemany("INSERT INTO t VALUES (?)", rows)
-            engine.execute_timed(sql)  # warm
-            timings[k] = min(engine.execute_timed(sql)[1] for _ in range(5))
+        data_dir = tmp_path / f"x{k}"
+        data_dir.mkdir()
+        (data_dir / "t.schema").write_text("v float\n")
+        values = (repr((i % 997) / 997.0) for i in range(10_000 * k))
+        (data_dir / "t.csv").write_text("v\n" + "\n".join(values) + "\n")
+        engine = sessions.get(data_dir)
+        engine.execute_timed(sql)  # warm
+        timings[k] = min(engine.execute_timed(sql)[1] for _ in range(5))
     assert timings[10] >= timings[1]
 
 
@@ -172,17 +170,14 @@ def test_explain_validates_without_running(tiny_engine):
 def test_empty_cells_become_nulls(tmp_path):
     (tmp_path / "t.schema").write_text("a integer\nb text\n")
     (tmp_path / "t.csv").write_text("a,b\n1,x\n,\n")
-    with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        result, _ = engine.execute_timed("SELECT * FROM t ORDER BY a")
-        assert result.rows == ((None, None), (1, "x"))
+    assert rows_of(tmp_path, "SELECT * FROM t ORDER BY a") == ((None, None), (1, "x"))
 
 
 def test_bool_literals_load_as_ints(tmp_path):
     (tmp_path / "t.schema").write_text("flag bool\n")
     (tmp_path / "t.csv").write_text("flag\ntrue\nfalse\n1\n")
-    with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-        result, _ = engine.execute_timed("SELECT flag FROM t ORDER BY flag")
-        assert [r[0] for r in result.rows] == [0, 1, 1]
+    rows = rows_of(tmp_path, "SELECT flag FROM t ORDER BY flag")
+    assert [r[0] for r in rows] == [0, 1, 1]
 
 
 # --- CSV cells to stored values ---
@@ -255,8 +250,8 @@ def test_registration_stores_what_a_per_cell_conversion_stores(table):
             writer = csv.writer(handle)
             writer.writerow(name for name, _ in columns)
             writer.writerows(rows)
-        with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-            stored = _stored(engine.conn, len(tags))
+        with Sessions() as own:
+            stored = _stored(own.get(data_dir).conn, len(tags))
         with closing(sqlite3.connect(":memory:")) as oracle:
             load_csv_per_cell(oracle, "t", columns, data_dir / "t.csv")
             expected = _stored(oracle, len(tags))
@@ -281,11 +276,13 @@ def test_registration_stores_what_a_per_cell_conversion_stores(table):
     ],
     ids=["int", "int-range", "float", "bool", "width", "header"],
 )
-def test_registration_errors_keep_their_messages(tmp_path, schema, text, message):
+def test_registration_errors_keep_their_messages(
+    sessions, tmp_path, schema, text, message
+):
     (tmp_path / "t.schema").write_text(schema)
     (tmp_path / "t.csv").write_text(text)
     with pytest.raises(RegistrationError) as caught:
-        EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+        sessions.get(tmp_path)
     assert str(caught.value) == message.format(csv=tmp_path / "t.csv")
 
 
@@ -303,8 +300,9 @@ def test_schema_file_round_trip(tmp_path):
 
 
 def rows_of(data_dir, sql):
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        return engine.execute_timed(sql)[0].rows
+    """The rows of `sql` on a registration of its own of `data_dir`."""
+    with Sessions() as own:
+        return own.get(data_dir).execute_timed(sql)[0].rows
 
 
 def test_rewritten_csv_is_seen_by_next_session(tmp_path):
@@ -327,20 +325,9 @@ def test_broken_csv_fails_every_open(tmp_path):
     (tmp_path / "t.csv").write_text("a\nnot_a_number\n")
     before = snapshot_files()
     for _ in range(3):
-        with pytest.raises(RegistrationError, match="t.csv"):
-            EmbeddedEngine(EngineConfig(data_dir=tmp_path))
+        with Sessions() as own, pytest.raises(RegistrationError, match="t.csv"):
+            own.get(tmp_path)
     assert snapshot_files() == before
-
-
-def test_closed_direct_session_removes_its_snapshot(tmp_path):
-    (tmp_path / "t.schema").write_text("x integer\n")
-    (tmp_path / "t.csv").write_text("x\n1\n")
-    before = snapshot_files()
-    engine = EmbeddedEngine(EngineConfig(data_dir=tmp_path))
-    assert len(snapshot_files() - before) == 1
-    engine.close()
-    assert snapshot_files() == before
-    engine.close()  # a second close is a no-op
 
 
 def test_sessions_pin_the_data_until_the_owner_exits(tmp_path, monkeypatch):
@@ -387,14 +374,11 @@ def test_sessions_fail_a_broken_directory_without_rereading_it(tmp_path, monkeyp
     assert snapshot_files() == before
 
 
-def test_agent_sql_cannot_write_shared_data(mini_suite_dir, tmp_path):
-    data_dir = tmp_path / "shop"
-    shutil.copytree(mini_suite_dir / "databases" / "shop", data_dir)
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        with pytest.raises(ToolError, match="not authorized"):
-            tool_run_query(engine, "DROP TABLE orders")
-    with EmbeddedEngine(EngineConfig(data_dir=data_dir)) as engine:
-        assert engine.list_tables() == ["orders", "products"]
+def test_agent_sql_cannot_write_shared_data(sessions, shop_copy):
+    with pytest.raises(ToolError, match="not authorized"):
+        tool_run_query(sessions.get(shop_copy), "DROP TABLE orders")
+    with Sessions() as fresh:
+        assert fresh.get(shop_copy).list_tables() == ["orders", "products"]
 
 
 # --- read-only authorizer ---
@@ -427,42 +411,44 @@ def files_under(root):
     ids=["attach", "attach-create", "vacuum-into", "vacuum", "temp-table",
          "temp-view", "writable-schema", "case-sensitive-like", "transaction"],
 )
-def test_sql_that_writes_or_sets_state_is_a_tool_error(shop_copy, tmp_path, statements):
+def test_sql_that_writes_or_sets_state_is_a_tool_error(
+    sessions, shop_copy, tmp_path, statements
+):
     before = files_under(tmp_path)
     denied, *after = (sql.format(out=tmp_path) for sql in statements)
-    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
-        with pytest.raises(ToolError, match="not authorized|authorization denied"):
-            tool_run_query(engine, denied)
-        for sql in after:  # e.g. "unknown database m" once ATTACH was denied
-            with pytest.raises(ToolError):
-                tool_run_query(engine, sql)
-        # the same session still reads the suite data, with default settings
-        rows, _ = tool_run_query(
-            engine, "SELECT count(*) AS n, 'A' LIKE 'a' AS ci FROM orders"
-        )
-        assert rows.rows == ((20, 1),)
-        assert engine.list_tables() == ["orders", "products"]
+    engine = sessions.get(shop_copy)
+    with pytest.raises(ToolError, match="not authorized|authorization denied"):
+        tool_run_query(engine, denied)
+    for sql in after:  # e.g. "unknown database m" once ATTACH was denied
+        with pytest.raises(ToolError):
+            tool_run_query(engine, sql)
+    # the same session still reads the suite data, with default settings
+    rows, _ = tool_run_query(
+        engine, "SELECT count(*) AS n, 'A' LIKE 'a' AS ci FROM orders"
+    )
+    assert rows.rows == ((20, 1),)
+    assert engine.list_tables() == ["orders", "products"]
     assert files_under(tmp_path) == before
 
 
-def test_reading_and_introspection_still_work(mini_suite_dir, shop_copy):
+def test_reading_and_introspection_still_work(sessions, mini_suite_dir, shop_copy):
     manifest = json.loads((mini_suite_dir / "manifest.json").read_text())
-    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
-        assert tool_list_tables(engine) == "orders\nproducts"
-        schema = tool_get_schema(engine, ["orders", "products"], sample_rows=2)
-        assert schema.count("sample rows:") == 2
-        for case in manifest["cases"]:
-            engine.explain(case["SQL"])
-        counted, _ = tool_run_query(
-            engine,
-            "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
-            "WHERE x < 5) SELECT sum(x) AS s FROM c",
-        )
-        assert counted.rows == ((15,),)
-        plan, _ = tool_run_query(engine, "EXPLAIN QUERY PLAN SELECT * FROM orders")
-        assert plan.n_rows >= 1
-        info, _ = tool_run_query(engine, "PRAGMA table_info(orders)")
-        assert [row[1] for row in info.rows][:2] == ["order_id", "product_id"]
+    engine = sessions.get(shop_copy)
+    assert tool_list_tables(engine) == "orders\nproducts"
+    schema = tool_get_schema(engine, ["orders", "products"], sample_rows=2)
+    assert schema.count("sample rows:") == 2
+    for case in manifest["cases"]:
+        engine.explain(case["SQL"])
+    counted, _ = tool_run_query(
+        engine,
+        "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+        "WHERE x < 5) SELECT sum(x) AS s FROM c",
+    )
+    assert counted.rows == ((15,),)
+    plan, _ = tool_run_query(engine, "EXPLAIN QUERY PLAN SELECT * FROM orders")
+    assert plan.n_rows >= 1
+    info, _ = tool_run_query(engine, "PRAGMA table_info(orders)")
+    assert [row[1] for row in info.rows][:2] == ["order_id", "product_id"]
 
 
 @pytest.mark.parametrize(
@@ -471,13 +457,11 @@ def test_reading_and_introspection_still_work(mini_suite_dir, shop_copy):
      ("index_info", "no_index"), ("index_xinfo", "no_index"),
      ("foreign_key_list", "orders")],
 )
-def test_table_valued_introspection_pragmas_work(shop_copy, pragma, argument):
-    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
-        statement, _ = tool_run_query(engine, f"PRAGMA {pragma}({argument})")
-        function, _ = tool_run_query(
-            engine, f"SELECT * FROM pragma_{pragma}('{argument}')"
-        )
-        assert function.rows == statement.rows
+def test_table_valued_introspection_pragmas_work(sessions, shop_copy, pragma, argument):
+    engine = sessions.get(shop_copy)
+    statement, _ = tool_run_query(engine, f"PRAGMA {pragma}({argument})")
+    function, _ = tool_run_query(engine, f"SELECT * FROM pragma_{pragma}('{argument}')")
+    assert function.rows == statement.rows
     assert pragma not in ("table_info", "table_xinfo") or function.n_rows == 5
 
 
@@ -487,20 +471,20 @@ def test_table_valued_introspection_pragmas_work(shop_copy, pragma, argument):
      "UPDATE main.sqlite_master SET name = 'x' WHERE name = 'orders'",
      "DELETE FROM sqlite_master"],
 )
-def test_schema_table_cannot_be_modified(shop_copy, sql):
-    with EmbeddedEngine(EngineConfig(data_dir=shop_copy)) as engine:
-        schema = engine.get_create_table("orders")
-        with pytest.raises(ToolError, match="table sqlite_master may not be modified"):
-            tool_run_query(engine, sql)
-        assert engine.list_tables() == ["orders", "products"]
-        assert engine.get_create_table("orders") == schema
-        rows, _ = tool_run_query(engine, "SELECT count(*) AS n FROM orders")
-        assert rows.rows == ((20,),)
+def test_schema_table_cannot_be_modified(sessions, shop_copy, sql):
+    engine = sessions.get(shop_copy)
+    schema = engine.get_create_table("orders")
+    with pytest.raises(ToolError, match="table sqlite_master may not be modified"):
+        tool_run_query(engine, sql)
+    assert engine.list_tables() == ["orders", "products"]
+    assert engine.get_create_table("orders") == schema
+    rows, _ = tool_run_query(engine, "SELECT count(*) AS n FROM orders")
+    assert rows.rows == ((20,),)
 
 
 def test_empty_data_dir_reopens_as_empty_catalog(tmp_path, monkeypatch):
     loaded = count_registrations(monkeypatch)
     for _ in range(2):
-        with EmbeddedEngine(EngineConfig(data_dir=tmp_path)) as engine:
-            assert engine.list_tables() == []
+        with Sessions() as own:
+            assert own.get(tmp_path).list_tables() == []
     assert loaded == []

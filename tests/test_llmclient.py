@@ -14,7 +14,6 @@ from bigsqlbench.agent import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from bigsqlbench.engine import EmbeddedEngine, EngineConfig
 from bigsqlbench.llmclient import (
     ExchangeRecord,
     HttpBackend,
@@ -97,7 +96,7 @@ def test_replay_estimates_missing_usage():
     assert exchange.fingerprint is None
 
 
-def test_replay_estimates_a_usage_with_one_count(tmp_path):
+def test_replay_estimates_a_usage_with_one_count(shop_engine, tmp_path):
     # a count left out is not a count of 0: both are estimated, flagged
     text = "Thought: done.\nFinal Answer: " + "x" * 11  # 40 characters
     entry = {"response": {"text": text}, "usage": {"input_tokens": 5}}
@@ -108,10 +107,10 @@ def test_replay_estimates_a_usage_with_one_count(tmp_path):
     # an episode bills those estimates, and its trace replays with them
     prompt = sum(estimate_tokens(m) for m in (DEFAULT_SYSTEM_PROMPT, "q?"))
     path = tmp_path / "episode.jsonl"
-    with EmbeddedEngine(EngineConfig()) as engine:
-        trace = run_agent("q?", AgentConfig(), backend, engine)
-        path.write_text(trace_to_jsonl(trace))
-        replayed = run_agent("q?", AgentConfig(), ReplayBackend.from_path(path), engine)
+    trace = run_agent("q?", AgentConfig(), backend, shop_engine)
+    path.write_text(trace_to_jsonl(trace))
+    replay = ReplayBackend.from_path(path)
+    replayed = run_agent("q?", AgentConfig(), replay, shop_engine)
     for episode in (trace, replayed):
         [iteration] = episode.iterations
         assert (iteration.input_tokens, iteration.output_tokens) == (prompt, 10)
@@ -270,10 +269,9 @@ def test_http_malformed_body_is_transport_error(stub_server, body):
     assert len(stub_server.requests) == 1
 
 
-def test_http_malformed_body_ends_episode_as_llm_error(stub_server):
+def test_http_malformed_body_ends_episode_as_llm_error(shop_engine, stub_server):
     stub_server.script.append((200, {"choices": []}))
-    with EmbeddedEngine(EngineConfig()) as engine:
-        trace = run_agent("q?", AgentConfig(), _backend(stub_server), engine)
+    trace = run_agent("q?", AgentConfig(), _backend(stub_server), shop_engine)
     assert trace.outcome == OUTCOME_LLM_ERROR
     assert "malformed" in trace.error
 
@@ -283,14 +281,15 @@ def test_http_malformed_body_ends_episode_as_llm_error(stub_server):
     [("prompt_tokens", -5), ("prompt_tokens", 7.9), ("prompt_tokens", True),
      ("completion_tokens", -1), ("completion_tokens", "3")],
 )
-def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, count):
+def test_http_usage_count_that_is_not_a_count_is_llm_error(
+    shop_engine, stub_server, key, count
+):
     # read as a trace's usage is, so that every exchange a live run records
     # can be read back and replayed
     body = _ok_body()
     body["usage"][key] = count
     stub_server.script.append((200, body))
-    with EmbeddedEngine(EngineConfig()) as engine:
-        trace = run_agent("q?", AgentConfig(), _backend(stub_server), engine)
+    trace = run_agent("q?", AgentConfig(), _backend(stub_server), shop_engine)
     assert trace.outcome == OUTCOME_LLM_ERROR
     assert trace.error.startswith("malformed llm response: ValueError(")
     assert "usage counts " in trace.error
@@ -307,14 +306,13 @@ def test_http_usage_count_that_is_not_a_count_is_llm_error(stub_server, key, cou
     ids=["list-content", "int-tool-name"],
 )
 def test_http_reply_that_is_no_trace_exchange_is_llm_error(
-    stub_server, message, problem
+    shop_engine, stub_server, message, problem
 ):
     # read as a trace's exchange is, so that the trace of the episode reads back
     body = {"choices": [{"message": message}],
             "usage": {"prompt_tokens": 12, "completion_tokens": 3}}
     stub_server.script.append((200, body))
-    with EmbeddedEngine(EngineConfig()) as engine:
-        trace = run_agent("q?", AgentConfig(), _backend(stub_server), engine)
+    trace = run_agent("q?", AgentConfig(), _backend(stub_server), shop_engine)
     assert trace.outcome == OUTCOME_LLM_ERROR
     assert trace.error.startswith("malformed llm response: ValueError(")
     assert problem in trace.error

@@ -17,11 +17,12 @@ import pytest
 from bigsqlbench import agent as agent_module
 from bigsqlbench import engine as engine_module
 from bigsqlbench import report as report_module
+from bigsqlbench import resultset as resultset_module
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
 from bigsqlbench.cli import REPORT_FORMATS
 from bigsqlbench.costmodel import EnginePricing, PricingConfig
-from bigsqlbench.engine import EmbeddedEngine, EngineConfig, Sessions
+from bigsqlbench.engine import EmbeddedEngine, Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, fingerprint_messages
 from bigsqlbench.metrics import STAGES, EpisodeResult, from_json_object, load_records
 from bigsqlbench.report import build_report, render_markdown, render_report
@@ -452,7 +453,7 @@ def test_suite_loaded_once_per_scale_factor(mini_plan, monkeypatch):
     real_load_suite = runner.load_suite
     real_explain = EmbeddedEngine.explain
 
-    def recording_load_suite(path, scale_factor=None, sessions=None):
+    def recording_load_suite(path, scale_factor, sessions):
         loaded_at.append(scale_factor)
         return real_load_suite(path, scale_factor, sessions)
 
@@ -1125,7 +1126,7 @@ def track_sessions(monkeypatch, log_dir: Path):
     init, close = EmbeddedEngine.__init__, EmbeddedEngine.close
     serials = itertools.count()
 
-    def tracking_init(self, config, snapshot=None):
+    def tracking_init(self, config, snapshot):
         init(self, config, snapshot)
         self.tracked = [os.getpid(), next(serials)]
         log_in_process(log_dir, ["open", *self.tracked, str(config.data_dir)])
@@ -1227,10 +1228,10 @@ def poison_script(sql: str) -> list[ExchangeRecord]:
 def test_reused_session_gives_fresh_session_results(mini_plan, monkeypatch):
     # a small row cap, so that a recursive CTE overflows in its first fetch
     monkeypatch.setattr(engine_module, "DEFAULT_ROW_CAP", 100)
-    case = next(c for c in runner.load_suite(mini_plan.suite)
-                if c.case_id == "pricey_products")
-    with EmbeddedEngine(EngineConfig(data_dir=case.data_dir)) as engine:
-        golden, t_gold = engine.execute_timed(case.golden_sql)
+    with Sessions() as own:
+        case = next(c for c in runner.load_suite(mini_plan.suite, None, own)
+                    if c.case_id == "pricey_products")
+        golden, t_gold = own.get(case.data_dir).execute_timed(case.golden_sql)
     backend = mini_plan.backends[0]
     script = ReplayBackend.from_path(
         backend.scripts_dir / "pricey_products.jsonl"
@@ -1278,6 +1279,29 @@ def test_reused_session_gives_fresh_session_results(mini_plan, monkeypatch):
 
     assert fresh.outcome == "completed" and fresh.indicator == 1
     assert verdict(reused) == verdict(fresh)
+
+
+def test_an_exact_result_compares_its_rows_once(mini_plan, monkeypatch):
+    compared = []
+    real_rows_equal = resultset_module.rows_equal
+
+    def counting_rows_equal(*args):
+        compared.append(args)
+        return real_rows_equal(*args)
+
+    monkeypatch.setattr(resultset_module, "rows_equal", counting_rows_equal)
+    with Sessions() as own:
+        case = next(c for c in runner.load_suite(mini_plan.suite, None, own)
+                    if c.case_id == "orders_count")
+        golden, t_gold = own.get(case.data_dir).execute_timed(case.golden_sql)
+        trace_dir = mini_plan.output_dir / "gold"
+        trace_dir.mkdir(parents=True)
+        spec = runner._EpisodeSpec(mini_plan.backends[0], case, 0, 1.0, golden,
+                                   t_gold, poison_script(case.golden_sql), trace_dir)
+        compared.clear()
+        episode = runner._run_episode(runner._Run(mini_plan, {}, own, {}), spec)
+    assert (episode.outcome, episode.indicator, episode.exact) == ("completed", 1, True)
+    assert len(compared) == 1
 
 
 def test_denied_goldens_become_unusable_cases(mini_copy, tmp_path):

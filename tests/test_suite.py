@@ -52,8 +52,8 @@ def test_make_mini_suite_regenerates_the_bundled_suite(mini_suite_dir, tmp_path)
 # --- manifest loading ---
 
 
-def test_load_bundled_mini_suite(mini_suite_dir):
-    cases = load_suite(mini_suite_dir)
+def test_load_bundled_mini_suite(sessions, mini_suite_dir):
+    cases = load_suite(mini_suite_dir, None, sessions)
     assert len(cases) == 5
     assert all(case.usable for case in cases)
     ordered = {case.case_id: case.ordered for case in cases}
@@ -61,7 +61,7 @@ def test_load_bundled_mini_suite(mini_suite_dir):
     assert ordered["orders_count"] is False
 
 
-def test_load_bare_list_manifest(tmp_path, mini_suite_dir):
+def test_load_bare_list_manifest(sessions, tmp_path, mini_suite_dir):
     shop_src = mini_suite_dir / "databases" / "shop"
     db_dir = tmp_path / "databases" / "shop"
     db_dir.mkdir(parents=True)
@@ -73,13 +73,13 @@ def test_load_bare_list_manifest(tmp_path, mini_suite_dir):
               "SQL": "SELECT COUNT(*) FROM orders", "db_id": "shop"}]
         )
     )
-    cases = load_suite(tmp_path)
+    cases = load_suite(tmp_path, None, sessions)
     assert len(cases) == 1
     assert cases[0].usable
     assert cases[0].case_id == "q0001"
 
 
-def test_missing_database_fails_per_case(tmp_path):
+def test_missing_database_fails_per_case(sessions, tmp_path):
     (tmp_path / "manifest.json").write_text(
         json.dumps(
             [
@@ -87,14 +87,14 @@ def test_missing_database_fails_per_case(tmp_path):
             ]
         )
     )
-    cases = load_suite(tmp_path)
+    cases = load_suite(tmp_path, None, sessions)
     assert len(cases) == 1
     assert not cases[0].usable
     assert "missing_db" in cases[0].error
 
 
 def test_database_that_fails_to_register_makes_each_case_unusable(
-    tmp_path, monkeypatch
+    sessions, tmp_path, monkeypatch
 ):
     db_dir = tmp_path / "databases" / "broken"
     db_dir.mkdir(parents=True)
@@ -110,7 +110,7 @@ def test_database_that_fails_to_register_makes_each_case_unusable(
         )
     )
     loaded = count_registrations(monkeypatch)
-    cases = load_suite(tmp_path)
+    cases = load_suite(tmp_path, None, sessions)
     assert [case.usable for case in cases] == [False, False]
     for case in cases:
         assert case.error == (
@@ -120,7 +120,7 @@ def test_database_that_fails_to_register_makes_each_case_unusable(
     assert loaded == [db_dir / "t.csv"]
 
 
-def test_partial_failure_leaves_other_cases_usable(tmp_path, mini_suite_dir):
+def test_partial_failure_leaves_other_cases_usable(sessions, tmp_path, mini_suite_dir):
     db_dir = tmp_path / "databases" / "shop"
     db_dir.mkdir(parents=True)
     for item in (mini_suite_dir / "databases" / "shop").iterdir():
@@ -135,11 +135,13 @@ def test_partial_failure_leaves_other_cases_usable(tmp_path, mini_suite_dir):
             ]
         )
     )
-    cases = load_suite(tmp_path)
+    cases = load_suite(tmp_path, None, sessions)
     assert [c.usable for c in cases] == [True, False, False]
 
 
-def test_golden_denied_by_read_only_session_is_unusable(tmp_path, mini_suite_dir):
+def test_golden_denied_by_read_only_session_is_unusable(
+    sessions, tmp_path, mini_suite_dir
+):
     shutil.copytree(mini_suite_dir / "databases", tmp_path / "databases")
     escape = tmp_path / "escape.db"
     (tmp_path / "manifest.json").write_text(
@@ -154,14 +156,14 @@ def test_golden_denied_by_read_only_session_is_unusable(tmp_path, mini_suite_dir
             ]
         )
     )
-    cases = load_suite(tmp_path)
+    cases = load_suite(tmp_path, None, sessions)
     assert [c.usable for c in cases] == [False, False, True]
     for case in cases[:2]:
         assert case.error == "golden sql is denied: not authorized"
     assert not escape.exists()
 
 
-def test_four_case_warehouse_manifest(tmp_path, sf_tiny_dir):
+def test_four_case_warehouse_manifest(sessions, tmp_path, sf_tiny_dir):
     db_dir = tmp_path / "databases" / "wh"
     db_dir.mkdir(parents=True)
     for item in sf_tiny_dir.iterdir():
@@ -178,16 +180,16 @@ def test_four_case_warehouse_manifest(tmp_path, sf_tiny_dir):
         for cid, text in questions.items()
     ]
     (tmp_path / "manifest.json").write_text(json.dumps({"cases": cases}))
-    loaded = load_suite(tmp_path)
+    loaded = load_suite(tmp_path, None, sessions)
     assert len(loaded) == 4
     assert [c.case_id for c in loaded] == ["q1", "q17", "q18", "q21"]
     assert all(c.usable for c in loaded)
 
 
-def test_manifest_parse_error(tmp_path):
+def test_manifest_parse_error(sessions, tmp_path):
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(ManifestError):
-        load_suite(tmp_path)
+        load_suite(tmp_path, None, sessions)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +197,7 @@ def test_manifest_parse_error(tmp_path):
     [(["a", "b", "a"], "a"), (["q0002", None], "q0002")],
     ids=["given_twice", "given_and_defaulted"],
 )
-def test_manifest_repeating_a_case_id_is_refused(tmp_path, ids, repeated):
+def test_manifest_repeating_a_case_id_is_refused(sessions, tmp_path, ids, repeated):
     cases = [{"question": "q", "SQL": "SELECT 1", "db_id": "shop"} for _ in ids]
     for case, case_id in zip(cases, ids):
         if case_id is not None:
@@ -203,22 +205,22 @@ def test_manifest_repeating_a_case_id_is_refused(tmp_path, ids, repeated):
     (tmp_path / "manifest.json").write_text(json.dumps({"cases": cases}))
     message = f"^case id '{repeated}' is used by 2 cases$"
     with pytest.raises(ManifestError, match=message):
-        load_suite(tmp_path)
+        load_suite(tmp_path, None, sessions)
 
 
 @pytest.mark.parametrize("manifest", [{"cases": ["x"]}, [5]], ids=["cases", "bare"])
-def test_manifest_case_that_is_not_an_object_is_refused(tmp_path, manifest):
+def test_manifest_case_that_is_not_an_object_is_refused(sessions, tmp_path, manifest):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match="^case 0 is not a JSON object$"):
-        load_suite(tmp_path)
+        load_suite(tmp_path, None, sessions)
 
 
-def test_manifest_missing(tmp_path):
+def test_manifest_missing(sessions, tmp_path):
     with pytest.raises(ManifestError):
-        load_suite(tmp_path / "absent")
+        load_suite(tmp_path / "absent", None, sessions)
 
 
-def test_scale_factor_placeholder_resolution(tmp_path, sf_tiny_dir):
+def test_scale_factor_placeholder_resolution(sessions, tmp_path, sf_tiny_dir):
     db_dir = tmp_path / "databases" / "wh_0.001"
     db_dir.mkdir(parents=True)
     for item in sf_tiny_dir.iterdir():
@@ -229,7 +231,7 @@ def test_scale_factor_placeholder_resolution(tmp_path, sf_tiny_dir):
               "db_id": "wh_{sf}"}]
         )
     )
-    cases = load_suite(tmp_path, scale_factor=0.001)
+    cases = load_suite(tmp_path, 0.001, sessions)
     assert cases[0].usable
     assert cases[0].database == "wh_0.001"
 
