@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Sequence
 
-from .engine import EmbeddedEngine, EngineError, SessionClosedError, TableNotFoundError
+from .engine import EmbeddedEngine, EngineError, TableNotFoundError
 from .llmclient import (
     ExchangeRecord,
     LlmBackend,
@@ -25,13 +25,6 @@ from .llmclient import (
 )
 from .metrics import StageUsage, read_fields, read_json
 from .resultset import ResultTable, json_cell
-
-_TOOL_STAGE = {
-    "list_tables": "list",
-    "get_schema": "schema",
-    "check_query": "check",
-    "run_query": "run",
-}
 
 FINAL_ANSWER_ACTION = "final_answer"
 
@@ -75,54 +68,37 @@ literal quoting, join columns, function arguments, and casts. If the query
 looks correct reply exactly: query OK. Otherwise reply with a corrected query.
 """
 
+_SQL_PROPERTIES = {"sql": {"type": "string"}}
+# each tool's stage, and the description, JSON-schema properties and required
+# properties of the function-calling schema that offers it to the model
+_TOOLS: dict[str, tuple[str, str, dict[str, Any], tuple[str, ...]]] = {
+    "list_tables": (
+        "list", "List the tables available in the connected database.", {}, ()
+    ),
+    "get_schema": (
+        "schema", "Fetch CREATE TABLE text and sample rows for tables.",
+        {"tables": {"type": "array", "items": {"type": "string"}},
+         "sample_rows": {"type": "integer"}},
+        ("tables",),
+    ),
+    "check_query": (
+        "check", "Have a reviewer validate a SQL query before running it.",
+        _SQL_PROPERTIES, ("sql",),
+    ),
+    "run_query": (
+        "run", "Execute a SQL query; the episode ends after the first run.",
+        _SQL_PROPERTIES, ("sql",),
+    ),
+}
+
 TOOL_SCHEMAS: list[dict[str, Any]] = [
-    {
-        "type": "function",
-        "function": {
-            "name": "list_tables",
-            "description": "List the tables available in the connected database.",
-            "parameters": {"type": "object", "properties": {}},
-        },
-    },
-    {
-        "type": "function",
-        "function": {
-            "name": "get_schema",
-            "description": "Fetch CREATE TABLE text and sample rows for tables.",
-            "parameters": {
-                "type": "object",
-                "properties": {
-                    "tables": {"type": "array", "items": {"type": "string"}},
-                    "sample_rows": {"type": "integer"},
-                },
-                "required": ["tables"],
-            },
-        },
-    },
-    {
-        "type": "function",
-        "function": {
-            "name": "check_query",
-            "description": "Have a reviewer validate a SQL query before running it.",
-            "parameters": {
-                "type": "object",
-                "properties": {"sql": {"type": "string"}},
-                "required": ["sql"],
-            },
-        },
-    },
-    {
-        "type": "function",
-        "function": {
-            "name": "run_query",
-            "description": "Execute a SQL query; the episode ends after the first run.",
-            "parameters": {
-                "type": "object",
-                "properties": {"sql": {"type": "string"}},
-                "required": ["sql"],
-            },
-        },
-    },
+    {"type": "function", "function": {
+        "name": name,
+        "description": description,
+        "parameters": {"type": "object", "properties": properties,
+                       **({"required": list(required)} if required else {})},
+    }}
+    for name, (_, description, properties, required) in _TOOLS.items()
 ]
 
 
@@ -213,9 +189,8 @@ class AgentTrace:
 
 def stage_for_action(action: str | None) -> str:
     """Stage a tool action belongs to; tool-free turns form the finalize stage."""
-    if action is None or action == FINAL_ANSWER_ACTION:
-        return "finalize"
-    return _TOOL_STAGE.get(action, "finalize")
+    tool = _TOOLS.get(action)
+    return tool[0] if tool else "finalize"
 
 
 def truncate_observation(text: str, cap: int = DEFAULT_OBSERVATION_CAP) -> str:
@@ -229,10 +204,7 @@ def truncate_observation(text: str, cap: int = DEFAULT_OBSERVATION_CAP) -> str:
 
 def tool_list_tables(engine: EmbeddedEngine) -> str:
     """Newline-separated table names from the session catalog."""
-    try:
-        return "\n".join(engine.list_tables())
-    except (SessionClosedError, EngineError) as exc:
-        raise ToolError(f"list_tables failed: {exc}") from exc
+    return "\n".join(engine.list_tables())
 
 
 def tool_get_schema(
@@ -244,29 +216,23 @@ def tool_get_schema(
     aborting, leaving the controller room to correct itself next turn.
     """
     sections: list[str] = []
-    try:
-        for table in tables:
-            try:
-                ddl = engine.get_create_table(table)
-            except TableNotFoundError:
-                sections.append(f"table not found: {table}")
-                continue
-            part = ddl
-            if sample_rows > 0:
-                result, _ = engine.execute_timed(
-                    f'SELECT * FROM "{table}" LIMIT {int(sample_rows)}'
-                )
-                part += "\nsample rows:\n" + _render_grid(result)
-            sections.append(part)
-    except EngineError as exc:
-        raise ToolError(f"get_schema failed: {exc}") from exc
+    for table in tables:
+        try:
+            part = engine.get_create_table(table)
+        except TableNotFoundError:
+            sections.append(f"table not found: {table}")
+            continue
+        if sample_rows > 0:
+            result, _ = engine.execute_timed(
+                f'SELECT * FROM "{table}" LIMIT {int(sample_rows)}'
+            )
+            part += "\nsample rows:\n" + _render_grid(result)
+        sections.append(part)
     return "\n\n".join(sections)
 
 
 def tool_check_query(llm: LlmBackend, sql: str) -> ExchangeRecord:
     """Send the query to the checker model; its verdict text is the observation."""
-    if not sql.strip():
-        raise ToolError("check_query requires a non-empty sql string")
     messages = [
         {"role": "system", "content": DEFAULT_CHECKER_PROMPT},
         {"role": "user", "content": sql},
@@ -275,17 +241,6 @@ def tool_check_query(llm: LlmBackend, sql: str) -> ExchangeRecord:
         return llm.complete(messages)
     except (LlmTransportError, ReplayExhaustedError) as exc:
         raise ToolError(f"checker llm failed: {exc}") from exc
-
-
-def tool_run_query(engine: EmbeddedEngine, sql: str) -> tuple[ResultTable, float]:
-    """Execute the query, returning the full result and its runtime."""
-    if not sql.strip():
-        raise ToolError("run_query requires a non-empty sql string")
-    try:
-        result, seconds = engine.execute_timed(sql)
-    except EngineError as exc:
-        raise ToolError(f"run_query failed: {exc}") from exc
-    return result, seconds
 
 
 def _render_grid(table: ResultTable) -> str:
@@ -384,8 +339,16 @@ def _action_arguments(value: Any) -> dict[str, Any]:
     return {"raw": str(value)}
 
 
-def _sql_argument(args: dict[str, Any]) -> str:
+def _sql_text(args: dict[str, Any]) -> str:
     return str(args.get("sql") or args.get("raw") or "")
+
+
+def _sql_argument(args: dict[str, Any], action: str) -> str:
+    """The query a check or run sends, refused when blank."""
+    sql = _sql_text(args)
+    if not sql.strip():
+        raise ToolError(f"{action} requires a non-empty sql string")
+    return sql
 
 
 def _tables_argument(args: dict[str, Any]) -> list[str]:
@@ -485,13 +448,12 @@ def run_agent(
             messages.append({"role": "assistant", "content": exchange.response.text})
 
             action = step.action or ""
-            if action not in _TOOL_STAGE:
+            if action not in _TOOLS:
                 end_iteration(None, f"unknown tool: {action}")
                 trace.outcome = OUTCOME_LLM_ERROR
                 trace.error = f"unknown tool: {action!r}"
                 return trace
 
-            observation = ""
             engine_seconds = 0.0
             failed = False
             run_result: ResultTable | None = None
@@ -511,20 +473,23 @@ def run_agent(
                     engine_seconds = time.perf_counter() - t0
                 elif action == "check_query":
                     checker_exchange = tool_check_query(
-                        llm, _sql_argument(step.action_input)
+                        llm, _sql_argument(step.action_input, action)
                     )
                     exchanges.append(checker_exchange)
                     observation = checker_exchange.response.text
-                elif action == "run_query":
-                    run_sql = _sql_argument(step.action_input)
-                    run_result, engine_seconds = tool_run_query(engine, run_sql)
+                else:  # run_query; a refused run's final_sql is still the text sent
+                    run_sql = _sql_text(step.action_input)
+                    run_result, engine_seconds = engine.execute_timed(
+                        _sql_argument(step.action_input, action)
+                    )
                     observation = (
                         f"query returned {run_result.n_rows} row(s), "
                         f"{len(run_result.columns)} column(s)"
                     )
             except ToolError as exc:
-                observation = str(exc)
-                failed = True
+                observation, failed = str(exc), True
+            except EngineError as exc:  # any tool's engine failure, named by tool
+                observation, failed = f"{action} failed: {exc}", True
 
             observation = truncate_observation(observation)
             messages.append({"role": "user", "content": f"Observation: {observation}"})

@@ -14,7 +14,7 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -44,14 +44,8 @@ class SamplingConfig:
     max_tokens: int | None = 4096
 
     def to_payload(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {}
-        if self.temperature is not None:
-            payload["temperature"] = self.temperature
-        if self.top_p is not None:
-            payload["top_p"] = self.top_p
-        if self.max_tokens is not None:
-            payload["max_tokens"] = self.max_tokens
-        return payload
+        return {f.name: value for f in fields(self)
+                if (value := getattr(self, f.name)) is not None}
 
 
 @dataclass(frozen=True)

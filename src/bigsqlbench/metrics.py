@@ -327,9 +327,10 @@ def canonicalize_sql(sql: str) -> str:
 
 
 def exact_match(golden_sql: str, generated_sql: str) -> int:
-    """1 iff the two queries are textually identical after canonicalization."""
+    """1 iff the two queries are textually identical after canonicalization;
+    0 when either is blank."""
     if not golden_sql.strip() or not generated_sql.strip():
-        raise ValueError("exact_match requires two non-empty SQL strings")
+        return 0
     return 1 if canonicalize_sql(golden_sql) == canonicalize_sql(generated_sql) else 0
 
 
@@ -394,11 +395,7 @@ def aggregate(records: list[EpisodeResult]) -> SuiteMetrics:
     vces = [vces_per_query(r) for r in records]
     return SuiteMetrics(
         n=len(records),
-        em=mean(
-            exact_match(r.golden_sql, r.generated_sql)
-            if r.golden_sql.strip() and r.generated_sql.strip() else 0
-            for r in records
-        ),
+        em=mean(exact_match(r.golden_sql, r.generated_sql) for r in records),
         ea=mean(1 if r.exact else 0 for r in records),
         ves=mean(ves_per_query(r) for r in records),
         ves_star=mean(ves_star_per_query(r) for r in records),

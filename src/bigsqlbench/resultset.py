@@ -33,10 +33,6 @@ class InvalidColumnNameError(ValueError):
     """Raised when a column name is empty or whitespace-only."""
 
 
-class UndefinedPrecisionError(ValueError):
-    """Raised when precision is requested for a table with no columns."""
-
-
 # Numbers are equal when `math.isclose` at these tolerances says so: within a
 # relative 1e-6, with an absolute floor of 1e-9; an infinity only equals itself.
 REL_TOL = 1e-6
@@ -156,12 +152,16 @@ class ResultTable:
         as bytes."""
         table = from_json_object(_JsonTable, data, where)
         prefix = f"{where}." if where else ""
+        columns: list[Column] = []
         for i, c in enumerate(table.columns):
             if c.type not in TYPE_TAGS:
                 raise ValueError(
                     f"`{prefix}columns[{i}].type` is not one of {', '.join(TYPE_TAGS)}"
                 )
-        columns = tuple(Column(c.name, c.type) for c in table.columns)
+            try:
+                columns.append(Column(c.name, c.type))
+            except InvalidColumnNameError:
+                raise ValueError(f"`{prefix}columns[{i}].name` is empty") from None
         blob = [j for j, c in enumerate(columns) if c.type_tag == "blob"]
         rows = []
         for i, row in enumerate(table.rows):
@@ -177,7 +177,7 @@ class ResultTable:
                         cell = f"{prefix}rows[{i}][{j}]"
                         raise ValueError(f"`{cell}` is not hex text") from None
             rows.append(tuple(row))
-        return cls(columns, tuple(rows))
+        return cls(tuple(columns), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -356,9 +356,10 @@ def column_precision(truth: ResultTable, generated: ResultTable) -> float:
     The denominator counts every generated column occurrence, so repeated
     names are penalized as superfluous; the numerator counts matched truth
     columns (by name, with the positional fallback for expression names).
+    A generated table with no columns has precision 0.
     """
     if not generated.columns:
-        raise UndefinedPrecisionError("generated table has no columns")
+        return 0.0
     mapping, _ = match_columns(truth, generated)
     return len(mapping) / len(generated.columns)
 

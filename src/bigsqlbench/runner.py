@@ -39,7 +39,6 @@ from .llmclient import (
 from .metrics import STAGES, EpisodeResult, from_json_object, read_json
 from .resultset import (
     ResultTable,
-    UndefinedPrecisionError,
     column_precision,
     containment_indicator,
     tables_equal_exact,
@@ -637,10 +636,7 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
             indicator = 1 if exact else containment_indicator(
                 golden, generated, ordered=case.ordered
             )
-            try:
-                precision = column_precision(golden, generated)
-            except UndefinedPrecisionError:
-                precision = 0.0
+            precision = column_precision(golden, generated)
     except Exception as exc:  # harness fault: blame this cell, keep the run going
         indicator, precision, exact = 0, 0.0, False
         if fault is None:

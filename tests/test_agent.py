@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,7 @@ from bigsqlbench.agent import (
     AgentConfig,
     AgentTrace,
     Iteration,
-    ToolError,
+    TOOL_SCHEMAS,
     parse_controller_reply,
     run_agent,
     stage_breakdown,
@@ -22,7 +23,6 @@ from bigsqlbench.agent import (
     tool_check_query,
     tool_get_schema,
     tool_list_tables,
-    tool_run_query,
     trace_from_jsonl,
     trace_to_jsonl,
     truncate_observation,
@@ -71,8 +71,11 @@ def test_tool_list_tables_closed_session(tmp_path):
     with Sessions() as own:
         engine = own.get(tmp_path)
         own.close()
-        with pytest.raises(ToolError):
-            tool_list_tables(engine)
+        script = [entry(action_text("list_tables", {}))]
+        trace = run_agent("closed", AgentConfig(), ReplayBackend(script), engine)
+    assert (trace.outcome, trace.error) == (
+        "tool-error", "list_tables failed: engine session is closed"
+    )
 
 
 def test_tool_get_schema_ddl_only(shop_engine):
@@ -107,23 +110,55 @@ def test_tool_check_query_corrected_sql():
     assert "SELECT name" in exchange.response.text
 
 
-def test_tool_check_query_empty_sql():
-    with pytest.raises(ToolError):
-        tool_check_query(ReplayBackend([]), "   ")
+def test_tool_check_query_empty_sql(shop_engine):
+    script = [entry(action_text("check_query", {"sql": "   "}))]
+    trace = run_agent("blank", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert (trace.outcome, trace.error, trace.final_sql) == (
+        "tool-error", "check_query requires a non-empty sql string", None
+    )
+    assert len(trace.iterations[0].exchanges) == 1  # no checker call was made
 
 
 def test_tool_run_query_constant(shop_engine):
-    result, seconds = tool_run_query(shop_engine, "SELECT 1 AS x")
-    assert result.to_json_dict() == {
+    script = [entry(action_text("run_query", {"sql": "SELECT 1 AS x"}))]
+    trace = run_agent("one", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.final_result.to_json_dict() == {
         "columns": [{"name": "x", "type": "integer"}],
         "rows": [[1]],
     }
-    assert seconds > 0
+    assert trace.generated_runtime > 0
 
 
 def test_tool_run_query_invalid_sql(shop_engine):
-    with pytest.raises(ToolError):
-        tool_run_query(shop_engine, "SELECT FROM nothing WHERE")
+    sql = "SELECT FROM nothing WHERE"
+    script = [entry(action_text("run_query", {"sql": sql}))]
+    trace = run_agent("bad", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert (trace.outcome, trace.final_sql) == ("tool-error", sql)
+    assert trace.error == (
+        'run_query failed: sql execution failed: near "FROM": syntax error'
+    )
+
+
+# a blank query is refused before it reaches the engine, and a refused run's
+# final_sql is still the text the model sent
+@pytest.mark.parametrize("sql", ["", "  \n"])
+def test_blank_run_query_is_tool_error(shop_engine, sql):
+    script = [entry(action_text("run_query", {"sql": sql}))]
+    trace = run_agent("blank", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert (trace.outcome, trace.error, trace.final_sql) == (
+        "tool-error", "run_query requires a non-empty sql string", sql
+    )
+    assert trace.iterations[0].engine_seconds == 0.0
+
+
+def test_tool_schemas_are_pinned():
+    text = json.dumps(TOOL_SCHEMAS)
+    assert [s["function"]["name"] for s in TOOL_SCHEMAS] == [
+        "list_tables", "get_schema", "check_query", "run_query"
+    ]
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+        941, "00d99789fa970d8d079d42400724d4c2dd9a11e6d1b9a473385b1a4435bc6a33"
+    )
 
 
 # --- reply parsing ---
@@ -596,6 +631,10 @@ BAD_RESULTS = {
         "unknown key 'width' in final_result.columns[0]"),
     "int_column_name": ({"columns": [{"name": 5, "type": "text"}], "rows": []},
                         "`final_result.columns[0].name` is not a string"),
+    **{f"empty_column_name_{i}": (
+        {"columns": [{"name": name, "type": "text"}], "rows": []},
+        "`final_result.columns[0].name` is empty")
+       for i, name in enumerate(["", '""', "   "])},
     "unknown_type_tag": (
         {"columns": [{"name": "a", "type": "varchar"}], "rows": []},
         "`final_result.columns[0].type` is not one of integer, float, text, bool, "

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigsqlbench import engine as engine_module
-from bigsqlbench.agent import ToolError, tool_get_schema, tool_list_tables, tool_run_query
+from bigsqlbench.agent import tool_get_schema, tool_list_tables
 from bigsqlbench.engine import (
     ColumnSchema,
     EngineError,
@@ -375,8 +375,8 @@ def test_sessions_fail_a_broken_directory_without_rereading_it(tmp_path, monkeyp
 
 
 def test_agent_sql_cannot_write_shared_data(sessions, shop_copy):
-    with pytest.raises(ToolError, match="not authorized"):
-        tool_run_query(sessions.get(shop_copy), "DROP TABLE orders")
+    with pytest.raises(EngineError, match="not authorized"):
+        sessions.get(shop_copy).execute_timed("DROP TABLE orders")
     with Sessions() as fresh:
         assert fresh.get(shop_copy).list_tables() == ["orders", "products"]
 
@@ -417,14 +417,14 @@ def test_sql_that_writes_or_sets_state_is_a_tool_error(
     before = files_under(tmp_path)
     denied, *after = (sql.format(out=tmp_path) for sql in statements)
     engine = sessions.get(shop_copy)
-    with pytest.raises(ToolError, match="not authorized|authorization denied"):
-        tool_run_query(engine, denied)
+    with pytest.raises(EngineError, match="not authorized|authorization denied"):
+        engine.execute_timed(denied)
     for sql in after:  # e.g. "unknown database m" once ATTACH was denied
-        with pytest.raises(ToolError):
-            tool_run_query(engine, sql)
+        with pytest.raises(EngineError):
+            engine.execute_timed(sql)
     # the same session still reads the suite data, with default settings
-    rows, _ = tool_run_query(
-        engine, "SELECT count(*) AS n, 'A' LIKE 'a' AS ci FROM orders"
+    rows, _ = engine.execute_timed(
+        "SELECT count(*) AS n, 'A' LIKE 'a' AS ci FROM orders"
     )
     assert rows.rows == ((20, 1),)
     assert engine.list_tables() == ["orders", "products"]
@@ -439,15 +439,14 @@ def test_reading_and_introspection_still_work(sessions, mini_suite_dir, shop_cop
     assert schema.count("sample rows:") == 2
     for case in manifest["cases"]:
         engine.explain(case["SQL"])
-    counted, _ = tool_run_query(
-        engine,
+    counted, _ = engine.execute_timed(
         "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
-        "WHERE x < 5) SELECT sum(x) AS s FROM c",
+        "WHERE x < 5) SELECT sum(x) AS s FROM c"
     )
     assert counted.rows == ((15,),)
-    plan, _ = tool_run_query(engine, "EXPLAIN QUERY PLAN SELECT * FROM orders")
+    plan, _ = engine.execute_timed("EXPLAIN QUERY PLAN SELECT * FROM orders")
     assert plan.n_rows >= 1
-    info, _ = tool_run_query(engine, "PRAGMA table_info(orders)")
+    info, _ = engine.execute_timed("PRAGMA table_info(orders)")
     assert [row[1] for row in info.rows][:2] == ["order_id", "product_id"]
 
 
@@ -459,8 +458,8 @@ def test_reading_and_introspection_still_work(sessions, mini_suite_dir, shop_cop
 )
 def test_table_valued_introspection_pragmas_work(sessions, shop_copy, pragma, argument):
     engine = sessions.get(shop_copy)
-    statement, _ = tool_run_query(engine, f"PRAGMA {pragma}({argument})")
-    function, _ = tool_run_query(engine, f"SELECT * FROM pragma_{pragma}('{argument}')")
+    statement, _ = engine.execute_timed(f"PRAGMA {pragma}({argument})")
+    function, _ = engine.execute_timed(f"SELECT * FROM pragma_{pragma}('{argument}')")
     assert function.rows == statement.rows
     assert pragma not in ("table_info", "table_xinfo") or function.n_rows == 5
 
@@ -474,11 +473,11 @@ def test_table_valued_introspection_pragmas_work(sessions, shop_copy, pragma, ar
 def test_schema_table_cannot_be_modified(sessions, shop_copy, sql):
     engine = sessions.get(shop_copy)
     schema = engine.get_create_table("orders")
-    with pytest.raises(ToolError, match="table sqlite_master may not be modified"):
-        tool_run_query(engine, sql)
+    with pytest.raises(EngineError, match="table sqlite_master may not be modified"):
+        engine.execute_timed(sql)
     assert engine.list_tables() == ["orders", "products"]
     assert engine.get_create_table("orders") == schema
-    rows, _ = tool_run_query(engine, "SELECT count(*) AS n FROM orders")
+    rows, _ = engine.execute_timed("SELECT count(*) AS n FROM orders")
     assert rows.rows == ((20,),)
 
 

@@ -11,7 +11,6 @@ from bigsqlbench.resultset import (
     Column,
     InvalidColumnNameError,
     ResultTable,
-    UndefinedPrecisionError,
     column_precision,
     containment_indicator,
     is_expression_name,
@@ -159,11 +158,10 @@ def test_precision_disjoint_plain_names_is_zero():
     assert column_precision(truth, gen) == 0.0
 
 
-def test_precision_zero_columns_errors():
+def test_precision_zero_columns_is_zero():
     truth = table(["a"])
     gen = ResultTable(columns=(), rows=())
-    with pytest.raises(UndefinedPrecisionError):
-        column_precision(truth, gen)
+    assert column_precision(truth, gen) == 0.0
 
 
 def test_precision_subset_of_truth_is_one():
