@@ -13,7 +13,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Sequence
+from typing import Any, Literal, Sequence
 
 from .engine import EmbeddedEngine, EngineError, TableNotFoundError
 from .llmclient import (
@@ -23,20 +23,25 @@ from .llmclient import (
     ReplayExhaustedError,
     json_lines,
 )
-from .metrics import StageUsage, read_fields, read_json
+from .metrics import (
+    Count,
+    Outcome,
+    PositiveInt,
+    StageUsage,
+    check_fields,
+    read_fields,
+    read_json,
+)
 from .resultset import ResultTable, json_cell
 
 FINAL_ANSWER_ACTION = "final_answer"
 
+# the values of `metrics.Outcome`
 OUTCOME_COMPLETED = "completed"
 OUTCOME_EXHAUSTED = "exhausted"
 OUTCOME_TOOL_ERROR = "tool-error"
 OUTCOME_LLM_ERROR = "llm-error"
-# a fault that is not the model's: a replayed request that no longer matches
-# its recording, or a bug in the harness
 OUTCOME_HARNESS_ERROR = "harness-error"
-OUTCOMES = (OUTCOME_COMPLETED, OUTCOME_EXHAUSTED, OUTCOME_TOOL_ERROR,
-            OUTCOME_LLM_ERROR, OUTCOME_HARNESS_ERROR)
 
 DEFAULT_OBSERVATION_CAP = 4000
 TRUNCATION_MARKER = "\n...[observation truncated]"
@@ -114,14 +119,11 @@ class ActionParseError(ValueError):
 class AgentConfig:
     """Episode-level knobs for the controller loop."""
 
-    max_iterations: int = 15
-    sample_rows: int = 3
+    max_iterations: PositiveInt = 15
+    sample_rows: Count = 3
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.sample_rows < 0:
-            raise ValueError("sample_rows must be >= 0")
+        check_fields(self)
 
 
 @dataclass
@@ -151,7 +153,7 @@ class AgentTrace:
     """Ordered iterations of one episode plus its terminal state."""
 
     iterations: list[Iteration] = field(default_factory=list)
-    outcome: str = OUTCOME_EXHAUSTED
+    outcome: Outcome = OUTCOME_EXHAUSTED
     final_sql: str | None = None
     final_result: ResultTable | None = None
     final_answer: str | None = None
@@ -606,24 +608,16 @@ def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str,
     An iteration's fields are `Iteration` arguments (exchanges ExchangeRecords,
     an untimed one's clock fields 0.0); an outcome's `final_result` is a
     ResultTable, or None when the line holds none or a cut result."""
-    kind = record.get("type")
-    if kind not in _LINES:
-        raise ValueError(
-            f"line {number}: type {kind!r} is not meta, iteration or outcome"
-        )
-    cls, names = _LINES[kind]
-    raw = {name: value for name, value in record.items() if name != "type"}
     try:
+        kind = read_json(Literal[tuple(_LINES)], record.get("type"), "type")
+        cls, names = _LINES[kind]
+        raw = {name: value for name, value in record.items() if name != "type"}
         if kind == "iteration":
             values = read_fields(cls, raw, names, _CLOCK_FIELDS)
             for name in _CLOCK_FIELDS:
                 values.setdefault(name, 0.0)
         else:
             values = read_fields(cls, raw, names, final_result=_read_final_result)
-            if kind == "outcome" and values["outcome"] not in OUTCOMES:
-                raise ValueError(
-                    f"`outcome` {values['outcome']!r} is not one of {', '.join(OUTCOMES)}"
-                )
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
     return kind, values

@@ -11,12 +11,13 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
-from .metrics import StageUsage, from_json_object, read_json
+from .metrics import NonNegative, StageUsage, check_fields, from_json_object, read_json
 
 logger = logging.getLogger(__name__)
 
-ENGINE_MODES = ("per-second", "per-byte-scanned", "free")
+EngineMode = Literal["per-second", "per-byte-scanned", "free"]
 
 
 class MissingPricingError(KeyError):
@@ -28,27 +29,22 @@ class PricingEntry:
     """Per-model token prices in dollars per million tokens."""
 
     id: str  # the model id, as a pricing file names it
-    input_per_mtok: float
-    output_per_mtok: float
+    input_per_mtok: NonNegative
+    output_per_mtok: NonNegative
 
     def __post_init__(self) -> None:
-        # `not >= 0` also rejects NaN, which would bill every episode $nan
-        if not (self.input_per_mtok >= 0 and self.output_per_mtok >= 0):
-            raise ValueError("token prices must be nonnegative")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class EnginePricing:
     """How engine usage is monetized: per-second, per-byte-scanned, or free."""
 
-    mode: str = "free"
-    rate: float = 0.0
+    mode: EngineMode = "free"
+    rate: NonNegative = 0.0
 
     def __post_init__(self) -> None:
-        if self.mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine pricing mode: {self.mode!r}")
-        if not self.rate >= 0:  # also rejects NaN
-            raise ValueError("engine rate must be nonnegative")
+        check_fields(self)
         if self.mode == "free" and self.rate != 0.0:
             raise ValueError("free mode requires rate 0")
 

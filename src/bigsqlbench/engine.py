@@ -13,6 +13,7 @@ from __future__ import annotations
 import atexit
 import csv
 import functools
+import shutil
 import sqlite3
 import tempfile
 import time
@@ -104,9 +105,7 @@ class EmbeddedEngine:
     def __init__(self, config: EngineConfig, snapshot: Path):
         self.config = config
         self._conn: sqlite3.Connection | None = sqlite3.connect(
-            snapshot.as_uri() + "?mode=ro&immutable=1",
-            uri=True,
-            check_same_thread=False,
+            snapshot.as_uri() + "?mode=ro&immutable=1", uri=True
         )
         # Load the schema now, so the first timed query does not pay it.
         self._conn.execute("SELECT count(*) FROM sqlite_master").fetchall()
@@ -314,10 +313,12 @@ def _parse_bool(cell: str) -> int | None:
 
 @functools.cache
 def _snapshot_dir() -> Path:
-    """Holds the snapshot files; removed when the process exits."""
-    holder = tempfile.TemporaryDirectory(prefix="bigsqlbench-")
-    atexit.register(holder.cleanup)
-    return Path(holder.name)
+    """Holds the snapshot files; removed when the process that made it
+    exits.  No object owns it: a forked worker drops the exit handlers (as
+    of Python 3.13), and an owner only they kept alive would remove it."""
+    path = tempfile.mkdtemp(prefix="bigsqlbench-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return Path(path)
 
 
 def register_snapshot(data_dir: Path) -> Path:

@@ -20,10 +20,13 @@ import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from statistics import fmean, pstdev
-from typing import Any, Callable, Collection, Iterable
+from typing import Any, Callable, Collection, Iterable, Literal, NamedTuple
 
 # the stages an episode's time and cost are attributed to, in report order
 STAGES = ("list", "schema", "check", "run", "finalize")
+# how an episode ends; a harness error is a fault that is not the model's (a
+# replayed request that no longer matches its recording, or a harness bug)
+Outcome = Literal["completed", "exhausted", "tool-error", "llm-error", "harness-error"]
 
 
 @dataclass
@@ -65,75 +68,97 @@ class NormalizationError(ValueError):
 
 # --- the one reader of JSON input files ----------------------------------------
 
-# How a JSON value reads into a field of one annotation: the types the value
-# may have (exactly, so a bool is never a number), their name in an error,
-# and what reads such a value on as (value, path, base), if anything.
-_Reading = tuple[tuple[type, ...], str, Callable[[Any, str, Path], Any] | None]
+
+class _Reading(NamedTuple):
+    """How a value reads into a field of one annotation: the types it may
+    have (exactly, so a bool is never a number), their name in an error, a
+    rule it must meet too, and what reads it on as (value, path, base)."""
+
+    types: tuple[type, ...]
+    what: str
+    ok: Callable[[Any], bool] | None = None
+    read: Callable[[Any, str, Path], Any] | None = None
 
 
-_ANY: _Reading = ((dict, list, str, int, float, bool, type(None)), "a JSON value", None)
-# the annotation of an int that must be >= 0, such as a token count
-Count = typing.NewType("Count", int)
-
-
-def _count(value: int, path: str, base: Path) -> int:
-    if value < 0:
-        raise ValueError(f"`{path}` is not an int >= 0")
-    return value
-
+_ANY = _Reading((dict, list, str, int, float, bool, type(None)), "a JSON value")
+# the annotations of a value in a range, which each reads as its base type does
+Count = typing.NewType("Count", int)  # >= 0, such as a token count
+PositiveInt = typing.NewType("PositiveInt", int)  # >= 1, such as a repetition count
+NonNegative = typing.NewType("NonNegative", float)  # finite, >= 0: a price, a time
+Positive = typing.NewType("Positive", float)  # finite, > 0: a scale factor
+Fraction = typing.NewType("Fraction", float)  # in [0, 1]: a precision
 
 _SCALARS: dict[Any, _Reading] = {
-    Any: _ANY, str: ((str,), "a string", None), int: ((int,), "an int", None),
-    Count: ((int,), "an int >= 0", _count),
-    bool: ((bool,), "a boolean", None),
-    float: ((float,), "a number", None),  # an int is read as one too (`_read`)
-    # a path is relative to the directory of its file
-    Path: ((str,), "a string", lambda value, path, base: base / value),
+    Any: _ANY, str: _Reading((str,), "a string"), int: _Reading((int,), "an int"),
+    bool: _Reading((bool,), "a boolean"),
+    float: _Reading((float,), "a number"),  # an int is read as one too (`_read`)
+    Count: _Reading((int,), "an int >= 0", lambda x: x >= 0),
+    PositiveInt: _Reading((int,), "an int >= 1", lambda x: x >= 1),
+    # a comparison with NaN is false, so NaN is in no range
+    NonNegative: _Reading((float,), "a finite number >= 0", lambda x: 0 <= x < math.inf),
+    Positive: _Reading((float,), "a finite number > 0", lambda x: 0 < x < math.inf),
+    Fraction: _Reading((float,), "a number in [0, 1]", lambda x: 0 <= x <= 1),
+    # a path is relative to the directory of its file; a Path in memory is one
+    Path: _Reading((str, type(Path())), "a string",
+                   read=lambda value, path, base: base / value),
 }
+_HERE = Path()  # what `check_fields` reads a Path relative to
 
 
 @functools.cache
 def _reading(tp: Any) -> _Reading:
-    """The reading of annotation `tp`: one of `_SCALARS`, `X | None`,
-    `list[X]`, `dict[str, X]` or a dataclass; no value reads as another."""
+    """The reading of annotation `tp`: one of `_SCALARS`, a `Literal`,
+    `X | None`, `list[X]`, `dict[str, X]` or a dataclass; no value reads as
+    another.  A dataclass reads from a JSON object, or is an instance of it,
+    whose fields are checked the same way (`check_fields`)."""
     if tp in _SCALARS:
         return _SCALARS[tp]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return _Reading(tuple(set(map(type, args))), f"one of {', '.join(map(str, args))}",
+                        frozenset(args).__contains__)
     if origin in (typing.Union, types.UnionType) and type(None) in args:
-        json_types, what, read = _reading(next(a for a in args if a is not type(None)))
-        return json_types + (type(None),), f"null or {what}", read and (
-            lambda value, path, base: None if value is None else read(value, path, base)
+        inner = _reading(next(a for a in args if a is not type(None)))
+        return _Reading(
+            inner.types + (type(None),), f"null or {inner.what}",
+            inner.ok and (lambda value: value is None or inner.ok(value)),
+            inner.read and (lambda value, path, base:
+                            None if value is None else inner.read(value, path, base)),
         )
-    if origin is list:
-        item = _reading(args[0])
-        return (list,), "a list", lambda value, path, base: [
-            _read(item, x, f"{path}[{i}]", base) for i, x in enumerate(value)
-        ]
-    if origin is dict:
-        item = _reading(args[1])
-        kept = item[0] if item[2] is None else ()  # values kept as they are
+    if origin in (list, dict):
+        item = _reading(args[-1])
+        item_types, _, item_ok, item_read = item
 
-        def read_dict(value: dict, path: str, base: Path) -> dict:
-            if all(type(x) in kept for x in value.values()):
+        def read_items(value: Any, path: str, base: Path) -> Any:
+            # the value itself when each item reads as itself, so that no
+            # path is built for one; else a copy, each item read at its path
+            if item_read is None and all(
+                type(x) in item_types and (item_ok is None or item_ok(x))
+                for x in (value if origin is list else value.values())
+            ):
                 return value
+            if origin is list:
+                return [_read(item, x, f"{path}[{i}]", base) for i, x in enumerate(value)]
             return {key: _read(item, x, f"{path}.{key}", base) for key, x in value.items()}
 
-        return (dict,), "a JSON object", None if item is _ANY else read_dict
+        return _Reading((origin,), "a list" if origin is list else "a JSON object",
+                        read=None if item is _ANY else read_items)
     if is_dataclass(tp):
-        return (dict,), "a JSON object", (
-            lambda value, path, base: from_json_object(tp, value, path, base)
-        )
-    return (), f"a {tp}", None
+        return _Reading((dict, tp), "a JSON object", read=lambda value, path, base: (
+            check_fields(value, path) if type(value) is tp
+            else from_json_object(tp, value, path, base)
+        ))
+    return _Reading((), f"a {tp}")
 
 
 def _read(reading: _Reading, value: Any, path: str, base: Path) -> Any:
-    json_types, what, read = reading
-    if type(value) not in json_types:
-        if type(value) is int and float in json_types:
-            try:
-                return float(value)
-            except OverflowError:  # an int too large for a float
-                raise ValueError(f"`{path}` is out of range for a number") from None
+    json_types, what, ok, read = reading
+    if type(value) not in json_types and type(value) is int and float in json_types:
+        try:
+            value = float(value)
+        except OverflowError:  # an int too large for a float
+            raise ValueError(f"`{path}` is out of range for a number") from None
+    if type(value) not in json_types or (ok is not None and not ok(value)):
         raise ValueError(f"`{path}` is not {what}" if path else f"not {what}")
     return value if read is None else read(value, path, base)
 
@@ -179,8 +204,8 @@ def read_fields(
 ) -> dict[str, Any]:
     """The fields `names` of dataclass `cls` in the JSON object `raw` at path
     `where`, each read by its annotation or by `convert[name]`; ValueError
-    naming the path for a value of the wrong JSON type or, as `check_keys`
-    raises it, for a wrong key."""
+    naming the path for a value its annotation does not allow or, as
+    `check_keys` raises it, for a wrong key."""
     check_keys(raw, names, optional, where)
     readings, prefix = _fields(cls)[0], f"{where}." if where else ""
     return {
@@ -200,15 +225,20 @@ def from_json_object(
     return cls(**read_fields(cls, raw, readings, optional, where, base, **convert))
 
 
-def check_fields(obj: Any) -> None:
-    """Refuse, as `read_fields` does, a field of dataclass instance `obj`
-    that holds a value of the wrong JSON type; store a float field's int
-    as a float."""
-    here = Path()
+def check_fields(obj: Any, where: str = "") -> Any:
+    """Refuse, as `read_fields` refuses it in a file, a field of dataclass
+    instance `obj` at path `where` whose value its annotation does not allow,
+    in a nested dataclass, list or dict too; store a float field's int as a
+    float.  Returns `obj`."""
     for name, reading in _fields(type(obj))[0].items():
         value = getattr(obj, name)
-        if type(value) not in reading[0] or reading[2] is not None:
-            setattr(obj, name, _read(reading, value, name, here))
+        types, _, ok, read = reading
+        if read is None and type(value) in types and (ok is None or ok(value)):
+            continue
+        checked = _read(reading, value, f"{where}.{name}" if where else name, _HERE)
+        if checked is not value:
+            object.__setattr__(obj, name, checked)  # a frozen instance's too
+    return obj
 
 
 @dataclass
@@ -224,50 +254,35 @@ class EpisodeResult:
 
     model: str
     case_id: str
-    repetition: int
-    scale_factor: float
-    indicator: int
+    repetition: Count
+    scale_factor: Positive
+    indicator: Literal[0, 1]
     exact: bool
-    precision: float
-    t_gold: float
-    t_gen: float
-    t_e2e: float
-    c_e2e: float
-    outcome: str
+    precision: Fraction
+    t_gold: Positive
+    t_gen: NonNegative
+    t_e2e: NonNegative
+    c_e2e: NonNegative
+    outcome: Outcome
     golden_sql: str
     generated_sql: str
-    stage_seconds: dict[str, float]
-    stage_percentages: dict[str, float]
-    stage_cost: dict[str, float]
+    stage_seconds: dict[str, NonNegative]
+    stage_percentages: dict[str, NonNegative]
+    stage_cost: dict[str, NonNegative]
     trace_path: str | None = None
     error: str | None = None
     estimated_usage: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name, value in vars(self).items():
-            if type(value) is float and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite: {value}")
-            if type(value) is dict and not all(0 <= x < math.inf for x in value.values()):
-                raise ValueError(f"{name} values must be finite and >= 0")
-        if self.indicator not in (0, 1):
-            raise ValueError(f"indicator must be 0 or 1, got {self.indicator}")
         # strict equality implies containment
         if self.exact and not self.indicator:
             raise ValueError("an exact result must have indicator 1, got 0")
-        if not 0.0 <= self.precision <= 1.0:
-            raise ValueError(f"precision outside [0,1]: {self.precision}")
-        if self.t_gold <= 0:
-            raise ValueError(f"t_gold must be positive: {self.t_gold}")
-        if self.t_gen < 0:
-            raise ValueError(f"t_gen must be nonnegative: {self.t_gen}")
         # a valid result comes only from a query the engine ran and timed
         if self.valid and self.t_gen == 0:
             raise ValueError(f"a valid run must have a positive t_gen: {self.t_gen}")
         if self.t_e2e < self.t_gen:
             raise ValueError(f"t_e2e ({self.t_e2e}) must be >= t_gen ({self.t_gen})")
-        if self.c_e2e < 0:
-            raise ValueError(f"c_e2e must be nonnegative: {self.c_e2e}")
 
     @property
     def valid(self) -> bool:

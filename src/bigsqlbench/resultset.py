@@ -15,13 +15,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Literal, Sequence
 
-from .metrics import from_json_object
+from .metrics import check_fields, from_json_object
 
 logger = logging.getLogger(__name__)
 
-TYPE_TAGS = ("integer", "float", "text", "bool", "date", "blob", "null")
+TypeTag = Literal["integer", "float", "text", "bool", "date", "blob", "null"]
 # the types json.loads gives a cell that is neither a list nor an object
 _JSON_SCALARS = frozenset({type(None), bool, int, float, str})
 
@@ -44,8 +44,6 @@ def normalize_column_name(raw: str) -> str:
 
     Idempotent; raises InvalidColumnNameError on empty input.
     """
-    if raw is None:
-        raise InvalidColumnNameError("column name is None")
     name = raw.strip()
     if len(name) >= 2 and name[0] == name[-1] and name[0] in ("'", '"', "`"):
         name = name[1:-1].strip()
@@ -66,12 +64,11 @@ class Column:
     """A named, typed column descriptor. Name is stored normalized."""
 
     name: str
-    type_tag: str = "text"
+    type_tag: TypeTag = "text"
 
     def __post_init__(self) -> None:
+        check_fields(self)
         object.__setattr__(self, "name", normalize_column_name(self.name))
-        if self.type_tag not in TYPE_TAGS:
-            raise ValueError(f"unknown type tag: {self.type_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -154,10 +151,6 @@ class ResultTable:
         prefix = f"{where}." if where else ""
         columns: list[Column] = []
         for i, c in enumerate(table.columns):
-            if c.type not in TYPE_TAGS:
-                raise ValueError(
-                    f"`{prefix}columns[{i}].type` is not one of {', '.join(TYPE_TAGS)}"
-                )
             try:
                 columns.append(Column(c.name, c.type))
             except InvalidColumnNameError:
@@ -169,7 +162,9 @@ class ResultTable:
                 raise ValueError(
                     f"`{prefix}rows[{i}]` is not a list of {len(columns)} JSON scalars"
                 )
-            for j in blob:  # the reader built each row list, so it is ours to edit
+            if blob:  # a copy to edit: the reader hands on the file's own lists
+                row = list(row)
+            for j in blob:
                 if isinstance(row[j], str):
                     try:
                         row[j] = bytes.fromhex(row[j])
@@ -183,7 +178,7 @@ class ResultTable:
 @dataclass(frozen=True)
 class _JsonColumn:
     name: str
-    type: str
+    type: TypeTag
 
 
 @dataclass(frozen=True)
@@ -318,13 +313,6 @@ def match_columns(
     gen_first_index: dict[str, int] = {}
     for j, col in enumerate(generated.columns):
         gen_first_index.setdefault(col.name, j)
-    if len(gen_first_index) < len(generated.columns):
-        dupes = len(generated.columns) - len(gen_first_index)
-        logger.warning(
-            "generated output repeats %d column name(s); later duplicates "
-            "are treated as superfluous",
-            dupes,
-        )
 
     mapping: dict[int, int] = {}
     used_gen: set[int] = set()
@@ -356,10 +344,18 @@ def column_precision(truth: ResultTable, generated: ResultTable) -> float:
     The denominator counts every generated column occurrence, so repeated
     names are penalized as superfluous; the numerator counts matched truth
     columns (by name, with the positional fallback for expression names).
-    A generated table with no columns has precision 0.
+    A generated table with no columns has precision 0; one that repeats a
+    name is logged.
     """
     if not generated.columns:
         return 0.0
+    dupes = len(generated.columns) - len(set(generated.column_names))
+    if dupes:
+        logger.warning(
+            "generated output repeats %d column name(s); later duplicates "
+            "are treated as superfluous",
+            dupes,
+        )
     mapping, _ = match_columns(truth, generated)
     return len(mapping) / len(generated.columns)
 

@@ -17,7 +17,7 @@ import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal
 
 from .agent import (
     OUTCOME_HARNESS_ERROR,
@@ -36,7 +36,16 @@ from .llmclient import (
     ReplayBackend,
     SamplingConfig,
 )
-from .metrics import STAGES, EpisodeResult, from_json_object, read_json
+from .metrics import (
+    STAGES,
+    EpisodeResult,
+    NonNegative,
+    Positive,
+    PositiveInt,
+    check_fields,
+    from_json_object,
+    read_json,
+)
 from .resultset import (
     ResultTable,
     column_precision,
@@ -62,14 +71,14 @@ class PlanValidationError(ValueError):
 class BackendSpec:
     """One model endpoint (or replay stand-in) participating in a run."""
 
-    kind: str
+    kind: Literal["replay", "http-api"]
     model_id: str
     name: str = ""  # empty: named by its model_id
     scripts_dir: Path | None = None
     endpoint: str | None = None
     api_key_env: str | None = None
     supports_tools: bool = False
-    rate_limit_per_sec: float | None = None
+    rate_limit_per_sec: Positive | None = None
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
 
     def __post_init__(self) -> None:
@@ -84,11 +93,11 @@ class RunPlan:
     pricing: PricingConfig
     backends: list[BackendSpec] = field(default_factory=list)
     output_dir: Path = Path("out")
-    repetitions: int = 1
-    scale_factors: list[float] = field(default_factory=lambda: [1.0])
-    concurrency: int = 4
+    repetitions: PositiveInt = 1
+    scale_factors: list[Positive] = field(default_factory=lambda: [1.0])
+    concurrency: PositiveInt = 4  # worker processes
     seed: int = 0
-    max_spend_usd: float | None = None
+    max_spend_usd: NonNegative | None = None
     agent: AgentConfig = field(default_factory=AgentConfig)
 
     @classmethod
@@ -191,20 +200,13 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
     Repetition r of case c replays `<c>_r<r>.jsonl` when the scripts_dir has
     it, as a run's trace directory does, and `<c>.jsonl` otherwise.
     """
+    try:  # a plan's fields can change after it is read
+        check_fields(plan)
+    except ValueError as exc:
+        return _Preflight([str(exc)], {}, {})
     problems: list[str] = []
-    if plan.repetitions < 1:
-        problems.append("repetitions must be >= 1")
-    if plan.concurrency < 1:
-        problems.append("concurrency must be >= 1")
-    # `not >= 0` also rejects NaN, which no spend would ever reach
-    if plan.max_spend_usd is not None and not plan.max_spend_usd >= 0:
-        problems.append(f"max_spend_usd must be >= 0, got {plan.max_spend_usd}")
     if not plan.scale_factors:
         problems.append("scale_factors must be non-empty")
-    # a record refuses a scale factor that is not finite; none runs at <= 0
-    for sf in plan.scale_factors:
-        if not 0 < sf < math.inf:
-            problems.append(f"scale factor {format_sf(sf)} must be finite and > 0")
     # a scale factor and a backend name each name a directory of traces
     for sf, count in Counter(map(format_sf, plan.scale_factors)).items():
         if count > 1:
@@ -226,7 +228,7 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
     try:
         for sf in dict.fromkeys(plan.scale_factors):
             cases[sf] = load_suite(plan.suite, sf, sessions)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         problems.append(f"suite failed to load: {exc}")
     # a case usable at any scale factor needs its scripts
     usable = dict.fromkeys(
@@ -240,12 +242,6 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
     for spec in plan.backends:
         if spec.model_id not in plan.pricing.models:
             problems.append(f"backend {spec.name!r} has no pricing entry")
-        # `not > 0` also rejects NaN; None means no limit
-        if spec.rate_limit_per_sec is not None and not spec.rate_limit_per_sec > 0:
-            problems.append(
-                f"backend {spec.name!r}: rate_limit_per_sec must be > 0, "
-                f"got {spec.rate_limit_per_sec}"
-            )
         if spec.kind == "replay":
             if spec.scripts_dir is None or not spec.scripts_dir.is_dir():
                 problems.append(f"backend {spec.name!r}: replay scripts_dir missing")
@@ -267,7 +263,7 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
                         by_name[name] = _load_script(spec, case_id, name, problems)
                     if by_name[name] is not None:
                         scripts[spec.name, case_id, rep] = by_name[name]
-        elif spec.kind == "http-api":
+        else:  # http-api
             if not spec.endpoint:
                 problems.append(f"backend {spec.name!r}: http-api requires an endpoint")
             elif not spec.endpoint.lower().startswith(("http://", "https://")):
@@ -282,8 +278,6 @@ def _preflight(plan: RunPlan, sessions: Sessions) -> _Preflight:
                     f"backend {spec.name!r}: api_key_env {spec.api_key_env!r} "
                     "is unset or empty"
                 )
-        else:
-            problems.append(f"backend {spec.name!r}: unknown kind {spec.kind!r}")
     return _Preflight(problems, cases, scripts)
 
 
@@ -300,7 +294,7 @@ def _load_script(
             f"backend {spec.name!r}: no replay script for case {case_id!r}: "
             f"{path} not found"
         )
-    except Exception as exc:  # any script that cannot be parsed
+    except (OSError, ValueError) as exc:  # a script that cannot be read or parsed
         problems.append(
             f"backend {spec.name!r}: replay script {path} failed to load: {exc}"
         )

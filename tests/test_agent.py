@@ -651,7 +651,7 @@ BAD_RESULTS = {
 # `harness-error` trace reads (test_runner) but does not replay (test_cli)
 MALFORMED_LINES = {
     "misspelt_type": ('{"type": "iteratoin"}',
-                      "type 'iteratoin' is not meta, iteration or outcome"),
+                      "`type` is not one of meta, iteration, outcome"),
     "exchanges_not_a_list": (iteration_line(exchanges=5), "`exchanges` is not a list"),
     "no_exchanges": (iteration_line().replace(', "exchanges": []', ""),
                      "missing key 'exchanges'"),
@@ -661,14 +661,14 @@ MALFORMED_LINES = {
     "unreplayable_exchange": (
         iteration_line(exchanges=[{"response": {"text": "x"},
                                    "usage": {"input_tokens": -1}}]),
-        "`exchanges[0].usage.input_tokens` is not an int >= 0"),
+        "`exchanges[0].usage.input_tokens` is not null or an int >= 0"),
     "unknown_field": (iteration_line(note=1),
                       "unknown key 'note'"),
     "int_question": ('{"type": "meta", "question": 7, "model_id": "m"}',
                      "`question` is not a string"),
     "unknown_outcome": (
         outcome_line(outcome="finished"),
-        "`outcome` 'finished' is not one of completed, exhausted, tool-error, "
+        "`outcome` is not one of completed, exhausted, tool-error, "
         "llm-error, harness-error"),
     "bad_final_result": (outcome_line(final_result={"rows": [[1]]}),
                          "missing key 'columns' in final_result"),

@@ -14,6 +14,7 @@ from tests.conftest import (
     PINNED_REPORT,
     REPO_ROOT,
     count_registrations,
+    episode,
     iteration_line,
     mismatch_entry,
     modules_after,
@@ -206,7 +207,7 @@ def _script_line_without_exchange(plan, suite, monkeypatch):
     path.write_text('{"type": "foo"}\n')
     return (
         f"backend 'replay-alpha': replay script {path} failed to load: "
-        "line 1: type 'foo' is not meta, iteration or outcome"
+        "line 1: `type` is not one of meta, iteration, outcome"
     )
 
 
@@ -264,27 +265,43 @@ def _fractional_concurrency(plan, suite, monkeypatch):
 
 def _nan_scale_factor(plan, suite, monkeypatch):
     plan["scale_factors"] = [math.nan]  # a record refuses it
-    return "scale factor nan must be finite and > 0"
+    return f"plan {suite / 'plan.json'}: `scale_factors[0]` is not a finite number > 0"
 
 
 def _negative_scale_factor(plan, suite, monkeypatch):
     plan["scale_factors"] = [1.0, -1]
-    return "scale factor -1 must be finite and > 0"
+    return f"plan {suite / 'plan.json'}: `scale_factors[1]` is not a finite number > 0"
 
 
 def _zero_scale_factor(plan, suite, monkeypatch):
     plan["scale_factors"] = [0]
-    return "scale factor 0 must be finite and > 0"
+    return f"plan {suite / 'plan.json'}: `scale_factors[0]` is not a finite number > 0"
+
+
+def _infinite_token_price(plan, suite, monkeypatch):
+    pricing = json.loads((suite / "pricing.json").read_text())
+    pricing["models"][0]["input_per_mtok"] = math.inf  # written as `Infinity`
+    (suite / "pricing.json").write_text(json.dumps(pricing))
+    return (f"plan {suite / 'plan.json'}: `models[0].input_per_mtok` is not a "
+            "finite number >= 0")
+
+
+def _infinite_engine_rate(plan, suite, monkeypatch):
+    pricing = json.loads((suite / "pricing.json").read_text())
+    pricing["engine"] = {"mode": "per-second", "rate": math.inf}
+    (suite / "pricing.json").write_text(json.dumps(pricing))
+    return f"plan {suite / 'plan.json'}: `engine.rate` is not a finite number >= 0"
 
 
 def _zero_concurrency(plan, suite, monkeypatch):
     plan["concurrency"] = 0  # would run every cell on one worker
-    return "concurrency must be >= 1"
+    return f"plan {suite / 'plan.json'}: `concurrency` is not an int >= 1"
 
 
 def _negative_max_spend(plan, suite, monkeypatch):
     plan["max_spend_usd"] = -1  # would skip every cell
-    return "max_spend_usd must be >= 0, got -1.0"
+    return (f"plan {suite / 'plan.json'}: `max_spend_usd` is not null or a finite "
+            "number >= 0")
 
 
 def _repeated_backend_name(plan, suite, monkeypatch):
@@ -322,7 +339,8 @@ def _case_not_an_object(plan, suite, monkeypatch):
      _repeated_backend_name, _repeated_scale_factor, _repeated_case_id,
      _case_not_an_object, _unset_key, _empty_key, _int_backend_name,
      _string_supports_tools, _fractional_concurrency, _nan_scale_factor,
-     _negative_scale_factor, _zero_scale_factor],
+     _negative_scale_factor, _zero_scale_factor, _infinite_token_price,
+     _infinite_engine_rate],
     ids=lambda defect: defect.__name__.lstrip("_"),
 )
 def test_plan_validate_and_run_agree(
@@ -382,7 +400,7 @@ def test_run_refuses_a_nan_max_spend_flag(tmp_path, mini_suite_dir, capsys):
     args = ["--output-dir", str(out_dir), "--max-spend", "nan"]
     assert main(["run", "--plan", plan_path, *args]) == 1
     out = capsys.readouterr().out
-    assert out == "plan invalid: max_spend_usd must be >= 0, got nan\n"
+    assert out == "plan invalid: `max_spend_usd` is not null or a finite number >= 0\n"
     assert not out_dir.exists()
 
 
@@ -428,6 +446,13 @@ def _records_file(text):
     return write
 
 
+def _episode_file(**fields):
+    """A records file of one episode with `fields` changed."""
+    return _records_file(json.dumps(
+        {"episodes": [{**episode("m", "q1").to_json_dict(), **fields}]}
+    ))
+
+
 @pytest.mark.parametrize(
     "records, cause",
     [
@@ -438,8 +463,12 @@ def _records_file(text):
          "'stage_percentages'"),
         (_records_file('{"episodes": 5}'), "`episodes` is not a list"),
         (_records_file("{not json"), "Expecting property name"),
+        (_episode_file(outcome="no-such-outcome"), "episode 0: `outcome` is not one "
+         "of completed, exhausted, tool-error, llm-error, harness-error"),
+        (_episode_file(repetition=-3), "episode 0: `repetition` is not an int >= 0"),
     ],
-    ids=["missing_path", "untimed_records", "episodes_not_a_list", "not_json"],
+    ids=["missing_path", "untimed_records", "episodes_not_a_list", "not_json",
+         "unknown_outcome", "negative_repetition"],
 )
 def test_report_refuses_unreadable_records_in_one_line(
     tmp_path, capsys, records, cause

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,14 +155,14 @@ def test_pricing_config_rejects_unknown_keys(tmp_path, edit, message):
     "edit, message",
     [
         (lambda d: d["models"][0].update(input_per_mtok=math.nan),
-         "token prices must be nonnegative"),
+         "`models[0].input_per_mtok` is not a finite number >= 0"),
         (lambda d: d["models"][0].update(output_per_mtok=math.nan),
-         "token prices must be nonnegative"),
+         "`models[0].output_per_mtok` is not a finite number >= 0"),
         (lambda d: d["models"][0].update(output_per_mtok=-1.0),
-         "token prices must be nonnegative"),
+         "`models[0].output_per_mtok` is not a finite number >= 0"),
         (lambda d: d["engine"].update(rate=math.nan),
-         "engine rate must be nonnegative"),
-        (lambda d: d["engine"].update(rate=-0.5), "engine rate must be nonnegative"),
+         "`engine.rate` is not a finite number >= 0"),
+        (lambda d: d["engine"].update(rate=-0.5), "`engine.rate` is not a finite number >= 0"),
     ],
     ids=["nan-input", "nan-output", "negative-output", "nan-rate", "negative-rate"],
 )
@@ -173,7 +174,7 @@ def test_pricing_config_rejects_nan_and_negative_prices(tmp_path, edit, message)
     edit(data)
     path = tmp_path / "pricing.json"
     path.write_text(json.dumps(data))  # json writes and reads NaN as `NaN`
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PricingConfig.from_json_file(path)
 
 

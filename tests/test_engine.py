@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
@@ -354,6 +355,18 @@ def test_sessions_pin_the_data_until_the_owner_exits(tmp_path, monkeypatch):
     assert len(loaded) == 1
     with pytest.raises(SessionClosedError):
         reopened.list_tables()
+
+
+def test_a_forked_worker_that_drops_its_exit_handlers_keeps_the_snapshots():
+    # a worker forked by Python 3.13's multiprocessing clears the exit
+    # handlers it inherits before it runs
+    snapshot_dir = engine_module._snapshot_dir()
+    pid = os.fork()
+    if pid == 0:
+        atexit._clear()
+        os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert snapshot_dir.is_dir()
 
 
 def test_sessions_fail_a_broken_directory_without_rereading_it(tmp_path, monkeypatch):

@@ -123,7 +123,7 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
     first = json.dumps(script_entry("ok"), default=vars)
     path.write_text(first + "\n\n" + '{"type": "foo"}\n')
     with pytest.raises(
-        ValueError, match="^line 3: type 'foo' is not meta, iteration or outcome$"
+        ValueError, match="^line 3: `type` is not one of meta, iteration, outcome$"
     ):
         ReplayBackend.from_path(path)
     unreplayable = {
@@ -142,7 +142,7 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
         '{"response": {"text": "x"}, "usage": {"input_tokens": "abc", '
         '"output_tokens": 1}}': "`usage.input_tokens` is not null or an int >= 0",
         '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '
-        '"output_tokens": 1}}': "`usage.input_tokens` is not an int >= 0",
+        '"output_tokens": 1}}': "`usage.input_tokens` is not null or an int >= 0",
         iteration_line(exchanges=[
             {"response": {"text": "x"},
              "usage": {"input_tokens": 1, "output_tokens": True}},

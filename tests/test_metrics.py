@@ -127,7 +127,7 @@ def test_vces_degenerate_cost():
     assert vces_per_query(record(c_e2e=0.0)) is None
     assert vces_per_query(record(indicator=0, exact=False, c_e2e=0.0)) == 0.0
     # a negative cost is refused before any metric sees it
-    with pytest.raises(ValueError, match="c_e2e must be nonnegative"):
+    with pytest.raises(ValueError, match="`c_e2e` is not a finite number >= 0"):
         record(c_e2e=-0.01)
 
 
@@ -289,28 +289,51 @@ def test_record_valid_property():
     assert not record(indicator=0, exact=False, t_gen=0.0, t_e2e=0.0).valid
 
 
+def reworded(overrides, message, case_id):
+    """A case whose refusal was reworded; it keeps its test id."""
+    return pytest.param(overrides, message, id=case_id)
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        (dict(t_gold=math.nan), "t_gold must be finite: nan"),
-        (dict(t_gen=math.nan), "t_gen must be finite: nan"),
-        (dict(t_e2e=math.inf), "t_e2e must be finite: inf"),
-        (dict(c_e2e=math.nan), "c_e2e must be finite: nan"),
-        (dict(precision=math.nan), "precision must be finite: nan"),
+        reworded(dict(t_gold=math.nan), "`t_gold` is not a finite number > 0",
+                 "overrides0-t_gold must be finite: nan"),
+        reworded(dict(t_gen=math.nan), "`t_gen` is not a finite number >= 0",
+                 "overrides1-t_gen must be finite: nan"),
+        reworded(dict(t_e2e=math.inf), "`t_e2e` is not a finite number >= 0",
+                 "overrides2-t_e2e must be finite: inf"),
+        reworded(dict(c_e2e=math.nan), "`c_e2e` is not a finite number >= 0",
+                 "overrides3-c_e2e must be finite: nan"),
+        reworded(dict(precision=math.nan), "`precision` is not a number in [0, 1]",
+                 "overrides4-precision must be finite: nan"),
         (dict(case_id=7), "`case_id` is not a string"),
         (dict(exact=1), "`exact` is not a boolean"),
-        (dict(c_e2e="0.01"), "`c_e2e` is not a number"),
-        (dict(stage_cost={"run": math.nan}), "stage_cost values must be finite"),
-        (dict(stage_seconds={"run": -1.0}), "stage_seconds values must be finite"),
+        reworded(dict(c_e2e="0.01"), "`c_e2e` is not a finite number >= 0",
+                 "overrides7-`c_e2e` is not a number"),
+        reworded(dict(stage_cost={"run": math.nan}),
+                 "`stage_cost.run` is not a finite number >= 0",
+                 "overrides8-stage_cost values must be finite"),
+        reworded(dict(stage_seconds={"run": -1.0}),
+                 "`stage_seconds.run` is not a finite number >= 0",
+                 "overrides9-stage_seconds values must be finite"),
         (dict(indicator=0, exact=True, t_gen=0.0),
          "an exact result must have indicator 1, got 0"),
         (dict(rep=True), "`repetition` is not an int"),
-        (dict(indicator=True), "`indicator` is not an int"),
-        (dict(sf=True), "`scale_factor` is not a number"),
-        (dict(t_gold=True), "`t_gold` is not a number"),
-        (dict(c_e2e=False), "`c_e2e` is not a number"),
-        (dict(stage_seconds={"run": True}), "`stage_seconds.run` is not a number"),
-        (dict(stage_cost={"run": False}), "`stage_cost.run` is not a number"),
+        reworded(dict(indicator=True), "`indicator` is not one of 0, 1",
+                 "overrides12-`indicator` is not an int"),
+        reworded(dict(sf=True), "`scale_factor` is not a finite number > 0",
+                 "overrides13-`scale_factor` is not a number"),
+        reworded(dict(t_gold=True), "`t_gold` is not a finite number > 0",
+                 "overrides14-`t_gold` is not a number"),
+        reworded(dict(c_e2e=False), "`c_e2e` is not a finite number >= 0",
+                 "overrides15-`c_e2e` is not a number"),
+        reworded(dict(stage_seconds={"run": True}),
+                 "`stage_seconds.run` is not a finite number >= 0",
+                 "overrides16-`stage_seconds.run` is not a number"),
+        reworded(dict(stage_cost={"run": False}),
+                 "`stage_cost.run` is not a finite number >= 0",
+                 "overrides17-`stage_cost.run` is not a number"),
     ],
 )
 def test_record_refuses_what_a_report_cannot_render(overrides, message):

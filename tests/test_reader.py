@@ -2,32 +2,43 @@
 
 The files are plans, pricing, records.json, trace lines and replay scripts;
 each is read by `metrics.read_fields` against the annotations of its
-dataclasses.  The JSON types each annotation accepts are stated here again,
-as the oracle the reader is checked against.
+dataclasses.  The JSON types each annotation accepts, and the range of each
+constrained one, are stated here again, as the oracle the reader is checked
+against.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tempfile
 import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bigsqlbench.agent import AgentConfig, Iteration, read_trace_line
-from bigsqlbench.costmodel import ENGINE_MODES, EnginePricing, PricingConfig, PricingEntry
-from bigsqlbench.llmclient import ExchangeRecord, SamplingConfig, _Usage
-from bigsqlbench.metrics import EpisodeResult, from_json_object, load_records
+from bigsqlbench.costmodel import EnginePricing, PricingConfig, PricingEntry
+from bigsqlbench.llmclient import ExchangeRecord, SamplingConfig
+from bigsqlbench.metrics import (
+    Count,
+    EpisodeResult,
+    Fraction,
+    NonNegative,
+    Positive,
+    PositiveInt,
+    from_json_object,
+    load_records,
+)
 from bigsqlbench.runner import BackendSpec, RunPlan
 
-from tests.conftest import episode
-
 # the JSON types of each scalar annotation; a bool is never a number
-SCALAR_KINDS = {str: {str}, int: {int}, float: {int, float}, bool: {bool}, Path: {str}}
+SCALAR_KINDS = {str: {str}, int: {int}, float: {int, float}, bool: {bool}, Path: {str},
+                Count: {int}, PositiveInt: {int}, NonNegative: {int, float},
+                Positive: {int, float}, Fraction: {int, float}}
 # one value of each JSON type
 JSON_SAMPLES = [None, True, 7, 0.5, "x", [], {}]
 
@@ -38,8 +49,20 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=6,
 )
-finite = st.floats(allow_nan=False, allow_infinity=False)
-nonnegative = st.floats(min_value=0.0, max_value=1e9)
+not_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+# each constrained annotation: its values, and values of its JSON type outside
+# its range (`json` writes and reads NaN and Infinity)
+RANGES = {
+    Count: (st.integers(min_value=0), st.integers(max_value=-1)),
+    PositiveInt: (st.integers(min_value=1), st.integers(max_value=0)),
+    NonNegative: (st.just(0.0) | st.floats(min_value=0.0, max_value=1e9),
+                  st.floats(max_value=-1e-300) | not_finite),
+    Positive: (st.floats(min_value=1e-6, max_value=1e9),
+               st.floats(max_value=0.0) | not_finite),
+    Fraction: (st.floats(min_value=0.0, max_value=1.0),
+               st.floats(min_value=1.0, exclude_min=True)
+               | st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan)),
+}
 # absolute, so that a path reads back the same beside any file
 paths = st.text(max_size=8).map(lambda name: Path("/", name))
 
@@ -51,6 +74,8 @@ def accepted(tp: Any) -> set[type] | None:
     if tp in SCALAR_KINDS:
         return SCALAR_KINDS[tp]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return {type(arg) for arg in args}
     if type(None) in args:  # X | None
         inner = accepted(next(arg for arg in args if arg is not type(None)))
         return None if inner is None else inner | {type(None)}
@@ -61,11 +86,15 @@ def values_of(tp: Any) -> st.SearchStrategy:
     """Valid in-memory values of a field annotated `tp`."""
     if dataclasses.is_dataclass(tp):
         return instances(tp)
-    simple = {str: st.text(), int: st.integers(), float: finite, bool: st.booleans(),
-              Path: paths, Any: json_values}
+    if tp in RANGES:
+        return RANGES[tp][0]
+    simple = {str: st.text(), int: st.integers(), bool: st.booleans(), Path: paths,
+              float: st.floats(allow_nan=False, allow_infinity=False), Any: json_values}
     if tp in simple:
         return simple[tp]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Literal:
+        return st.sampled_from(args)
     if type(None) in args:
         return st.none() | values_of(next(arg for arg in args if arg is not type(None)))
     if origin is list:
@@ -73,50 +102,28 @@ def values_of(tp: Any) -> st.SearchStrategy:
     return st.dictionaries(st.text(max_size=6), values_of(args[1]), max_size=3)
 
 
-episode_results = st.builds(
-    lambda verdict, t_gen, extra, stage, tail, **measured: dataclasses.replace(
-        episode(indicator=verdict[0], exact=verdict[1], t_gen=t_gen,
-                t_e2e=t_gen + extra, stage_seconds=stage, stage_cost=stage,
-                **measured),
-        **tail,
-    ),
-    verdict=st.sampled_from([(0, False), (1, False), (1, True)]),
-    t_gen=st.floats(min_value=1e-6, max_value=1e3),
-    extra=st.floats(min_value=0.0, max_value=1e3),
-    stage=st.dictionaries(st.text(max_size=6), st.floats(min_value=1e-6, max_value=1e6),
-                          min_size=1, max_size=3),
-    tail=st.fixed_dictionaries({
-        "trace_path": st.none() | st.text(), "error": st.none() | st.text(),
-        "estimated_usage": st.booleans(),
-    }),
-    model=st.text(), case_id=st.text(), rep=st.integers(),
-    sf=st.floats(min_value=1e-3, max_value=1e3),
-    precision=st.floats(min_value=0.0, max_value=1.0),
-    t_gold=st.floats(min_value=1e-6, max_value=1e3), c_e2e=nonnegative,
-)
-
-# fields whose values a constructor restricts beyond their JSON type
-RESTRICTED = {
-    (PricingEntry, "input_per_mtok"): nonnegative,
-    (PricingEntry, "output_per_mtok"): nonnegative,
-    (EnginePricing, "mode"): st.sampled_from(ENGINE_MODES),
-    (EnginePricing, "rate"): st.just(0.0) | nonnegative,
-    (AgentConfig, "max_iterations"): st.integers(min_value=1),
-    (AgentConfig, "sample_rows"): st.integers(min_value=0),
-    (PricingConfig, "models"): st.lists(
-        st.builds(PricingEntry, st.text(), nonnegative, nonnegative),
-        max_size=3, unique_by=lambda entry: entry.id,
-    ).map(lambda entries: {entry.id: entry for entry in entries}),
-    (ExchangeRecord, "usage"): st.none() | st.builds(
-        _Usage, *[st.none() | st.integers(min_value=0)] * 2
-    ),
-}
+def out_of_range(tp: Any) -> st.SearchStrategy | None:
+    """A value a field annotated `tp` refuses though it has one of the JSON
+    types the field accepts, with the path within the field it is refused at;
+    None when every value of those types is accepted."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in RANGES:
+        return RANGES[tp][1].map(lambda value: (value, ""))
+    if origin is Literal:
+        others = st.integers() if type(args[0]) is int else st.text()
+        return others.filter(lambda value: value not in args).map(lambda value: (value, ""))
+    if type(None) in args:
+        return out_of_range(next(arg for arg in args if arg is not type(None)))
+    inner = out_of_range(args[-1]) if origin in (list, dict) else None
+    if inner is None:
+        return None
+    if origin is list:
+        return inner.map(lambda bad: ([bad[0]], "[0]" + bad[1]))
+    return inner.map(lambda bad: ({"k": bad[0]}, ".k" + bad[1]))
 
 
 def instances(cls: type) -> st.SearchStrategy:
     """Valid instances of dataclass `cls`, each field drawn by its annotation."""
-    if cls is EpisodeResult:
-        return episode_results
     hints = typing.get_type_hints(cls)
 
     def build(**values):
@@ -125,11 +132,12 @@ def instances(cls: type) -> st.SearchStrategy:
         except ValueError:  # a rule across fields
             return None
 
-    return st.builds(build, **{
-        f.name: RESTRICTED[cls, f.name] if (cls, f.name) in RESTRICTED
-        else values_of(hints[f.name])
-        for f in dataclasses.fields(cls) if f.init
-    }).filter(lambda value: value is not None)
+    drawn = {f.name: values_of(hints[f.name]) for f in dataclasses.fields(cls) if f.init}
+    if cls is PricingConfig:  # its models are keyed by their id
+        drawn["models"] = st.lists(
+            instances(PricingEntry), max_size=3, unique_by=lambda entry: entry.id
+        ).map(lambda entries: {entry.id: entry for entry in entries})
+    return st.builds(build, **drawn).filter(lambda value: value is not None)
 
 
 def to_json(value: Any) -> Any:
@@ -208,3 +216,24 @@ def test_a_value_of_another_json_type_is_refused_by_name(cls, data):
     with pytest.raises(ValueError) as refused:
         READERS[cls](written)
     assert f"`{name}` is not " in str(refused.value), str(refused.value)
+
+
+def ranged_fields(cls: type) -> list[str]:
+    """The fields of `cls` whose annotation refuses some values of its JSON types."""
+    hints = typing.get_type_hints(cls)
+    return [f.name for f in dataclasses.fields(cls)
+            if out_of_range(hints[f.name]) is not None]
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in READERS if ranged_fields(cls)], ids=lambda cls: cls.__name__
+)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_value_out_of_its_range_is_refused_by_name(cls, data):
+    written = json.loads(json.dumps(to_json(data.draw(instances(cls)))))
+    name = data.draw(st.sampled_from(ranged_fields(cls)))
+    written[name], within = data.draw(out_of_range(typing.get_type_hints(cls)[name]))
+    with pytest.raises(ValueError) as refused:
+        READERS[cls](written)
+    assert f"`{name}{within}` is not " in str(refused.value), str(refused.value)

@@ -255,6 +255,19 @@ def test_containment_duplicate_generated_keeps_first():
     assert containment_indicator(truth, gen) == 1
 
 
+def test_repeated_generated_names_are_logged_once_per_episode(caplog):
+    # the runner scores an episode with both calls
+    truth = table(["a"], [(1,)])
+    gen = ResultTable(columns=(Column("a"), Column("a")), rows=((1, 1),))
+    with caplog.at_level("WARNING", logger="bigsqlbench.resultset"):
+        containment_indicator(truth, gen)
+        column_precision(truth, gen)
+    assert [r.getMessage() for r in caplog.records] == [
+        "generated output repeats 1 column name(s); later duplicates are "
+        "treated as superfluous"
+    ]
+
+
 # --- tables_equal_exact ---
 
 

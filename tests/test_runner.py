@@ -181,10 +181,39 @@ def test_http_endpoint_without_scheme_rejected(mini_plan, endpoint):
 def test_non_positive_rate_limit_rejected(mini_plan, rate):
     mini_plan.backends[1].rate_limit_per_sec = rate
     assert validate_plan(mini_plan) == [
-        f"backend 'replay-beta': rate_limit_per_sec must be > 0, got {rate}"
+        "`backends[1].rate_limit_per_sec` is not null or a finite number > 0"
     ]
     with pytest.raises(PlanValidationError):
         execute_plan(mini_plan)
+
+
+def test_a_field_changed_after_reading_is_refused_as_the_reader_refuses_it(mini_plan):
+    mini_plan.concurrency = 0  # as `run --concurrency 0` sets it
+    assert validate_plan(mini_plan) == ["`concurrency` is not an int >= 1"]
+    mini_plan.concurrency = 1
+    mini_plan.scale_factors = [1.0, math.inf]
+    assert validate_plan(mini_plan) == ["`scale_factors[1]` is not a finite number > 0"]
+    mini_plan.scale_factors = [1.0]
+    # a frozen entry changed past its own check
+    object.__setattr__(mini_plan.pricing.models["replay-alpha"], "input_per_mtok", math.inf)
+    assert validate_plan(mini_plan) == [
+        "`pricing.models.replay-alpha.input_per_mtok` is not a finite number >= 0"
+    ]
+
+
+@pytest.mark.parametrize("target, name, exc", [
+    (runner, "load_suite", TypeError("harness bug")),
+    (ReplayBackend, "from_path", AttributeError("harness bug")),
+], ids=["suite", "script"])
+def test_a_harness_bug_in_the_preflight_is_raised_not_reported(
+    mini_plan, monkeypatch, target, name, exc
+):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, name, fail)
+    with pytest.raises(type(exc), match="harness bug"):
+        validate_plan(mini_plan)
 
 
 def test_api_key_env_must_name_a_set_variable(mini_plan, monkeypatch):
@@ -956,7 +985,7 @@ def test_records_json_round_trip(mini_plan):
     # `report` reads records.json from outside: a negative cost is refused on load
     negative = output.records_path.with_name("negative.json")
     negative.write_text(json.dumps({"episodes": [{**first, "c_e2e": -0.01}]}))
-    with pytest.raises(ValueError, match="c_e2e must be nonnegative"):
+    with pytest.raises(ValueError, match="`c_e2e` is not a finite number >= 0"):
         load_records(negative)
 
 
