@@ -25,6 +25,7 @@ from .llmclient import (
 )
 from .metrics import (
     Count,
+    NonNegative,
     Outcome,
     PositiveInt,
     StageUsage,
@@ -135,12 +136,12 @@ class Iteration:
     action: str | None
     action_input: dict[str, Any]
     observation: str
-    started_at: float
-    ended_at: float
-    input_tokens: int = 0
-    output_tokens: int = 0
-    engine_seconds: float = 0.0
-    engine_bytes: int = 0
+    started_at: NonNegative
+    ended_at: NonNegative  # not before started_at (`read_trace_line`)
+    input_tokens: Count = 0
+    output_tokens: Count = 0
+    engine_seconds: NonNegative = 0.0
+    engine_bytes: Count = 0
     exchanges: list[ExchangeRecord] = field(default_factory=list)
 
     @property
@@ -616,6 +617,8 @@ def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str,
             values = read_fields(cls, raw, names, _CLOCK_FIELDS)
             for name in _CLOCK_FIELDS:
                 values.setdefault(name, 0.0)
+            if values["ended_at"] < values["started_at"]:
+                raise ValueError("`ended_at` is before `started_at`")
         else:
             values = read_fields(cls, raw, names, final_result=_read_final_result)
     except ValueError as exc:

@@ -442,92 +442,108 @@ def _make_trace_dirs(specs: list[_EpisodeSpec]) -> dict[Path, OSError]:
 def _run_episodes(
     run: _Run, specs: list[_EpisodeSpec]
 ) -> tuple[list[EpisodeResult], list[_EpisodeSpec]]:
-    """Run specs in order on `concurrency` worker processes, until done or the
-    spend ceiling.
+    """Run specs in plan order on `concurrency` worker processes, until done or
+    the spend ceiling.
 
     The workers are forked, so they inherit the specs with their goldens and
     replay scripts, and the engine's snapshots, without copying or
-    registering anything again.  Returns the finished episodes and the specs
-    never started; raises RuntimeError if a worker fails or dies.
+    registering anything again.  The parent alone hands out the specs and
+    adds up the spend: it sends each worker the index of a spec, or None to
+    stop, and each episode comes back as soon as it finishes.  No index is
+    sent once the spend has reached the ceiling.  Returns the finished
+    episodes and the specs never sent; raises RuntimeError if a worker fails
+    or dies.
     """
     import multiprocessing  # here, so that commands that never run pay nothing
+    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    claims = _Claims(
-        lock=ctx.Lock(),
-        next_index=ctx.RawValue("q", 0),
-        spent=ctx.RawValue("d", 0.0),
-        ceiling=run.plan.max_spend_usd,
-    )
-    workers: dict[Any, Any] = {}  # result pipe -> its worker process
+    ceiling = run.plan.max_spend_usd
+    # indices sent to a worker and not yet answered: without a ceiling two,
+    # so that a worker never waits on the parent; under one, one, so that at
+    # most concurrency - 1 episodes run past the one whose cost crossed it
+    depth = 2 if ceiling is None else 1
+    next_index, spent = 0, 0.0
+    episodes: list[EpisodeResult] = []
+    workers: dict[Any, Any] = {}  # the parent's end of a pipe -> its worker
+    queued: dict[Any, int] = {}  # a pipe -> the indices it has not answered
+    stopped: set[Any] = set()  # the pipes sent None
+
+    def hand_out(conn, limit: int) -> None:
+        """Top up a worker's indices to `limit`; send None once no more may be
+        sent."""
+        nonlocal next_index
+        while conn not in stopped:
+            if next_index == len(specs) or (ceiling is not None and spent >= ceiling):
+                conn.send(None)
+                stopped.add(conn)
+            elif queued[conn] < limit:
+                conn.send(next_index)
+                next_index += 1
+                queued[conn] += 1
+            else:
+                return
+
     try:
         for _ in range(min(run.plan.concurrency, len(specs))):
-            reader, writer = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_worker, args=(run, specs, claims, writer), daemon=True
-            )
+            conn, child = ctx.Pipe()
+            process = ctx.Process(target=_worker, args=(run, specs, child), daemon=True)
             process.start()
-            writer.close()  # so that the pipe reads EOF once the worker is gone
-            workers[reader] = process
-        episodes = _collect(workers)
+            child.close()  # so that the pipe reads EOF once the worker is gone
+            workers[conn] = process
+            queued[conn] = 0
+        # in rounds, so that each worker has a cell before any has two
+        for limit in range(1, depth + 1):
+            for conn in workers:
+                hand_out(conn, limit)
+        reading = dict(workers)
+        while reading:
+            for conn in wait(list(reading)):
+                process = reading[conn]
+                try:
+                    kind, payload = conn.recv()
+                except EOFError:
+                    process.join()  # its end of the pipe closes as it exits
+                    if queued[conn]:
+                        raise RuntimeError(
+                            f"runner worker {process.pid} exited with code "
+                            f"{process.exitcode} before it sent its episode"
+                        ) from None
+                    del reading[conn]
+                    continue
+                if kind == "log":
+                    logging.getLogger(payload.name).handle(payload)
+                elif kind == "error":
+                    raise RuntimeError(f"runner worker {process.pid} failed:\n{payload}")
+                else:  # "episode"
+                    episodes.append(payload)
+                    spent += payload.c_e2e
+                    queued[conn] -= 1
+                    hand_out(conn, depth)
     finally:
-        for reader, process in workers.items():
+        for conn, process in workers.items():
             process.terminate()  # no-op once joined; stops the rest after a failure
             process.join()
-            reader.close()
-    return episodes, specs[claims.next_index.value:]
+            conn.close()
+    return episodes, specs[next_index:]
 
 
-@dataclass(frozen=True)
-class _Claims:
-    """The shared state of a run's workers: the next spec and spend so far.
+def _worker(run: _Run, specs: list[_EpisodeSpec], conn) -> None:
+    """One worker process: run the spec of each index the parent sends, until
+    None.
 
-    Both change under one lock, so no spec starts once recorded spend has
-    reached the ceiling, and at most `concurrency - 1` run past the episode
-    whose cost crossed it.
-    """
-
-    lock: Any
-    next_index: Any  # c_longlong in shared memory
-    spent: Any  # c_double in shared memory
-    ceiling: float | None
-
-    def claim(self, count: int) -> int | None:
-        """The index of the next spec to run, or None if none may start."""
-        with self.lock:
-            index = self.next_index.value
-            if index >= count or (
-                self.ceiling is not None and self.spent.value >= self.ceiling
-            ):
-                return None
-            self.next_index.value = index + 1
-            return index
-
-    def spend(self, cost: float) -> None:
-        with self.lock:
-            self.spent.value += cost
-
-
-def _worker(run: _Run, specs: list[_EpisodeSpec], claims: _Claims, conn) -> None:
-    """One worker process: run claimed specs, then send back their results.
-
-    Sends ("log", record) for each record logged here, then ("done",
-    episodes) or ("error", traceback).
+    Answers each index with ("episode", result); sends ("log", record) for
+    each record logged here, and ("error", traceback) if it fails.
     """
     logging.root.handlers = [_ToParent(conn)]
-    episodes: list[EpisodeResult] = []
     try:
         try:
-            while (index := claims.claim(len(specs))) is not None:
-                result = _run_episode(run, specs[index])
-                claims.spend(result.c_e2e)
-                episodes.append(result)
+            while (index := conn.recv()) is not None:
+                conn.send(("episode", _run_episode(run, specs[index])))
         finally:
             run.sessions.close()
     except Exception:
         conn.send(("error", traceback.format_exc()))
-    else:
-        conn.send(("done", episodes))
 
 
 class _ToParent(logging.Handler):
@@ -547,34 +563,6 @@ class _ToParent(logging.Handler):
             self.conn.send(("log", record))
         except Exception:
             self.handleError(record)
-
-
-def _collect(workers: dict[Any, Any]) -> list[EpisodeResult]:
-    """Read every worker's messages until each has sent its episodes."""
-    from multiprocessing.connection import wait
-
-    episodes: list[EpisodeResult] = []
-    running = dict(workers)
-    while running:
-        for reader in wait(list(running)):
-            process = running[reader]
-            try:
-                kind, payload = reader.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(
-                    f"runner worker {process.pid} exited with code "
-                    f"{process.exitcode} before it sent its episodes"
-                ) from None
-            if kind == "log":
-                logging.getLogger(payload.name).handle(payload)
-            elif kind == "error":
-                raise RuntimeError(f"runner worker {process.pid} failed:\n{payload}")
-            else:
-                episodes.extend(payload)
-                del running[reader]
-                process.join()  # it exits once it has sent them
-    return episodes
 
 
 def _make_backend(

@@ -557,6 +557,18 @@ exchange_records = st.fixed_dictionaries(
     },
 ).map(lambda record: from_json_object(ExchangeRecord, record))
 
+# a time as the reader allows one: finite and not negative
+seconds = st.floats(min_value=0, allow_infinity=False)
+
+
+def clock_in_order(iteration: Iteration) -> Iteration:
+    """The iteration, ended no earlier than it started."""
+    iteration.started_at, iteration.ended_at = sorted(
+        (iteration.started_at, iteration.ended_at)
+    )
+    return iteration
+
+
 iterations = st.builds(
     Iteration,
     index=st.integers(0, 20),
@@ -564,14 +576,14 @@ iterations = st.builds(
     action=st.none() | st.sampled_from(["list_tables", "run_query", "final_answer"]),
     action_input=json_objects,
     observation=st.text(),
-    started_at=st.floats(),
-    ended_at=st.floats(),
+    started_at=seconds,
+    ended_at=seconds,
     input_tokens=counts,
     output_tokens=counts,
-    engine_seconds=st.floats(),
+    engine_seconds=seconds,
     engine_bytes=st.integers(0, 10**9),
     exchanges=st.lists(exchange_records, max_size=3),
-)
+).map(clock_in_order)
 
 traces = st.builds(
     AgentTrace,
@@ -656,8 +668,16 @@ MALFORMED_LINES = {
     "no_exchanges": (iteration_line().replace(', "exchanges": []', ""),
                      "missing key 'exchanges'"),
     "string_input_tokens": (iteration_line(input_tokens="5"),
-                            "`input_tokens` is not an int"),
+                            "`input_tokens` is not an int >= 0"),
     "bool_index": (iteration_line(index=True), "`index` is not an int"),
+    # a trace that reads is one that bills: no negative count or time
+    **{f"negative_{name}": (iteration_line(**{name: -5}), f"`{name}` is not an int >= 0")
+       for name in ("input_tokens", "output_tokens", "engine_bytes")},
+    **{f"negative_{name}": (iteration_line(**{name: -2.0}),
+                            f"`{name}` is not a finite number >= 0")
+       for name in ("engine_seconds", "started_at", "ended_at")},
+    "ended_before_started": (iteration_line(started_at=2.0, ended_at=1.0),
+                             "`ended_at` is before `started_at`"),
     "unreplayable_exchange": (
         iteration_line(exchanges=[{"response": {"text": "x"},
                                    "usage": {"input_tokens": -1}}]),

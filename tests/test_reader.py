@@ -127,6 +127,10 @@ def instances(cls: type) -> st.SearchStrategy:
     hints = typing.get_type_hints(cls)
 
     def build(**values):
+        if cls is Iteration:  # it ends no earlier than it starts
+            values["started_at"], values["ended_at"] = sorted(
+                (values["started_at"], values["ended_at"])
+            )
         try:
             return cls(**values)
         except ValueError:  # a rule across fields

@@ -373,13 +373,23 @@ def test_full_mini_matrix_offline(mini_plan):
     assert all(e.indicator == 1 for e in beta_by_case["pricey_products"])
 
 
-def test_mini_records_match_pinned_untimed_copy(mini_plan):
-    mini_plan.max_spend_usd = None
+# the plan's own $5 ceiling, under which the parent keeps one cell queued
+# with each worker, and no ceiling, under which it keeps two
+CEILINGS = pytest.mark.parametrize(
+    "max_spend_usd", [5.0, None], ids=["plan_ceiling", "no_ceiling"]
+)
+
+
+@CEILINGS
+def test_mini_records_match_pinned_untimed_copy(mini_plan, max_spend_usd):
+    mini_plan.max_spend_usd = max_spend_usd
     execute_plan(mini_plan)
     assert untimed_records_text(mini_plan.output_dir) == PINNED_RECORDS.read_text()
 
 
-def test_mini_traces_match_pinned_untimed_copy(mini_plan):
+@CEILINGS
+def test_mini_traces_match_pinned_untimed_copy(mini_plan, max_spend_usd):
+    mini_plan.max_spend_usd = max_spend_usd
     execute_plan(mini_plan)
     assert untimed_traces_text(mini_plan.output_dir) == PINNED_TRACES.read_text()
 
@@ -952,7 +962,9 @@ def test_budget_guard_halts_new_episodes(mini_plan):
     assert all("budget" in s["reason"] for s in output.skipped)
 
 
-@pytest.mark.parametrize("concurrency", [2, 3])
+# with one worker, exactly the crossing episode runs: a second cell queued
+# with the worker under a ceiling would run one past it
+@pytest.mark.parametrize("concurrency", [1, 2, 3])
 def test_budget_overshoot_is_at_most_concurrency_minus_one(mini_plan, concurrency):
     # one backend, so every episode costs the same 0.01995
     mini_plan.backends = mini_plan.backends[:1]
@@ -1202,6 +1214,21 @@ def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch, tmp_path)
     assert {data_dir for _, data_dir in workers} == {
         str(mini_plan.suite / "databases" / "shop")
     }
+    assert all_closed(events())
+
+
+def test_each_worker_gets_a_cell_before_any_gets_two(mini_plan, monkeypatch, tmp_path):
+    events = track_sessions(monkeypatch, tmp_path / "sessions")
+    # five cells for five workers, with no ceiling: two cells may be queued
+    # with a worker, yet none is idle while another holds two
+    mini_plan.backends = mini_plan.backends[:1]
+    mini_plan.repetitions = 1
+    mini_plan.concurrency = 5
+    mini_plan.max_spend_usd = None
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 5
+    main = os.getpid()
+    assert len({pid for pid, _, _ in opens(events()) if pid != main}) == 5
     assert all_closed(events())
 
 
