@@ -129,17 +129,16 @@ class AgentConfig:
 
 @dataclass
 class Iteration:
-    """One Thought/Action/Observation turn with timing and token usage."""
+    """One Thought/Action/Observation turn with its timing, and the token
+    usage of its exchanges (each billed, so with both counts)."""
 
-    index: int
+    index: Count  # its position in the trace (`read_trace_line`)
     thought: str
     action: str | None
     action_input: dict[str, Any]
     observation: str
-    started_at: NonNegative
-    ended_at: NonNegative  # not before started_at (`read_trace_line`)
-    input_tokens: Count = 0
-    output_tokens: Count = 0
+    started_at: NonNegative  # where the previous iteration ended
+    ended_at: NonNegative  # not before started_at
     engine_seconds: NonNegative = 0.0
     engine_bytes: Count = 0
     exchanges: list[ExchangeRecord] = field(default_factory=list)
@@ -147,6 +146,14 @@ class Iteration:
     @property
     def duration(self) -> float:
         return self.ended_at - self.started_at
+
+    @property
+    def input_tokens(self) -> int:
+        return sum(ex.usage.input_tokens for ex in self.exchanges)
+
+    @property
+    def output_tokens(self) -> int:
+        return sum(ex.usage.output_tokens for ex in self.exchanges)
 
 
 @dataclass
@@ -405,7 +412,7 @@ def run_agent(
     def end_iteration(
         action: str | None, observation: str, engine_seconds: float = 0.0
     ) -> None:
-        """Append the open iteration, billed with its exchanges' tokens."""
+        """Append the open iteration, with its exchanges."""
         nonlocal started, exchanges
         ended = time.perf_counter()
         trace.iterations.append(
@@ -417,8 +424,6 @@ def run_agent(
                 observation=observation,
                 started_at=started,
                 ended_at=ended,
-                input_tokens=sum(ex.usage.input_tokens for ex in exchanges),
-                output_tokens=sum(ex.usage.output_tokens for ex in exchanges),
                 engine_seconds=engine_seconds,
                 exchanges=exchanges,
             )
@@ -535,7 +540,9 @@ def stage_breakdown(trace: AgentTrace) -> dict[str, StageUsage]:
 
 # --- episode log serialization ------------------------------------------------
 
-_ITERATION_FIELDS = tuple(f.name for f in fields(Iteration))
+# an iteration line's fields: the Iteration's and its token counts
+_TOKEN_FIELDS = ("input_tokens", "output_tokens")
+_ITERATION_FIELDS = (*(f.name for f in fields(Iteration)), *_TOKEN_FIELDS)
 _CLOCK_FIELDS = ("started_at", "ended_at", "engine_seconds")
 _UNTIMED_ITERATION_FIELDS = tuple(
     name for name in _ITERATION_FIELDS if name not in _CLOCK_FIELDS
@@ -603,27 +610,51 @@ def _logged_result(table: ResultTable) -> dict[str, Any]:
     return cut
 
 
-def read_trace_line(record: dict[str, Any], number: int) -> tuple[str, dict[str, Any]]:
+def read_trace_line(
+    record: dict[str, Any], number: int, before: Sequence[Iteration]
+) -> tuple[str, dict[str, Any]]:
     """The `type` and other fields of trace line `number`, which must be one
-    `trace_to_jsonl` could write, else ValueError naming the line and path.
-    An iteration's fields are `Iteration` arguments (exchanges ExchangeRecords,
-    an untimed one's clock fields 0.0); an outcome's `final_result` is a
-    ResultTable, or None when the line holds none or a cut result."""
+    `trace_to_jsonl` could write after the iterations `before`, else
+    ValueError naming the line and path.  An iteration's fields are
+    `Iteration` arguments (exchanges ExchangeRecords, an untimed one's clock
+    fields 0.0); an outcome's `final_result` is a ResultTable, or None when
+    the line holds none or a cut result."""
     try:
         kind = read_json(Literal[tuple(_LINES)], record.get("type"), "type")
         cls, names = _LINES[kind]
         raw = {name: value for name, value in record.items() if name != "type"}
         if kind == "iteration":
-            values = read_fields(cls, raw, names, _CLOCK_FIELDS)
+            values = read_fields(cls, raw, names, _CLOCK_FIELDS, **{
+                name: lambda value, name=name: read_json(Count, value, name)
+                for name in _TOKEN_FIELDS
+            })
             for name in _CLOCK_FIELDS:
                 values.setdefault(name, 0.0)
-            if values["ended_at"] < values["started_at"]:
-                raise ValueError("`ended_at` is before `started_at`")
+            _check_iteration(values, before)
         else:
             values = read_fields(cls, raw, names, final_result=_read_final_result)
     except ValueError as exc:
         raise ValueError(f"line {number}: {exc}") from None
     return kind, values
+
+
+def _check_iteration(values: dict[str, Any], before: Sequence[Iteration]) -> None:
+    """Refuse an iteration line's `values` unless `end_iteration` could have
+    written them after the iterations `before`: at its position, starting
+    where the last ended, with its exchanges' token counts (which leave
+    `values`)."""
+    if values["index"] != len(before):
+        raise ValueError(f"`index` is not {len(before)}, the iteration's position")
+    if before and values["started_at"] != before[-1].ended_at:
+        raise ValueError("`started_at` is not the previous iteration's `ended_at`")
+    if values["ended_at"] < values["started_at"]:
+        raise ValueError("`ended_at` is before `started_at`")
+    for name in _TOKEN_FIELDS:
+        counts = [getattr(ex.usage, name, None) for ex in values["exchanges"]]
+        if None in counts:
+            raise ValueError(f"`exchanges[{counts.index(None)}].usage` has no {name}")
+        if values.pop(name) != sum(counts):
+            raise ValueError(f"`{name}` is not its exchanges' sum, {sum(counts)}")
 
 
 def _read_final_result(table: Any) -> ResultTable | None:
@@ -647,7 +678,8 @@ def _read_final_result(table: Any) -> ResultTable | None:
 
 def trace_from_jsonl(text: str) -> AgentTrace:
     """Rebuild an AgentTrace from its episode log, each line read by
-    `read_trace_line`.
+    `read_trace_line`; ValueError for a trace that cannot be billed, one
+    whose stage sums (`stage_breakdown`) leave their range.
 
     A trace holds the whole result only when its rows fit the observation
     budget; an outcome line cut to a prefix (it carries `row_count`) reads
@@ -655,10 +687,13 @@ def trace_from_jsonl(text: str) -> AgentTrace:
     """
     trace = AgentTrace()
     for number, record in json_lines(text.splitlines()):
-        kind, values = read_trace_line(record, number)
+        kind, values = read_trace_line(record, number, trace.iterations)
         if kind == "iteration":
             trace.iterations.append(Iteration(**values))
         else:  # a meta or outcome line sets the trace fields it names
             for name, value in values.items():
                 setattr(trace, name, value)
+    # sums of values in range may leave it: counts past 2**53, times past a float
+    for stage, usage in stage_breakdown(trace).items():
+        check_fields(usage, stage)
     return trace

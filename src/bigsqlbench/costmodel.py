@@ -8,14 +8,11 @@ stage's usage is priced on its own, so reports can attribute the spend.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
 
 from .metrics import NonNegative, StageUsage, check_fields, from_json_object, read_json
-
-logger = logging.getLogger(__name__)
 
 EngineMode = Literal["per-second", "per-byte-scanned", "free"]
 
@@ -78,8 +75,6 @@ class PricingConfig:
 
 def llm_cost(entry: PricingEntry, input_tokens: int, output_tokens: int) -> float:
     """Token spend in dollars for one model at its per-million-token rates."""
-    if input_tokens < 0 or output_tokens < 0:
-        raise ValueError("token counts must be nonnegative")
     return (
         input_tokens * entry.input_per_mtok / 1e6
         + output_tokens * entry.output_per_mtok / 1e6
@@ -87,25 +82,12 @@ def llm_cost(entry: PricingEntry, input_tokens: int, output_tokens: int) -> floa
 
 
 def engine_cost(
-    pricing: EnginePricing, runtime_seconds: float, bytes_scanned: int | None
+    pricing: EnginePricing, runtime_seconds: float, bytes_scanned: int
 ) -> float:
-    """Engine spend for one execution under the configured pricing rule."""
-    if runtime_seconds < 0:
-        raise ValueError("runtime must be nonnegative")
-    if pricing.mode == "free":
-        return 0.0
+    """Engine spend for one execution under the configured pricing rule
+    (a free engine's rate is 0)."""
     if pricing.mode == "per-second":
         return pricing.rate * runtime_seconds
-    if bytes_scanned is None:
-        # Embedded engines rarely report scan volume; without it the
-        # per-byte rule has nothing to bill.
-        logger.warning(
-            "per-byte engine pricing with no bytes_scanned reported; "
-            "engine cost recorded as $0"
-        )
-        return 0.0
-    if bytes_scanned < 0:
-        raise ValueError("bytes scanned must be nonnegative")
     return pricing.rate * bytes_scanned
 
 
@@ -116,6 +98,6 @@ def compose_ledger(
     order of `stages`."""
     return {
         name: llm_cost(pricing, usage.input_tokens, usage.output_tokens)
-        + engine_cost(engine, usage.engine_seconds, usage.engine_bytes or None)
+        + engine_cost(engine, usage.engine_seconds, usage.engine_bytes)
         for name, usage in stages.items()
     }

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .metrics import Count, from_json_object
+from .metrics import Count, Fraction, NonNegative, PositiveInt, from_json_object
 
 _WS_RE = re.compile(r"\s+")
 
@@ -39,9 +39,9 @@ class ReplayExhaustedError(RuntimeError):
 class SamplingConfig:
     """Sampling knobs; None means the field is omitted from the request."""
 
-    temperature: float | None = 0.0
-    top_p: float | None = 1.0
-    max_tokens: int | None = 4096
+    temperature: NonNegative | None = 0.0
+    top_p: Fraction | None = 1.0
+    max_tokens: PositiveInt | None = 4096
 
     def to_payload(self) -> dict[str, Any]:
         return {f.name: value for f in fields(self)
@@ -152,9 +152,10 @@ class ReplayBackend(LlmBackend):
         the model where the harness stopped.
         """
         # agent imports this module, so its reader is imported when first used
-        from .agent import OUTCOME_HARNESS_ERROR, read_trace_line
+        from .agent import OUTCOME_HARNESS_ERROR, Iteration, read_trace_line
 
         entries: list[ExchangeRecord] = []
+        iterations: list[Iteration] = []
         with open(path) as handle:
             for number, record in json_lines(handle):
                 if "type" not in record:
@@ -163,8 +164,9 @@ class ReplayBackend(LlmBackend):
                     except ValueError as exc:
                         raise ValueError(f"line {number}: {exc}") from None
                     continue
-                kind, values = read_trace_line(record, number)
+                kind, values = read_trace_line(record, number, iterations)
                 if kind == "iteration":
+                    iterations.append(Iteration(**values))
                     entries.extend(values["exchanges"])
                 elif kind == "outcome" and values["outcome"] == OUTCOME_HARNESS_ERROR:
                     raise ValueError(

@@ -34,11 +34,11 @@ class StageUsage:
     """What one stage of an episode used, summed over its iterations: their
     wall-clock seconds, tokens, and engine seconds and bytes."""
 
-    seconds: float = 0.0
-    input_tokens: int = 0
-    output_tokens: int = 0
-    engine_seconds: float = 0.0
-    engine_bytes: int = 0
+    seconds: NonNegative = 0.0
+    input_tokens: Count = 0
+    output_tokens: Count = 0
+    engine_seconds: NonNegative = 0.0
+    engine_bytes: Count = 0
 
 
 SQL_KEYWORDS = frozenset(
@@ -52,10 +52,6 @@ SQL_KEYWORDS = frozenset(
 )
 
 _TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\"(?:[^\"]|\"\")*\"|\S+")
-
-
-class InvalidRateError(ValueError):
-    """Validity rate outside [0, 1]."""
 
 
 class EmptySuiteError(ValueError):
@@ -82,7 +78,7 @@ class _Reading(NamedTuple):
 
 _ANY = _Reading((dict, list, str, int, float, bool, type(None)), "a JSON value")
 # the annotations of a value in a range, which each reads as its base type does
-Count = typing.NewType("Count", int)  # >= 0, such as a token count
+Count = typing.NewType("Count", int)  # in [0, 2**53], exact as a float: a token count
 PositiveInt = typing.NewType("PositiveInt", int)  # >= 1, such as a repetition count
 NonNegative = typing.NewType("NonNegative", float)  # finite, >= 0: a price, a time
 Positive = typing.NewType("Positive", float)  # finite, > 0: a scale factor
@@ -92,7 +88,7 @@ _SCALARS: dict[Any, _Reading] = {
     Any: _ANY, str: _Reading((str,), "a string"), int: _Reading((int,), "an int"),
     bool: _Reading((bool,), "a boolean"),
     float: _Reading((float,), "a number"),  # an int is read as one too (`_read`)
-    Count: _Reading((int,), "an int >= 0", lambda x: x >= 0),
+    Count: _Reading((int,), "an int in [0, 2**53]", lambda x: 0 <= x <= 2**53),
     PositiveInt: _Reading((int,), "an int >= 1", lambda x: x >= 1),
     # a comparison with NaN is false, so NaN is in no range
     NonNegative: _Reading((float,), "a finite number >= 0", lambda x: 0 <= x < math.inf),
@@ -283,6 +279,10 @@ class EpisodeResult:
             raise ValueError(f"a valid run must have a positive t_gen: {self.t_gen}")
         if self.t_e2e < self.t_gen:
             raise ValueError(f"t_e2e ({self.t_e2e}) must be >= t_gen ({self.t_gen})")
+        # one dollar figure: the stages', summed in their order as the runner does
+        total = sum(self.stage_cost.values())
+        if self.c_e2e != total:
+            raise ValueError(f"c_e2e ({self.c_e2e}) must be the stage_cost sum ({total})")
 
     @property
     def valid(self) -> bool:
@@ -389,13 +389,7 @@ def cvq(mean_c_e2e: float, p_hat: float) -> float | None:
     attempt count is 1/p_hat and the expected spend is mean cost / p_hat.
     Returns None when p_hat is zero (no finite expectation).
     """
-    if not 0.0 <= p_hat <= 1.0:
-        raise InvalidRateError(f"p_hat outside [0,1]: {p_hat}")
-    if mean_c_e2e < 0:
-        raise ValueError(f"mean cost must be nonnegative: {mean_c_e2e}")
-    if p_hat == 0.0:
-        return None
-    return mean_c_e2e / p_hat
+    return None if p_hat == 0.0 else mean_c_e2e / p_hat
 
 
 def aggregate(records: list[EpisodeResult]) -> SuiteMetrics:

@@ -38,33 +38,36 @@ def package_modules(modules: set[str]) -> set[str]:
 
 
 def episode(model, case_id, rep=0, sf=1.0, indicator=1, precision=1.0,
-            t_gold=0.002, t_gen=0.001, t_e2e=0.5, c_e2e=0.01, exact=True,
+            t_gold=0.002, t_gen=0.001, t_e2e=0.5, c_e2e=None, exact=True,
             stage_seconds=None, stage_cost=None, generated="SELECT 1",
             golden="SELECT 1"):
     """The one episode factory of the tests; the pinned report files are
-    rendered from its defaults."""
+    rendered from its defaults.  `c_e2e` is the sum of `stage_cost`, which
+    bills a `c_e2e` given alone to the run stage."""
     seconds = stage_seconds or {
         "list": 0.1, "schema": 0.1, "check": 0.2, "run": 0.1, "finalize": 0.0,
     }
     total = sum(seconds.values())
+    if stage_cost is None:
+        default = {"list": 0.002, "schema": 0.002, "check": 0.004, "run": 0.002}
+        stage_cost = default if c_e2e is None else {"run": c_e2e}
     return EpisodeResult(
         model=model, case_id=case_id, repetition=rep, scale_factor=sf,
         indicator=indicator, exact=exact, precision=precision, t_gold=t_gold,
-        t_gen=t_gen, t_e2e=t_e2e, c_e2e=c_e2e,
+        t_gen=t_gen, t_e2e=t_e2e,
+        c_e2e=sum(stage_cost.values()) if c_e2e is None else c_e2e,
         outcome="completed", golden_sql=golden,
         generated_sql=generated,
         stage_seconds=seconds,
         stage_percentages={k: 100.0 * v / total for k, v in seconds.items()},
-        stage_cost=stage_cost or {
-            "list": 0.002, "schema": 0.002, "check": 0.004, "run": 0.002,
-        },
+        stage_cost=stage_cost,
     )
 
 
 def two_model_episodes():
-    fast = [episode("fast", f"q{i}", t_e2e=0.4, c_e2e=0.01) for i in range(4)]
+    fast = [episode("fast", f"q{i}", t_e2e=0.4) for i in range(4)]
     slow = [
-        episode("slow", f"q{i}", t_e2e=0.9, c_e2e=0.03,
+        episode("slow", f"q{i}", t_e2e=0.9,
                 stage_seconds={"list": 0.2, "schema": 0.2, "check": 0.3,
                                "run": 0.2, "finalize": 0.0},
                 stage_cost={"list": 0.006, "schema": 0.006, "check": 0.012,

@@ -191,7 +191,8 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
     A copy of the serializer the package used before it stopped deep-copying
     iterations, and before it cut large results; its bytes are the reference
     for `agent.trace_to_jsonl` (BLOB cells as hex text, as the package logs
-    them).
+    them).  An iteration's token counts, no longer fields, are written as
+    the sums of its exchanges' usage.
     """
     lines = [
         json.dumps(
@@ -201,6 +202,8 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
     ]
     for it in trace.iterations:
         record = asdict(it)
+        for key in ("input_tokens", "output_tokens"):
+            record[key] = sum(exchange["usage"][key] for exchange in record["exchanges"])
         if not include_timing:
             for key in ("started_at", "ended_at", "engine_seconds"):
                 record.pop(key, None)
@@ -230,13 +233,14 @@ def _oracle_stage(action) -> str:
 
 def stage_tokens_oracle(iterations) -> dict[str, tuple[int, int]]:
     """(input, output) tokens per stage, in the order the stages first ran,
-    each a naive sum over that stage's iterations."""
+    each a naive sum over the exchanges of that stage's iterations."""
     order = dict.fromkeys(_oracle_stage(it.action) for it in iterations)
     tokens = {}
     for stage in order:
         mine = [it for it in iterations if _oracle_stage(it.action) == stage]
+        usages = [ex.usage for it in mine for ex in it.exchanges]
         tokens[stage] = (
-            sum(it.input_tokens for it in mine), sum(it.output_tokens for it in mine)
+            sum(u.input_tokens for u in usages), sum(u.output_tokens for u in usages)
         )
     return tokens
 

@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bigsqlbench import agent as agent_module
 from bigsqlbench import engine as engine_module
@@ -27,12 +29,13 @@ from bigsqlbench.agent import (
     trace_to_jsonl,
     truncate_observation,
 )
+from bigsqlbench.costmodel import EnginePricing, PricingEntry, compose_ledger
 from bigsqlbench.engine import Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, ReplayMismatchError
-from bigsqlbench.metrics import from_json_object
+from bigsqlbench.metrics import check_fields, from_json_object
 from bigsqlbench.resultset import ResultTable, json_cell
 from tests.conftest import iteration_line
-from tests.oracles import trace_to_jsonl_asdict
+from tests.oracles import stage_cost_oracle, trace_to_jsonl_asdict
 
 
 def entry(text, in_tok=100, out_tok=10, tool_call=None):
@@ -535,8 +538,8 @@ json_values = st.recursive(
 )
 json_objects = st.dictionaries(st.text(max_size=8), json_values, max_size=4)
 counts = st.integers(0, 10**6)
-# every shape of exchange record a script line may hold
-exchange_records = st.fixed_dictionaries(
+# every shape of exchange an iteration may hold: billed, so with both counts
+billed_exchanges = st.fixed_dictionaries(
     {
         "response": st.fixed_dictionaries(
             {},
@@ -545,49 +548,43 @@ exchange_records = st.fixed_dictionaries(
                 "tool_call": st.none()
                 | st.fixed_dictionaries({"name": st.text(), "arguments": json_objects}),
             },
-        )
-    },
-    optional={
-        "fingerprint": st.none() | st.text(),
-        "usage": st.none()
-        | st.fixed_dictionaries(
-            {}, optional={"input_tokens": counts, "output_tokens": counts}
         ),
-        "estimated": st.booleans(),
+        "usage": st.fixed_dictionaries({"input_tokens": counts, "output_tokens": counts}),
     },
-).map(lambda record: from_json_object(ExchangeRecord, record))
-
+    optional={"fingerprint": st.none() | st.text(), "estimated": st.booleans()},
+).map(lambda line: from_json_object(ExchangeRecord, line))
 # a time as the reader allows one: finite and not negative
 seconds = st.floats(min_value=0, allow_infinity=False)
 
 
-def clock_in_order(iteration: Iteration) -> Iteration:
-    """The iteration, ended no earlier than it started."""
-    iteration.started_at, iteration.ended_at = sorted(
-        (iteration.started_at, iteration.ended_at)
-    )
-    return iteration
+@st.composite
+def iterations(draw):
+    """Iterations as `run_agent` builds them: each at its position, starting
+    where the previous one ended, its engine time within its own."""
+    clock = draw(seconds)
+    drawn = []
+    for index in range(draw(st.integers(0, 4))):
+        ended = draw(st.floats(min_value=clock, allow_infinity=False))
+        drawn.append(Iteration(
+            index=index,
+            thought=draw(st.text()),
+            action=draw(st.none() | st.sampled_from(["list_tables", "run_query",
+                                                     "final_answer"])),
+            action_input=draw(json_objects),
+            observation=draw(st.text()),
+            started_at=clock,
+            ended_at=ended,
+            engine_seconds=draw(st.floats(0, ended - clock)),
+            engine_bytes=draw(st.integers(0, 10**9)),
+            exchanges=draw(st.lists(billed_exchanges, max_size=3)),
+        ))
+        clock = ended
+    return drawn
 
-
-iterations = st.builds(
-    Iteration,
-    index=st.integers(0, 20),
-    thought=st.text(),
-    action=st.none() | st.sampled_from(["list_tables", "run_query", "final_answer"]),
-    action_input=json_objects,
-    observation=st.text(),
-    started_at=seconds,
-    ended_at=seconds,
-    input_tokens=counts,
-    output_tokens=counts,
-    engine_seconds=seconds,
-    engine_bytes=st.integers(0, 10**9),
-    exchanges=st.lists(exchange_records, max_size=3),
-).map(clock_in_order)
 
 traces = st.builds(
     AgentTrace,
-    iterations=st.lists(iterations, max_size=4),
+    iterations=iterations(),
     outcome=st.sampled_from(
         ["completed", "exhausted", "tool-error", "llm-error", "harness-error"]
     ),
@@ -611,6 +608,8 @@ def test_trace_jsonl_bytes_match_asdict_oracle(trace, include_timing):
 @settings(deadline=None)
 @given(trace=traces)
 def test_the_reader_reads_back_whatever_the_writer_writes(trace):
+    # a stage's seconds, summed near the float limit, may overflow
+    assume(all(math.isfinite(u.seconds) for u in stage_breakdown(trace).values()))
     for include_timing in (True, False):
         text = trace_to_jsonl(trace, include_timing)
         assert trace_to_jsonl(trace_from_jsonl(text), include_timing) == text
@@ -659,6 +658,25 @@ BAD_RESULTS = {
     "row_count_of_the_rows_kept": ({"row_count": 1}, ROW_COUNT),
     "row_count_zero": ({"row_count": 0}, ROW_COUNT),
 }
+# the first iteration of the trace below, which ends at 2.0
+FIRST_ITERATION = iteration_line(started_at=0.0, ended_at=2.0, engine_seconds=0.0)
+
+
+def second_iteration(**fields) -> str:
+    """A well-formed iteration line after FIRST_ITERATION, with `fields`
+    replacing its own."""
+    timed = {"index": 1, "started_at": 2.0, "ended_at": 2.0, "engine_seconds": 0.0}
+    return iteration_line(**{**timed, **fields})
+
+
+COUNT = "an int in [0, 2**53]"
+
+
+def usage(input_tokens, output_tokens=0):
+    return {"response": {"text": "x"},
+            "usage": {"input_tokens": input_tokens, "output_tokens": output_tokens}}
+
+
 # line 3 of a trace whose other lines are well formed, and its refusal; a
 # `harness-error` trace reads (test_runner) but does not replay (test_cli)
 MALFORMED_LINES = {
@@ -668,20 +686,34 @@ MALFORMED_LINES = {
     "no_exchanges": (iteration_line().replace(', "exchanges": []', ""),
                      "missing key 'exchanges'"),
     "string_input_tokens": (iteration_line(input_tokens="5"),
-                            "`input_tokens` is not an int >= 0"),
-    "bool_index": (iteration_line(index=True), "`index` is not an int"),
+                            f"`input_tokens` is not {COUNT}"),
+    "bool_index": (iteration_line(index=True), f"`index` is not {COUNT}"),
     # a trace that reads is one that bills: no negative count or time
-    **{f"negative_{name}": (iteration_line(**{name: -5}), f"`{name}` is not an int >= 0")
+    **{f"negative_{name}": (iteration_line(**{name: -5}), f"`{name}` is not {COUNT}")
        for name in ("input_tokens", "output_tokens", "engine_bytes")},
     **{f"negative_{name}": (iteration_line(**{name: -2.0}),
                             f"`{name}` is not a finite number >= 0")
        for name in ("engine_seconds", "started_at", "ended_at")},
-    "ended_before_started": (iteration_line(started_at=2.0, ended_at=1.0),
+    "ended_before_started": (second_iteration(ended_at=1.0),
                              "`ended_at` is before `started_at`"),
+    # each iteration as `run_agent` writes it, its tokens its exchanges'
+    "index_not_its_position": (second_iteration(index=0),
+                               "`index` is not 1, the iteration's position"),
+    "not_tiling": (second_iteration(started_at=3.0, ended_at=4.0),
+                   "`started_at` is not the previous iteration's `ended_at`"),
+    "counts_not_the_exchanges": (
+        second_iteration(exchanges=[usage(1200, 60)], input_tokens=999999,
+                         output_tokens=60),
+        "`input_tokens` is not its exchanges' sum, 1200"),
+    "exchange_without_usage": (second_iteration(exchanges=[{"response": {"text": "x"}}]),
+                               "`exchanges[0].usage` has no input_tokens"),
+    "usage_count_past_a_float": (
+        second_iteration(exchanges=[usage(10**400)]),
+        f"`exchanges[0].usage.input_tokens` is not null or {COUNT}"),
     "unreplayable_exchange": (
         iteration_line(exchanges=[{"response": {"text": "x"},
                                    "usage": {"input_tokens": -1}}]),
-        "`exchanges[0].usage.input_tokens` is not null or an int >= 0"),
+        f"`exchanges[0].usage.input_tokens` is not null or {COUNT}"),
     "unknown_field": (iteration_line(note=1),
                       "unknown key 'note'"),
     "int_question": ('{"type": "meta", "question": 7, "model_id": "m"}',
@@ -704,7 +736,7 @@ MALFORMED_LINES = {
     "line, problem", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys()
 )
 def test_reading_and_replaying_refuse_a_malformed_line_alike(tmp_path, line, problem):
-    text = "\n".join([META_LINE, iteration_line(), line, outcome_line()]) + "\n"
+    text = "\n".join([META_LINE, FIRST_ITERATION, line, outcome_line()]) + "\n"
     path = tmp_path / "episode.jsonl"
     path.write_text(text)
     with pytest.raises(ValueError) as read:
@@ -712,6 +744,88 @@ def test_reading_and_replaying_refuse_a_malformed_line_alike(tmp_path, line, pro
     with pytest.raises(ValueError) as replayed:
         ReplayBackend.from_path(path)
     assert str(read.value) == str(replayed.value) == f"line 3: {problem}"
+
+
+# --- every trace that reads can be billed ---
+
+# a count across its range, 2**53 included, and past it, past a float too
+counts_in_range = counts | st.integers(0, 2**53) | st.integers(2**53 - 2, 2**53)
+counts_past = st.integers(2**53 + 1, 2**53 + 2) | st.integers(0, 2**1100)
+# a clock value across its range, near the float limit too
+clock_values = seconds | st.floats(1e308, sys.float_info.max)
+PRICE = PricingEntry("m", input_per_mtok=2.5, output_per_mtok=10.0)
+# a plan's engine rules; a rate times a time near the float limit overflows
+# whatever the trace, so the positive rate is a plan's, not any number
+ENGINES = [EnginePricing(), EnginePricing("per-second", 0.0),
+           EnginePricing("per-second", 0.001)]
+
+
+def iteration_record(**fields) -> dict:
+    """A timed iteration line's fields but `type`, with `fields` replacing them."""
+    line = {"index": 0, "thought": "", "action": "list_tables", "action_input": {},
+            "observation": "", "started_at": 0.0, "ended_at": 0.0,
+            "engine_seconds": 0.0, "engine_bytes": 0, "exchanges": [],
+            "input_tokens": 0, "output_tokens": 0}
+    return {**line, **fields}
+
+
+@st.composite
+def iteration_records(draw):
+    """An episode's iteration lines, each number drawn across its range: as
+    `run_agent` writes them (at their positions, tiled, their counts their
+    exchanges' sums) or, in an unfaithful trace, any field drawn freely, a
+    count past its range too."""
+    faithful = draw(st.booleans())
+    any_count = counts_in_range if faithful else counts_in_range | counts_past
+
+    def pick(right, anything):
+        return right if faithful else draw(st.just(right) | anything)
+
+    clock = draw(clock_values)
+    records = []
+    for index in range(draw(st.integers(1, 4))):
+        exchanges = draw(st.lists(st.builds(usage, any_count, any_count), max_size=2))
+        started = pick(clock, clock_values)
+        ended = pick(draw(st.floats(min_value=started, allow_infinity=False)),
+                     clock_values)
+        records.append(iteration_record(
+            index=pick(index, st.integers(0, 5)),
+            action=draw(st.sampled_from(["list_tables", "run_query", None])),
+            started_at=started,
+            ended_at=ended,
+            engine_seconds=draw(clock_values),
+            engine_bytes=draw(any_count),
+            exchanges=exchanges,
+            **{name: pick(sum(ex["usage"][name] for ex in exchanges), any_count)
+               for name in ("input_tokens", "output_tokens")},
+        ))
+        clock = ended
+    return records
+
+
+@settings(deadline=None, max_examples=300)
+@given(records=iteration_records())
+# counts that disagree with the one exchange
+@example(records=[iteration_record(exchanges=[usage(1200, 60)], input_tokens=999999,
+                                   output_tokens=60)])
+# a count that no float holds
+@example(records=[iteration_record(exchanges=[usage(10**400)], input_tokens=10**400)])
+# two iterations of 1.5e308 s, each with as much engine time
+@example(records=[iteration_record(index=i, ended_at=1.5e308, engine_seconds=1.5e308)
+                  for i in range(2)])
+def test_every_trace_that_reads_can_be_billed(records):
+    lines = [json.dumps({"type": "iteration", **record}) for record in records]
+    try:
+        trace = trace_from_jsonl("\n".join([META_LINE, *lines, outcome_line()]))
+    except ValueError:
+        return
+    stages = stage_breakdown(trace)
+    for name, used in stages.items():
+        check_fields(used, name)
+    for engine in ENGINES:
+        cost = compose_ledger(stages, PRICE, engine)
+        assert all(0 <= dollars < math.inf for dollars in cost.values()), cost
+        assert cost == stage_cost_oracle(trace.iterations, PRICE, engine)
 
 
 # --- large results in the outcome line ---

@@ -125,6 +125,16 @@ def bad_plan_files(tmp_path, mini_suite_dir) -> list[tuple]:
         ("null_sampling.json",
          json.dumps({**plan, "backends": [{**plan["backends"][0], "sampling": None}]}),
          "`backends[0].sampling` is not a JSON object"),
+        # values a provider rejects in every request, which would score each
+        # episode as the model's llm-error
+        *[(f"{key}_{value}.json",
+           json.dumps({**plan, "backends": [{**plan["backends"][0],
+                                              "sampling": {key: value}}]}),
+           f"`backends[0].sampling.{key}` is not null or {what}")
+          for key, value, what in [("max_tokens", -1, "an int >= 1"),
+                                   ("max_tokens", 0, "an int >= 1"),
+                                   ("temperature", math.nan, "a finite number >= 0"),
+                                   ("top_p", 7.0, "a number in [0, 1]")]],
     ]:
         (tmp_path / name).write_text(text)
         cases.append((tmp_path / name, cause))
@@ -465,10 +475,13 @@ def _episode_file(**fields):
         (_records_file("{not json"), "Expecting property name"),
         (_episode_file(outcome="no-such-outcome"), "episode 0: `outcome` is not one "
          "of completed, exhausted, tool-error, llm-error, harness-error"),
-        (_episode_file(repetition=-3), "episode 0: `repetition` is not an int >= 0"),
+        (_episode_file(repetition=-3),
+         "episode 0: `repetition` is not an int in [0, 2**53]"),
+        (_episode_file(c_e2e=5.0),
+         "episode 0: c_e2e (5.0) must be the stage_cost sum (0.01)"),
     ],
     ids=["missing_path", "untimed_records", "episodes_not_a_list", "not_json",
-         "unknown_outcome", "negative_repetition"],
+         "unknown_outcome", "negative_repetition", "c_e2e_not_the_stage_sum"],
 )
 def test_report_refuses_unreadable_records_in_one_line(
     tmp_path, capsys, records, cause

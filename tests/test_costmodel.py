@@ -17,11 +17,20 @@ from bigsqlbench.costmodel import (
     engine_cost,
     llm_cost,
 )
+from bigsqlbench.llmclient import ExchangeRecord
+from bigsqlbench.metrics import from_json_object
 
 from .oracles import stage_cost_oracle, stage_tokens_oracle
 
 FLASH = PricingEntry("flash", input_per_mtok=0.5, output_per_mtok=3.0)
 HEAVY = PricingEntry("heavy", input_per_mtok=2.5, output_per_mtok=10.0)
+
+
+def billed(in_tok, out_tok):
+    """An exchange as `complete` returns one: with both token counts."""
+    return from_json_object(ExchangeRecord, {
+        "response": {}, "usage": {"input_tokens": in_tok, "output_tokens": out_tok},
+    })
 
 
 def iteration(index, action, in_tok, out_tok, engine_seconds=0.0):
@@ -33,9 +42,8 @@ def iteration(index, action, in_tok, out_tok, engine_seconds=0.0):
         observation="",
         started_at=float(index),
         ended_at=float(index + 1),
-        input_tokens=in_tok,
-        output_tokens=out_tok,
         engine_seconds=engine_seconds,
+        exchanges=[billed(in_tok, out_tok)],
     )
 
 
@@ -64,16 +72,11 @@ def test_llm_cost_linear_in_each_count():
     )
 
 
-def test_llm_cost_rejects_negative():
-    with pytest.raises(ValueError):
-        llm_cost(FLASH, -1, 0)
-
-
 # --- engine_cost ---
 
 
 def test_engine_cost_per_second():
-    assert engine_cost(EnginePricing("per-second", 0.001), 60.0, None) == pytest.approx(
+    assert engine_cost(EnginePricing("per-second", 0.001), 60.0, 0) == pytest.approx(
         0.06
     )
 
@@ -91,7 +94,7 @@ def test_engine_cost_per_byte():
 
 
 def test_engine_cost_per_byte_without_bytes_is_zero():
-    assert engine_cost(EnginePricing("per-byte-scanned", 1e-12), 10.0, None) == 0.0
+    assert engine_cost(EnginePricing("per-byte-scanned", 1e-12), 10.0, 0) == 0.0
 
 
 def test_engine_pricing_validation():
@@ -284,10 +287,10 @@ def tiled_traces(draw):
         iterations.append(Iteration(
             index=index, thought="", action=draw(st.sampled_from(ACTIONS)),
             action_input={}, observation="", started_at=clock, ended_at=ended,
-            input_tokens=draw(st.integers(0, 10**7)),
-            output_tokens=draw(st.integers(0, 10**7)),
             engine_seconds=draw(st.floats(0, 100)),
             engine_bytes=draw(st.integers(0, 10**12)),
+            exchanges=[billed(draw(st.integers(0, 10**7)), draw(st.integers(0, 10**7)))
+                       for _ in range(draw(st.integers(0, 2)))],
         ))
         clock = ended
     return AgentTrace(iterations=iterations)

@@ -118,6 +118,9 @@ def test_replay_estimates_a_usage_with_one_count(shop_engine, tmp_path):
     assert replayed.iterations[0].exchanges == trace.iterations[0].exchanges
 
 
+COUNT = "null or an int in [0, 2**53]"  # what a usage count may be
+
+
 def test_replay_script_line_without_exchange_is_rejected(tmp_path):
     path = tmp_path / "script.jsonl"
     first = json.dumps(script_entry("ok"), default=vars)
@@ -140,13 +143,13 @@ def test_replay_script_line_without_exchange_is_rejected(tmp_path):
         '{"response": {"text": "x"}, "estimated": "false"}':
             "`estimated` is not a boolean",
         '{"response": {"text": "x"}, "usage": {"input_tokens": "abc", '
-        '"output_tokens": 1}}': "`usage.input_tokens` is not null or an int >= 0",
+        '"output_tokens": 1}}': f"`usage.input_tokens` is not {COUNT}",
         '{"response": {"text": "x"}, "usage": {"input_tokens": -5, '
-        '"output_tokens": 1}}': "`usage.input_tokens` is not null or an int >= 0",
+        '"output_tokens": 1}}': f"`usage.input_tokens` is not {COUNT}",
         iteration_line(exchanges=[
             {"response": {"text": "x"},
              "usage": {"input_tokens": 1, "output_tokens": True}},
-        ]): "`exchanges[0].usage.output_tokens` is not null or an int >= 0",
+        ]): f"`exchanges[0].usage.output_tokens` is not {COUNT}",
         '{"response": {"text": "x"},': "not JSON: Expecting property name "
             "enclosed in double quotes at column 28",
     }

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from bigsqlbench.metrics import (
     EmptySuiteError,
     EpisodeResult,
-    InvalidRateError,
     NormalizationError,
     aggregate,
     canonicalize_sql,
@@ -144,11 +143,6 @@ def test_cvq_perfect_accuracy():
 
 def test_cvq_zero_rate_undefined():
     assert cvq(0.01, 0.0) is None
-
-
-def test_cvq_invalid_rate():
-    with pytest.raises(InvalidRateError):
-        cvq(0.01, 1.5)
 
 
 def test_cvq_monte_carlo_retry_simulation():
@@ -311,7 +305,7 @@ def reworded(overrides, message, case_id):
         (dict(exact=1), "`exact` is not a boolean"),
         reworded(dict(c_e2e="0.01"), "`c_e2e` is not a finite number >= 0",
                  "overrides7-`c_e2e` is not a number"),
-        reworded(dict(stage_cost={"run": math.nan}),
+        reworded(dict(c_e2e=0.01, stage_cost={"run": math.nan}),
                  "`stage_cost.run` is not a finite number >= 0",
                  "overrides8-stage_cost values must be finite"),
         reworded(dict(stage_seconds={"run": -1.0}),
@@ -334,6 +328,9 @@ def reworded(overrides, message, case_id):
         reworded(dict(stage_cost={"run": False}),
                  "`stage_cost.run` is not a finite number >= 0",
                  "overrides17-`stage_cost.run` is not a number"),
+        # the one dollar figure is the stages'
+        (dict(c_e2e=5.0, stage_cost={"run": 0.01}),
+         "c_e2e (5.0) must be the stage_cost sum (0.01)"),
     ],
 )
 def test_record_refuses_what_a_report_cannot_render(overrides, message):
@@ -382,7 +379,8 @@ def test_prop_ves_star_at_most_ves(r):
 
 @given(_records, st.floats(min_value=0.1, max_value=10.0))
 def test_prop_cost_scaling(r, k):
-    scaled = dataclasses.replace(r, c_e2e=r.c_e2e * k)
+    cost = r.c_e2e * k
+    scaled = dataclasses.replace(r, c_e2e=cost, stage_cost={"run": cost})
     assert vces_per_query(scaled) == pytest.approx(vces_per_query(r) / k, rel=1e-9)
     assert ves_per_query(scaled) == ves_per_query(r)
     assert ves_star_per_query(scaled) == ves_star_per_query(r)

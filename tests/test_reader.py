@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bigsqlbench.agent import AgentConfig, Iteration, read_trace_line
 from bigsqlbench.costmodel import EnginePricing, PricingConfig, PricingEntry
-from bigsqlbench.llmclient import ExchangeRecord, SamplingConfig
+from bigsqlbench.llmclient import ExchangeRecord, SamplingConfig, _Usage
 from bigsqlbench.metrics import (
     Count,
     EpisodeResult,
@@ -53,7 +53,8 @@ not_finite = st.sampled_from([math.inf, -math.inf, math.nan])
 # each constrained annotation: its values, and values of its JSON type outside
 # its range (`json` writes and reads NaN and Infinity)
 RANGES = {
-    Count: (st.integers(min_value=0), st.integers(max_value=-1)),
+    Count: (st.integers(0, 2**53),
+            st.integers(max_value=-1) | st.integers(min_value=2**53 + 1)),
     PositiveInt: (st.integers(min_value=1), st.integers(max_value=0)),
     NonNegative: (st.just(0.0) | st.floats(min_value=0.0, max_value=1e9),
                   st.floats(max_value=-1e-300) | not_finite),
@@ -127,10 +128,17 @@ def instances(cls: type) -> st.SearchStrategy:
     hints = typing.get_type_hints(cls)
 
     def build(**values):
-        if cls is Iteration:  # it ends no earlier than it starts
+        if cls is Iteration:  # a first one, which ends no earlier than it starts
+            values["index"] = 0
             values["started_at"], values["ended_at"] = sorted(
                 (values["started_at"], values["ended_at"])
             )
+            values["exchanges"] = [  # each billed, with both counts
+                dataclasses.replace(exchange, usage=_Usage(3, 4))
+                for exchange in values["exchanges"]
+            ]
+        if cls is EpisodeResult:  # its dollars are its stages'
+            values["c_e2e"] = sum(values["stage_cost"].values())
         try:
             return cls(**values)
         except ValueError:  # a rule across fields
@@ -150,7 +158,12 @@ def to_json(value: Any) -> Any:
         return {"models": [to_json(entry) for entry in value.models.values()],
                 "engine": to_json(value.engine)}
     if dataclasses.is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        written = {f.name: to_json(getattr(value, f.name))
+                   for f in dataclasses.fields(value)}
+        if isinstance(value, Iteration):  # and the token counts of its exchanges
+            written.update(input_tokens=value.input_tokens,
+                           output_tokens=value.output_tokens)
+        return written
     if isinstance(value, Path):
         return str(value)
     if isinstance(value, list):
@@ -175,7 +188,7 @@ def read_plan(data: dict) -> RunPlan:
 
 
 def read_iteration(data: dict) -> Iteration:
-    return Iteration(**read_trace_line({"type": "iteration", **data}, 1)[1])
+    return Iteration(**read_trace_line({"type": "iteration", **data}, 1, ())[1])
 
 
 # each reader dataclass, and how its file is read
@@ -210,7 +223,7 @@ def test_a_written_instance_reads_back_equal(cls, data):
 def test_a_value_of_another_json_type_is_refused_by_name(cls, data):
     written = json.loads(json.dumps(to_json(data.draw(instances(cls)))))
     hints = typing.get_type_hints(cls)
-    name = data.draw(st.sampled_from(sorted(written)))
+    name = data.draw(st.sampled_from(sorted(hints)))
     # a pricing file lists the models that `PricingConfig` keys by id
     kinds = {list} if (cls, name) == (PricingConfig, "models") else accepted(hints[name])
     wrong = [value for value in JSON_SAMPLES if kinds is not None and type(value) not in kinds]

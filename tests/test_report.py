@@ -32,10 +32,11 @@ def _episode(draw) -> EpisodeResult | None:
     """An episode, or None where the constructor refuses what was drawn."""
     stages = st.dictionaries(st.sampled_from(STAGES), _amounts)
     t_gen = draw(_amounts)
+    stage_cost = draw(stages)
     values = dict(
         t_gold=draw(_amounts), t_gen=t_gen, t_e2e=t_gen + draw(_amounts),
-        c_e2e=draw(_amounts), precision=draw(st.floats(0.0, 1.0)),
-        stage_cost=draw(stages),
+        c_e2e=sum(stage_cost.values()), precision=draw(st.floats(0.0, 1.0)),
+        stage_cost=stage_cost,
     )
     spoiler = draw(_spoilers)
     if spoiler is not None:

@@ -282,10 +282,10 @@ def test_sampling_values_are_read_as_numbers(mini_suite_dir, tmp_path):
 
     # a string is refused, never converted
     for key, value, expected in [
-        ("temperature", "0.5", "null or a number"),
-        ("temperature", "hot", "null or a number"),
-        ("max_tokens", "64", "null or an int"),
-        ("max_tokens", 64.0, "null or an int"),
+        ("temperature", "0.5", "null or a finite number >= 0"),
+        ("temperature", "hot", "null or a finite number >= 0"),
+        ("max_tokens", "64", "null or an int >= 1"),
+        ("max_tokens", 64.0, "null or an int >= 1"),
     ]:
         def text(data):
             data["backends"][0]["sampling"] = {key: value}
