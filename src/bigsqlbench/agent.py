@@ -641,14 +641,16 @@ def read_trace_line(
 def _check_iteration(values: dict[str, Any], before: Sequence[Iteration]) -> None:
     """Refuse an iteration line's `values` unless `end_iteration` could have
     written them after the iterations `before`: at its position, starting
-    where the last ended, with its exchanges' token counts (which leave
-    `values`)."""
+    where the last ended, its engine time within its own, with its exchanges'
+    token counts (which leave `values`)."""
     if values["index"] != len(before):
         raise ValueError(f"`index` is not {len(before)}, the iteration's position")
     if before and values["started_at"] != before[-1].ended_at:
         raise ValueError("`started_at` is not the previous iteration's `ended_at`")
     if values["ended_at"] < values["started_at"]:
         raise ValueError("`ended_at` is before `started_at`")
+    if values["engine_seconds"] > values["ended_at"] - values["started_at"]:
+        raise ValueError("`engine_seconds` exceeds `ended_at` - `started_at`")
     for name in _TOKEN_FIELDS:
         counts = [getattr(ex.usage, name, None) for ex in values["exchanges"]]
         if None in counts:

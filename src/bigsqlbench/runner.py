@@ -62,6 +62,8 @@ from .suite import (
 
 logger = logging.getLogger(__name__)
 
+_SEND_EVERY_S = 0.05  # the longest a worker holds an episode while indices wait
+
 
 class PlanValidationError(ValueError):
     """Pre-flight validation failed; nothing was executed or spent."""
@@ -449,7 +451,7 @@ def _run_episodes(
     replay scripts, and the engine's snapshots, without copying or
     registering anything again.  The parent alone hands out the specs and
     adds up the spend: it sends each worker the index of a spec, or None to
-    stop, and each episode comes back as soon as it finishes.  No index is
+    stop, and the episodes come back in batches (see `_worker`).  No index is
     sent once the spend has reached the ceiling.  Returns the finished
     episodes and the specs never sent; raises RuntimeError if a worker fails
     or dies.
@@ -459,15 +461,18 @@ def _run_episodes(
 
     ctx = multiprocessing.get_context("fork")
     ceiling = run.plan.max_spend_usd
-    # indices sent to a worker and not yet answered: without a ceiling two,
-    # so that a worker never waits on the parent; under one, one, so that at
-    # most concurrency - 1 episodes run past the one whose cost crossed it
-    depth = 2 if ceiling is None else 1
     next_index, spent = 0, 0.0
     episodes: list[EpisodeResult] = []
     workers: dict[Any, Any] = {}  # the parent's end of a pipe -> its worker
     queued: dict[Any, int] = {}  # a pipe -> the indices it has not answered
     stopped: set[Any] = set()  # the pipes sent None
+
+    def depth() -> int:
+        """Indices to keep with a worker: under a ceiling one (at most concurrency - 1
+        episodes overrun it); else a guided self-scheduling share, two at least."""
+        if ceiling is not None:
+            return 1
+        return max(2, (len(specs) - next_index) // (4 * len(workers)))
 
     def hand_out(conn, limit: int) -> None:
         """Top up a worker's indices to `limit`; send None once no more may be
@@ -493,9 +498,9 @@ def _run_episodes(
             workers[conn] = process
             queued[conn] = 0
         # in rounds, so that each worker has a cell before any has two
-        for limit in range(1, depth + 1):
+        for first_round in (True, False):
             for conn in workers:
-                hand_out(conn, limit)
+                hand_out(conn, 1 if first_round else depth())
         reading = dict(workers)
         while reading:
             for conn in wait(list(reading)):
@@ -507,7 +512,7 @@ def _run_episodes(
                     if queued[conn]:
                         raise RuntimeError(
                             f"runner worker {process.pid} exited with code "
-                            f"{process.exitcode} before it sent its episode"
+                            f"{process.exitcode} before it sent its episodes"
                         ) from None
                     del reading[conn]
                     continue
@@ -515,11 +520,11 @@ def _run_episodes(
                     logging.getLogger(payload.name).handle(payload)
                 elif kind == "error":
                     raise RuntimeError(f"runner worker {process.pid} failed:\n{payload}")
-                else:  # "episode"
-                    episodes.append(payload)
-                    spent += payload.c_e2e
-                    queued[conn] -= 1
-                    hand_out(conn, depth)
+                else:  # "episodes"
+                    episodes.extend(payload)
+                    spent = sum((episode.c_e2e for episode in payload), spent)
+                    queued[conn] -= len(payload)
+                    hand_out(conn, depth())
     finally:
         for conn, process in workers.items():
             process.terminate()  # no-op once joined; stops the rest after a failure
@@ -532,14 +537,22 @@ def _worker(run: _Run, specs: list[_EpisodeSpec], conn) -> None:
     """One worker process: run the spec of each index the parent sends, until
     None.
 
-    Answers each index with ("episode", result); sends ("log", record) for
-    each record logged here, and ("error", traceback) if it fails.
+    Sends its finished episodes as one ("episodes", [result, ...]) once no
+    index waits on the pipe or _SEND_EVERY_S after its last send, and on None;
+    ("log", record) for each record logged here; ("error", traceback) if it
+    fails.
     """
     logging.root.handlers = [_ToParent(conn)]
     try:
         try:
+            batch, sent_at = [], time.perf_counter()
             while (index := conn.recv()) is not None:
-                conn.send(("episode", _run_episode(run, specs[index])))
+                batch.append(_run_episode(run, specs[index]))
+                if not conn.poll() or time.perf_counter() - sent_at >= _SEND_EVERY_S:
+                    conn.send(("episodes", batch))
+                    batch, sent_at = [], time.perf_counter()
+            if batch:
+                conn.send(("episodes", batch))
         finally:
             run.sessions.close()
     except Exception:

@@ -701,6 +701,11 @@ MALFORMED_LINES = {
                                "`index` is not 1, the iteration's position"),
     "not_tiling": (second_iteration(started_at=3.0, ended_at=4.0),
                    "`started_at` is not the previous iteration's `ended_at`"),
+    # the engine is timed inside its iteration: 5 s of it in a 1 s iteration
+    # would bill T_gen and per-second engine time that never happened
+    "engine_longer_than_its_iteration": (
+        second_iteration(action="run_query", ended_at=3.0, engine_seconds=5.0),
+        "`engine_seconds` exceeds `ended_at` - `started_at`"),
     "counts_not_the_exchanges": (
         second_iteration(exchanges=[usage(1200, 60)], input_tokens=999999,
                          output_tokens=60),

@@ -133,6 +133,9 @@ def instances(cls: type) -> st.SearchStrategy:
             values["started_at"], values["ended_at"] = sorted(
                 (values["started_at"], values["ended_at"])
             )
+            values["engine_seconds"] = min(  # and holds its engine time
+                values["engine_seconds"], values["ended_at"] - values["started_at"]
+            )
             values["exchanges"] = [  # each billed, with both counts
                 dataclasses.replace(exchange, usage=_Usage(3, 4))
                 for exchange in values["exchanges"]

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
 import signal
@@ -374,7 +375,8 @@ def test_full_mini_matrix_offline(mini_plan):
 
 
 # the plan's own $5 ceiling, under which the parent keeps one cell queued
-# with each worker, and no ceiling, under which it keeps two
+# with each worker, and no ceiling, under which it keeps a share of the cells
+# left, two at least
 CEILINGS = pytest.mark.parametrize(
     "max_spend_usd", [5.0, None], ids=["plan_ceiling", "no_ceiling"]
 )
@@ -392,6 +394,66 @@ def test_mini_traces_match_pinned_untimed_copy(mini_plan, max_spend_usd):
     mini_plan.max_spend_usd = max_spend_usd
     execute_plan(mini_plan)
     assert untimed_traces_text(mini_plan.output_dir) == PINNED_TRACES.read_text()
+
+
+def pinned_at_repetitions(repetitions: int) -> tuple[str, str]:
+    """The pinned untimed records and traces text of a no-ceiling run at
+    `repetitions`: each repetition replays its case's one script, so it reads
+    as the pinned repetition 0 under its own number and trace path."""
+    records = json.loads(PINNED_RECORDS.read_text())
+    records["episodes"] = [
+        {**ep, "repetition": rep,
+         "trace_path": ep["trace_path"].replace("_r0.", f"_r{rep}.")}
+        for ep in records["episodes"] if ep["repetition"] == 0
+        for rep in range(repetitions)
+    ]
+    records["total_spend_usd"] = math.fsum(ep["c_e2e"] for ep in records["episodes"])
+    traces = {
+        path.replace("_r0.", f"_r{rep}."): text
+        for path, text in json.loads(PINNED_TRACES.read_text()).items()
+        if "_r0." in path
+        for rep in range(repetitions)
+    }
+    return (json.dumps(records, indent=2) + "\n",
+            json.dumps(dict(sorted(traces.items())), indent=2) + "\n")
+
+
+def count_episode_messages(monkeypatch) -> list[int]:
+    """The size of each batch of episodes the parent receives from a worker."""
+    main, sizes = os.getpid(), []
+    recv = multiprocessing.connection.Connection.recv
+
+    def counting(self):
+        message = recv(self)
+        if os.getpid() == main and message[0] == "episodes":
+            sizes.append(len(message[1]))
+        return message
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", counting)
+    return sizes
+
+
+# a worker sends its episodes once no index waits for it, or after
+# _SEND_EVERY_S: an hour batches them; 0 sends each alone, as a live run's
+# episodes, each longer than the default, are sent
+@pytest.mark.parametrize("send_every_s", [3600.0, 0.0], ids=["batched", "each_alone"])
+def test_batched_episodes_give_the_pinned_records_and_traces(
+    mini_plan, monkeypatch, send_every_s
+):
+    monkeypatch.setattr(runner, "_SEND_EVERY_S", send_every_s)
+    sizes = count_episode_messages(monkeypatch)
+    mini_plan.max_spend_usd = None
+    mini_plan.repetitions = 10
+    mini_plan.concurrency = 2
+    execute_plan(mini_plan)
+    assert sum(sizes) == 100
+    if send_every_s:
+        assert len(sizes) <= 100 / 2, sizes
+    else:
+        assert set(sizes) == {1}
+    records, traces = pinned_at_repetitions(10)
+    assert untimed_records_text(mini_plan.output_dir) == records
+    assert untimed_traces_text(mini_plan.output_dir) == traces
 
 
 def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
