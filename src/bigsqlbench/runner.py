@@ -14,7 +14,7 @@ import math
 import os
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Literal
@@ -61,8 +61,7 @@ from .suite import (
 )
 
 logger = logging.getLogger(__name__)
-
-_SEND_EVERY_S = 0.05  # the longest a worker holds an episode while indices wait
+_SEND_EVERY_S = 0.05  # the longest a worker holds an episode while it holds cells
 
 
 class PlanValidationError(ValueError):
@@ -450,9 +449,9 @@ def _run_episodes(
     The workers are forked, so they inherit the specs with their goldens and
     replay scripts, and the engine's snapshots, without copying or
     registering anything again.  The parent alone hands out the specs and
-    adds up the spend: it sends each worker the index of a spec, or None to
-    stop, and the episodes come back in batches (see `_worker`).  No index is
-    sent once the spend has reached the ceiling.  Returns the finished
+    adds up the spend: it sends each worker ranges of spec indices, then None
+    to stop, and the episodes come back in batches (see `_worker`).  No index
+    is sent once the spend has reached the ceiling.  Returns the finished
     episodes and the specs never sent; raises RuntimeError if a worker fails
     or dies.
     """
@@ -468,26 +467,25 @@ def _run_episodes(
     stopped: set[Any] = set()  # the pipes sent None
 
     def depth() -> int:
-        """Indices to keep with a worker: under a ceiling one (at most concurrency - 1
-        episodes overrun it); else a guided self-scheduling share, two at least."""
+        """Indices to keep with a worker: under a ceiling one, so that at most
+        concurrency - 1 episodes overrun it; else a guided self-scheduling share
+        of those left, two at least."""
         if ceiling is not None:
             return 1
         return max(2, (len(specs) - next_index) // (4 * len(workers)))
 
     def hand_out(conn, limit: int) -> None:
-        """Top up a worker's indices to `limit`; send None once no more may be
-        sent."""
+        """Top up a worker's indices to `limit` with one range; once no more may
+        be sent, send None, but only to a worker that holds none."""
         nonlocal next_index
-        while conn not in stopped:
-            if next_index == len(specs) or (ceiling is not None and spent >= ceiling):
-                conn.send(None)
-                stopped.add(conn)
-            elif queued[conn] < limit:
-                conn.send(next_index)
-                next_index += 1
-                queued[conn] += 1
-            else:
-                return
+        if next_index < len(specs) and (ceiling is None or spent < ceiling):
+            n = min(limit - queued[conn], len(specs) - next_index)
+            if n > 0:
+                conn.send(range(next_index, next_index + n))
+                next_index, queued[conn] = next_index + n, queued[conn] + n
+        elif not queued[conn] and conn not in stopped:
+            conn.send(None)
+            stopped.add(conn)
 
     try:
         for _ in range(min(run.plan.concurrency, len(specs))):
@@ -534,25 +532,27 @@ def _run_episodes(
 
 
 def _worker(run: _Run, specs: list[_EpisodeSpec], conn) -> None:
-    """One worker process: run the spec of each index the parent sends, until
-    None.
+    """One worker process: run the specs of the index ranges the parent sends,
+    in order, until None.
 
-    Sends its finished episodes as one ("episodes", [result, ...]) once no
-    index waits on the pipe or _SEND_EVERY_S after its last send, and on None;
-    ("log", record) for each record logged here; ("error", traceback) if it
-    fails.
+    Sends its finished episodes as one ("episodes", [result, ...]) once it
+    holds no index, or _SEND_EVERY_S after its last send; ("log", record) for
+    each record logged here; ("error", traceback) if it fails.
     """
     logging.root.handlers = [_ToParent(conn)]
     try:
         try:
+            held: deque[int] = deque()  # indices received and not yet run
             batch, sent_at = [], time.perf_counter()
-            while (index := conn.recv()) is not None:
-                batch.append(_run_episode(run, specs[index]))
-                if not conn.poll() or time.perf_counter() - sent_at >= _SEND_EVERY_S:
+            # blocks only once it has run and sent all it held; only then may None come
+            while held or (cells := conn.recv()) is not None:
+                held.extend(() if held else cells)
+                while conn.poll():
+                    held.extend(conn.recv())
+                batch.append(_run_episode(run, specs[held.popleft()]))
+                if not held or time.perf_counter() - sent_at >= _SEND_EVERY_S:
                     conn.send(("episodes", batch))
                     batch, sent_at = [], time.perf_counter()
-            if batch:
-                conn.send(("episodes", batch))
         finally:
             run.sessions.close()
     except Exception:

@@ -12,6 +12,7 @@ import signal
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -433,7 +434,7 @@ def count_episode_messages(monkeypatch) -> list[int]:
     return sizes
 
 
-# a worker sends its episodes once no index waits for it, or after
+# a worker sends its episodes once it has run every index it holds, or after
 # _SEND_EVERY_S: an hour batches them; 0 sends each alone, as a live run's
 # episodes, each longer than the default, are sent
 @pytest.mark.parametrize("send_every_s", [3600.0, 0.0], ids=["batched", "each_alone"])
@@ -1175,6 +1176,27 @@ def test_worker_that_dies_fails_the_run(mini_plan, monkeypatch):
     ):
         execute_plan(mini_plan)
     assert not (mini_plan.output_dir / "records.json").exists()
+
+
+# without a ceiling a worker is kept a share of the cells left, here
+# thousands of indices, and sends back kilobytes per episode: neither end may
+# block on a full pipe while the other does, whether the worker batches its
+# episodes or, as in a live run, sends each alone and is topped up each time
+@pytest.mark.parametrize("send_every_s", [runner._SEND_EVERY_S, 0.0])
+def test_many_cells_without_a_ceiling_finish(monkeypatch, send_every_s):
+    monkeypatch.setattr(runner, "_SEND_EVERY_S", send_every_s)
+    monkeypatch.setattr(
+        runner, "_run_episode",
+        lambda run, spec: SimpleNamespace(c_e2e=0.0, cell=spec, trace=bytes(1000)),
+    )
+    run = SimpleNamespace(  # three workers: more than a 2-CPU host runs at once
+        plan=SimpleNamespace(max_spend_usd=None, concurrency=3),
+        sessions=SimpleNamespace(close=lambda: None),
+    )
+    with time_limit(30):
+        episodes, unsent = runner._run_episodes(run, list(range(20_000)))
+    assert sorted(ep.cell for ep in episodes) == list(range(20_000))
+    assert unsent == []
 
 
 def test_trace_write_failure_is_logged(mini_plan, caplog):
