@@ -543,14 +543,9 @@ def stage_breakdown(trace: AgentTrace) -> dict[str, StageUsage]:
 # an iteration line's fields: the Iteration's and its token counts
 _TOKEN_FIELDS = ("input_tokens", "output_tokens")
 _ITERATION_FIELDS = (*(f.name for f in fields(Iteration)), *_TOKEN_FIELDS)
-_CLOCK_FIELDS = ("started_at", "ended_at", "engine_seconds")
-_UNTIMED_ITERATION_FIELDS = tuple(
-    name for name in _ITERATION_FIELDS if name not in _CLOCK_FIELDS
-)
 
 # The fields of each trace line but `type`, which `read_trace_line` reads by
-# their annotations in the dataclass that holds them; an untimed trace's
-# iterations leave out `_CLOCK_FIELDS`.
+# their annotations in the dataclass that holds them.
 _LINES: dict[str, tuple[type, tuple[str, ...]]] = {
     "meta": (AgentTrace, ("question", "model_id")),
     "iteration": (Iteration, _ITERATION_FIELDS),
@@ -560,19 +555,14 @@ _LINES: dict[str, tuple[type, tuple[str, ...]]] = {
 }
 
 
-def trace_to_jsonl(trace: AgentTrace, include_timing: bool = True) -> str:
-    """Serialize an episode to JSON lines: meta, one line per iteration, outcome.
-
-    With include_timing=False all clock-derived fields are dropped, giving a
-    stable byte representation for replay comparison.
-    """
+def trace_to_jsonl(trace: AgentTrace) -> str:
+    """Serialize an episode to JSON lines: meta, one line per iteration, outcome."""
     meta = {name: getattr(trace, name) for name in _LINES["meta"][1]}
     lines = [json.dumps({"type": "meta", **meta}, sort_keys=True)]
     # json.dumps only reads the nested action_input/exchanges values, so they
     # go in as they are, not deep-copied; an exchange is written as its fields
-    names = _ITERATION_FIELDS if include_timing else _UNTIMED_ITERATION_FIELDS
     for it in trace.iterations:
-        record = {name: getattr(it, name) for name in names}
+        record = {name: getattr(it, name) for name in _ITERATION_FIELDS}
         record["type"] = "iteration"
         lines.append(json.dumps(record, sort_keys=True, default=vars))
     outcome = {name: getattr(trace, name) for name in _LINES["outcome"][1]}
@@ -590,15 +580,22 @@ _ROW_ENCODER = json.JSONEncoder(default=json_cell)
 def _logged_result(table: ResultTable) -> dict[str, Any]:
     """`final_result` as an outcome line logs it.
 
-    A result whose rows' JSON array fits the observation budget is logged
-    whole.  A larger one is cut to the longest prefix of rows that fits,
-    plus its `row_count`: the data and `final_sql` rebuild the rest, and
-    sizing stops at the first row past the budget, so the cost of a cut
-    does not grow with the result.
+    A result whose rows' JSON array fits the observation budget and reads
+    back cell for cell is logged whole.  Any other is cut to the longest
+    prefix of rows that does both, plus its `row_count`: the data and
+    `final_sql` rebuild the rest, and sizing stops at the first row past
+    the budget, so the cost of a cut does not grow with the result.
     """
+    # A column is tagged by its first non-null cell and bytes are logged as
+    # hex text, so a text or bytes cell reads back (`_read_final_result`) as
+    # it is exactly when it is bytes in a blob column or text elsewhere.
+    blob = [column.type_tag == "blob" for column in table.columns]
     size = 1  # "["
     kept = 0
     for row in table.rows:
+        if any(isinstance(cell, bytes) != in_blob for cell, in_blob in zip(row, blob)
+               if isinstance(cell, (str, bytes))):
+            break
         size += len(_ROW_ENCODER.encode(row)) + (2 if kept else 0)  # ", "
         if size + 1 > DEFAULT_OBSERVATION_CAP:  # "]"
             break
@@ -616,20 +613,18 @@ def read_trace_line(
     """The `type` and other fields of trace line `number`, which must be one
     `trace_to_jsonl` could write after the iterations `before`, else
     ValueError naming the line and path.  An iteration's fields are
-    `Iteration` arguments (exchanges ExchangeRecords, an untimed one's clock
-    fields 0.0); an outcome's `final_result` is a ResultTable, or None when
-    the line holds none or a cut result."""
+    `Iteration` arguments (exchanges ExchangeRecords); an outcome's
+    `final_result` is a ResultTable, or None when the line holds none or a
+    cut result."""
     try:
         kind = read_json(Literal[tuple(_LINES)], record.get("type"), "type")
         cls, names = _LINES[kind]
         raw = {name: value for name, value in record.items() if name != "type"}
         if kind == "iteration":
-            values = read_fields(cls, raw, names, _CLOCK_FIELDS, **{
+            values = read_fields(cls, raw, names, **{
                 name: lambda value, name=name: read_json(Count, value, name)
                 for name in _TOKEN_FIELDS
             })
-            for name in _CLOCK_FIELDS:
-                values.setdefault(name, 0.0)
             _check_iteration(values, before)
         else:
             values = read_fields(cls, raw, names, final_result=_read_final_result)
@@ -684,8 +679,9 @@ def trace_from_jsonl(text: str) -> AgentTrace:
     whose stage sums (`stage_breakdown`) leave their range.
 
     A trace holds the whole result only when its rows fit the observation
-    budget; an outcome line cut to a prefix (it carries `row_count`) reads
-    back with `final_result` None, never as the prefix.
+    budget and read back (`_logged_result`); an outcome line cut to a prefix
+    (it carries `row_count`) reads back with `final_result` None, never as
+    the prefix.
     """
     trace = AgentTrace()
     for number, record in json_lines(text.splitlines()):

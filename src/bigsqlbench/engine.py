@@ -149,17 +149,10 @@ class EmbeddedEngine:
         started = time.perf_counter()
         try:
             cursor = conn.execute(sql)
-            rows: list[tuple[Any, ...]] = []
-            while True:
-                chunk = cursor.fetchmany(10_000)
-                if not chunk:
-                    break
-                rows.extend(chunk)
-                if len(rows) > DEFAULT_ROW_CAP:
-                    cursor.close()  # reset the statement now, not when collected
-                    raise ResultOverflowError(
-                        f"result exceeded the {DEFAULT_ROW_CAP}-row cap"
-                    )
+            rows = cursor.fetchmany(DEFAULT_ROW_CAP + 1)
+            if len(rows) > DEFAULT_ROW_CAP:
+                cursor.close()  # reset the statement now, not when collected
+                raise ResultOverflowError(f"result exceeded the {DEFAULT_ROW_CAP}-row cap")
         except sqlite3.Error as exc:
             raise EngineError(f"sql execution failed: {exc}") from exc
         elapsed = time.perf_counter() - started

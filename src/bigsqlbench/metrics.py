@@ -263,7 +263,6 @@ class EpisodeResult:
     golden_sql: str
     generated_sql: str
     stage_seconds: dict[str, NonNegative]
-    stage_percentages: dict[str, NonNegative]
     stage_cost: dict[str, NonNegative]
     trace_path: str | None = None
     error: str | None = None

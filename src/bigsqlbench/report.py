@@ -42,8 +42,19 @@ def _group(episodes: list[EpisodeResult], key: Callable) -> dict[Any, list]:
 
 
 def _stage_means(eps: list[EpisodeResult], attribute: str) -> dict[str, float]:
-    """Mean of one per-stage field (seconds, percentages or cost) over eps."""
+    """Mean of one per-stage field (seconds or cost) over eps."""
     return {s: mean(getattr(ep, attribute).get(s, 0.0) for ep in eps) for s in STAGES}
+
+
+def _stage_shares(eps: list[EpisodeResult]) -> dict[str, float]:
+    """Mean over eps of each stage's percentage of the episode's stage
+    seconds; an episode whose stages took no time adds 0."""
+    totals = [sum(ep.stage_seconds.values()) for ep in eps]
+    return {
+        s: mean(100.0 * ep.stage_seconds.get(s, 0.0) / total if total > 0 else 0.0
+                for ep, total in zip(eps, totals))
+        for s in STAGES
+    }
 
 
 def _safe_normalize(
@@ -74,7 +85,7 @@ def build_report(episodes: list[EpisodeResult]) -> dict[str, Any]:
             "ea": suite[m].ea,
             "e2e_mean": mean(ep.t_e2e for ep in eps),
             "e2e_std": std([ep.t_e2e for ep in eps]),
-            "pct": _stage_means(eps, "stage_percentages"),
+            "pct": _stage_shares(eps),
         }
         for m, eps in grouped.items()
     ]

@@ -643,10 +643,6 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
             format_sf(spec.scale_factor), exc_info=fault,
         )
 
-    t_gen = trace.generated_runtime
-    e2e = trace.e2e_seconds
-    seconds = {s: stages[s].seconds if s in stages else 0.0 for s in STAGES}
-
     trace_path = None
     trace_file = spec.trace_dir / f"{case.case_id}_r{spec.repetition}.jsonl"
     problem = run.trace_dir_errors.get(spec.trace_dir)
@@ -669,16 +665,13 @@ def _run_episode(run: _Run, spec: _EpisodeSpec) -> EpisodeResult:
         exact=exact,
         precision=precision,
         t_gold=spec.golden_t,
-        t_gen=t_gen,
-        t_e2e=max(e2e, t_gen),
+        t_gen=trace.generated_runtime,
+        t_e2e=trace.e2e_seconds,
         c_e2e=sum(stage_cost.values()),
         outcome=outcome,
         golden_sql=case.golden_sql,
         generated_sql=trace.final_sql or "",
-        stage_seconds=seconds,
-        stage_percentages={
-            s: 100.0 * v / e2e if e2e > 0 else 0.0 for s, v in seconds.items()
-        },
+        stage_seconds={s: stages[s].seconds if s in stages else 0.0 for s in STAGES},
         stage_cost=stage_cost,
         trace_path=trace_path,
         error=error,

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from bigsqlbench import engine as engine_module
+from bigsqlbench.agent import trace_from_jsonl
 from bigsqlbench.engine import Sessions
 from bigsqlbench.metrics import EpisodeResult
 from bigsqlbench.suite import generate_scaled_data, warehouse_schema
@@ -20,6 +21,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MINI_SUITE = REPO_ROOT / "suites" / "mini"
 # every report format rendered from two_model_episodes()
 PINNED_REPORT = Path(__file__).parent / "data" / "report_two_models"
+# the fields of an iteration line that differ between runs of one script
+CLOCK_FIELDS = ("started_at", "ended_at", "engine_seconds")
 
 
 def modules_after(code: str) -> set[str]:
@@ -47,7 +50,6 @@ def episode(model, case_id, rep=0, sf=1.0, indicator=1, precision=1.0,
     seconds = stage_seconds or {
         "list": 0.1, "schema": 0.1, "check": 0.2, "run": 0.1, "finalize": 0.0,
     }
-    total = sum(seconds.values())
     if stage_cost is None:
         default = {"list": 0.002, "schema": 0.002, "check": 0.004, "run": 0.002}
         stage_cost = default if c_e2e is None else {"run": c_e2e}
@@ -59,7 +61,6 @@ def episode(model, case_id, rep=0, sf=1.0, indicator=1, precision=1.0,
         outcome="completed", golden_sql=golden,
         generated_sql=generated,
         stage_seconds=seconds,
-        stage_percentages={k: 100.0 * v / total for k, v in seconds.items()},
         stage_cost=stage_cost,
     )
 
@@ -78,11 +79,26 @@ def two_model_episodes():
 
 
 def iteration_line(**fields) -> str:
-    """An untimed trace's iteration line, with `fields` replacing its own."""
+    """A trace's first iteration line, with `fields` replacing its own."""
     line = {"type": "iteration", "index": 0, "thought": "", "action": None,
-            "action_input": {}, "observation": "", "input_tokens": 0,
+            "action_input": {}, "observation": "", "started_at": 0.0,
+            "ended_at": 0.0, "engine_seconds": 0.0, "input_tokens": 0,
             "output_tokens": 0, "engine_bytes": 0, "exchanges": []}
     return json.dumps({**line, **fields})
+
+
+def untimed_trace(text: str) -> str:
+    """Trace text `text`, which must read (`trace_from_jsonl`), with each
+    line written again without the clock fields: the bytes that two runs of
+    one replay script share."""
+    trace_from_jsonl(text)
+    lines = []
+    for line in text.splitlines():
+        record = json.loads(line)
+        for name in CLOCK_FIELDS:
+            record.pop(name, None)
+        lines.append(json.dumps(record, sort_keys=True))
+    return "\n".join(lines) + "\n"
 
 
 def mismatch_entry(script: Path, index: int) -> None:

@@ -14,6 +14,7 @@ import sqlite3
 from dataclasses import asdict
 from pathlib import Path
 
+from bigsqlbench.agent import DEFAULT_OBSERVATION_CAP
 from bigsqlbench.resultset import ResultTable, json_cell
 
 PRICING_SUMMARY_CUTOFF = "1998-09-02"
@@ -185,14 +186,45 @@ def tolerant_rows_equal(left, right, ordered=False) -> bool:
     return True
 
 
-def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
+def logged_result_oracle(table: ResultTable) -> dict:
+    """`final_result` as an outcome line must log it, found by writing row
+    prefixes and reading them back: the whole table when its rows' JSON
+    array fits the observation budget and reads back cell for cell, else the
+    longest prefix that does both, with the table's `row_count`."""
+
+    columns = table.to_json_dict()["columns"]
+
+    def logs(kept: int) -> bool:
+        rows = table.rows[:kept]
+        text = json.dumps([list(row) for row in rows], default=json_cell)
+        if len(text) > DEFAULT_OBSERVATION_CAP:
+            return False
+        try:
+            back = ResultTable.from_json_dict({"columns": columns, "rows": json.loads(text)})
+        except ValueError:
+            return False
+        return repr(back.rows) == repr(rows)  # by type too, NaN equal to NaN
+
+    if logs(table.n_rows):
+        return table.to_json_dict()
+    # a prefix of a prefix that logs also logs: bisect for the longest
+    low, high = 0, table.n_rows  # logs(low), not logs(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if logs(middle) else (low, middle)
+    cut = ResultTable(table.columns, table.rows[:low]).to_json_dict()
+    cut["row_count"] = table.n_rows
+    return cut
+
+
+def trace_to_jsonl_asdict(trace) -> str:
     """Episode log serialized through `dataclasses.asdict` of each iteration.
 
     A copy of the serializer the package used before it stopped deep-copying
-    iterations, and before it cut large results; its bytes are the reference
-    for `agent.trace_to_jsonl` (BLOB cells as hex text, as the package logs
-    them).  An iteration's token counts, no longer fields, are written as
-    the sums of its exchanges' usage.
+    iterations; its bytes are the reference for `agent.trace_to_jsonl` (BLOB
+    cells as hex text, as the package logs them, and the result as
+    `logged_result_oracle` logs it).  An iteration's token counts, no longer
+    fields, are written as the sums of its exchanges' usage.
     """
     lines = [
         json.dumps(
@@ -204,9 +236,6 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
         record = asdict(it)
         for key in ("input_tokens", "output_tokens"):
             record[key] = sum(exchange["usage"][key] for exchange in record["exchanges"])
-        if not include_timing:
-            for key in ("started_at", "ended_at", "engine_seconds"):
-                record.pop(key, None)
         lines.append(json.dumps({"type": "iteration", **record}, sort_keys=True))
     outcome = {
         "type": "outcome",
@@ -215,7 +244,7 @@ def trace_to_jsonl_asdict(trace, include_timing: bool = True) -> str:
         "final_answer": trace.final_answer,
         "error": trace.error,
         "final_result": (
-            trace.final_result.to_json_dict() if trace.final_result else None
+            logged_result_oracle(trace.final_result) if trace.final_result else None
         ),
     }
     lines.append(json.dumps(outcome, sort_keys=True, default=json_cell))

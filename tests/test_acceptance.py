@@ -39,7 +39,7 @@ from bigsqlbench.resultset import (
 )
 from bigsqlbench.suite import warehouse_schema
 
-from .conftest import episode
+from .conftest import episode, untimed_trace
 from .oracles import PRICING_SUMMARY_SQL, csv_row_count, pricing_summary_oracle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -279,8 +279,8 @@ def test_acceptance_5_deterministic_episode(mini_suite_dir):
     assert 100.0 * seconds / trace.e2e_seconds == pytest.approx(100.0, abs=0.1)
 
     rerun = _shop_episode(mini_suite_dir)
-    first = trace_to_jsonl(trace, include_timing=False).encode()
-    second = trace_to_jsonl(rerun, include_timing=False).encode()
+    first = untimed_trace(trace_to_jsonl(trace)).encode()
+    second = untimed_trace(trace_to_jsonl(rerun)).encode()
     assert first == second
 
 

@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from bigsqlbench import agent as agent_module
 from bigsqlbench import engine as engine_module
 from bigsqlbench.agent import (
-    DEFAULT_OBSERVATION_CAP,
     ActionParseError,
     AgentConfig,
     AgentTrace,
@@ -33,8 +32,8 @@ from bigsqlbench.costmodel import EnginePricing, PricingEntry, compose_ledger
 from bigsqlbench.engine import Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, ReplayMismatchError
 from bigsqlbench.metrics import check_fields, from_json_object
-from bigsqlbench.resultset import ResultTable, json_cell
-from tests.conftest import iteration_line
+from bigsqlbench.resultset import ResultTable
+from tests.conftest import CLOCK_FIELDS, iteration_line, untimed_trace
 from tests.oracles import stage_cost_oracle, trace_to_jsonl_asdict
 
 
@@ -398,8 +397,8 @@ def test_estimated_usage_flag_propagates(shop_engine, tmp_path):
     replay = ReplayBackend.from_path(log_path)
     replayed = run_agent("q", AgentConfig(), replay, shop_engine)
     assert replayed.uses_estimated_tokens
-    assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
-        trace, include_timing=False
+    assert untimed_trace(trace_to_jsonl(replayed)) == untimed_trace(
+        trace_to_jsonl(trace)
     )
 
     counted = ReplayBackend(FOUR_TOOL_SCRIPT)
@@ -438,8 +437,7 @@ def stub_iteration(index, action, start, end):
 
 
 def shares(trace):
-    """Each stage's percentage of end-to-end time, as a record's
-    `stage_percentages` holds them."""
+    """Each stage's percentage of end-to-end time."""
     return {
         stage: 100.0 * usage.seconds / trace.e2e_seconds
         for stage, usage in stage_breakdown(trace).items()
@@ -493,8 +491,8 @@ def test_replay_reruns_identical_without_timestamps(mini_suite_dir):
     for _ in range(2):
         with Sessions() as own:
             traces.append(run_scripted(own.get(data_dir)))
-    a = trace_to_jsonl(traces[0], include_timing=False)
-    b = trace_to_jsonl(traces[1], include_timing=False)
+    a = untimed_trace(trace_to_jsonl(traces[0]))
+    b = untimed_trace(trace_to_jsonl(traces[1]))
     assert a.encode() == b.encode()
 
 
@@ -525,8 +523,8 @@ def test_episode_log_replays_as_script(shop_engine, tmp_path):
 
     replay = ReplayBackend.from_path(log_path)
     replayed = run_agent("how many orders?", AgentConfig(), replay, shop_engine)
-    assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
-        trace, include_timing=False
+    assert untimed_trace(trace_to_jsonl(replayed)) == untimed_trace(
+        trace_to_jsonl(trace)
     )
 
 
@@ -599,10 +597,9 @@ traces = st.builds(
 
 
 @settings(deadline=None)
-@given(trace=traces, include_timing=st.booleans())
-def test_trace_jsonl_bytes_match_asdict_oracle(trace, include_timing):
-    expected = trace_to_jsonl_asdict(trace, include_timing)
-    assert trace_to_jsonl(trace, include_timing).encode() == expected.encode()
+@given(trace=traces)
+def test_trace_jsonl_bytes_match_asdict_oracle(trace):
+    assert trace_to_jsonl(trace).encode() == trace_to_jsonl_asdict(trace).encode()
 
 
 @settings(deadline=None)
@@ -610,9 +607,8 @@ def test_trace_jsonl_bytes_match_asdict_oracle(trace, include_timing):
 def test_the_reader_reads_back_whatever_the_writer_writes(trace):
     # a stage's seconds, summed near the float limit, may overflow
     assume(all(math.isfinite(u.seconds) for u in stage_breakdown(trace).values()))
-    for include_timing in (True, False):
-        text = trace_to_jsonl(trace, include_timing)
-        assert trace_to_jsonl(trace_from_jsonl(text), include_timing) == text
+    text = trace_to_jsonl(trace)
+    assert trace_to_jsonl(trace_from_jsonl(text)) == text
 
 
 META_LINE = '{"type": "meta", "question": "q", "model_id": "m"}'
@@ -721,6 +717,11 @@ MALFORMED_LINES = {
         f"`exchanges[0].usage.input_tokens` is not null or {COUNT}"),
     "unknown_field": (iteration_line(note=1),
                       "unknown key 'note'"),
+    # every iteration line carries its clock, so every trace bills its seconds
+    "no_clock_fields": (
+        json.dumps({k: v for k, v in json.loads(iteration_line()).items()
+                    if k not in CLOCK_FIELDS}),
+        "missing key 'started_at', 'ended_at', 'engine_seconds'"),
     "int_question": ('{"type": "meta", "question": 7, "model_id": "m"}',
                      "`question` is not a string"),
     "unknown_outcome": (
@@ -841,13 +842,13 @@ result_cells = st.none() | st.integers() | st.floats() | st.text() | st.binary()
 @st.composite
 def result_tables(draw):
     """Tables of 0-400 rows, cycling through a few drawn rows so that big
-    tables stay cheap to generate."""
+    tables stay cheap to generate, each column tagged as the engine tags it:
+    by its first non-null cell, so that text and bytes may share a column."""
     width = draw(st.integers(1, 3))
     pool = draw(st.lists(st.tuples(*[result_cells] * width), min_size=1, max_size=6))
     n_rows = draw(st.integers(0, 400))
-    return ResultTable.build(
-        [(f"c{i}", "text") for i in range(width)],
-        [pool[i % len(pool)] for i in range(n_rows)],
+    return ResultTable.from_query_result(
+        [f"c{i}" for i in range(width)], [pool[i % len(pool)] for i in range(n_rows)]
     )
 
 
@@ -856,26 +857,35 @@ def result_tables(draw):
 def test_outcome_line_logs_the_rows_that_fit_the_observation_budget(table):
     trace = AgentTrace(outcome="completed", final_sql="SELECT *", final_result=table)
     text = trace_to_jsonl(trace)
-    expected = trace_to_jsonl_asdict(trace)
-    if len(json.dumps(list(table.rows), default=json_cell)) <= DEFAULT_OBSERVATION_CAP:
-        assert text.encode() == expected.encode()
-        return
-    *head, line = text.splitlines()
-    *expected_head, expected_line = expected.splitlines()
-    assert head == expected_head
-    outcome = json.loads(line)
-    oracle = json.loads(expected_line)
-    logged = outcome.pop("final_result")
-    oracle_result = oracle.pop("final_result")
-    assert outcome == oracle
-    kept = logged["rows"]
-    assert logged["columns"] == oracle_result["columns"]
-    assert logged["row_count"] == table.n_rows
-    assert json.dumps(kept) == json.dumps(oracle_result["rows"][: len(kept)])
-    assert len(json.dumps(kept)) <= DEFAULT_OBSERVATION_CAP
-    one_more = oracle_result["rows"][: len(kept) + 1]
-    assert len(json.dumps(one_more)) > DEFAULT_OBSERVATION_CAP
-    assert trace_from_jsonl(text).final_result is None
+    assert text.encode() == trace_to_jsonl_asdict(trace).encode()
+    logged = json.loads(text.splitlines()[-1])["final_result"]
+    read = trace_from_jsonl(text).final_result
+    if "row_count" in logged:
+        assert read is None
+    else:  # read back cell for cell, by type too
+        assert repr(read) == repr(table)
+
+
+# a column is tagged by its first non-null cell: blob for the first query,
+# text for the second, so that their second rows would not read back
+@pytest.mark.parametrize("sql", ["SELECT x'00' UNION ALL SELECT 'zz'",
+                                 "SELECT 'a' UNION ALL SELECT x'00'"])
+def test_a_result_that_would_not_read_back_is_cut_before_that_row(
+    shop_engine, tmp_path, sql
+):
+    script = [entry(action_text("run_query", {"sql": sql}))]
+    trace = run_agent("mixed", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.final_result.n_rows == 2
+    log_path = tmp_path / "episode.jsonl"
+    log_path.write_text(trace_to_jsonl(trace))
+    logged = json.loads(log_path.read_text().splitlines()[-1])["final_result"]
+    assert (len(logged["rows"]), logged["row_count"]) == (1, 2)
+    assert trace_from_jsonl(log_path.read_text()).final_result is None
+    replay = ReplayBackend.from_path(log_path)
+    replayed = run_agent("mixed", AgentConfig(), replay, shop_engine)
+    assert untimed_trace(trace_to_jsonl(replayed)) == untimed_trace(
+        trace_to_jsonl(trace)
+    )
 
 
 def test_trace_with_a_cut_outcome_line_still_replays(sessions, sf_tiny_dir, tmp_path):
@@ -892,6 +902,6 @@ def test_trace_with_a_cut_outcome_line_still_replays(sessions, sf_tiny_dir, tmp_
 
     replay = ReplayBackend.from_path(log_path)
     replayed = run_agent("every line item", AgentConfig(), replay, engine)
-    assert trace_to_jsonl(replayed, include_timing=False) == trace_to_jsonl(
-        trace, include_timing=False
+    assert untimed_trace(trace_to_jsonl(replayed)) == untimed_trace(
+        trace_to_jsonl(trace)
     )

@@ -469,8 +469,7 @@ def _episode_file(**fields):
         (lambda tmp_path: tmp_path / "absent.json", "No such file or directory"),
         # the pinned untimed copy lacks the clock-derived fields
         (lambda tmp_path: REPO_ROOT / "tests" / "data" / "mini_records_untimed.json",
-         "episode 0: missing key 't_gold', 't_gen', 't_e2e', 'stage_seconds', "
-         "'stage_percentages'"),
+         "episode 0: missing key 't_gold', 't_gen', 't_e2e', 'stage_seconds'"),
         (_records_file('{"episodes": 5}'), "`episodes` is not a list"),
         (_records_file("{not json"), "Expecting property name"),
         (_episode_file(outcome="no-such-outcome"), "episode 0: `outcome` is not one "
@@ -479,9 +478,13 @@ def _episode_file(**fields):
          "episode 0: `repetition` is not an int in [0, 2**53]"),
         (_episode_file(c_e2e=5.0),
          "episode 0: c_e2e (5.0) must be the stage_cost sum (0.01)"),
+        # records from before the report derived each stage's share
+        (_episode_file(stage_percentages={"run": 100.0}),
+         "episode 0: unknown key 'stage_percentages'"),
     ],
     ids=["missing_path", "untimed_records", "episodes_not_a_list", "not_json",
-         "unknown_outcome", "negative_repetition", "c_e2e_not_the_stage_sum"],
+         "unknown_outcome", "negative_repetition", "c_e2e_not_the_stage_sum",
+         "stored_stage_percentages"],
 )
 def test_report_refuses_unreadable_records_in_one_line(
     tmp_path, capsys, records, cause

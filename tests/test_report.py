@@ -56,7 +56,6 @@ def _episode(draw) -> EpisodeResult | None:
                 st.sampled_from(["SELECT 1", "select 1", "", "SELECT 2"])
             ),
             stage_seconds=draw(stages),
-            stage_percentages=draw(stages),
             **values,
         )
     except ValueError:
@@ -122,3 +121,13 @@ def test_every_accepted_episode_list_is_reported(episodes):
     cells = _markdown_cells(render_markdown(report))
     assert cells.count("--") == undefined
     assert not {"nan", "inf", "-inf", "None"} & set(cells)
+
+
+def test_table1_shares_are_each_episodes_stage_shares_averaged():
+    split = episode("m", "q1", stage_seconds={"list": 1.0, "run": 3.0})
+    idle = episode("m", "q2", stage_seconds=dict.fromkeys(STAGES, 0.0))
+    [row] = build_report([split])["table1"]
+    assert row["pct"] == {**dict.fromkeys(STAGES, 0.0), "list": 25.0, "run": 75.0}
+    # an episode whose stages took no time adds 0 to each stage's mean
+    [row] = build_report([split, idle])["table1"]
+    assert row["pct"] == {**dict.fromkeys(STAGES, 0.0), "list": 12.5, "run": 37.5}

@@ -21,7 +21,7 @@ from bigsqlbench import engine as engine_module
 from bigsqlbench import report as report_module
 from bigsqlbench import resultset as resultset_module
 from bigsqlbench import runner
-from bigsqlbench.agent import AgentConfig, trace_from_jsonl, trace_to_jsonl
+from bigsqlbench.agent import AgentConfig, trace_from_jsonl
 from bigsqlbench.cli import REPORT_FORMATS
 from bigsqlbench.costmodel import EnginePricing, PricingConfig
 from bigsqlbench.engine import EmbeddedEngine, Sessions
@@ -37,13 +37,14 @@ from tests.conftest import (
     modules_after,
     snapshot_files,
     two_model_episodes,
+    untimed_trace,
 )
 from tests.oracles import stage_tokens_oracle, trace_to_jsonl_asdict
 
 
 PINNED_RECORDS = Path(__file__).parent / "data" / "mini_records_untimed.json"
 PINNED_TRACES = Path(__file__).parent / "data" / "mini_traces_untimed.json"
-TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds", "stage_percentages")
+TIMING_FIELDS = ("t_gold", "t_gen", "t_e2e", "stage_seconds")
 
 
 def untimed_records_text(output_dir: Path) -> str:
@@ -58,9 +59,7 @@ def untimed_records_text(output_dir: Path) -> str:
 def untimed_traces_text(output_dir: Path) -> str:
     """Every episode trace without timing fields, keyed by relative path."""
     traces = {
-        path.relative_to(output_dir).as_posix(): trace_to_jsonl(
-            trace_from_jsonl(path.read_text()), include_timing=False
-        )
+        path.relative_to(output_dir).as_posix(): untimed_trace(path.read_text())
         for path in sorted((output_dir / "traces").rglob("*.jsonl"))
     }
     return json.dumps(traces, indent=2) + "\n"
@@ -534,17 +533,15 @@ def test_mini_run_traces_match_asdict_oracle(mini_plan, monkeypatch, tmp_path):
     log_dir = tmp_path / "pairs"
     log_dir.mkdir()
 
-    def checked(trace, include_timing=True):
-        for timing in (True, False):
-            log_in_process(
-                log_dir, [serialize(trace, timing), trace_to_jsonl_asdict(trace, timing)]
-            )
-        return serialize(trace, include_timing)
+    def checked(trace):
+        text = serialize(trace)
+        log_in_process(log_dir, [text, trace_to_jsonl_asdict(trace)])
+        return text
 
     monkeypatch.setattr(runner, "trace_to_jsonl", checked)
     execute_plan(mini_plan)
     pairs = read_process_logs(log_dir)
-    assert len(pairs) == 2 * 20
+    assert len(pairs) == 20
     for text, expected in pairs:
         assert text.encode() == expected.encode()
 
@@ -594,10 +591,7 @@ def test_each_replay_script_loaded_once_per_run(mini_plan, monkeypatch):
     cells: dict[tuple[str, str], set[str]] = {}
     for ep in output.episodes:
         assert ep.outcome == "completed"
-        untimed = trace_to_jsonl(
-            trace_from_jsonl((mini_plan.output_dir / ep.trace_path).read_text()),
-            include_timing=False,
-        )
+        untimed = untimed_trace((mini_plan.output_dir / ep.trace_path).read_text())
         cells.setdefault((ep.model, ep.case_id), set()).add(untimed)
     assert len(cells) == 10
     assert all(len(texts) == 1 for texts in cells.values())
@@ -986,9 +980,8 @@ def test_episode_costs_match_token_stubs(mini_plan):
 def test_records_time_every_stage_and_cost_the_stages_run(mini_plan):
     for ep in execute_plan(mini_plan).episodes:
         trace = trace_from_jsonl((mini_plan.output_dir / ep.trace_path).read_text())
-        assert list(ep.stage_seconds) == list(ep.stage_percentages) == list(STAGES)
+        assert list(ep.stage_seconds) == list(STAGES)
         assert sum(ep.stage_seconds.values()) == pytest.approx(trace.e2e_seconds)
-        assert sum(ep.stage_percentages.values()) == pytest.approx(100.0, abs=0.1)
         assert list(ep.stage_cost) == list(stage_tokens_oracle(trace.iterations))
         assert ep.c_e2e == sum(ep.stage_cost.values())
 
@@ -1054,7 +1047,7 @@ def test_records_json_round_trip(mini_plan):
     assert list(first) == [
         "model", "case_id", "repetition", "scale_factor", "indicator", "exact",
         "precision", "t_gold", "t_gen", "t_e2e", "c_e2e", "outcome", "golden_sql",
-        "generated_sql", "stage_seconds", "stage_percentages", "stage_cost",
+        "generated_sql", "stage_seconds", "stage_cost",
         "trace_path", "error", "estimated_usage",
     ]
     # `report` reads records.json from outside: a negative cost is refused on load
@@ -1410,10 +1403,7 @@ def test_reused_session_gives_fresh_session_results(mini_plan, monkeypatch):
         )
 
     def verdict(ep):
-        untimed = trace_to_jsonl(
-            trace_from_jsonl((mini_plan.output_dir / ep.trace_path).read_text()),
-            include_timing=False,
-        )
+        untimed = untimed_trace((mini_plan.output_dir / ep.trace_path).read_text())
         return (ep.outcome, ep.indicator, ep.exact, ep.precision,
                 ep.generated_sql, untimed)
 
