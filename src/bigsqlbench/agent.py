@@ -212,33 +212,44 @@ def truncate_observation(text: str, cap: int = DEFAULT_OBSERVATION_CAP) -> str:
 # --- tools -----------------------------------------------------------------
 
 
-def tool_list_tables(engine: EmbeddedEngine) -> str:
-    """Newline-separated table names from the session catalog."""
-    return "\n".join(engine.list_tables())
+def tool_list_tables(engine: EmbeddedEngine) -> tuple[str, float]:
+    """Newline-separated table names from the session catalog, and the
+    seconds spent in the engine."""
+    started = time.perf_counter()
+    tables = engine.list_tables()
+    return "\n".join(tables), time.perf_counter() - started
 
 
 def tool_get_schema(
     engine: EmbeddedEngine, tables: Sequence[str], sample_rows: int
-) -> str:
-    """DDL per table plus up to sample_rows example rows as a text grid.
+) -> tuple[str, float]:
+    """DDL per table plus up to sample_rows example rows as a text grid, and
+    the seconds spent in the engine: its catalog lookups and its sample
+    queries' execution, not the rendering.
 
     An unknown table produces an inline 'table not found' line instead of
     aborting, leaving the controller room to correct itself next turn.
     """
     sections: list[str] = []
+    engine_seconds = 0.0
     for table in tables:
+        started = time.perf_counter()
         try:
             part = engine.get_create_table(table)
         except TableNotFoundError:
+            part = None  # reported below, outside the engine's time
+        engine_seconds += time.perf_counter() - started
+        if part is None:
             sections.append(f"table not found: {table}")
             continue
         if sample_rows > 0:
-            result, _ = engine.execute_timed(
+            result, seconds = engine.execute_timed(
                 f'SELECT * FROM "{table}" LIMIT {int(sample_rows)}'
             )
+            engine_seconds += seconds
             part += "\nsample rows:\n" + _render_grid(result)
         sections.append(part)
-    return "\n\n".join(sections)
+    return "\n\n".join(sections), engine_seconds
 
 
 def tool_check_query(llm: LlmBackend, sql: str) -> ExchangeRecord:
@@ -254,32 +265,21 @@ def tool_check_query(llm: LlmBackend, sql: str) -> ExchangeRecord:
 
 
 def _render_grid(table: ResultTable) -> str:
-    headers = list(table.column_names)
-    rows = [[_cell_text(v) for v in row] for row in table.rows]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    """The header and rows, each cell padded to its column's widest (NULL
+    for None)."""
+    names = table.column_names
+    rows = [["NULL" if v is None else str(v) for v in row] for row in table.rows]
+    widths = [max(map(len, column)) for column in zip(names, *rows)]
+    lines = ["  ".join(map(str.ljust, names, widths))]
+    lines += ["  ".join(map(str.ljust, row, widths)) for row in rows]
     return "\n".join(lines)
-
-
-def _cell_text(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    return str(value)
 
 
 # --- controller reply parsing ------------------------------------------------
 
 _ACTION_RE = re.compile(r"^Action:\s*(\S+)\s*$", re.MULTILINE)
-_ACTION_INPUT_RE = re.compile(r"^Action Input:\s*(.*)$", re.MULTILINE | re.DOTALL)
-_FINAL_RE = re.compile(r"^Final Answer:\s*(.*)$", re.MULTILINE | re.DOTALL)
-_THOUGHT_RE = re.compile(
-    r"Thought:\s*(.*?)(?=^(?:Action|Final Answer):|\Z)", re.MULTILINE | re.DOTALL
-)
+# where a thought ends, unless the reply ends first
+_THOUGHT_END_RE = re.compile(r"^(?:Action|Final Answer):", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -304,29 +304,46 @@ def parse_controller_reply(exchange: ExchangeRecord) -> ParsedStep:
             action_input={} if arguments is None else _action_arguments(arguments),
             final_answer=None,
         )
-    thought_match = _THOUGHT_RE.search(text)
-    thought = thought_match.group(1).strip() if thought_match else ""
+    # The thought runs from the first "Thought:" to the next line that starts
+    # "Action:" or "Final Answer:"; an action input or final answer runs from
+    # the first line that starts with its label, after the action, to the end.
+    thought = ""
+    start = text.find("Thought:")
+    if start >= 0:
+        end = _THOUGHT_END_RE.search(text, start + len("Thought:"))
+        thought = text[start + len("Thought:"):end.start() if end else None].strip()
+    final = _line_starting(text, "Final Answer:", 0)
     action_match = _ACTION_RE.search(text)
-    final_match = _FINAL_RE.search(text)
-    if action_match and (not final_match or action_match.start() < final_match.start()):
-        input_match = _ACTION_INPUT_RE.search(text, action_match.end())
-        raw = input_match.group(1).strip() if input_match else ""
+    if action_match and (final < 0 or action_match.start() < final):
+        raw = ""
+        start = _line_starting(text, "Action Input:", action_match.end())
+        if start >= 0:
+            raw = text[start + len("Action Input:"):].strip()
         return ParsedStep(
             thought=thought,
             action=action_match.group(1),
             action_input=_parse_action_input(raw),
             final_answer=None,
         )
-    if final_match:
+    if final >= 0:
         return ParsedStep(
             thought=thought,
             action=None,
             action_input={},
-            final_answer=final_match.group(1).strip(),
+            final_answer=text[final + len("Final Answer:"):].strip(),
         )
     raise ActionParseError(
         f"reply has neither an Action nor a Final Answer: {text[:200]!r}"
     )
+
+
+def _line_starting(text: str, label: str, pos: int) -> int:
+    """Where the first line at or after `pos` that starts with `label`
+    begins, or -1."""
+    if text.startswith(label, pos) and (pos == 0 or text[pos - 1] == "\n"):
+        return pos
+    found = text.find("\n" + label, pos)
+    return found + 1 if found >= 0 else -1
 
 
 def _parse_action_input(raw: str) -> dict[str, Any]:
@@ -362,14 +379,19 @@ def _sql_argument(args: dict[str, Any], action: str) -> str:
 
 
 def _tables_argument(args: dict[str, Any]) -> list[str]:
+    """The tables to describe: a list of names, or one string of names
+    separated by commas or spaces; anything else is refused, not coerced."""
     tables = args.get("tables")
     if tables is None:
         tables = str(args.get("raw") or "")
     if isinstance(tables, str):
-        tables = [t for t in re.split(r"[,\s]+", tables) if t]
+        return [t for t in re.split(r"[,\s]+", tables) if t]
     if not isinstance(tables, list):
         raise ToolError(f"get_schema: tables is not a list: {tables!r}")
-    return [str(t) for t in tables]
+    try:
+        return read_json(list[str], tables, "tables")
+    except ValueError as exc:
+        raise ToolError(f"get_schema: {exc}") from None
 
 
 def _sample_rows_argument(args: dict[str, Any], default: int) -> int:
@@ -468,17 +490,15 @@ def run_agent(
             run_sql: str | None = None
             try:
                 if action == "list_tables":
-                    t0 = time.perf_counter()
-                    observation = tool_list_tables(engine)
-                    engine_seconds = time.perf_counter() - t0
+                    observation, engine_seconds = tool_list_tables(engine)
                 elif action == "get_schema":
                     tables = _tables_argument(step.action_input)
                     sample_rows = _sample_rows_argument(
                         step.action_input, config.sample_rows
                     )
-                    t0 = time.perf_counter()
-                    observation = tool_get_schema(engine, tables, sample_rows)
-                    engine_seconds = time.perf_counter() - t0
+                    observation, engine_seconds = tool_get_schema(
+                        engine, tables, sample_rows
+                    )
                 elif action == "check_query":
                     checker_exchange = tool_check_query(
                         llm, _sql_argument(step.action_input, action)

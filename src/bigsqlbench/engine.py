@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .resultset import ResultTable
+from .resultset import InvalidColumnNameError, ResultTable
 
 # the most rows a query may materialize; read at each query
 DEFAULT_ROW_CAP = 1_000_000
@@ -139,11 +139,13 @@ class EmbeddedEngine:
         return row[0]
 
     def execute_timed(self, sql: str) -> tuple[ResultTable, float]:
-        """Run one statement, returning the full result and wall-clock seconds.
+        """Run one statement, returning the full result and the wall-clock
+        seconds it took to execute and fetch.
 
         Results above the row cap abort with an overflow error; metric
         comparison needs complete materialization, so truncation would be
-        silently wrong.
+        silently wrong.  A result column with an empty name is an
+        EngineError too: it is the query's fault, not the harness's.
         """
         conn = self.conn
         started = time.perf_counter()
@@ -159,7 +161,10 @@ class EmbeddedEngine:
         if cursor.description is None:
             return ResultTable.build([]), elapsed
         names = [d[0] for d in cursor.description]
-        return ResultTable.from_query_result(names, rows), elapsed
+        try:
+            return ResultTable.from_query_result(names, rows), elapsed
+        except InvalidColumnNameError as exc:
+            raise EngineError(str(exc)) from None
 
     def explain(self, sql: str) -> None:
         """Compile without executing; raises EngineError on invalid or denied SQL."""

@@ -8,6 +8,7 @@ precision (what fraction of generated columns is actually wanted?).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -71,6 +72,13 @@ class Column:
         object.__setattr__(self, "name", normalize_column_name(self.name))
 
 
+# Engine results name the same few columns over and over; each distinct
+# (name, tag) is checked and normalized once per process, and forked workers
+# inherit what the parent built.
+_COLUMN_CACHE_SIZE = 1024
+_interned_column = functools.lru_cache(maxsize=_COLUMN_CACHE_SIZE)(Column)
+
+
 @dataclass(frozen=True)
 class ResultTable:
     """Columns plus a multiset of rows; the unit every accuracy metric compares.
@@ -120,9 +128,10 @@ class ResultTable:
     def from_query_result(
         cls, column_names: Sequence[str], rows: Iterable[Sequence[Any]]
     ) -> "ResultTable":
-        """Build from a cursor-style result, inferring type tags from values."""
-        materialized = tuple(tuple(r) for r in rows)
-        tags = []
+        """Build from a cursor-style result, inferring type tags from values;
+        InvalidColumnNameError names the first column with an empty name."""
+        materialized = tuple(map(tuple, rows))
+        columns = []
         for idx, name in enumerate(column_names):
             tag = "null"
             for row in materialized:
@@ -131,9 +140,13 @@ class ResultTable:
                     continue
                 tag = _infer_tag(value)
                 break
-            tags.append(tag)
-        cols = tuple(Column(n, t) for n, t in zip(column_names, tags))
-        return cls(cols, materialized)
+            try:
+                columns.append(_interned_column(name, tag))
+            except InvalidColumnNameError:
+                raise InvalidColumnNameError(
+                    f"result column {idx + 1} has an empty name: {name!r}"
+                ) from None
+        return cls(tuple(columns), materialized)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

@@ -10,12 +10,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sqlite3
 from dataclasses import asdict
 from pathlib import Path
 
-from bigsqlbench.agent import DEFAULT_OBSERVATION_CAP
-from bigsqlbench.resultset import ResultTable, json_cell
+from bigsqlbench.agent import (
+    DEFAULT_OBSERVATION_CAP,
+    ActionParseError,
+    ParsedStep,
+    _action_arguments,
+    _parse_action_input,
+)
+from bigsqlbench.resultset import Column, ResultTable, _infer_tag, json_cell
 
 PRICING_SUMMARY_CUTOFF = "1998-09-02"
 
@@ -297,3 +304,86 @@ def stage_cost_oracle(iterations, pricing, engine) -> dict[str, float]:
             + engine_dollars
         )
     return cost
+
+
+# --- the per-turn helpers as they were before they were made faster ----------
+# Kept verbatim (but for their names) as the reference each rewrite must match.
+
+_ACTION_RE = re.compile(r"^Action:\s*(\S+)\s*$", re.MULTILINE)
+_ACTION_INPUT_RE = re.compile(r"^Action Input:\s*(.*)$", re.MULTILINE | re.DOTALL)
+_FINAL_RE = re.compile(r"^Final Answer:\s*(.*)$", re.MULTILINE | re.DOTALL)
+_THOUGHT_RE = re.compile(
+    r"Thought:\s*(.*?)(?=^(?:Action|Final Answer):|\Z)", re.MULTILINE | re.DOTALL
+)
+
+
+def parse_controller_reply_oracle(exchange) -> ParsedStep:
+    """Decode a controller reply: structured tool call or the text protocol."""
+    text, tool_call = exchange.response.text, exchange.response.tool_call
+    if tool_call is not None:
+        arguments = tool_call.arguments
+        return ParsedStep(
+            thought=text.strip(),
+            action=tool_call.name,
+            action_input={} if arguments is None else _action_arguments(arguments),
+            final_answer=None,
+        )
+    thought_match = _THOUGHT_RE.search(text)
+    thought = thought_match.group(1).strip() if thought_match else ""
+    action_match = _ACTION_RE.search(text)
+    final_match = _FINAL_RE.search(text)
+    if action_match and (not final_match or action_match.start() < final_match.start()):
+        input_match = _ACTION_INPUT_RE.search(text, action_match.end())
+        raw = input_match.group(1).strip() if input_match else ""
+        return ParsedStep(
+            thought=thought,
+            action=action_match.group(1),
+            action_input=_parse_action_input(raw),
+            final_answer=None,
+        )
+    if final_match:
+        return ParsedStep(
+            thought=thought,
+            action=None,
+            action_input={},
+            final_answer=final_match.group(1).strip(),
+        )
+    raise ActionParseError(
+        f"reply has neither an Action nor a Final Answer: {text[:200]!r}"
+    )
+
+
+def render_grid_oracle(table: ResultTable) -> str:
+    headers = list(table.column_names)
+    rows = [[_cell_text(v) for v in row] for row in table.rows]
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
+    for row in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _cell_text(value) -> str:
+    if value is None:
+        return "NULL"
+    return str(value)
+
+
+def from_query_result_oracle(column_names, rows) -> ResultTable:
+    """Build from a cursor-style result, inferring type tags from values."""
+    materialized = tuple(tuple(r) for r in rows)
+    tags = []
+    for idx, name in enumerate(column_names):
+        tag = "null"
+        for row in materialized:
+            value = row[idx]
+            if value is None:
+                continue
+            tag = _infer_tag(value)
+            break
+        tags.append(tag)
+    cols = tuple(Column(n, t) for n, t in zip(column_names, tags))
+    return ResultTable(cols, materialized)

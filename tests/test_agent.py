@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from bigsqlbench.agent import (
     AgentTrace,
     Iteration,
     TOOL_SCHEMAS,
+    _render_grid,
     parse_controller_reply,
     run_agent,
     stage_breakdown,
@@ -32,9 +34,14 @@ from bigsqlbench.costmodel import EnginePricing, PricingEntry, compose_ledger
 from bigsqlbench.engine import Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, ReplayMismatchError
 from bigsqlbench.metrics import check_fields, from_json_object
-from bigsqlbench.resultset import ResultTable
+from bigsqlbench.resultset import Column, ResultTable
 from tests.conftest import CLOCK_FIELDS, iteration_line, untimed_trace
-from tests.oracles import stage_cost_oracle, trace_to_jsonl_asdict
+from tests.oracles import (
+    parse_controller_reply_oracle,
+    render_grid_oracle,
+    stage_cost_oracle,
+    trace_to_jsonl_asdict,
+)
 
 
 def entry(text, in_tok=100, out_tok=10, tool_call=None):
@@ -62,11 +69,13 @@ FOUR_TOOL_SCRIPT = [
 
 
 def test_tool_list_tables_newline_separated(shop_engine):
-    assert tool_list_tables(shop_engine) == "orders\nproducts"
+    text, engine_seconds = tool_list_tables(shop_engine)
+    assert text == "orders\nproducts"
+    assert engine_seconds > 0
 
 
 def test_tool_list_tables_empty_catalog(sessions, tmp_path):
-    assert tool_list_tables(sessions.get(tmp_path)) == ""
+    assert tool_list_tables(sessions.get(tmp_path))[0] == ""
 
 
 def test_tool_list_tables_closed_session(tmp_path):
@@ -81,13 +90,13 @@ def test_tool_list_tables_closed_session(tmp_path):
 
 
 def test_tool_get_schema_ddl_only(shop_engine):
-    text = tool_get_schema(shop_engine, ["products"], sample_rows=0)
+    text, _ = tool_get_schema(shop_engine, ["products"], sample_rows=0)
     assert "CREATE TABLE" in text
     assert "sample rows" not in text
 
 
 def test_tool_get_schema_with_samples(shop_engine):
-    text = tool_get_schema(shop_engine, ["products"], sample_rows=3)
+    text, _ = tool_get_schema(shop_engine, ["products"], sample_rows=3)
     assert "sample rows:" in text
     # header plus exactly three data lines after the marker
     grid = text.split("sample rows:\n", 1)[1]
@@ -95,7 +104,7 @@ def test_tool_get_schema_with_samples(shop_engine):
 
 
 def test_tool_get_schema_unknown_table_inline_error(shop_engine):
-    text = tool_get_schema(shop_engine, ["nope", "products"], sample_rows=0)
+    text, _ = tool_get_schema(shop_engine, ["nope", "products"], sample_rows=0)
     assert "table not found: nope" in text
     assert "CREATE TABLE" in text
 
@@ -297,6 +306,47 @@ def test_tables_argument_string_or_non_list(shop_engine):
     trace = run_agent("number", AgentConfig(), ReplayBackend(script), shop_engine)
     assert trace.outcome == "tool-error"
     assert "tables is not a list" in trace.error
+
+
+# a list with an item that is not a name is the model's error, not a name
+@pytest.mark.parametrize("arguments, error", [
+    ({"tables": [1, None]}, "`tables[0]` is not a string"),
+    ({"tables": ["orders", None]}, "`tables[1]` is not a string"),
+    ({"tables": [["orders"]]}, "`tables[0]` is not a string"),
+    ([1, 2], "`tables[0]` is not a string"),
+])
+def test_tables_list_with_an_item_not_a_name_is_tool_error(
+    shop_engine, arguments, error
+):
+    script = [entry(action_text("get_schema", arguments))]
+    trace = run_agent("bad tables", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert (trace.outcome, trace.error) == ("tool-error", f"get_schema: {error}")
+
+
+def test_schema_turn_bills_only_engine_calls_as_engine_time(shop_engine, monkeypatch):
+    render = agent_module._render_grid
+
+    def slow_render(table):
+        time.sleep(0.02)
+        return render(table)
+
+    monkeypatch.setattr(agent_module, "_render_grid", slow_render)
+    args = {"tables": ["orders", "products"], "sample_rows": 2}
+    script = [entry(action_text("get_schema", args))]
+    config = AgentConfig(max_iterations=1)
+    [turn] = run_agent("slow", config, ReplayBackend(script), shop_engine).iterations
+    assert turn.duration >= 0.04
+    assert 0 < turn.engine_seconds < 0.01
+
+
+@pytest.mark.parametrize("alias", ['""', '"  "', "' '"])
+def test_a_query_naming_a_column_emptily_is_a_tool_error(shop_engine, alias):
+    sql = f"SELECT COUNT(*) AS n, 1 AS {alias} FROM orders"
+    script = [entry(action_text("run_query", {"sql": sql}))]
+    trace = run_agent("unnamed", AgentConfig(), ReplayBackend(script), shop_engine)
+    assert trace.outcome == "tool-error"
+    assert trace.error.startswith("run_query failed: result column 2 has an empty name")
+    assert (trace.final_sql, trace.final_result) == (sql, None)
 
 
 def test_engine_error_while_sampling_is_tool_error(shop_engine, monkeypatch):
@@ -905,3 +955,82 @@ def test_trace_with_a_cut_outcome_line_still_replays(sessions, sf_tiny_dir, tmp_
     assert untimed_trace(trace_to_jsonl(replayed)) == untimed_trace(
         trace_to_jsonl(trace)
     )
+
+
+# --- the per-turn helpers against their earlier versions ---
+
+_REPLY_LINES = st.sampled_from([
+    "Thought:", "Thought: look first.", "Thought:\n  spans\n  lines", "thought: no",
+    "Action: list_tables", "Action: get_schema  ", "Action:\nrun_query", "Action:",
+    "Action: two words", "Action:\trun_query\r", " Action: indented",
+    'Action Input: {"sql": "SELECT 1"}',
+    'Action Input: {"tables": ["orders"],\n "sample_rows": 2}',
+    "Action Input: [1, 2]", "Action Input: SELECT 1",
+    "Action Input:", "Action Input: 5", "Final Answer: 42", "Final Answer:",
+    "Final Answer:\n\nspread\nout", "", " ", "\t", "prose Action: inline",
+    "Final Answer is near", "Thought: Action: on one line", "so Final Answer: inline",
+    'then Action Input: {"sql": "x"}', "Thought: then Final Answer: inline",
+])
+
+
+@st.composite
+def replies(draw):
+    """Reply texts of protocol lines and noise in any order, with repeats,
+    blank lines and multi-line values; or a structured tool call."""
+    text = draw(st.lists(_REPLY_LINES | st.text(max_size=12), max_size=8).map("\n".join))
+    text += draw(st.sampled_from(["", "\n", " ", "\n\n"]))
+    tool_call = draw(st.none() | st.fixed_dictionaries({
+        "name": st.sampled_from(["list_tables", "run_query", "nope"]),
+        "arguments": st.none() | st.dictionaries(st.text(max_size=3), st.integers())
+        | st.lists(st.text(max_size=3)) | st.text(max_size=5),
+    }))
+    return entry(text, tool_call=tool_call)
+
+
+@settings(deadline=None, max_examples=500)
+@given(exchange=replies())
+@example(exchange=entry("Thought: a\nFinal Answer: b\nAction: run_query"))
+@example(exchange=entry("Action: x\n\nAction Input: {}\nThought: late"))
+@example(exchange=entry("Thought: t\nAction: x y\nAction: run_query\nAction Input: 1"))
+def test_reply_parsing_matches_the_regex_parser_it_replaced(exchange):
+    try:
+        expected = parse_controller_reply_oracle(exchange)
+    except ActionParseError as exc:
+        with pytest.raises(ActionParseError) as raised:
+            parse_controller_reply(exchange)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_controller_reply(exchange) == expected
+
+
+grid_cells = (st.none() | st.integers() | st.floats() | st.text(max_size=30)
+              | st.binary(max_size=8) | st.text(min_size=200, max_size=300))
+grid_names = st.sampled_from(["id", "id", ' "Name" ', "'x'", "a  b", "`q`", "n"])
+
+
+@settings(deadline=None, max_examples=300)
+@given(names=st.lists(grid_names, max_size=4), data=st.data())
+def test_schema_grid_matches_the_renderer_it_replaced(names, data):
+    rows = data.draw(st.lists(st.tuples(*[grid_cells] * len(names)), max_size=4))
+    table = ResultTable.from_query_result(names, rows)
+    assert _render_grid(table) == render_grid_oracle(table)
+
+
+def test_later_episodes_build_no_result_column(shop_engine, mini_suite_dir, monkeypatch):
+    scripts = [ReplayBackend.from_path(path).entries
+               for path in sorted((mini_suite_dir / "replays").rglob("*.jsonl"))]
+    config = AgentConfig(sample_rows=2)
+
+    def episodes():
+        for script in scripts:
+            trace = run_agent("q", config, ReplayBackend(script), shop_engine)
+            assert trace.outcome == "completed"
+
+    episodes()  # every column the scripts' results name, built and checked once
+    built = []
+    post_init = Column.__post_init__
+    monkeypatch.setattr(Column, "__post_init__",
+                        lambda column: (built.append(column), post_init(column)))
+    for _ in range(20):
+        episodes()
+    assert built == []

@@ -725,6 +725,27 @@ def test_goldens_materialize_reports_failed_golden_and_goes_on(
     )
 
 
+def test_goldens_materialize_reports_a_golden_naming_a_column_emptily(
+    tmp_path, mini_suite_dir, capsys
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    manifest = json.loads((suite / "manifest.json").read_text())
+    manifest["cases"][0]["SQL"] = 'SELECT COUNT(*) AS "" FROM orders'
+    (suite / "manifest.json").write_text(json.dumps(manifest))
+    code = main(
+        ["goldens", "materialize", "--suite", str(suite),
+         "--cache-dir", str(tmp_path / "goldens")]
+    )
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "orders_count: FAILED (case orders_count: golden query failed: "
+        "result column 1 has an empty name: '')"
+    )
+    assert len(lines) == 5
+
+
 def test_goldens_materialize_reports_denied_goldens_and_goes_on(
     tmp_path, mini_suite_dir, capsys
 ):

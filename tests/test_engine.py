@@ -114,6 +114,14 @@ def test_invalid_sql_carries_engine_diagnostic(tiny_engine):
         tiny_engine.execute_timed("SELEC broken")
 
 
+# the query names a result column it cannot have: the query's fault, never
+# the harness's
+@pytest.mark.parametrize("alias", ['""', '"   "', "' '", """"''" """])
+def test_a_result_column_with_an_empty_name_is_an_engine_error(tiny_engine, alias):
+    with pytest.raises(EngineError, match=r"^result column 2 has an empty name: "):
+        tiny_engine.execute_timed(f"SELECT 1 AS a, 2 AS {alias}")
+
+
 def test_repeated_execution_is_deterministic(tiny_engine):
     sql = "SELECT n_regionkey, COUNT(*) AS c FROM nation GROUP BY n_regionkey"
     first, _ = tiny_engine.execute_timed(sql)
@@ -447,8 +455,8 @@ def test_sql_that_writes_or_sets_state_is_a_tool_error(
 def test_reading_and_introspection_still_work(sessions, mini_suite_dir, shop_copy):
     manifest = json.loads((mini_suite_dir / "manifest.json").read_text())
     engine = sessions.get(shop_copy)
-    assert tool_list_tables(engine) == "orders\nproducts"
-    schema = tool_get_schema(engine, ["orders", "products"], sample_rows=2)
+    assert tool_list_tables(engine)[0] == "orders\nproducts"
+    schema, _ = tool_get_schema(engine, ["orders", "products"], sample_rows=2)
     assert schema.count("sample rows:") == 2
     for case in manifest["cases"]:
         engine.explain(case["SQL"])

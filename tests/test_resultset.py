@@ -22,7 +22,7 @@ from bigsqlbench.resultset import (
     values_equal,
 )
 
-from .oracles import oracle_cells_equal, tolerant_rows_equal
+from .oracles import from_query_result_oracle, oracle_cells_equal, tolerant_rows_equal
 
 
 def table(cols, rows=()):
@@ -326,6 +326,36 @@ def test_json_round_trip():
 def test_from_query_result_infers_tags():
     t = ResultTable.from_query_result(["n", "v", "s"], [(1, 2.5, "x")])
     assert [c.type_tag for c in t.columns] == ["integer", "float", "text"]
+
+
+query_cells = (st.none() | st.integers() | st.floats() | st.booleans()
+               | st.binary(max_size=8) | st.text(max_size=20)
+               | st.text(min_size=300, max_size=400))
+query_names = st.sampled_from(
+    ["id", "id", "ID", '"Quoted"', "'single'", "`tick`", "  spaced  name ", "a\tb",
+     "count(*)", "prix été", "", "   ", "''", '""', "\n"]
+) | st.text(max_size=6)
+
+
+@settings(deadline=None, max_examples=400)
+@given(names=st.lists(query_names, max_size=5), data=st.data())
+def test_query_result_matches_the_wrapper_it_replaced(names, data):
+    rows = data.draw(st.lists(st.tuples(*[query_cells] * len(names)), max_size=5))
+    try:
+        expected = from_query_result_oracle(names, rows)
+    except InvalidColumnNameError:
+        with pytest.raises(InvalidColumnNameError):
+            ResultTable.from_query_result(names, rows)
+    else:
+        built = ResultTable.from_query_result(names, iter(rows))
+        assert repr(built) == repr(expected)  # by type too, NaN equal to NaN
+        assert built.columns == expected.columns
+
+
+def test_query_result_names_its_first_column_with_an_empty_name():
+    with pytest.raises(InvalidColumnNameError,
+                       match="^result column 2 has an empty name: ' '$"):
+        ResultTable.from_query_result(["a", " ", ""], [(1, 2, 3)])
 
 
 def test_blob_column_is_tagged_and_read_back_from_hex():

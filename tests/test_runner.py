@@ -786,6 +786,19 @@ def test_golden_failing_at_run_time_is_unusable_and_cases_stay_untouched(
     assert records["unusable_cases"] == output.unusable_cases
 
 
+def test_golden_naming_a_column_emptily_is_unusable(mini_copy):
+    set_golden(mini_copy, "orders_count", 'SELECT COUNT(*) AS "" FROM orders')
+    assert validate_plan(mini_copy) == []  # EXPLAIN compiles it
+    output = execute_plan(mini_copy)
+    assert output.unusable_cases == [
+        {"case_id": "orders_count", "scale_factor": "1",
+         "error": "case orders_count: golden query failed: "
+                  "result column 1 has an empty name: ''"}
+    ]
+    assert len(output.episodes) == 4 * 2 * 2
+    assert all(ep.outcome == "completed" for ep in output.episodes)
+
+
 def test_blob_results_are_compared_and_logged(mini_copy):
     blob_sql = "select name, x'00ff' as b from products where price > 10"
     set_golden(mini_copy, "pricey_products", blob_sql)
