@@ -13,11 +13,14 @@ from __future__ import annotations
 import atexit
 import csv
 import functools
+import io
+import os
 import shutil
 import sqlite3
 import tempfile
 import time
-from contextlib import closing
+import traceback
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -213,7 +216,8 @@ class Sessions:
                     self._snapshots[data_dir] = exc
             snapshot = self._snapshots[data_dir]
             if isinstance(snapshot, RegistrationError):
-                raise snapshot
+                # without the frames of earlier raises, which would pile up
+                raise snapshot.with_traceback(None)
             self._sessions[data_dir] = EmbeddedEngine(EngineConfig(data_dir), snapshot)
         return self._sessions[data_dir]
 
@@ -311,9 +315,10 @@ def _parse_bool(cell: str) -> int | None:
 
 @functools.cache
 def _snapshot_dir() -> Path:
-    """Holds the snapshot files; removed when the process that made it
-    exits.  No object owns it: a forked worker drops the exit handlers (as
-    of Python 3.13), and an owner only they kept alive would remove it."""
+    """Holds the snapshot and piece files; removed when the process that
+    made it exits.  No object owns it: a forked worker drops the exit
+    handlers (as of Python 3.13), and an owner only they kept alive would
+    remove it."""
     path = tempfile.mkdtemp(prefix="bigsqlbench-")
     atexit.register(shutil.rmtree, path, ignore_errors=True)
     return Path(path)
@@ -343,48 +348,252 @@ def register_snapshot(data_dir: Path) -> Path:
     return snapshot
 
 
+# CSV bytes loaded as one piece: a longer CSV is cut at line ends into
+# pieces of about this size, and the pieces load on up to one process per CPU
+_PIECE_BYTES = 1 << 20
+# the fewest host parameters a statement may bind on any sqlite build
+# (SQLITE_MAX_VARIABLE_NUMBER before 3.32); an INSERT binds as many rows
+# as fit, which costs less per row than one execution each
+_PARAMETERS_PER_INSERT = 999
+
+
+class _Table:
+    """One table of a data directory: its schema, CSV and row converter."""
+
+    def __init__(self, schema: TableSchema, csv_path: Path) -> None:
+        self.schema = schema
+        self.csv_path = csv_path
+        self.width = len(schema.columns)
+        self.convert = _row_converter(tuple(c.type_tag for c in schema.columns))
+
+    def create_sql(self, name: str) -> str:
+        columns_sql = ", ".join(
+            f'"{c.name}" {_SQLITE_TYPES[c.type_tag]}' for c in self.schema.columns
+        )
+        return f'CREATE TABLE "{name}" ({columns_sql})'
+
+    def insert_sql(self, name: str, rows: int) -> str:
+        row = f"({', '.join('?' * self.width)})"
+        return f'INSERT INTO "{name}" VALUES {", ".join([row] * rows)}'
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """Bytes [start, stop) of a table's CSV: whole rows, the header only in
+    the piece at 0.  `whole` marks the one piece of a CSV never cut."""
+
+    table: _Table
+    start: int
+    stop: int
+    whole: bool
+
+
+@contextmanager
+def _blamed(csv_path: Path):
+    """Turns a cell, decoding or sqlite failure into a RegistrationError
+    naming the CSV."""
+    try:
+        yield
+    except (sqlite3.Error, ValueError, OverflowError) as exc:
+        raise RegistrationError(f"failed to register {csv_path}: {exc}") from exc
+
+
 def _register_data_dir(conn: sqlite3.Connection, data_dir: Path) -> None:
+    pieces: list[_Piece] = []
     for schema_path in sorted(data_dir.glob("*.schema")):
-        table = schema_path.stem
-        csv_path = data_dir / f"{table}.csv"
+        csv_path = data_dir / f"{schema_path.stem}.csv"
         if not csv_path.exists():
             raise RegistrationError(f"missing data file: {csv_path}")
-        schema = read_schema_file(schema_path)
-        try:
-            _create_and_load(conn, schema, csv_path)
-        except (sqlite3.Error, ValueError, OverflowError) as exc:
-            raise RegistrationError(f"failed to register {csv_path}: {exc}") from exc
+        table = _Table(read_schema_file(schema_path), csv_path)
+        with _blamed(csv_path):
+            pieces += _create_table(conn, table)
+    _load_pieces(conn, pieces)
 
 
-def _create_and_load(
-    conn: sqlite3.Connection, schema: TableSchema, csv_path: Path
-) -> None:
-    columns_sql = ", ".join(
-        f'"{c.name}" {_SQLITE_TYPES[c.type_tag]}' for c in schema.columns
-    )
-    conn.execute(f'CREATE TABLE "{schema.name}" ({columns_sql})')
-    width = len(schema.columns)
-    convert = _row_converter(tuple(c.type_tag for c in schema.columns))
-    placeholders = ", ".join("?" for _ in schema.columns)
-    insert_sql = f'INSERT INTO "{schema.name}" VALUES ({placeholders})'
-    with open(csv_path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            return
-        expected = [c.name for c in schema.columns]
-        if [h.strip().lower() for h in header] != expected:
-            raise RegistrationError(
-                f"{csv_path}: header {header} does not match schema {expected}"
+def _create_table(conn: sqlite3.Connection, table: _Table) -> list[_Piece]:
+    """Create `table` in `conn` and check its CSV's header; returns the
+    pieces of its CSV, none for an empty file."""
+    conn.execute(table.create_sql(table.schema.name))
+    with open(table.csv_path, newline="") as handle:
+        header = next(csv.reader(handle), None)
+    if header is None:
+        return []
+    expected = [c.name for c in table.schema.columns]
+    if [h.strip().lower() for h in header] != expected:
+        raise RegistrationError(
+            f"{table.csv_path}: header {header} does not match schema {expected}"
+        )
+    cuts = _cut_points(table.csv_path)
+    return [
+        _Piece(table, start, stop, len(cuts) == 2)
+        for start, stop in zip(cuts, cuts[1:])
+    ]
+
+
+def _cut_points(csv_path: Path) -> list[int]:
+    """Byte offsets that cut a CSV into pieces of about _PIECE_BYTES: 0, then
+    offsets each just after a line feed, then its size.  A CSV with a `"`
+    is not cut, as a quoted field may hold a line end."""
+    with open(csv_path, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        cuts = [0]
+        if size > _PIECE_BYTES and not any(
+            b'"' in chunk for chunk in iter(lambda: raw.read(_PIECE_BYTES), b"")
+        ):
+            while cuts[-1] + _PIECE_BYTES < size:
+                raw.seek(cuts[-1] + _PIECE_BYTES)
+                raw.readline()
+                if raw.tell() >= size:
+                    break
+                cuts.append(raw.tell())
+    return cuts + [size]
+
+
+def _load_pieces(conn: sqlite3.Connection, pieces: list[_Piece]) -> None:
+    """Insert every piece's rows into its table of `conn`, in file order.
+
+    The pieces are divided into one contiguous share per process, up to one
+    per CPU and one per _PIECE_BYTES of data.  This process loads the first
+    share; each other share is loaded by a forked child into tables p0, p1,
+    ... of a piece file of its own, which this process then copies in,
+    share by share.  A failure raises the error of the earliest piece that
+    failed; no child and no piece file outlives the call.
+    """
+    total = sum(piece.stop - piece.start for piece in pieces)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS
+        cpus = os.cpu_count() or 1
+    shares = _shares(pieces, min(cpus, len(pieces), total // _PIECE_BYTES))
+    if len(shares) > 1:
+        import multiprocessing  # here, so that small data pays nothing
+
+        ctx = multiprocessing.get_context("fork")
+    children = []  # (share, piece file, the parent's end of its pipe, process)
+    try:
+        for share in shares[1:]:
+            with tempfile.NamedTemporaryFile(
+                prefix="pieces-", suffix=".sqlite", dir=_snapshot_dir(), delete=False
+            ) as handle:
+                path = Path(handle.name)
+            reader, writer = ctx.Pipe(duplex=False)
+            process = ctx.Process(
+                target=_load_share, args=(share, path, writer), daemon=True
             )
+            children.append((share, path, reader, process))
+            process.start()
+            writer.close()  # so that the pipe reads EOF once the child is gone
+        for piece in shares[0]:
+            _load_piece(conn, piece, piece.table.schema.name)
+        conn.commit()
+        for share, path, reader, process in children:
+            try:
+                kind, text = reader.recv()
+            except EOFError:
+                process.join()
+                csvs = ", ".join(dict.fromkeys(str(p.table.csv_path) for p in share))
+                raise RegistrationError(
+                    f"failed to register {csvs}: loading process {process.pid} "
+                    f"exited with code {process.exitcode} before it reported"
+                ) from None
+            if kind == "error":
+                raise RegistrationError(text)
+            if kind == "failed":
+                raise RuntimeError(f"loading process {process.pid} failed:\n{text}")
+            conn.execute("ATTACH DATABASE ? AS share", (str(path),))
+            for i, piece in enumerate(share):
+                conn.execute(
+                    f'INSERT INTO main."{piece.table.schema.name}" '
+                    f'SELECT * FROM share."p{i}" ORDER BY rowid'
+                )
+            conn.commit()
+            conn.execute("DETACH DATABASE share")
+    finally:
+        for _, path, reader, process in children:
+            if process.pid is not None:  # started
+                process.terminate()  # no-op once it exited
+                process.join()
+            reader.close()
+            path.unlink(missing_ok=True)
 
-        def rows():
+
+def _shares(pieces: list[_Piece], count: int) -> list[list[_Piece]]:
+    """`pieces` in `count` contiguous shares of about equal bytes, none
+    empty, or in one share for a count under 2."""
+    total = sum(piece.stop - piece.start for piece in pieces)
+    shares: list[list[_Piece]] = [[]]
+    done = 0  # bytes placed
+    for i, piece in enumerate(pieces):
+        size = piece.stop - piece.start
+        # a new share once the piece's middle is past the current share's
+        # end, or when each piece left must start one
+        if shares[-1] and len(shares) < count and (
+            done + size / 2 >= total * len(shares) / count
+            or len(pieces) - i == count - len(shares)
+        ):
+            shares.append([])
+        shares[-1].append(piece)
+        done += size
+    return shares
+
+
+def _load_share(share: list[_Piece], path: Path, report) -> None:
+    """A loading child: the pieces of `share` into tables p0, p1, ... of the
+    piece file at `path`.  Sends ("done", ""), ("error", the
+    RegistrationError's message) or ("failed", a traceback)."""
+    try:
+        with closing(sqlite3.connect(path)) as conn:
+            # a scratch file that only its parent reads, once the child is done
+            conn.execute("PRAGMA journal_mode = OFF")
+            conn.execute("PRAGMA synchronous = OFF")
+            for i, piece in enumerate(share):
+                conn.execute(piece.table.create_sql(f"p{i}"))
+                _load_piece(conn, piece, f"p{i}")
+            conn.commit()
+        report.send(("done", ""))
+    except RegistrationError as exc:
+        report.send(("error", str(exc)))
+    except Exception:
+        report.send(("failed", traceback.format_exc()))
+
+
+def _load_piece(conn: sqlite3.Connection, piece: _Piece, into: str) -> None:
+    """Insert the rows of `piece` into table `into` of `conn`, in order."""
+    table = piece.table
+    width = table.width
+    per_insert = max(1, _PARAMETERS_PER_INSERT // width)
+    insert_sql = table.insert_sql(into, per_insert)
+    convert = table.convert
+    values: list[Any] = []
+    with _open_piece(piece) as text, _blamed(table.csv_path):
+        reader = csv.reader(text)
+        if piece.start == 0:
+            next(reader)  # the header, checked when the table was created
+        try:
             for row in reader:
                 if len(row) != width:
                     raise RegistrationError(
-                        f"{csv_path}: row width {len(row)} != {width}"
+                        f"{table.csv_path}: row width {len(row)} != {width}"
                     )
-                yield convert(row)
+                values += convert(row)
+                if len(values) == per_insert * width:
+                    batch, values = values, []
+                    conn.execute(insert_sql, batch)
+        finally:
+            # also before an error: the rows ahead of a bad one go in first,
+            # so that one of them that fails to bind is the error raised, as
+            # when each row was inserted in turn
+            if values:
+                conn.execute(table.insert_sql(into, len(values) // width), values)
 
-        conn.executemany(insert_sql, rows())
-    conn.commit()
+
+def _open_piece(piece: _Piece) -> io.TextIOWrapper:
+    """The text of `piece`, decoded as `open(csv_path, newline="")` decodes
+    it; a CSV never cut is read as it is, a cut piece into memory first."""
+    raw = open(piece.table.csv_path, "rb")
+    if piece.whole:
+        return io.TextIOWrapper(raw, newline="")
+    with raw:
+        raw.seek(piece.start)
+        data = raw.read(piece.stop - piece.start)
+    return io.TextIOWrapper(io.BytesIO(data), newline="")

@@ -109,15 +109,16 @@ def mismatch_entry(script: Path, index: int) -> None:
 
 
 def count_registrations(monkeypatch) -> list:
-    """Record every CSV that registration parses."""
+    """Record every CSV that registration parses, once each, as the parent
+    creates its table: the pieces of a large CSV may load in child processes."""
     loaded = []
-    original = engine_module._create_and_load
+    original = engine_module._create_table
 
-    def counting(conn, schema, csv_path):
-        loaded.append(csv_path)
-        original(conn, schema, csv_path)
+    def counting(conn, table):
+        loaded.append(table.csv_path)
+        return original(conn, table)
 
-    monkeypatch.setattr(engine_module, "_create_and_load", counting)
+    monkeypatch.setattr(engine_module, "_create_table", counting)
     return loaded
 
 

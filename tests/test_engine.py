@@ -4,15 +4,18 @@ import atexit
 import csv
 import json
 import math
+import multiprocessing
 import os
 import shutil
+import signal
 import sqlite3
 import tempfile
-from contextlib import closing
+import traceback
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bigsqlbench import engine as engine_module
 from bigsqlbench.agent import tool_get_schema, tool_list_tables
@@ -31,7 +34,7 @@ from bigsqlbench.engine import (
 from bigsqlbench.resultset import tables_equal_exact
 
 from .conftest import count_registrations, snapshot_files
-from .oracles import load_csv_per_cell
+from .oracles import csv_row_count, load_csv_per_cell
 
 WAREHOUSE_TABLES = [
     "customer", "lineitem", "nation", "orders",
@@ -192,9 +195,9 @@ def test_bool_literals_load_as_ints(tmp_path):
 # --- CSV cells to stored values ---
 
 
-def _padded(cells):
+def _padded(cells, blanks=("", " ", "\t", "\n")):
     """Each cell as is, or inside the blanks that int() and float() skip."""
-    blanks = st.sampled_from(["", " ", "\t", "\n"])
+    blanks = st.sampled_from(blanks)
     return st.tuples(blanks, cells, blanks).map("".join)
 
 
@@ -233,11 +236,24 @@ _CELLS = {
 }
 
 
+# cells that a CSV writer leaves unquoted, so that their file may be cut
+_PLAIN_TEXT = st.text(st.characters(
+    blacklist_categories=("Cs",), blacklist_characters='\x00,"\r\n'
+))
+_PLAIN_CELLS = {
+    "integer": st.one_of(st.just(""), _padded(_INT64.map(str), ("", " ", "\t"))),
+    "float": st.one_of(st.just(""), _padded(st.floats().map(repr), ("", " ", "\t"))),
+    "bool": _BOOL_CELLS.map(lambda cell: cell.replace("\n", " ")),
+    "text": _PLAIN_TEXT,
+    "date": _PLAIN_TEXT,
+}
+
+
 @st.composite
-def csv_tables(draw):
+def csv_tables(draw, cells=_CELLS):
     """(type tags, rows of CSV cells) of a random table, every cell valid."""
-    tags = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=6))
-    return tags, draw(st.lists(st.tuples(*(_CELLS[tag] for tag in tags)), max_size=8))
+    tags = draw(st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=6))
+    return tags, draw(st.lists(st.tuples(*(cells[tag] for tag in tags)), max_size=8))
 
 
 def _stored(conn, width):
@@ -268,12 +284,15 @@ def test_registration_stores_what_a_per_cell_conversion_stores(table):
     assert stored == expected
 
 
-@pytest.mark.parametrize(
+_REGISTRATION_ERRORS = pytest.mark.parametrize(
     "schema, text, message",
     [
         ("a integer\n", "a\n1\n1.0\n",
          "failed to register {csv}: invalid literal for int() with base 10: '1.0'"),
         ("a integer\n", "a\n9223372036854775808\n",
+         "failed to register {csv}: Python int too large to convert to SQLite INTEGER"),
+        # a row that fails to bind fails before a later row that fails to convert
+        ("a integer\n", "a\n9223372036854775808\n1.0\n",
          "failed to register {csv}: Python int too large to convert to SQLite INTEGER"),
         ("a float\n", "a\n1.5\nabc\n",
          "failed to register {csv}: could not convert string to float: 'abc'"),
@@ -283,8 +302,11 @@ def test_registration_stores_what_a_per_cell_conversion_stores(table):
         ("a integer\nb text\n", "a,c\n1,x\n",
          "{csv}: header ['a', 'c'] does not match schema ['a', 'b']"),
     ],
-    ids=["int", "int-range", "float", "bool", "width", "header"],
+    ids=["int", "int-range", "int-range-first", "float", "bool", "width", "header"],
 )
+
+
+@_REGISTRATION_ERRORS
 def test_registration_errors_keep_their_messages(
     sessions, tmp_path, schema, text, message
 ):
@@ -293,6 +315,225 @@ def test_registration_errors_keep_their_messages(
     with pytest.raises(RegistrationError) as caught:
         sessions.get(tmp_path)
     assert str(caught.value) == message.format(csv=tmp_path / "t.csv")
+
+
+# --- CSVs cut into pieces ---
+
+
+@contextmanager
+def cut_into_pieces(piece_bytes=1, cpus=3):
+    """Registration cuts each CSV without a `"` into pieces of about
+    `piece_bytes` (with 1, one row each), loaded as on a host of `cpus` CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "_PIECE_BYTES", piece_bytes)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        yield
+
+
+def assert_nothing_left(before):
+    """No piece file and no loading process outlived a registration."""
+    assert snapshot_files() == before
+    assert multiprocessing.active_children() == []
+
+
+@contextmanager
+def deadline(seconds):
+    """Fails the block with TimeoutError if it runs longer than `seconds`."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    table=st.one_of(csv_tables(), csv_tables(_PLAIN_CELLS)),
+    terminator=st.sampled_from(["\r\n", "\n"]),
+    layout=st.sampled_from(["line ends", "no final line end", "empty file"]),
+    piece_bytes=st.integers(1, 16),
+)
+def test_cut_registration_stores_what_a_per_cell_conversion_stores(
+    table, terminator, layout, piece_bytes
+):
+    tags, rows = table
+    # a writer quotes a cell holding a line end of its own terminator only
+    assume(terminator == "\r\n" or not any("\r" in cell for row in rows for cell in row))
+    columns = [(f"c{i}", tag) for i, tag in enumerate(tags)]
+    schema = TableSchema("t", tuple(ColumnSchema(name, tag) for name, tag in columns))
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp)
+        csv_path = data_dir / "t.csv"
+        write_schema_file(data_dir / "t.schema", schema)
+        with open(csv_path, "w", newline="") as handle:
+            if layout != "empty file":
+                writer = csv.writer(handle, lineterminator=terminator)
+                writer.writerow(name for name, _ in columns)
+                writer.writerows(rows)
+        if layout == "no final line end":
+            csv_path.write_bytes(csv_path.read_bytes()[: -len(terminator)])
+        with cut_into_pieces(piece_bytes), Sessions() as own:
+            stored = _stored(own.get(data_dir).conn, len(tags))
+        expected = []
+        if layout != "empty file":
+            with closing(sqlite3.connect(":memory:")) as oracle:
+                load_csv_per_cell(oracle, "t", columns, csv_path)
+                expected = _stored(oracle, len(tags))
+    assert len(stored) == (0 if layout == "empty file" else len(rows))
+    assert stored == expected
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ('a,b\n1,"multi\nline"\n2,x\n3,y\n', [(1, "multi\nline"), (2, "x"), (3, "y")]),
+        ("a,b\r1,x\r2,y\r", [(1, "x"), (2, "y")]),
+    ],
+    ids=["quoted-line-end", "no-newline"],
+)
+def test_a_csv_that_could_be_cut_inside_a_row_loads_whole(tmp_path, text, rows):
+    (tmp_path / "t.schema").write_text("a integer\nb text\n")
+    csv_path = tmp_path / "t.csv"
+    csv_path.write_bytes(text.encode())
+    with cut_into_pieces():
+        assert engine_module._cut_points(csv_path) == [0, len(text)]
+        assert list(rows_of(tmp_path, "SELECT a, b FROM t ORDER BY rowid")) == rows
+
+
+def load_per_cell(conn, data_dir):
+    """Every table of `data_dir` into `conn`, as the per-cell oracle stores it."""
+    for schema_path in sorted(data_dir.glob("*.schema")):
+        schema = read_schema_file(schema_path)
+        columns = [(c.name, c.type_tag) for c in schema.columns]
+        load_csv_per_cell(conn, schema.name, columns, schema_path.with_suffix(".csv"))
+    conn.commit()
+
+
+@pytest.fixture(scope="module")
+def warehouse_oracle(sf_small_dir, tmp_path_factory):
+    """sf 0.01 warehouse data as the per-cell oracle stores it."""
+    path = tmp_path_factory.mktemp("oracle") / "sf001.sqlite"
+    with closing(sqlite3.connect(path)) as conn:
+        load_per_cell(conn, sf_small_dir)
+    return path
+
+
+def _content(conn):
+    """Every table's DDL, then each of its rows in rowid order, as the rowid
+    and the (storage class, value) of each cell."""
+    content = []
+    for name, sql in conn.execute(
+        "SELECT name, sql FROM sqlite_master ORDER BY name"
+    ).fetchall():
+        columns = [row[1] for row in conn.execute(f'PRAGMA table_info("{name}")')]
+        cells = ", ".join(f'typeof("{c}"), "{c}"' for c in columns)
+        content.append((name, sql))
+        content += conn.execute(f'SELECT rowid, {cells} FROM "{name}" ORDER BY rowid')
+    return content
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_warehouse_snapshot_is_what_a_per_cell_conversion_stores(
+    sf_small_dir, warehouse_oracle, cpus
+):
+    before = snapshot_files()
+    with cut_into_pieces(1 << 20, cpus), Sessions() as own:
+        stored = _content(own.get(sf_small_dir).conn)
+    assert_nothing_left(before)
+    with closing(sqlite3.connect(warehouse_oracle)) as oracle:
+        expected = _content(oracle)
+    assert len(expected) == 8 + sum(map(csv_row_count, sf_small_dir.glob("*.csv")))
+    assert stored == expected
+
+
+@pytest.mark.parametrize("piece_bytes", [1 << 20, 64, 1])
+def test_mini_snapshot_is_what_a_per_cell_conversion_stores(mini_suite_dir, piece_bytes):
+    shop = mini_suite_dir / "databases" / "shop"
+    with cut_into_pieces(piece_bytes), Sessions() as own:
+        stored = _content(own.get(shop).conn)
+    with closing(sqlite3.connect(":memory:")) as oracle:
+        load_per_cell(oracle, shop)
+        assert stored == _content(oracle)
+
+
+def test_small_data_registers_without_forking(mini_suite_dir, monkeypatch):
+    def no_fork():
+        raise AssertionError("registration forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    shop = mini_suite_dir / "databases" / "shop"
+    assert rows_of(shop, "SELECT count(*) FROM orders") == ((20,),)
+
+
+@_REGISTRATION_ERRORS
+def test_registration_errors_keep_their_messages_when_cut(
+    sessions, tmp_path, schema, text, message
+):
+    # with one row a piece, the bad row is in a later piece than the header
+    (tmp_path / "t.schema").write_text(schema)
+    (tmp_path / "t.csv").write_text(text)
+    before = snapshot_files()
+    with cut_into_pieces(), pytest.raises(RegistrationError) as caught:
+        sessions.get(tmp_path)
+    assert str(caught.value) == message.format(csv=tmp_path / "t.csv")
+    assert_nothing_left(before)
+
+
+@pytest.mark.parametrize("bad", [(1, 6), (3, 5), (4, 6), (5, 6)])
+def test_the_earliest_bad_piece_gives_the_error(tmp_path, bad):
+    # one row a piece, in three shares: this process loads the first, with
+    # row 1, and two children the rest, so the bad rows are in this process
+    # and a child, in two children, or twice in one child
+    (tmp_path / "t.schema").write_text("a integer\n")
+    cells = [f"x{i}" if i in bad else str(i) for i in range(1, 7)]
+    (tmp_path / "t.csv").write_text("a\n" + "".join(f"{cell}\n" for cell in cells))
+    before = snapshot_files()
+    with cut_into_pieces(), Sessions() as own:
+        with pytest.raises(RegistrationError) as caught:
+            own.get(tmp_path)
+    assert str(caught.value) == (
+        f"failed to register {tmp_path / 't.csv'}: "
+        f"invalid literal for int() with base 10: 'x{bad[0]}'"
+    )
+    assert_nothing_left(before)
+
+
+def test_a_loading_process_that_dies_fails_the_registration(tmp_path, monkeypatch):
+    (tmp_path / "t.schema").write_text("a integer\n")
+    (tmp_path / "t.csv").write_text("a\n1\n2\n3\n")
+    monkeypatch.setattr(engine_module, "_load_share", lambda *args: os._exit(1))
+    before = snapshot_files()
+    with cut_into_pieces(), Sessions() as own, deadline(60):
+        with pytest.raises(
+            RegistrationError,
+            match=f"^failed to register {tmp_path / 't.csv'}: loading process "
+            r"\d+ exited with code 1 before it reported$",
+        ):
+            own.get(tmp_path)
+    assert_nothing_left(before)
+
+
+def test_an_interrupted_registration_leaves_nothing(tmp_path, monkeypatch):
+    (tmp_path / "t.schema").write_text("a integer\n")
+    (tmp_path / "t.csv").write_text("a\n" + "".join(f"{i}\n" for i in range(9)))
+    parent = os.getpid()
+    load_piece = engine_module._load_piece
+
+    def interrupted(conn, piece, into):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        load_piece(conn, piece, into)
+
+    monkeypatch.setattr(engine_module, "_load_piece", interrupted)
+    before = snapshot_files()
+    with cut_into_pieces(), Sessions() as own, pytest.raises(KeyboardInterrupt):
+        own.get(tmp_path)
+    assert_nothing_left(before)
 
 
 def test_schema_file_round_trip(tmp_path):
@@ -375,6 +616,18 @@ def test_a_forked_worker_that_drops_its_exit_handlers_keeps_the_snapshots():
         os._exit(0)
     assert os.waitpid(pid, 0)[1] == 0
     assert snapshot_dir.is_dir()
+
+
+def test_a_failed_directory_raises_without_the_frames_of_earlier_gets(tmp_path):
+    (tmp_path / "t.schema").write_text("a integer\n")
+    (tmp_path / "t.csv").write_text("a\nnot_a_number\n")
+    frames = []
+    with Sessions() as own:
+        for _ in range(5):
+            with pytest.raises(RegistrationError) as caught:
+                own.get(tmp_path)
+            frames.append(len(traceback.extract_tb(caught.value.__traceback__)))
+    assert frames == [frames[0]] * 5
 
 
 def test_sessions_fail_a_broken_directory_without_rereading_it(tmp_path, monkeypatch):
