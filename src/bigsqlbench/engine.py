@@ -390,11 +390,11 @@ class _Piece:
 
 @contextmanager
 def _blamed(csv_path: Path):
-    """Turns a cell, decoding or sqlite failure into a RegistrationError
-    naming the CSV."""
+    """Turns a cell, decoding, CSV parsing or sqlite failure into a
+    RegistrationError naming the CSV."""
     try:
         yield
-    except (sqlite3.Error, ValueError, OverflowError) as exc:
+    except (sqlite3.Error, ValueError, OverflowError, csv.Error) as exc:
         raise RegistrationError(f"failed to register {csv_path}: {exc}") from exc
 
 
@@ -449,6 +449,14 @@ def _cut_points(csv_path: Path) -> list[int]:
     return cuts + [size]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: how many processes a stage that
+    forks one per CPU forks at most."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # macOS
+
+
 def _load_pieces(conn: sqlite3.Connection, pieces: list[_Piece]) -> None:
     """Insert every piece's rows into its table of `conn`, in file order.
 
@@ -460,11 +468,7 @@ def _load_pieces(conn: sqlite3.Connection, pieces: list[_Piece]) -> None:
     failed; no child and no piece file outlives the call.
     """
     total = sum(piece.stop - piece.start for piece in pieces)
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # macOS
-        cpus = os.cpu_count() or 1
-    shares = _shares(pieces, min(cpus, len(pieces), total // _PIECE_BYTES))
+    shares = _shares(pieces, min(usable_cpus(), len(pieces), total // _PIECE_BYTES))
     if len(shares) > 1:
         import multiprocessing  # here, so that small data pays nothing
 

@@ -28,7 +28,7 @@ from .agent import (
     trace_to_jsonl,
 )
 from .costmodel import PricingConfig, compose_ledger
-from .engine import Sessions
+from .engine import Sessions, usable_cpus
 from .llmclient import (
     ExchangeRecord,
     HttpBackend,
@@ -395,27 +395,27 @@ def _plan_episodes(
     """Every cell of the matrix, each with its golden; and the unusable cases.
 
     The cells come from the pre-flight's cases and scripts; the goldens run
-    on `sessions`, one per data directory.
+    over `sessions`, as `_materialize_goldens` says.
     """
+    usable = [(sf, case) for sf, cases in checked.cases.items() for case in cases
+              if case.usable]
+    goldens = iter(_materialize_goldens(plan, usable, sessions))
     specs: list[_EpisodeSpec] = []
     unusable: list[dict[str, str]] = []
     for sf, cases in checked.cases.items():
         for case in cases:
             error = case.error
             if error is None:
-                try:
-                    golden, t_gold = materialize_golden(
-                        case, sessions.get(case.data_dir),
-                        out_dir=plan.output_dir / "goldens", scale_factor=sf,
-                    )
-                except GoldenMaterializationError as exc:
-                    error = str(exc)
+                golden = next(goldens)
+                if isinstance(golden, str):
+                    error = golden
             if error is not None:
                 unusable.append(
                     {"case_id": case.case_id, "scale_factor": format_sf(sf),
                      "error": error}
                 )
                 continue
+            golden, t_gold = golden
             for backend in plan.backends:
                 trace_dir = (
                     plan.output_dir / "traces" / backend.name / f"sf{format_sf(sf)}"
@@ -427,6 +427,112 @@ def _plan_episodes(
                                      script, trace_dir)
                     )
     return specs, unusable
+
+
+def _materialize_goldens(
+    plan: RunPlan, cases: list[tuple[float, QueryCase]], sessions: Sessions
+) -> list[tuple[ResultTable, float] | str]:
+    """The golden and t_gold of each (scale factor, case), in order, or the
+    error that makes the case unusable; each golden file is written too.
+
+    The goldens run on up to one process per CPU, forked from this one,
+    each on its own session over the run's snapshots; each process is sent
+    one index at a time, so that a long golden never holds a short one
+    behind it.  With one CPU or one case they run here, on `sessions`.  An
+    OSError writing a golden file is raised: that of the earliest case, as
+    no index is sent once one came back.  A golden process that fails or
+    dies raises RuntimeError; none outlives the call.
+    """
+    def materialize(i: int) -> tuple[ResultTable, float] | str:
+        sf, case = cases[i]
+        try:
+            return materialize_golden(
+                case, sessions.get(case.data_dir),
+                out_dir=plan.output_dir / "goldens", scale_factor=sf,
+            )
+        except GoldenMaterializationError as exc:
+            return str(exc)
+
+    count = min(usable_cpus(), len(cases))
+    if count < 2:
+        return [materialize(i) for i in range(len(cases))]
+    import multiprocessing  # here, so that commands that never run pay nothing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    results: list[Any] = [None] * len(cases)
+    next_index = 0
+    held: dict[Any, int | None] = {}  # a pipe -> the index its process runs
+    processes: dict[Any, Any] = {}  # the parent's end of a pipe -> its process
+
+    def hand_out(conn) -> None:
+        """Send the next index, or None once all are sent or a file failed."""
+        nonlocal next_index
+        held[conn] = None
+        if next_index < len(cases) and not any(
+            isinstance(result, OSError) for result in results
+        ):
+            held[conn], next_index = next_index, next_index + 1
+        conn.send(held[conn])
+
+    sessions.close()  # sqlite connections must not cross a fork
+    try:
+        for _ in range(count):
+            conn, child = ctx.Pipe()
+            process = ctx.Process(
+                target=_golden_process, args=(materialize, sessions, child),
+                daemon=True,
+            )
+            process.start()
+            child.close()  # so that the pipe reads EOF once the process is gone
+            processes[conn] = process
+            hand_out(conn)
+        reading = dict(processes)
+        while reading:
+            for conn in wait(list(reading)):
+                process = reading[conn]
+                try:
+                    kind, payload = conn.recv()
+                except EOFError:
+                    process.join()  # its end of the pipe closes as it exits
+                    if held[conn] is not None:
+                        raise RuntimeError(
+                            f"golden process {process.pid} exited with code "
+                            f"{process.exitcode} before it sent its golden"
+                        ) from None
+                    del reading[conn]
+                    continue
+                if kind == "error":
+                    raise RuntimeError(f"golden process {process.pid} failed:\n{payload}")
+                results[held[conn]] = payload
+                hand_out(conn)
+    finally:
+        for conn, process in processes.items():
+            process.terminate()  # no-op once joined; stops the rest after a failure
+            process.join()
+            conn.close()
+    for result in results:
+        if isinstance(result, OSError):
+            raise result
+    return results
+
+
+def _golden_process(materialize, sessions: Sessions, conn) -> None:
+    """One golden process: `materialize` each index the parent sends, until
+    None.  Sends ("golden", what it returned, or the OSError raised writing
+    the golden file) for each; ("error", traceback) if it fails."""
+    try:
+        try:
+            while (i := conn.recv()) is not None:
+                try:
+                    golden = materialize(i)
+                except OSError as exc:
+                    golden = exc
+                conn.send(("golden", golden))
+        finally:
+            sessions.close()
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
 
 
 def _make_trace_dirs(specs: list[_EpisodeSpec]) -> dict[Path, OSError]:

@@ -11,7 +11,7 @@ import signal
 import sqlite3
 import tempfile
 import traceback
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -32,6 +32,7 @@ from bigsqlbench.engine import (
     write_schema_file,
 )
 from bigsqlbench.resultset import tables_equal_exact
+from bigsqlbench.suite import load_suite
 
 from .conftest import count_registrations, snapshot_files
 from .oracles import csv_row_count, load_csv_per_cell
@@ -533,6 +534,29 @@ def test_an_interrupted_registration_leaves_nothing(tmp_path, monkeypatch):
     before = snapshot_files()
     with cut_into_pieces(), Sessions() as own, pytest.raises(KeyboardInterrupt):
         own.get(tmp_path)
+    assert_nothing_left(before)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+def test_a_field_over_the_csv_limit_makes_its_cases_unusable(
+    mini_suite_dir, tmp_path, cut
+):
+    suite = tmp_path / "mini"
+    shutil.copytree(mini_suite_dir, suite)
+    products = suite / "databases" / "shop" / "products.csv"
+    # in the last row, which a loading child loads when the CSV is cut
+    lines = products.read_text().splitlines(keepends=True)
+    cells = lines[-1].split(",")
+    cells[1] = "x" * 200_000
+    lines[-1] = ",".join(cells)
+    products.write_text("".join(lines))
+    before = snapshot_files()
+    with cut_into_pieces() if cut else nullcontext(), Sessions() as own:
+        cases = load_suite(suite, None, own)
+    assert len(cases) == 5 and {case.error for case in cases} == {
+        f"database failed to load: failed to register {products}: "
+        "field larger than field limit (131072)"
+    }
     assert_nothing_left(before)
 
 

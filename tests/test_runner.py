@@ -22,7 +22,7 @@ from bigsqlbench import report as report_module
 from bigsqlbench import resultset as resultset_module
 from bigsqlbench import runner
 from bigsqlbench.agent import AgentConfig, trace_from_jsonl
-from bigsqlbench.cli import REPORT_FORMATS
+from bigsqlbench.cli import REPORT_FORMATS, main
 from bigsqlbench.costmodel import EnginePricing, PricingConfig
 from bigsqlbench.engine import EmbeddedEngine, Sessions
 from bigsqlbench.llmclient import ExchangeRecord, ReplayBackend, fingerprint_messages
@@ -462,23 +462,69 @@ def test_mini_plan_registers_each_database_once(mini_plan, monkeypatch):
     assert sorted(p.name for p in loaded) == ["orders.csv", "products.csv"]
 
 
+# on one CPU the goldens run in the run process; on three, in golden
+# processes forked from it
+ON_CPUS = pytest.mark.parametrize("cpus", [1, 3])
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    """Count `cpus` usable CPUs, as a host with that many does."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+# what a process loads to fork a process with a pipe to it
+FORK_A_PROCESS = (
+    "import multiprocessing, multiprocessing.connection\n"
+    "ctx = multiprocessing.get_context('fork')\n"
+    "ctx.Pipe()\n"
+    "process = ctx.Process()\n"
+    "process.start()\n"
+    "process.join()"
+)
+
+
 def test_episodes_import_nothing_the_parent_has_not_loaded(mini_suite_dir, tmp_path):
-    """The fork rule: importing the runner loads every module an episode
-    runs, so no worker compiles one inside a timed episode."""
+    """The fork rule: importing the runner loads every module a golden or
+    an episode runs, so none compiles one while it is timed.  On one CPU the
+    goldens run in this process; on three, the golden stage may load only
+    what forking its golden processes needs."""
+    runner_modules = modules_after("from bigsqlbench import runner")
+    forking = (modules_after(f"from bigsqlbench import runner\n{FORK_A_PROCESS}")
+               - runner_modules)
+    for cpus, allowed in ((1, set()), (3, forking)):
+        assert_imports_during_a_run(mini_suite_dir, tmp_path / f"cpus{cpus}",
+                                    cpus, allowed)
+
+
+def assert_imports_during_a_run(mini_suite_dir, output_dir, cpus, allowed):
+    """Plans and runs the mini episodes in a fresh interpreter on `cpus`
+    CPUs: the golden stage loads only `allowed`, and no golden and no
+    episode loads a module."""
     modules_after(
-        "import sys\n"
+        "import os, sys\n"
         "from pathlib import Path\n"
         "from bigsqlbench import runner\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
         "loaded = set(sys.modules)\n"
+        "materialize = runner.materialize_golden\n"
+        "def timed(*args, **kwargs):  # in a golden process on more than one CPU\n"
+        "    before = set(sys.modules)\n"
+        "    golden = materialize(*args, **kwargs)\n"
+        "    assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n"
+        "    return golden\n"
+        "runner.materialize_golden = timed\n"
         f"plan = runner.RunPlan.from_json_file({str(mini_suite_dir / 'plan.json')!r})\n"
-        f"plan.output_dir = Path({str(tmp_path)!r})\n"
+        f"plan.output_dir = Path({str(output_dir)!r})\n"
         "with runner.Sessions() as sessions:\n"
         "    checked = runner._preflight(plan, sessions)\n"
         "    specs, _ = runner._plan_episodes(plan, checked, sessions)\n"
+        "    staged = set(sys.modules) - loaded\n"
+        f"    assert staged <= set({sorted(allowed)!r}), sorted(staged)\n"
         "    run = runner._Run(plan, {}, sessions, runner._make_trace_dirs(specs))\n"
         "    episodes = [runner._run_episode(run, spec) for spec in specs]\n"
         "assert len(episodes) == 20 and all(ep.trace_path for ep in episodes)\n"
-        "assert set(sys.modules) == loaded, sorted(set(sys.modules) - loaded)"
+        "assert set(sys.modules) - loaded == staged, sorted(set(sys.modules) - loaded)"
     )
 
 
@@ -797,6 +843,126 @@ def test_golden_naming_a_column_emptily_is_unusable(mini_copy):
     ]
     assert len(output.episodes) == 4 * 2 * 2
     assert all(ep.outcome == "completed" for ep in output.episodes)
+
+
+# --- the golden stage ---
+
+
+def untimed_golden_files(output_dir: Path) -> dict[str, str]:
+    """Each golden file's text by name, from its result on: without t_gold."""
+    return {
+        path.name: text[text.index(', "result": '):]
+        for path in sorted((output_dir / "goldens").iterdir())
+        for text in [path.read_text()]
+    }
+
+
+def test_golden_processes_give_what_the_run_process_gives(
+    mini_plan, monkeypatch, tmp_path
+):
+    goldens = golden_process_pids(monkeypatch, tmp_path / "pids")
+    files = {}
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        mini_plan.output_dir = tmp_path / f"cpus{cpus}"
+        execute_plan(mini_plan)
+        assert len(goldens()) == (3 if cpus == 3 else 0)
+        assert untimed_records_text(mini_plan.output_dir) == PINNED_RECORDS.read_text()
+        assert untimed_traces_text(mini_plan.output_dir) == PINNED_TRACES.read_text()
+        files[cpus] = untimed_golden_files(mini_plan.output_dir)
+    assert len(files[1]) == 5 and files[3] == files[1]
+
+
+@ON_CPUS
+def test_a_golden_failing_in_a_golden_process_is_unusable_as_in_the_run_process(
+    mini_copy, monkeypatch, tmp_path, cpus
+):
+    use_cpus(monkeypatch, cpus)
+    goldens = golden_process_pids(monkeypatch, tmp_path / "pids")
+    for case_id in ("orders_count", "top_customer"):
+        set_golden(mini_copy, case_id,
+                   "SELECT abs(-9223372036854775807 - 1) AS x FROM orders")
+    output = execute_plan(mini_copy)
+    assert len(goldens()) == (3 if cpus == 3 else 0)
+    assert output.unusable_cases == [
+        {"case_id": case_id, "scale_factor": "1",
+         "error": f"case {case_id}: golden query failed: "
+                  "sql execution failed: integer overflow"}
+        for case_id in ("orders_count", "top_customer")
+    ]
+    assert len(output.episodes) == 3 * 2 * 2
+    assert all(ep.outcome == "completed" for ep in output.episodes)
+
+
+@ON_CPUS
+def test_a_golden_file_that_cannot_be_written_fails_the_run_in_one_line(
+    mini_suite_dir, tmp_path, monkeypatch, capsys, cpus
+):
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "goldens").write_text("a file\n")
+    command = ["run", "--plan", str(mini_suite_dir / "plan.json"),
+               "--output-dir", str(out)]
+    with time_limit(30):
+        assert main(command) == 1
+    printed, err = capsys.readouterr()
+    assert printed == f"error: [Errno 17] File exists: '{out / 'goldens'}'\n"
+    assert err == ""
+    # no episode ran: no trace and no records
+    assert [path.name for path in out.iterdir()] == ["goldens"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failure", ["dies", "raises"])
+def test_a_golden_process_that_fails_fails_the_run(
+    mini_plan, monkeypatch, tmp_path, failure
+):
+    use_cpus(monkeypatch, 3)
+    goldens = golden_process_pids(monkeypatch, tmp_path / "pids")
+
+    def failing(case, engine, **kwargs):
+        if failure == "dies":
+            os._exit(1)
+        raise RuntimeError(f"golden {case.case_id} blew up")
+
+    monkeypatch.setattr(runner, "materialize_golden", failing)
+    message = (r"exited with code 1 before it sent its golden$" if failure == "dies"
+               else r"failed:\n(.|\n)*RuntimeError: golden \w+ blew up")
+    before = snapshot_files()
+    with time_limit(30), pytest.raises(
+        RuntimeError, match=rf"^golden process (\d+) {message}"
+    ) as caught:
+        execute_plan(mini_plan)
+    pid = int(str(caught.value).split()[2])
+    assert pid in goldens()
+    assert multiprocessing.active_children() == []
+    assert snapshot_files() == before
+    assert not (mini_plan.output_dir / "records.json").exists()
+    assert not (mini_plan.output_dir / "traces").exists()
+
+
+def test_a_slow_first_golden_is_the_only_golden_its_process_runs(
+    mini_plan, monkeypatch, tmp_path
+):
+    use_cpus(monkeypatch, 3)
+    log_dir = tmp_path / "goldens_run"
+    log_dir.mkdir()
+    materialize = runner.materialize_golden
+
+    def logged(case, engine, **kwargs):
+        log_in_process(log_dir, [os.getpid(), case.case_id])
+        if case.case_id == "orders_count":  # the plan's first case
+            time.sleep(1.0)
+        return materialize(case, engine, **kwargs)
+
+    monkeypatch.setattr(runner, "materialize_golden", logged)
+    output = execute_plan(mini_plan)
+    assert len(output.episodes) == 20
+    ran = read_process_logs(log_dir)
+    assert len(ran) == 5 and len({pid for pid, _ in ran}) == 3
+    [slow] = [pid for pid, case_id in ran if case_id == "orders_count"]
+    assert [case_id for pid, case_id in ran if pid == slow] == ["orders_count"]
 
 
 def test_blob_results_are_compared_and_logged(mini_copy):
@@ -1282,8 +1448,23 @@ def all_closed(events) -> bool:
     return sorted(opened) == sorted(closed)
 
 
+def golden_process_pids(monkeypatch, log_dir: Path):
+    """Log the pid of each golden process; returns a function that reads them."""
+    log_dir.mkdir()
+    golden_process = runner._golden_process
+
+    def logging_pid(*args):
+        log_in_process(log_dir, os.getpid())
+        golden_process(*args)
+
+    monkeypatch.setattr(runner, "_golden_process", logging_pid)
+    return lambda: set(read_process_logs(log_dir))
+
+
 def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch, tmp_path):
     events = track_sessions(monkeypatch, tmp_path / "sessions")
+    use_cpus(monkeypatch, 3)
+    goldens = golden_process_pids(monkeypatch, tmp_path / "goldens")
     run_agent = runner.run_agent
 
     def slow_run_agent(*args):
@@ -1296,19 +1477,26 @@ def test_mini_run_opens_one_session_per_worker(mini_plan, monkeypatch, tmp_path)
     assert len(output.episodes) == 20
     main = os.getpid()
     opened = opens(events())
-    # one session for validation, the suite load and the goldens
+    # one session for validation and the suite load
     assert [pid for pid, _, _ in opened].count(main) == 1
-    workers = Counter((pid, data_dir) for pid, _, data_dir in opened if pid != main)
+    # and one in each golden process, as in each worker
+    shop = str(mini_plan.suite / "databases" / "shop")
+    in_goldens = Counter((pid, data_dir) for pid, _, data_dir in opened
+                         if pid in goldens())
+    assert len(goldens()) == 3 and len(in_goldens) == 3
+    assert set(in_goldens.values()) == {1}
+    assert {data_dir for _, data_dir in in_goldens} == {shop}
+    workers = Counter((pid, data_dir) for pid, _, data_dir in opened
+                      if pid != main and pid not in goldens())
     assert len({pid for pid, _ in workers}) == 2
     assert set(workers.values()) == {1}
-    assert {data_dir for _, data_dir in workers} == {
-        str(mini_plan.suite / "databases" / "shop")
-    }
+    assert {data_dir for _, data_dir in workers} == {shop}
     assert all_closed(events())
 
 
 def test_each_worker_gets_a_cell_before_any_gets_two(mini_plan, monkeypatch, tmp_path):
     events = track_sessions(monkeypatch, tmp_path / "sessions")
+    goldens = golden_process_pids(monkeypatch, tmp_path / "goldens")
     # five cells for five workers, with no ceiling: two cells may be queued
     # with a worker, yet none is idle while another holds two
     mini_plan.backends = mini_plan.backends[:1]
@@ -1318,7 +1506,8 @@ def test_each_worker_gets_a_cell_before_any_gets_two(mini_plan, monkeypatch, tmp
     output = execute_plan(mini_plan)
     assert len(output.episodes) == 5
     main = os.getpid()
-    assert len({pid for pid, _, _ in opens(events()) if pid != main}) == 5
+    workers = {pid for pid, _, _ in opens(events())} - {main} - goldens()
+    assert len(workers) == 5
     assert all_closed(events())
 
 

@@ -6,11 +6,12 @@ import random
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bigsqlbench.resultset import tables_equal_exact
+from bigsqlbench.resultset import ResultTable, json_cell, tables_equal_exact
 from bigsqlbench.suite import (
     GoldenMaterializationError,
     ManifestError,
@@ -415,6 +416,29 @@ def test_blob_golden_is_written_as_hex(sessions, sf_tiny_dir, tmp_path):
     assert result.rows == ((b"\x00\xff", 5),)
     written = json.loads((tmp_path / "pricing_summary@sf0.001.json").read_text())
     assert written["result"]["rows"] == [["00ff", 5]]
+
+
+_CELL_COLUMNS = [("n", "null"), ("b", "blob"), ("i", "integer"), ("x", "float"),
+                 ("s", "text")]
+
+
+@pytest.mark.parametrize("rows", [
+    [(None, b"\x00\xff", 7, float("nan"), "na\u00efve \u2603"),
+     (None, b"", -2**63, float("inf"), ""),
+     (None, b"\x7f", 0, -float("inf"), "\U0001f600 \"q\" \\")],
+    [],
+], ids=["cells", "zero_rows"])
+def test_golden_file_is_what_json_dumps_of_the_table_writes(
+    sf_tiny_dir, tmp_path, rows
+):
+    table = ResultTable.build(_CELL_COLUMNS, rows)
+    engine = SimpleNamespace(execute_timed=lambda sql: (table, 0.125))
+    case = _case_for(sf_tiny_dir, "SELECT 1")
+    _, t_gold = materialize_golden(case, engine, out_dir=tmp_path, scale_factor=0.01)
+    written = (tmp_path / "pricing_summary@sf0.01.json").read_bytes()
+    expected = json.dumps({"t_gold": t_gold, "result": table.to_json_dict()},
+                          default=json_cell)
+    assert written == expected.encode()
 
 
 def test_broken_golden_marks_case_unusable(sessions, sf_tiny_dir):
